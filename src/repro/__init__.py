@@ -77,7 +77,7 @@ from .tiering import (
 )
 from .workloads import WORKLOAD_NAMES, make_workload, paper_suite
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "AccessBatch",

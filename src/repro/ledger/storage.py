@@ -296,16 +296,6 @@ class SessionLedger:
         """Durably append one record; returns the seq it was assigned."""
         return self.append_many(((event, _encode_data(data)),))
 
-    def append_encoded(self, event: str, payload: bytes) -> int:
-        """Append one record whose ``data`` is already JSON bytes.
-
-        ``payload`` must be compact JSON (the fan-out's
-        ``encode_payload`` output); it is spliced into the record line
-        verbatim, so the wire frame and the durable record share one
-        encode of the payload.
-        """
-        return self.append_many(((event, payload),))
-
     def append_many(self, items) -> int:
         """Durably append a batch of ``(event, payload_bytes)`` records.
 

@@ -49,6 +49,14 @@ def _reject(reason: str) -> None:
     ).inc(reason=reason)
 
 
+def _still_live(session_id) -> ServiceError:
+    return ServiceError(
+        ErrorCode.BAD_REQUEST,
+        f"session {session_id!r} is still live; only evicted "
+        "(checkpointed) sessions can be resumed",
+    )
+
+
 class SessionManager:
     """Creates, finds, evicts, and closes profiling sessions."""
 
@@ -234,6 +242,24 @@ class SessionManager:
         )
         return session
 
+    def await_evicted(self, session_id: str, timeout_s: float = 10.0) -> None:
+        """Return once ``session_id`` is no longer registered.
+
+        A plainly live session is ``bad_request`` at once.  One the
+        reaper has claimed is waited out: its goodbye may be delivered
+        while its close is still running, and a rebuild under the same
+        id overlapping that close would be torn down by it.
+        """
+        deadline = time.monotonic() + timeout_s
+        while True:
+            with self._lock:
+                session = self._sessions.get(session_id)
+            if session is None:
+                return
+            if not session._evicting or time.monotonic() >= deadline:
+                raise _still_live(session_id)
+            time.sleep(0.005)
+
     def resume(self, session_id: str, tenant: str, builder) -> ProfilingSession:
         """Re-admit a checkpointed (evicted-to-disk) session.
 
@@ -252,11 +278,7 @@ class SessionManager:
             )
         with self._lock:
             if session_id in self._sessions:
-                raise ServiceError(
-                    ErrorCode.BAD_REQUEST,
-                    f"session {session_id!r} is still live; only evicted "
-                    "(checkpointed) sessions can be resumed",
-                )
+                raise _still_live(session_id)
             drain_gen = self._admit_locked(tenant)
         session = self._build_admitted(session_id, tenant, drain_gen, builder)
         with self._lock:
@@ -365,14 +387,16 @@ class SessionManager:
 
         Ordering is load-bearing: the session is claimed, then (when a
         :attr:`checkpointer` is installed) checkpointed, then the
-        structured goodbye fans out *while the session is still
-        registered*, and only then is it popped from the registry and
-        its slots released.  A concurrent ``subscribe`` therefore
-        either attaches before the goodbye (and receives it — the
-        fan-out and the attach share the subscriber lock), is refused
-        with a structured ``evicted`` error (the claim set the flag),
-        or arrives after the pop and gets ``unknown_session`` — it can
-        never attach silently to a half-dead session.
+        structured goodbye fans out and the session is closed *while
+        it is still registered*, and only then is it popped from the
+        registry and its slots released.  A concurrent ``subscribe``
+        therefore either attaches before the goodbye (and receives it —
+        the fan-out and the attach share the subscriber lock), is
+        refused with a structured ``evicted`` error (the claim set the
+        flag), or arrives after the pop and gets ``unknown_session`` —
+        it can never attach silently to a half-dead session.  And a
+        ``resume_session`` racing the eviction (:meth:`await_evicted`)
+        cannot rebuild the id while the old copy's close is in flight.
         """
         if self.idle_ttl_s <= 0:
             return []
@@ -412,6 +436,9 @@ class SessionManager:
                     resumable=resumable,
                 ),
             )
+        for sid, session in evicted:
+            session.close()
+            _log.info("session_evicted", session=sid, idle_ttl_s=self.idle_ttl_s)
         if evicted:
             with self._lock:
                 for sid, session in evicted:
@@ -422,10 +449,6 @@ class SessionManager:
                         self._release_tenant_locked(session.tenant)
                 self.sessions_checkpointed += checkpointed
                 self._publish_active_locked()
-        for sid, session in evicted:
-            session.close()
-            _log.info("session_evicted", session=sid, idle_ttl_s=self.idle_ttl_s)
-        if evicted:
             _metrics().counter(
                 "repro_service_sessions_evicted_total",
                 "Sessions evicted by the idle TTL",

@@ -31,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import itertools
+import json
 import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +41,6 @@ from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from ..obs.http import MetricsHTTPServer
 from .manager import SessionManager
-from .session import ProfilingSession
 from .telemetry import resumed_event_data
 from .protocol import (
     MAX_LINE_BYTES,
@@ -190,6 +190,7 @@ class ServiceServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._pool: WorkerPool | None = None
+        self._base_factory = None
         self._connections: set[_Connection] = set()
         self._reaper: asyncio.Task | None = None
         self._inflight = 0
@@ -227,15 +228,18 @@ class ServiceServer:
                 # Executor threads only courier RPCs to the pool; give
                 # the pool headroom so threads never gate core count.
                 step_threads = max(8, 4 * self.workers)
+        # The un-ledgered factory (pool or in-process): ``resume_session``
+        # builds through it directly, reopening the session's ledger
+        # instead of creating one.
+        self._base_factory = self.manager.session_factory
         if self._ledger is not None:
             # Attach each session's ledger inside the factory, before
             # the manager publishes the session — no frame can ever fan
             # out un-persisted, so queue seq and ledger seq stay equal.
-            base_factory = self.manager.session_factory
 
             def _ledgered_factory(session_id, clock=None, **params):
                 kwargs = {} if clock is None else {"clock": clock}
-                session = base_factory(session_id, **kwargs, **params)
+                session = self._base_factory(session_id, **kwargs, **params)
                 session_ledger = self._ledger.create_session(
                     session_id, dict(params), info=session.info()
                 )
@@ -340,9 +344,8 @@ class ServiceServer:
     async def _reap_loop(self) -> None:
         while True:
             await asyncio.sleep(self.reap_interval_s)
-            evicted = await self._run_blocking(self.manager.evict_idle)
-            for _ in evicted:
-                pass  # evictions are surfaced through list_sessions
+            # Evictions are surfaced through list_sessions.
+            await self._run_blocking(self.manager.evict_idle)
 
     async def _run_blocking(self, fn, *args, **kwargs):
         return await self._loop.run_in_executor(
@@ -369,6 +372,25 @@ class ServiceServer:
     def _spawn_recovery(self, session_id) -> None:
         asyncio.create_task(self._recover_session(session_id))
 
+    def _rebuild_params(self, meta, session_ledger, epochs) -> dict:
+        """Create params that rebuild a session at ``epochs`` scored epochs.
+
+        The one rebuild recipe (crash recovery and ``resume_session``):
+        the creation config recorded in ``meta`` plus a ``catchup`` —
+        the epoch count to silently re-run and every ``reconfigured``
+        record in the ledger, re-applied at its recorded epoch.
+        Blocking (scans the ledger; epoch payloads are never decoded).
+        """
+        reconfigured = [
+            json.loads(payload)
+            for _, event, payload in session_ledger.read_encoded()
+            if event == "reconfigured"
+        ]
+        return {
+            **meta["config"],
+            "catchup": {"epochs": int(epochs), "reconfigured": reconfigured},
+        }
+
     async def _recover_session(self, session_id) -> None:
         """Re-materialize one crashed session from its ledger."""
         try:
@@ -384,14 +406,15 @@ class ServiceServer:
         ):
             self.manager.discard(session_id)
             return
-        epochs = session.ledger.epoch_count
-        try:
-            await self._run_blocking(
-                self._pool.recover_session,
-                session,
-                dict(meta["config"]),
-                epochs,
+
+        def rebuild():
+            params = self._rebuild_params(
+                meta, session.ledger, session.ledger.epoch_count
             )
+            self._pool.recover_session(session, params)
+
+        try:
+            await self._run_blocking(rebuild)
         except Exception as exc:  # noqa: BLE001 — recovery is best-effort
             _log.error(
                 "session_recovery_failed", session=session_id, error=str(exc)
@@ -436,27 +459,18 @@ class ServiceServer:
 
         Admission goes through :meth:`SessionManager.resume` — the
         same capacity/tenant gate as ``create_session`` — and the
-        rebuild reuses the PR-6 recovery machinery: the recorded
-        config re-runs deterministically with a silent catch-up to the
-        checkpointed epoch count, so the resumed state is bit-identical
-        to an uninterrupted run.  The reopened ledger continues the
-        seq chain (``attach_ledger(start_seq=next_seq)``), the marker
-        is cleared, and one ``resumed`` frame is appended so a
-        ``from_seq`` replay shows eviction and resumption gap-free.
+        rebuild is crash recovery's (:meth:`_rebuild_params`): the
+        recorded config re-runs deterministically with a silent
+        catch-up to the checkpointed epoch count, so the resumed state
+        is bit-identical to an uninterrupted run.  The reopened ledger
+        continues the seq chain (``attach_ledger(start_seq=next_seq)``),
+        the marker is cleared, and one ``resumed`` frame is appended so
+        a ``from_seq`` replay shows eviction and resumption gap-free.
         """
-        try:
-            self.manager.get(session_id)
-        except ServiceError:
-            pass
-        else:
-            # Checked again (atomically) inside manager.resume; this
-            # early answer just gives pollers the ``bad_request`` that
-            # means "not evicted yet" instead of "no checkpoint".
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST,
-                f"session {session_id!r} is still live; only evicted "
-                "(checkpointed) sessions can be resumed",
-            )
+        # Checked again (atomically) inside manager.resume; this early
+        # answer gives pollers the ``bad_request`` that means "not
+        # evicted yet" instead of "no checkpoint".
+        self.manager.await_evicted(session_id)
         checkpoint = self._ledger.load_checkpoint(session_id)
         meta = self._ledger.load_meta(session_id)
         if checkpoint is None or meta is None:
@@ -466,28 +480,16 @@ class ServiceServer:
                 "evicted with --evict-to-disk can be resumed",
             )
         tenant = tenant_param or checkpoint.get("tenant") or "default"
-        params = dict(meta["config"])
-        params["tenant"] = tenant
 
         def builder():
             session_ledger = self._ledger.open_session(session_id)
             try:
                 epochs = int(checkpoint.get("epochs", session_ledger.epoch_count))
-                if self._pool is not None:
-                    session = self._pool.resume_session_factory(
-                        session_id,
-                        params,
-                        epochs,
-                        clock=self.manager._clock,
-                        tenant=tenant,
-                    )
-                else:
-                    session = ProfilingSession(
-                        session_id,
-                        clock=self.manager._clock,
-                        catchup_epochs=epochs,
-                        **params,
-                    )
+                params = self._rebuild_params(meta, session_ledger, epochs)
+                params["tenant"] = tenant
+                session = self._base_factory(
+                    session_id, clock=self.manager._clock, **params
+                )
                 session.attach_ledger(
                     session_ledger, start_seq=session_ledger.next_seq
                 )
@@ -648,16 +650,11 @@ class ServiceServer:
     async def _op_create_session(self, conn, params) -> dict:
         if self._draining:
             raise ServiceError(ErrorCode.SHUTTING_DOWN, "server is draining")
-        resume = params.get("resume")
-        if resume is not None:
-            # ``create_session`` with ``resume=<id>`` is sugar for
-            # ``resume_session``: same admission gate, same rebuild.
-            if not isinstance(resume, str):
-                raise ServiceError(
-                    ErrorCode.BAD_PARAMS, "resume must be a session id string"
-                )
-            return await self._op_resume_session(
-                conn, {"session": resume, "tenant": params.get("tenant")}
+        if "catchup" in params:
+            # Rebuild-only: from a client it would advance the simulator
+            # with no frame fanned out or persisted, for as long as it says.
+            raise ServiceError(
+                ErrorCode.BAD_PARAMS, "catchup is not a create_session param"
             )
         session = await self._run_blocking(self.manager.create, **params)
         return session.info()

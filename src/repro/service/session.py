@@ -85,13 +85,11 @@ def _push_counters():
 class QueuedFrame:
     """One buffered event frame: envelope fields + shared payload bytes.
 
-    The ``data`` payload lives as *either* the original dict or its
-    pre-encoded JSON bytes (both when already materialized); whichever
-    side is missing is produced lazily.  The encoded side is the hot
-    path — every subscriber queue holds the *same* payload bytes object
-    and :meth:`encode` only splices the tiny per-subscriber envelope
-    around it — while dict access (``frame["data"]``) keeps the
-    original mapping-style API for tests and non-hot-path consumers.
+    ``payload`` is the fan-out's single JSON encode of the frame's
+    ``data``; every subscriber queue holds the *same* bytes object and
+    :meth:`encode` only splices the tiny per-subscriber envelope around
+    it.  :meth:`to_dict` is the one decode edge, for consumers that
+    want the payload back as a dict.
     """
 
     __slots__ = (
@@ -101,7 +99,6 @@ class QueuedFrame:
         "seq",
         "dropped",
         "payload",
-        "_data",
     )
 
     def __init__(
@@ -111,8 +108,7 @@ class QueuedFrame:
         subscription_id: str,
         seq: int,
         dropped: int,
-        payload: bytes | None = None,
-        data: dict | None = None,
+        payload: bytes,
     ):
         self.event = event
         self.session_id = session_id
@@ -120,18 +116,9 @@ class QueuedFrame:
         self.seq = seq
         self.dropped = dropped
         self.payload = payload
-        self._data = data
-
-    @property
-    def data(self) -> dict:
-        if self._data is None:
-            self._data = json.loads(self.payload)
-        return self._data
 
     def encode(self) -> bytes:
         """The frame's wire bytes, splicing the shared payload."""
-        if self.payload is None:
-            self.payload = encode_payload(self._data)
         return splice_event_frame(
             self.event,
             self.session_id,
@@ -148,19 +135,8 @@ class QueuedFrame:
             "subscription": self.subscription_id,
             "seq": self.seq,
             "dropped": self.dropped,
-            "data": self.data,
+            "data": json.loads(self.payload),
         }
-
-    # Mapping-style access mirrors the plain-dict frames this class
-    # replaced, so frame["seq"] / frame.get("data") keep working.
-    def __getitem__(self, key):
-        try:
-            return self.to_dict()[key]
-        except KeyError:
-            raise KeyError(key) from None
-
-    def get(self, key, default=None):
-        return self.to_dict().get(key, default)
 
 
 class SubscriberQueue:
@@ -203,15 +179,11 @@ class SubscriberQueue:
         self.dropped = int(initial_dropped)
         self._frames: deque = deque()
 
-    def push(
-        self, event: str, data: dict | None = None, payload: bytes | None = None
-    ) -> QueuedFrame:
+    def push(self, event: str, payload: bytes) -> QueuedFrame:
         """Append one frame, dropping the oldest when full.
 
-        ``payload`` carries the pre-encoded ``data`` bytes shared with
-        every other subscriber of the same fan-out; passing only
-        ``data`` keeps the old dict-based call shape (the bytes are
-        produced lazily if the frame is ever encoded).
+        ``payload`` is the pre-encoded ``data`` bytes shared with every
+        other subscriber of the same fan-out.
         """
         frames_total, dropped_total = _push_counters()
         frames_total.inc()
@@ -225,8 +197,7 @@ class SubscriberQueue:
             self.subscription_id,
             self.seq,
             self.dropped,
-            payload=payload,
-            data=data,
+            payload,
         )
         self.seq += 1
         self._frames.append(frame)
@@ -252,17 +223,6 @@ class SubscriberQueue:
     def drain(self) -> list[QueuedFrame]:
         """Remove and return every buffered frame (oldest first)."""
         out = list(self._frames)
-        self._frames.clear()
-        return out
-
-    def drain_encoded(self) -> list[bytes]:
-        """Remove every buffered frame as spliced wire bytes.
-
-        The coalescing pump's path: each blob is bit-identical to
-        ``encode_frame(frame.to_dict())`` but re-uses the fan-out's
-        shared payload bytes instead of re-serializing the dict.
-        """
-        out = [frame.encode() for frame in self._frames]
         self._frames.clear()
         return out
 
@@ -303,13 +263,10 @@ class SessionBase:
         self._sub_lock = threading.Lock()
         self._subscribers: dict[str, SubscriberQueue] = {}
         self._next_sub = 0
-        #: Extra frame consumers called on every fan-out (the worker
-        #: processes use one to stream epochs back over their pipe).
+        #: Extra frame consumers fed ``(event, payload_bytes)`` on every
+        #: fan-out (the worker processes use one to stream epochs back
+        #: over their pipe without a decode/re-encode round trip).
         self._sinks: list = []
-        #: Like ``_sinks`` but fed ``(event, payload_bytes)`` so a
-        #: consumer that only forwards bytes (the worker pipe) never
-        #: pays a decode/re-encode round trip.
-        self._encoded_sinks: list = []
         #: Session-global frame counter: every fan-out consumes one
         #: number, shared by all subscribers and the ledger.
         self._frame_seq = 0
@@ -376,10 +333,6 @@ class SessionBase:
     # ---------------------------------------------------------- subscribers
 
     def add_sink(self, sink) -> None:
-        """Register ``sink(event, data)`` to see every fan-out frame."""
-        self._sinks.append(sink)
-
-    def add_encoded_sink(self, sink) -> None:
         """Register ``sink(event, payload_bytes)`` for every fan-out.
 
         The payload bytes are the fan-out's single shared encode of the
@@ -387,7 +340,7 @@ class SessionBase:
         .encode_payload`); a forwarding consumer — the worker pipe —
         ships them verbatim instead of re-serializing the dict.
         """
-        self._encoded_sinks.append(sink)
+        self._sinks.append(sink)
 
     def attach_ledger(self, session_ledger, start_seq: int | None = None) -> None:
         """Durably record every fan-out frame in ``session_ledger``.
@@ -410,44 +363,32 @@ class SessionBase:
                 self._frame_seq = int(start_seq)
 
     def _fanout(self, event: str, data: dict) -> None:
-        """Push one frame to every subscriber queue, ledger, and sink."""
-        self._fanout_batch(((event, data, None),))
+        """Encode one frame's ``data`` and fan it out.
 
-    def _fanout_encoded_batch(self, batch) -> None:
-        """Fan out pre-encoded ``(event, payload_bytes)`` pairs.
-
-        The worker-pool ingest path: payloads were encoded worker-side
-        (numpy coercion included), so the parent splices them straight
-        into subscriber frames and ledger records without ever
-        materializing the dict — unless a plain dict sink asks for it.
+        The single dict→bytes edge: the in-process epoch hook and the
+        control frames (``error``/``recovered``/``resumed``/
+        ``reconfigured``) enter here; everything downstream moves the
+        payload bytes.
         """
-        self._fanout_batch((event, None, payload) for event, payload in batch)
+        self._fanout_batch(((event, encode_payload(data)),))
 
-    def _fanout_batch(self, items) -> None:
-        """Serialize-once fan-out of ``(event, data, payload)`` triples.
+    def _fanout_batch(self, batch) -> None:
+        """Fan out a sequence of pre-encoded ``(event, payload_bytes)``.
 
-        Each item's payload is encoded exactly once — here, inside the
-        subscriber-lock critical section, unless the caller already
-        supplies the bytes — and that single bytes object is shared by
-        every subscriber queue and the ledger record.  ``data`` may be
-        ``None`` when only the bytes exist (worker ingest); dict sinks
-        then decode it lazily, off the hot path.
+        Each payload bytes object is shared by every subscriber queue,
+        the ledger record and the sinks — encoded once (by
+        :meth:`_fanout`, or worker-side for pool sessions) and only
+        ever spliced afterwards.
         """
-        shared: list = []  # (event, data_or_None, payload)
         with self._sub_lock:
             subs = list(self._subscribers.values())
-            for event, data, payload in items:
-                if payload is None:
-                    payload = encode_payload(data)
+            for event, payload in batch:
                 self._frame_seq += 1
                 for sub in subs:
-                    sub.push(event, data, payload=payload)
-                shared.append((event, data, payload))
-            if self.ledger is not None and shared:
+                    sub.push(event, payload)
+            if self.ledger is not None and batch:
                 try:
-                    self.ledger.append_many(
-                        [(event, payload) for event, _, payload in shared]
-                    )
+                    self.ledger.append_many(batch)
                 except (OSError, ValueError):
                     obs_metrics.default_registry().counter(
                         "repro_ledger_append_errors_total",
@@ -456,15 +397,9 @@ class SessionBase:
         for sub in subs:
             if sub.notify is not None:
                 sub.notify()
-        if self._encoded_sinks or self._sinks:
-            for event, data, payload in shared:
-                for sink in self._encoded_sinks:
-                    sink(event, payload)
-                if self._sinks:
-                    if data is None:
-                        data = json.loads(payload)
-                    for sink in self._sinks:
-                        sink(event, data)
+        for event, payload in batch:
+            for sink in self._sinks:
+                sink(event, payload)
 
     def subscribe(
         self,
@@ -535,26 +470,16 @@ class SessionBase:
         with self._sub_lock:
             return self._subscribers.pop(subscription_id, None) is not None
 
-    def drain_subscriber(self, subscription_id: str) -> list[QueuedFrame]:
-        """Pop buffered frames for one subscription (loop-side path)."""
-        with self._sub_lock:
-            sub = self._subscribers.get(subscription_id)
-            return sub.drain() if sub is not None else []
+    def drain_queue_encoded(self, sub: SubscriberQueue) -> list[bytes]:
+        """Drain a queue object straight to wire bytes (the pump's path).
 
-    def drain_queue(self, sub: SubscriberQueue) -> list[QueuedFrame]:
-        """Drain a queue object directly, even after it was detached.
-
-        The server's pump holds the queue object, so goodbye frames
-        (``evicted``/``server_drain``) pushed immediately before a
-        close — which clears the subscriber table — still deliver.
+        Takes the queue itself, not its id: the server's pump holds the
+        object, so goodbye frames (``evicted``/``server_drain``) pushed
+        immediately before a close — which clears the subscriber
+        table — still deliver.
         """
         with self._sub_lock:
-            return sub.drain()
-
-    def drain_queue_encoded(self, sub: SubscriberQueue) -> list[bytes]:
-        """Drain a queue straight to wire bytes (the pump's hot path)."""
-        with self._sub_lock:
-            return sub.drain_encoded()
+            return [frame.encode() for frame in sub.drain()]
 
 
 class ProfilingSession(SessionBase):
@@ -577,7 +502,7 @@ class ProfilingSession(SessionBase):
         tmp: dict | None = None,
         tenant: str = "default",
         clock=time.monotonic,
-        catchup_epochs: int = 0,
+        catchup: dict | None = None,
     ):
         if workload not in WORKLOAD_NAMES:
             raise ServiceError(
@@ -615,15 +540,24 @@ class ProfilingSession(SessionBase):
         self.daemon = TMPDaemon(self.sim.profiler)
         self.daemon.add_workload(wl)
         self.sim.start(init=init)
-        if catchup_epochs > 0:
-            # Checkpoint-resume catch-up: silently re-run the epochs the
-            # evicted session had already scored *before* attaching the
-            # fan-out hook, so subscribers (and the ledger) never see
-            # them twice.  The simulator is deterministic, so the state
-            # after the catch-up is bit-identical to the pre-eviction
-            # state.
-            self.sim.step(int(catchup_epochs))
+        if catchup:
+            # Rebuild catch-up (crash recovery, checkpoint resume):
+            # silently re-run the epochs already scored, re-applying
+            # each recorded ``reconfigured`` payload at its epoch
+            # boundary, *before* attaching the fan-out hook, so
+            # subscribers (and the ledger) never see them twice.  The
+            # simulator is deterministic, so the caught-up state is
+            # bit-identical to the state before the interruption.
+            for record in catchup["reconfigured"]:
+                self._catch_up_to(record["epochs_run"])
+                self.daemon.reconfigure(**record["changes"])
+            self._catch_up_to(catchup["epochs"])
         self.sim.add_epoch_hook(self._on_epoch)
+
+    def _catch_up_to(self, epoch: int) -> None:
+        behind = int(epoch) - self.sim.epochs_run
+        if behind > 0:
+            self.sim.step(behind)
 
     # ------------------------------------------------------------- lifecycle
 
@@ -743,7 +677,12 @@ class ProfilingSession(SessionBase):
                 ) from exc
 
     def reconfigure(self, changes: dict) -> dict:
-        """Apply live TMP config changes through the daemon."""
+        """Apply live TMP config changes through the daemon.
+
+        A successful change fans out one ``reconfigured`` frame, so it
+        takes a seq and a ledger record like any other frame — a
+        rebuild replays it at the same epoch boundary (``catchup``).
+        """
         if not isinstance(changes, dict) or not changes:
             raise ServiceError(
                 ErrorCode.BAD_PARAMS, "reconfigure needs a non-empty changes object"
@@ -754,4 +693,8 @@ class ProfilingSession(SessionBase):
             except (AttributeError, ValueError, TypeError) as exc:
                 raise ServiceError(ErrorCode.BAD_PARAMS, str(exc)) from exc
             self.touch()
+            self._fanout(
+                "reconfigured",
+                {"changes": changes, "epochs_run": self.sim.epochs_run},
+            )
             return {"session": self.session_id, "applied": sorted(changes)}

@@ -18,7 +18,7 @@ parent → worker   ``(request_id, op, payload)``
 worker → parent   ``("reply", request_id, ok, payload)`` or
                   ``("events", session_id, [(event, payload_bytes), ...])``
 
-Epoch telemetry is *pre-encoded worker-side*: the worker's encoded
+Epoch telemetry is *pre-encoded worker-side*: the worker's session
 sink receives each frame's payload already serialized to compact JSON
 bytes (numpy coercion applied where the numpy objects live), batches
 up to :data:`EVENT_BATCH_MAX` of them per pipe message, and flushes
@@ -68,13 +68,13 @@ EVENT_BATCH_MAX = 32
 
 
 class _EventBatcher:
-    """Worker-side encoded sink: batch pre-encoded events per pipe send.
+    """Worker-side session sink: batch pre-encoded events per pipe send.
 
-    Registered via ``session.add_encoded_sink`` so it receives each
-    fan-out's single shared payload encode; it owns no serialization of
-    its own.  ``flush`` is called by the worker loop before every
-    reply, preserving the old ordering guarantee that all of a step's
-    epoch events reach the parent before the step's reply does.
+    Registered via ``session.add_sink`` so it receives each fan-out's
+    single shared payload encode; it owns no serialization of its own.
+    ``flush`` is called by the worker loop before every reply, so all
+    of a step's epoch events reach the parent before the step's reply
+    does.
     """
 
     def __init__(self, conn, session_id: str, max_batch: int = EVENT_BATCH_MAX):
@@ -125,11 +125,6 @@ def _worker_main(conn, worker_id: int) -> None:
     sessions: dict[str, ProfilingSession] = {}
     batchers: dict[str, _EventBatcher] = {}
 
-    def attach_batcher(session, session_id):
-        batcher = _EventBatcher(conn, session_id)
-        session.add_encoded_sink(batcher)
-        batchers[session_id] = batcher
-
     def get(session_id):
         session = sessions.get(session_id)
         if session is None:
@@ -141,6 +136,8 @@ def _worker_main(conn, worker_id: int) -> None:
 
     def dispatch(op, payload):
         if op == "create":
+            # A rebuild's ``params`` carry ``catchup``: that history
+            # re-runs before the sink attaches, unseen by the parent.
             session_id, params = payload
             try:
                 session = ProfilingSession(session_id, **params)
@@ -148,25 +145,8 @@ def _worker_main(conn, worker_id: int) -> None:
                 raise ServiceError(ErrorCode.BAD_PARAMS, str(exc)) from exc
             # Stream scored epochs back (batched, pre-encoded) while
             # the step executes.
-            attach_batcher(session, session_id)
-            sessions[session_id] = session
-            return session.info()
-        if op == "recover":
-            # Re-materialize a session lost to a crashed worker: same
-            # recorded config, then silently catch back up to the
-            # ledger's epoch count.  The simulator is deterministic, so
-            # the replayed epochs (and everything after) are
-            # bit-identical to the uncrashed run; the event sink is
-            # attached only *after* the catch-up so subscribers never
-            # see the re-executed epochs twice.
-            session_id, params, epochs = payload
-            try:
-                session = ProfilingSession(session_id, **params)
-            except TypeError as exc:
-                raise ServiceError(ErrorCode.BAD_PARAMS, str(exc)) from exc
-            if epochs > 0:
-                session.sim.step(epochs)
-            attach_batcher(session, session_id)
+            batchers[session_id] = _EventBatcher(conn, session_id)
+            session.add_sink(batchers[session_id])
             sessions[session_id] = session
             return session.info()
         if op == "step":
@@ -448,26 +428,34 @@ class RemoteSession(SessionBase):
             crash_event_data(ErrorCode.WORKER_CRASHED, message, self.worker.index),
         )
 
-    def recover(self, worker: WorkerHandle, epochs_run: int) -> None:
+    def _set_info(self, info: dict) -> None:
+        """Cache the worker-side ``info()`` reply of a (re)build."""
+        self._static_info = {
+            k: v for k, v in info.items() if k not in ("idle_s", "subscribers")
+        }
+        self._epochs_run = info.get("epochs_run", 0)
+
+    def recover(self, worker: WorkerHandle, info: dict) -> None:
         """Un-crash this session after a ledger re-materialization.
 
-        The replacement session (same config, caught up to
-        ``epochs_run``) now lives on ``worker``; subscriber queues and
-        the session-global frame seq were parent-side state all along,
-        so the ``recovered`` frame and every live epoch frame after it
-        continue the pre-crash numbering without a gap.
+        The replacement session (same config, caught up to the ledger's
+        epoch count — ``info`` is its worker-side ``info()``) now lives
+        on ``worker``; subscriber queues and the session-global frame
+        seq were parent-side state all along, so the ``recovered``
+        frame and every live epoch frame after it continue the
+        pre-crash numbering without a gap.
         """
         self.worker = worker
-        self._epochs_run = int(epochs_run)
+        self._set_info(info)
         self.crashed = None
         self.closed = False
         self._fanout(
             "recovered",
             recovered_event_data(
                 worker.index,
-                epochs_run,
+                self._epochs_run,
                 f"session {self.session_id} recovered from ledger "
-                f"({epochs_run} epochs replayed)",
+                f"({self._epochs_run} epochs replayed)",
             ),
         )
         self.touch()
@@ -517,10 +505,6 @@ class RemoteSession(SessionBase):
         return self._request("numa_maps", (self.session_id, pids))["numa_maps"]
 
     def reconfigure(self, changes: dict) -> dict:
-        if not isinstance(changes, dict) or not changes:
-            raise ServiceError(
-                ErrorCode.BAD_PARAMS, "reconfigure needs a non-empty changes object"
-            )
         result = self._request("reconfigure", (self.session_id, changes))
         self.touch()
         return result
@@ -585,12 +569,12 @@ class WorkerPool:
 
         The payload bytes were encoded in the worker; the parent
         splices them into subscriber frames and ledger records without
-        decoding (dict sinks, if any, decode lazily per frame).
+        decoding.
         """
         with self._lock:
             session = self._sessions.get(session_id)
         if session is not None:
-            session._fanout_encoded_batch(batch)
+            session._fanout_batch(batch)
 
     def _worker_died(self, index: int, lost: list[str], message: str) -> None:
         self.respawns += 1
@@ -635,10 +619,7 @@ class WorkerPool:
         except ServiceError:
             self.release(session)
             raise
-        session._static_info = {
-            k: v for k, v in info.items() if k not in ("idle_s", "subscribers")
-        }
-        session._epochs_run = info.get("epochs_run", 0)
+        session._set_info(info)
         return session
 
     def release(self, session: RemoteSession) -> None:
@@ -647,56 +628,18 @@ class WorkerPool:
             self._sessions.pop(session.session_id, None)
             session.worker.sessions.discard(session.session_id)
 
-    def resume_session_factory(
-        self,
-        session_id: str,
-        params: dict,
-        epochs: int,
-        clock=time.monotonic,
-        tenant: str = "default",
-    ) -> RemoteSession:
-        """Rebuild a checkpointed (evicted-to-disk) session.
-
-        The voluntary-eviction sibling of :meth:`recover_session`: a
-        *fresh* :class:`RemoteSession` facade is built (the evicted
-        one was popped from the manager and closed), pinned to the
-        least-loaded worker, and the worker re-runs the recorded
-        config with a silent ``epochs``-deep catch-up — the same
-        deterministic ``recover`` worker op the crash path uses, so
-        the resumed state is bit-identical to the uninterrupted run.
-        """
-        with self._lock:
-            worker = min(
-                self.workers, key=lambda w: (len(w.sessions), w.index)
-            )
-            session = RemoteSession(
-                session_id, self, worker, clock=clock, tenant=tenant
-            )
-            worker.sessions.add(session_id)
-            self._sessions[session_id] = session
-        try:
-            info = worker.request("recover", (session_id, params, epochs))
-        except ServiceError:
-            self.release(session)
-            raise
-        session._static_info = {
-            k: v for k, v in info.items() if k not in ("idle_s", "subscribers")
-        }
-        session._epochs_run = info.get("epochs_run", epochs)
-        return session
-
     def recover_session(
         self,
         session: RemoteSession,
         params: dict,
-        epochs: int,
         wait_s: float = 15.0,
     ) -> RemoteSession:
-        """Re-materialize a crashed session from its recorded config.
+        """Re-materialize a crashed session from its rebuild params.
 
         Waits for a live worker (the dead slot respawns on its reader
-        thread), re-pins the session there, and asks the worker to
-        rebuild it and silently catch up ``epochs`` scored epochs.
+        thread), re-pins the session there, and sends it the ordinary
+        ``create`` with ``params`` — the recorded config plus the
+        ``catchup`` that silently re-runs the session's history.
         On success the session object itself is un-crashed in place —
         its subscribers see one ``recovered`` frame and then gap-free
         live epochs.  Raises :class:`ServiceError` when no worker
@@ -742,7 +685,7 @@ class WorkerPool:
                 )
             time.sleep(0.05)
         try:
-            info = worker.request("recover", (session.session_id, params, epochs))
+            info = worker.request("create", (session.session_id, params))
         except ServiceError:
             self.release(session)
             raise
@@ -763,10 +706,7 @@ class WorkerPool:
                 ErrorCode.UNKNOWN_SESSION,
                 f"session {session.session_id} was closed during recovery",
             )
-        session._static_info = {
-            k: v for k, v in info.items() if k not in ("idle_s", "subscribers")
-        }
-        session.recover(worker, info.get("epochs_run", epochs))
+        session.recover(worker, info)
         obs_metrics.default_registry().counter(
             "repro_service_sessions_recovered_total",
             "Crashed sessions re-materialized from the telemetry ledger",
@@ -775,7 +715,7 @@ class WorkerPool:
             "session_recovered",
             session=session.session_id,
             worker=worker.index,
-            epochs_replayed=epochs,
+            epochs_replayed=info.get("epochs_run", 0),
         )
         return session
 

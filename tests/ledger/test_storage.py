@@ -106,7 +106,7 @@ class TestBatchedAppend:
         data = {"epoch": 1, "hitrate": 0.5, "note": 'tricky ,"unix": text'}
         ledger = SessionLedger(tmp_path)
         ledger.append("epoch", data)
-        ledger.append_encoded("epoch", encode_payload(data))
+        ledger.append_many([("epoch", encode_payload(data))])
         payloads = [p for _, _, p in ledger.read_encoded()]
         assert payloads[0] == payloads[1] == encode_payload(data)
         ledger.close()

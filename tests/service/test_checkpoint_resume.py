@@ -15,6 +15,9 @@ silently to a half-dead session) and the replay-vs-retention race
 never a silent seq gap).
 """
 
+import asyncio
+import threading
+
 import pytest
 
 from repro.service import ServiceError, ServiceServer
@@ -186,26 +189,6 @@ class TestCheckpointResume:
 
         run_async(main())
 
-    def test_resume_alias_on_create_session(self, tmp_path):
-        async def main():
-            server = await _start_server(
-                workers=0, ledger_dir=str(tmp_path), evict_to_disk=True
-            )
-            try:
-                client = await WireClient.open(server.address)
-                info = await client.request("create_session", **PARAMS)
-                sid = info["session"]
-                await client.request("step", session=sid, epochs=2)
-                assert _evict_now(server) == [sid]
-                resumed = await client.request("create_session", resume=sid)
-                assert resumed["session"] == sid
-                assert resumed["epochs_run"] == 2
-                await client.close()
-            finally:
-                await server.drain()
-
-        run_async(main())
-
     def test_resume_unknown_session_and_ledgerless_server(self, tmp_path):
         async def main():
             server = await _start_server(
@@ -254,6 +237,57 @@ class TestCheckpointResume:
                 with pytest.raises(ServiceError) as exc_info:
                     await client.request("resume_session", session=sid)
                 assert exc_info.value.code == ErrorCode.UNKNOWN_SESSION
+                await client.close()
+            finally:
+                await server.drain()
+
+        run_async(main())
+
+
+class TestResumeRacingEvictionTail:
+    def test_resume_waits_for_the_evicted_copy_to_finish_closing(self, tmp_path):
+        """A resume landing between the goodbye and the end of the old
+        copy's close used to be admitted, and that close's pool release
+        then tore out the *resumed* session's routing (its frames were
+        neither fanned out nor persisted).  The close now completes
+        while the id is still registered, and the resume waits it out."""
+
+        async def main():
+            server = await _start_server(
+                workers=1, ledger_dir=str(tmp_path), evict_to_disk=True
+            )
+            loop = asyncio.get_running_loop()
+            try:
+                client = await WireClient.open(server.address)
+                sid = (await client.request("create_session", **PARAMS))["session"]
+                await client.request("step", session=sid, epochs=2)
+                session = server.manager.get(sid)
+                real_close = session.close
+                closing, release = threading.Event(), threading.Event()
+
+                def gated_close(**kw):
+                    closing.set()
+                    assert release.wait(30)
+                    return real_close(**kw)
+
+                session.close = gated_close
+                eviction = loop.run_in_executor(None, _evict_now, server)
+                assert await loop.run_in_executor(None, closing.wait, 30)
+                resume = asyncio.ensure_future(
+                    client.request("resume_session", session=sid)
+                )
+                try:
+                    await asyncio.sleep(0.3)
+                    assert not resume.done()  # parked behind the close
+                finally:
+                    release.set()
+                assert await eviction == [sid]
+                assert (await resume)["epochs_run"] == 2
+
+                await client.request("step", session=sid, epochs=2)
+                sub = await client.request("subscribe", session=sid, from_seq=0)
+                # 2 epochs, goodbye, resumed marker, 2 post-resume epochs.
+                assert sub["replayed"] == 6
                 await client.close()
             finally:
                 await server.drain()

@@ -249,7 +249,6 @@ class TestRecoveryTenantAccounting:
                     session,
                     {"workload": "gups", "seed": 3,
                      "workload_kwargs": dict(SMALL)},
-                    0,
                 )
             assert exc_info.value.code == ErrorCode.UNKNOWN_SESSION
             assert pool._sessions == {}
@@ -274,7 +273,7 @@ class TestRecoveryTenantAccounting:
             close_done = threading.Event()
 
             def gated_request(op, payload=None, **kw):
-                if op == "recover":
+                if op == "create":
                     rebuild_started.set()
                     assert close_done.wait(15)
                 return real_request(op, payload, **kw)
@@ -287,8 +286,8 @@ class TestRecoveryTenantAccounting:
                     pool.recover_session(
                         session,
                         {"workload": "gups", "seed": 4,
-                         "workload_kwargs": dict(SMALL)},
-                        2,
+                         "workload_kwargs": dict(SMALL),
+                         "catchup": {"epochs": 2, "reconfigured": []}},
                     )
                 except ServiceError as exc:
                     result["code"] = exc.code

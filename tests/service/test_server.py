@@ -419,6 +419,35 @@ class TestAdmissionAndErrors:
 
         run_async(main())
 
+    def test_catchup_is_rejected_over_the_wire(self):
+        # The rebuild-only catch-up argument would hand a client a
+        # session at epoch N with zero frames fanned out or persisted
+        # (and an unbounded N pins a worker); it never comes off the wire.
+        async def main():
+            server = await _start_server(max_sessions=1)
+            client = await WireClient.open(server.address)
+            try:
+                for catchup in (
+                    {"catchup": {"epochs": 3, "reconfigured": []}},
+                    {"catchup": None},
+                    {"catchup_epochs": 3},  # the pre-0.11 spelling
+                ):
+                    try:
+                        await client.request(
+                            "create_session", workload="gups",
+                            workload_kwargs=dict(SMALL), **catchup,
+                        )
+                        raise AssertionError(f"{catchup} should be rejected")
+                    except ServiceError as exc:
+                        assert exc.code == "bad_params", (catchup, exc.code)
+                listed = await client.request("list_sessions")
+                assert listed["sessions"] == []
+            finally:
+                await client.close()
+                await server.drain()
+
+        run_async(main())
+
     def test_reconfigure_and_numa_maps_over_wire(self):
         async def main():
             server = await _start_server()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.memsim import MachineConfig
 from repro.service import ProfilingSession, ServiceError, SessionManager, SubscriberQueue
+from repro.service.protocol import encode_payload
 from repro.tiering import TieredSimulator
 from repro.tiering.policies import HistoryPolicy
 from repro.workloads import make_workload
@@ -24,26 +25,26 @@ class TestSubscriberQueue:
     def test_drop_oldest_keeps_tail(self):
         q = SubscriberQueue("sub", "s1", max_queue=4)
         for i in range(10):
-            q.push("epoch", {"epoch": i})
+            q.push("epoch", encode_payload({"epoch": i}))
         assert len(q) == 4
         frames = q.drain()
-        assert [f["data"]["epoch"] for f in frames] == [6, 7, 8, 9]
-        assert frames[-1]["seq"] == 9
+        assert [f.to_dict()["data"]["epoch"] for f in frames] == [6, 7, 8, 9]
+        assert frames[-1].seq == 9
         assert q.dropped == 6
         assert len(q) == 0
 
     def test_seq_monotonic_across_drains(self):
         q = SubscriberQueue("sub", "s1", max_queue=8)
-        q.push("epoch", {})
+        q.push("epoch", b"{}")
         q.drain()
-        frame = q.push("epoch", {})
-        assert frame["seq"] == 1
+        frame = q.push("epoch", b"{}")
+        assert frame.seq == 1
 
     def test_dropped_counter_in_frames(self):
         q = SubscriberQueue("sub", "s1", max_queue=1)
-        q.push("epoch", {"epoch": 0})
-        frame = q.push("epoch", {"epoch": 1})
-        assert frame["dropped"] == 1
+        q.push("epoch", encode_payload({"epoch": 0}))
+        frame = q.push("epoch", encode_payload({"epoch": 1}))
+        assert frame.dropped == 1
 
     def test_bad_params(self):
         with pytest.raises(ServiceError):
@@ -83,10 +84,11 @@ class TestProfilingSession:
         res = sim.run(3)
         assert len(frames) == 3
         for frame, epoch in zip(frames, res.epochs):
-            assert frame["data"]["hitrate"] == epoch.hitrate
-            assert frame["data"]["promoted"] == epoch.promoted
-            assert frame["data"]["demoted"] == epoch.demoted
-            assert frame["data"]["runtime_s"] == epoch.runtime_s
+            data = frame.to_dict()["data"]
+            assert data["hitrate"] == epoch.hitrate
+            assert data["promoted"] == epoch.promoted
+            assert data["demoted"] == epoch.demoted
+            assert data["runtime_s"] == epoch.runtime_s
 
     def test_stats_structure(self):
         s = _session()

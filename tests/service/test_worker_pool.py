@@ -5,6 +5,7 @@ in-worker exceptions, hard exits), respawn, and the bit-identical
 parity of a worker-hosted session with a direct simulator run.
 """
 
+import json
 import time
 
 import pytest
@@ -102,7 +103,9 @@ class TestCrashRecovery:
         try:
             session = pool.session_factory("doomed", seed=3, **SESSION_KW)
             frames = []
-            session.add_sink(lambda event, data: frames.append((event, data)))
+            session.add_sink(
+                lambda event, payload: frames.append((event, json.loads(payload)))
+            )
             with pytest.raises(ServiceError) as err:
                 session.worker.request("_debug", {"action": "exit"})
             assert err.value.code == ErrorCode.WORKER_CRASHED
@@ -133,7 +136,7 @@ class TestSessionParity:
             "parity", seed=11, tier1_ratio=0.125, **SESSION_KW
         )
         frames = []
-        session.add_sink(lambda event, data: frames.append(data))
+        session.add_sink(lambda event, payload: frames.append(json.loads(payload)))
         stepped = session.step(epochs)
         summary = session.close()
 

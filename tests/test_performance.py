@@ -167,6 +167,7 @@ class TestRunnerThroughput:
             f"({report['scenarios']})"
         )
 
+    @pytest.mark.perf
     def test_metrics_instrumentation_overhead_under_3_percent(self):
         # Acceptance: repro.obs instrumentation costs < 3% on an
         # 8-session stepped run vs the same run with metrics disabled.
@@ -202,6 +203,7 @@ class TestRunnerThroughput:
             f"vs {kernel['spliced_frames_per_s']:.0f} frames/s)"
         )
 
+    @pytest.mark.perf
     def test_ledger_overhead_under_5_percent(self):
         # Acceptance: persisting every epoch frame to the telemetry
         # ledger (default fsync="rotate") costs < 5% step throughput
