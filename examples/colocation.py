@@ -13,9 +13,7 @@ whichever tenant actually earns it.
 Run:  python examples/colocation.py
 """
 
-import numpy as np
-
-from repro import Machine, MachineConfig, TMPConfig, TMPDaemon, TMProfiler
+from repro import MachineConfig, ProfiledRun, TMPConfig, TMPDaemon
 from repro.analysis import format_table
 from repro.tiering import HistoryPolicy, TieredSimulator
 from repro.workloads import MultiWorkload, make_workload
@@ -25,24 +23,23 @@ EPOCHS = 5
 
 def main() -> None:
     # --- profile the mix -------------------------------------------------
-    machine = Machine(MachineConfig.scaled(ibs_period=16))
     mix = MultiWorkload([make_workload("data-caching"), make_workload("gups")])
-    mix.attach(machine)
-
-    profiler = TMProfiler(machine, TMPConfig())
-    daemon = TMPDaemon(profiler)
+    run = ProfiledRun(
+        mix,
+        machine_config=MachineConfig.scaled(ibs_period=16),
+        tmp_config=TMPConfig(),
+        seed=0,
+    )
+    daemon = TMPDaemon(run.profiler)
     for name, pids in mix.tenant_pids().items():
         daemon.add_program(name, pids)
 
-    rng = np.random.default_rng(0)
-    for epoch in range(EPOCHS):
-        batch = mix.epoch(epoch, rng)
-        result = machine.run_batch(batch)
-        profiler.observe_batch(batch, result)
-        report = daemon.poll_epoch()
+    for _ in range(EPOCHS):
+        run.run_epoch()
+    report = run.profiler.reports[-1]
     print(
         f"profiled {mix.name}: {mix.n_processes} processes, "
-        f"{machine.n_frames} frames"
+        f"{run.machine.n_frames} frames"
     )
     print(f"tracked after resource filter: {len(report.tracked_pids)} PIDs "
           f"(memcached clients fall below the 5%/10% thresholds)\n")

@@ -13,7 +13,7 @@ Run:  python examples/compare_profilers.py
 
 import numpy as np
 
-from repro import Machine, MachineConfig, TMPConfig, TMProfiler
+from repro import MachineConfig, ProfiledRun, TMPConfig
 from repro.analysis import format_table, hot_classification_fraction
 from repro.workloads import make_workload
 
@@ -21,11 +21,14 @@ EPOCHS = 6
 
 
 def run_config(label: str, tmp_config: TMPConfig, use_badgertrap: bool = False):
-    machine = Machine(MachineConfig.scaled(ibs_period=16))
     workload = make_workload("data-caching")
-    workload.attach(machine)
-    profiler = TMProfiler(machine, tmp_config)
-    profiler.register_workload(workload)
+    run = ProfiledRun(
+        workload,
+        machine_config=MachineConfig.scaled(ibs_period=16),
+        tmp_config=tmp_config,
+        seed=0,
+    )
+    machine, profiler = run.machine, run.profiler
 
     if use_badgertrap:
         # Instrument every server heap page: each TLB miss now faults.
@@ -34,17 +37,11 @@ def run_config(label: str, tmp_config: TMPConfig, use_badgertrap: bool = False):
             profiler_slots = np.arange(pt.n_pages, dtype=np.int64)
             machine.badgertrap.instrument(pt, profiler_slots, machine.tlb)
 
-    rng = np.random.default_rng(0)
-    truth = np.zeros(0, dtype=np.int64)
-    for epoch in range(EPOCHS):
-        batch = workload.epoch(epoch, rng)
-        result = machine.run_batch(batch)
-        profiler.observe_batch(batch, result)
-        profiler.end_epoch()
-        mem = result.page_mem_access_counts(machine.n_frames)
-        if truth.size < mem.size:
-            truth = np.pad(truth, (0, mem.size - truth.size))
-        truth += mem
+    # Ground truth to grade against: memory accesses per page, summed
+    # over the run (each EpochRecord carries its epoch's).
+    truth = np.zeros(machine.n_frames, dtype=np.int64)
+    for _ in range(EPOCHS):
+        truth += run.run_epoch().mem_counts
 
     store = profiler.store
     if use_badgertrap:

@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import Machine, MachineConfig, TMPConfig, TMPDaemon, TMProfiler
+from repro import MachineConfig, ProfiledRun, TMPConfig, TMPDaemon
 from repro.workloads import make_workload
 
 EPOCHS = 5
@@ -22,26 +22,26 @@ EPOCHS = 5
 def main() -> None:
     # The scaled testbed: the paper's Ryzen 3600X machine with every
     # capacity (TLB reach, caches, sampling period, clock) shrunk by
-    # the same ~64x factor as the workload footprints.
-    machine = Machine(MachineConfig.scaled())
-
+    # the same ~64x factor as the workload footprints.  ProfiledRun
+    # builds the machine, attaches the workload and puts TMP over it.
     workload = make_workload("gups")
-    workload.attach(machine)
-
-    profiler = TMProfiler(machine, TMPConfig())
+    run = ProfiledRun(
+        workload,
+        machine_config=MachineConfig.scaled(),
+        tmp_config=TMPConfig(),
+        seed=0,
+    )
+    profiler = run.profiler
     daemon = TMPDaemon(profiler)
     daemon.add_workload(workload)
 
-    rng = np.random.default_rng(0)
     print(f"profiling {workload.name!r}: {workload.footprint_pages} pages, "
           f"{workload.n_processes} processes\n")
-    for epoch in range(EPOCHS):
-        batch = workload.epoch(epoch, rng)
-        result = machine.run_batch(batch)
-        profiler.observe_batch(batch, result)
-        report = daemon.poll_epoch()
+    for _ in range(EPOCHS):
+        record = run.run_epoch()  # execute + profile one epoch
+        report = profiler.reports[-1]
         print(
-            f"epoch {epoch}: {batch.n:7d} accesses | "
+            f"epoch {record.epoch}: {record.accesses:7d} accesses | "
             f"A-bit pages {report.abit_pages_found:6d} | "
             f"trace samples {report.trace_samples:5d} | "
             f"tracked PIDs {len(report.tracked_pids)} | "

@@ -13,11 +13,13 @@ substrate:
 ``repro.core``
     TMP itself — the hybrid tiered-memory profiler (A-bit driver,
     trace driver, HWPC gating, process filtering, hotness fusion,
-    daemon and numa_maps interface).
+    daemon and numa_maps interface) and ``ProfiledRun``, the one
+    execute-and-profile epoch loop every front end drives.
 ``repro.tiering``
     Tiered memory: placement, epoch-batched migration, Oracle/History/
     FCFA policies (plus extensions), the paper's emulation latency
-    model, and the end-to-end simulator.
+    model, the one place-and-score step, and its two callers: the
+    online simulator and offline record/evaluate.
 ``repro.analysis``
     The evaluation artifacts as data: Table IV, Figs. 2-6, overheads.
 ``repro.runner``
@@ -36,26 +38,18 @@ substrate:
 
 Quickstart::
 
-    from repro import Machine, MachineConfig, TMProfiler, TMPConfig
+    from repro import ProfiledRun
     from repro.workloads import make_workload
 
-    machine = Machine(MachineConfig.scaled())
-    workload = make_workload("gups")
-    workload.attach(machine)
-    profiler = TMProfiler(machine, TMPConfig())
-    profiler.register_workload(workload)
-
-    import numpy as np
-    rng = np.random.default_rng(0)
-    for epoch in range(5):
-        batch = workload.epoch(epoch, rng)
-        result = machine.run_batch(batch)
-        profiler.observe_batch(batch, result)
-        report = profiler.end_epoch()
-        print(epoch, report.rank().max())
+    run = ProfiledRun(make_workload("gups"), seed=0)
+    for _ in range(5):
+        record = run.run_epoch()          # execute + profile one epoch
+        report = run.profiler.reports[-1]
+        print(record.epoch, report.rank().max())
 """
 
 from .core import (
+    ProfiledRun,
     RankSource,
     TMPConfig,
     TMPDaemon,
@@ -77,7 +71,7 @@ from .tiering import (
 )
 from .workloads import WORKLOAD_NAMES, make_workload, paper_suite
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "AccessBatch",
@@ -88,6 +82,7 @@ __all__ = [
     "Machine",
     "MachineConfig",
     "OraclePolicy",
+    "ProfiledRun",
     "RankSource",
     "RecordSpec",
     "RunCache",

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.config import TMPConfig
-from ..core.profiler import TMProfiler
-from ..memsim.machine import Machine, MachineConfig
+from ..core.driver import ProfiledRun
+from ..memsim.machine import MachineConfig
 from ..workloads.base import Workload
 
 __all__ = ["OverheadReport", "measure_overhead"]
@@ -64,25 +62,20 @@ def measure_overhead(
     seed: int = 0,
 ) -> OverheadReport:
     """Run ``workload`` under TMP and account profiling time."""
-    machine = Machine(machine_config or MachineConfig.scaled())
-    workload.attach(machine)
-    profiler = TMProfiler(machine, tmp_config or TMPConfig())
-    profiler.register_workload(workload)
-    rng = np.random.default_rng(seed)
-    for e in range(epochs):
-        batch = workload.epoch(e, rng)
-        res = machine.run_batch(batch)
-        profiler.observe_batch(batch, res)
-        profiler.end_epoch()
-    total = profiler.total_overhead()
+    run = ProfiledRun(
+        workload, machine_config=machine_config, tmp_config=tmp_config, seed=seed
+    )
+    for _ in range(epochs):
+        run.run_epoch()
+    total = run.profiler.total_overhead()
     return OverheadReport(
         workload=workload.name,
         label=label,
-        app_time_s=machine.time_s,
+        app_time_s=run.machine.time_s,
         abit_s=total.abit_s,
         trace_s=total.trace_s,
         hwpc_s=total.hwpc_s,
         filter_s=total.filter_s,
-        abit_scans=profiler.abit.stats.scans,
-        trace_samples=profiler.trace.stats.samples_collected,
+        abit_scans=run.profiler.abit.stats.scans,
+        trace_samples=run.profiler.trace.stats.samples_collected,
     )

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.config import TMPConfig
-from ..core.profiler import TMProfiler
-from ..memsim.machine import Machine, MachineConfig
+from ..core.driver import ProfiledRun
+from ..memsim.machine import MachineConfig
 from ..workloads.registry import make_workload
 
 __all__ = ["DetectionRow", "detected_pages_for", "table4_rows", "rate_improvements"]
@@ -48,19 +48,15 @@ def detected_pages_for(
     workload_kw: dict | None = None,
 ) -> DetectionRow:
     """Profile one workload at one rate; count pages per mechanism."""
-    period = RATE_PERIODS[rate]
-    machine = Machine(MachineConfig.scaled(ibs_period=period))
-    workload = make_workload(workload_name, **(workload_kw or {}))
-    workload.attach(machine)
-    profiler = TMProfiler(machine, tmp_config or TMPConfig())
-    profiler.register_workload(workload)
-    rng = np.random.default_rng(seed)
-    for e in range(epochs):
-        batch = workload.epoch(e, rng)
-        res = machine.run_batch(batch)
-        profiler.observe_batch(batch, res)
-        profiler.end_epoch()
-    store = profiler.store
+    run = ProfiledRun(
+        make_workload(workload_name, **(workload_kw or {})),
+        machine_config=MachineConfig.scaled(ibs_period=RATE_PERIODS[rate]),
+        tmp_config=tmp_config,
+        seed=seed,
+    )
+    for _ in range(epochs):
+        run.run_epoch()
+    store = run.profiler.store
     return DetectionRow(
         workload=workload_name,
         rate=rate,

@@ -33,10 +33,9 @@ workload to run the whole Table III suite.  See ``docs/performance.md``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-
-import numpy as np
 
 __all__ = ["main", "build_parser"]
 
@@ -120,7 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--ratio", default=str(1 / 16),
         help="tier1 : footprint, or a comma-separated list",
     )
-    p.add_argument("--epochs", type=int, default=8, help="epochs when recording")
+    p.add_argument(
+        "--epochs", type=_nonnegative_int, default=8, help="epochs when recording"
+    )
     p.add_argument("--seed", type=int, default=0, help="seed when recording")
     p.add_argument(
         "--ibs-period", type=int, default=16, help="trace period when recording"
@@ -376,7 +377,7 @@ def _runner_opts(p: argparse.ArgumentParser) -> None:
 
 def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("workload", help="workload name (see `repro list`)")
-    p.add_argument("--epochs", type=int, default=8)
+    p.add_argument("--epochs", type=_nonnegative_int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--ibs-period", type=int, default=16,
@@ -458,33 +459,29 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .core import TMPConfig, TMPDaemon, TMProfiler
-    from .memsim import Machine
+    from .core import ProfiledRun, TMPConfig, TMPDaemon
 
-    machine = Machine(_machine_config(args))
     workload = _workload(args)
-    workload.attach(machine)
     cfg = TMPConfig(
         abit_enabled=not args.no_abit,
         trace_enabled=not args.no_trace,
         trace_source=args.trace_source,
         hwpc_gating=args.gating,
     )
-    profiler = TMProfiler(machine, cfg)
-    daemon = TMPDaemon(profiler)
+    run = ProfiledRun(
+        workload, machine_config=_machine_config(args), tmp_config=cfg, seed=args.seed
+    )
+    daemon = TMPDaemon(run.profiler)
     daemon.add_workload(workload)
 
-    rng = np.random.default_rng(args.seed)
-    for epoch in range(args.epochs):
-        batch = workload.epoch(epoch, rng)
-        result = machine.run_batch(batch)
-        profiler.observe_batch(batch, result)
-        report = daemon.poll_epoch()
+    for _ in range(args.epochs):
+        rec = run.run_epoch()
+        report = run.profiler.reports[-1]
         gate = ""
         if report.gating is not None:
             gate = f" gate[trace={report.gating.trace_active} abit={report.gating.abit_active}]"
         print(
-            f"epoch {epoch}: accesses={batch.n} abit={report.abit_pages_found} "
+            f"epoch {rec.epoch}: accesses={rec.accesses} abit={report.abit_pages_found} "
             f"trace={report.trace_samples} overhead={report.overhead.total_s*1e3:.2f}ms{gate}"
         )
 
@@ -531,10 +528,11 @@ def _cmd_tier(args) -> int:
             machine_config=_machine_config(args),
             seed=args.seed,
         ).run(args.epochs)
+        speedup = res.speedup_over(base)
         print(
             f"fcfa baseline: hitrate {base.mean_hitrate:.3f}, "
-            f"runtime {base.total_runtime_s:.2f}s, "
-            f"speedup {res.speedup_over(base):.3f}x"
+            f"runtime {base.total_runtime_s:.2f}s, speedup "
+            + ("n/a" if math.isnan(speedup) else f"{speedup:.3f}x")
         )
     return 0
 

@@ -29,7 +29,6 @@ from .resctrl import ResctrlMonitor, RMIDReading
 from .pmu import EVENT_NAMES, PMU
 from .ptw import PageTableWalker
 from .sampling import DEFAULT_IBS_PERIOD
-from .tlb import TLB
 
 __all__ = [
     "AccessBatch",
@@ -58,7 +57,6 @@ __all__ = [
     "RMIDReading",
     "PMU",
     "SampleBatch",
-    "TLB",
     "TranslationFault",
     "VMA",
     "line_of",

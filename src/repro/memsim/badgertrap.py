@@ -27,7 +27,7 @@ from .address import ADDR_DTYPE
 from .frames import GrowableArray
 from .page_table import PageTable
 from .pte import PTE_POISON
-from .tlb import TLB
+from .tlb import TLBArray
 
 __all__ = ["BadgerTrap", "BadgerTrapStats"]
 
@@ -58,7 +58,7 @@ class BadgerTrap:
 
     # ------------------------------------------------------------ instrument
 
-    def instrument(self, pt: PageTable, slots: np.ndarray, tlb: TLB) -> None:
+    def instrument(self, pt: PageTable, slots: np.ndarray, tlb: TLBArray) -> None:
         """Poison the PTEs at ``slots`` and flush their translations.
 
         The flush is mandatory: a TLB-resident translation would keep

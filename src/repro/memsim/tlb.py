@@ -29,7 +29,7 @@ import numpy as np
 from .address import ADDR_DTYPE
 from .vecsim import make_engine
 
-__all__ = ["TLB", "TLBArray", "TLBStats"]
+__all__ = ["TLBArray", "TLBStats"]
 
 _PID_SHIFT = ADDR_DTYPE(48)
 _VPN_MASK = ADDR_DTYPE((1 << 48) - 1)
@@ -70,89 +70,6 @@ class TLBStats:
         return self.misses / self.lookups if self.lookups else 0.0
 
 
-class TLB:
-    """A data TLB shared by all simulated cores.
-
-    Parameters
-    ----------
-    entries:
-        Total capacity in translations (power of two).
-    ways:
-        Associativity; the default direct-mapped engine is exact and
-        vectorized, ``exact_assoc=True`` selects the exact vectorized
-        set-associative LRU engine, and ``reference=True`` the scalar
-        golden reference.
-    n_cpus:
-        Used only for shootdown IPI accounting (one IPI per remote CPU
-        per shootdown, as on x86).
-    """
-
-    def __init__(
-        self,
-        entries: int = 1536,
-        ways: int = 1,
-        *,
-        exact_assoc: bool = False,
-        reference: bool = False,
-        n_cpus: int = 6,
-    ):
-        entries = _pow2_floor(entries)
-        self._engine = make_engine(
-            entries, ways, exact_assoc=exact_assoc, reference=reference
-        )
-        self.entries = entries
-        self.n_cpus = n_cpus
-        self.stats = TLBStats()
-
-    def access(self, pids: np.ndarray, vpns: np.ndarray) -> np.ndarray:
-        """Look up a batch of translations in order; return hit mask.
-
-        Misses install their translation (the walker's fill).
-        """
-        keys = _keys(np.asarray(pids), np.asarray(vpns))
-        hits = self._engine.access(keys)
-        self.stats.lookups += int(keys.size)
-        self.stats.hits += int(np.count_nonzero(hits))
-        return hits
-
-    def contains(self, pids: np.ndarray, vpns: np.ndarray) -> np.ndarray:
-        """Non-mutating residency probe."""
-        return self._engine.contains(_keys(np.asarray(pids), np.asarray(vpns)))
-
-    # ------------------------------------------------------------ shootdowns
-
-    def _account_shootdown(self, invalidated: int) -> None:
-        self.stats.shootdowns += 1
-        self.stats.entries_invalidated += invalidated
-        self.stats.ipis += self.n_cpus - 1
-
-    def shootdown_all(self) -> None:
-        """Full TLB flush on every CPU (one IPI round)."""
-        n = self._engine.occupancy()
-        self._engine.flush()
-        self._account_shootdown(n)
-
-    def shootdown_pid(self, pid: int) -> None:
-        """Invalidate all translations belonging to ``pid``."""
-        p = ADDR_DTYPE(pid)
-        n = self._engine.flush_where(lambda tags: (tags >> _PID_SHIFT) == p)
-        self._account_shootdown(n)
-
-    def shootdown_pages(self, pids: np.ndarray, vpns: np.ndarray) -> None:
-        """Invalidate specific translations (one IPI round for the batch).
-
-        This models the epoch-batched shootdown the paper's page mover
-        relies on: migrating many pages costs a *single* system-wide
-        shootdown (§IV step 2 reason 1).
-        """
-        n = self._engine.flush_keys(_keys(np.asarray(pids), np.asarray(vpns)))
-        self._account_shootdown(n)
-
-    def occupancy(self) -> int:
-        """Number of live translations."""
-        return self._engine.occupancy()
-
-
 class TLBArray:
     """Per-CPU private TLBs, as on every real multicore.
 
@@ -161,7 +78,9 @@ class TLBArray:
     mixed-CPU batch), and shootdowns broadcast to every shard (that is
     precisely why they cost IPIs).  Aggregate statistics are summed
     over CPUs, with shootdown rounds counted once (one IPI round
-    invalidates on all CPUs).
+    invalidates on all CPUs).  ``entries`` is per CPU and rounds down
+    to a power of two; ``ways``, ``exact_assoc`` and ``reference`` pick
+    the lookup engine (see :func:`~repro.memsim.vecsim.make_engine`).
     """
 
     def __init__(

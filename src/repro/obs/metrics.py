@@ -87,6 +87,11 @@ class _Metric:
             )
         return labels
 
+    def remove(self, **labels) -> None:
+        """Drop one labelled child, so a snapshot stops carrying it."""
+        with self._lock:
+            self._series.pop(_label_key(labels), None)
+
     def _samples(self) -> list[dict]:
         raise NotImplementedError
 

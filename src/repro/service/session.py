@@ -598,6 +598,7 @@ class ProfilingSession(SessionBase):
                 epochs_from=epochs_from,
                 epochs_to=epochs_to,
             )
+            self.sim.close()
         with self._sub_lock:
             self._subscribers.clear()
         if self.ledger is not None:

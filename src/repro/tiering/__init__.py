@@ -19,7 +19,7 @@ from .policies import (
 )
 from .recorded import EpochRecord, RecordedRun, evaluate_recorded, record_run
 from .serialize import load_recorded, save_recorded
-from .simulator import EpochMetrics, SimulationResult, TieredSimulator
+from .simulator import EpochMetrics, PlacementStep, SimulationResult, TieredSimulator
 from .tiers import TIER1, TIER2, UNPLACED, TieredMemory, TierSpec, make_tiers
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "TrueOraclePolicy",
     "POLICIES",
     "PageMover",
+    "PlacementStep",
     "Policy",
     "PolicyContext",
     "RandomPolicy",

@@ -23,35 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import TMPConfig
-from ..core.hotness import RankSource, top_k_pages
-from ..core.page_stats import EpochProfile
-from ..core.profiler import TMProfiler
-from ..memsim.machine import Machine, MachineConfig
+from ..core.driver import EpochRecord, ProfiledRun
+from ..core.hotness import RankSource
+from ..memsim.machine import MachineConfig
 from ..workloads.base import Workload
 from .latency_model import LatencyModel
-from .migration import PageMover
 from .placement import fcfa_place_new
-from .policies.base import Policy, PolicyContext
-from .simulator import EpochMetrics, SimulationResult
-from .tiers import TIER2, make_tiers
+from .policies.base import Policy
+from .simulator import PlacementStep, SimulationResult, hot_page_mask
 
 __all__ = ["EpochRecord", "RecordedRun", "record_run", "evaluate_recorded"]
-
-
-@dataclass
-class EpochRecord:
-    """One epoch's captured profile and ground truth."""
-
-    epoch: int
-    accesses: int
-    profile: EpochProfile
-    counts: np.ndarray       # per-PFN total accesses this epoch
-    mem_counts: np.ndarray   # per-PFN memory (LLC-miss) accesses
-    tlb_counts: np.ndarray   # per-PFN TLB misses (BadgerTrap-visible)
-    dirty_pages: np.ndarray  # PML write set this epoch (PFNs)
-    overhead_s: float        # TMP profiling time this epoch
-    #: The epoch's drained trace records (for Fig. 3-style heatmaps).
-    samples: object = None
 
 
 @dataclass
@@ -88,10 +69,7 @@ class RecordedRun:
         key = (epoch_index, capacity)
         mask = self._hot_mask_cache.get(key)
         if mask is None:
-            rec = self.epochs[epoch_index]
-            hot = top_k_pages(rec.counts.astype(np.float64), capacity)
-            mask = np.zeros(self.n_frames, dtype=bool)
-            mask[hot] = True
+            mask = hot_page_mask(self.epochs[epoch_index].counts, capacity)
             self._hot_mask_cache[key] = mask
         return mask
 
@@ -112,83 +90,21 @@ def record_run(
     ``tick`` between them, giving graded per-epoch A-bit counts (see
     :meth:`TMProfiler.tick`).
     """
-    if epoch_slices < 1:
-        raise ValueError(f"epoch_slices must be >= 1, got {epoch_slices}")
-    machine = Machine(machine_config or MachineConfig.scaled())
-    workload.attach(machine)
-    cfg = tmp_config or TMPConfig()
-    profiler = TMProfiler(machine, cfg)
-    profiler.register_workload(workload)
-    if not machine.pml.enabled:
-        machine.pml.enabled = True  # capture write sets for extensions
-    rng = np.random.default_rng(seed)
-
-    epoch_op_bounds: list[int] = []
-    event_totals: dict[str, int] = {}
-
-    def _execute(batch):
-        n = batch.n
-        bounds = np.linspace(0, n, epoch_slices + 1).astype(int)
-        counts = None
-        mem = None
-        tlb = None
-        for i in range(epoch_slices):
-            part = batch.take(slice(int(bounds[i]), int(bounds[i + 1])))
-            res = machine.run_batch(part)
-            for k, v in res.raw_events.items():
-                event_totals[k] = event_totals.get(k, 0) + v
-            profiler.observe_batch(part, res)
-            c = res.page_access_counts(machine.n_frames)
-            m = res.page_mem_access_counts(machine.n_frames)
-            t = np.bincount(
-                res.pfn[~res.tlb_hit].astype(np.intp), minlength=machine.n_frames
-            )
-            if counts is None or counts.size < c.size:
-                counts = _grow(counts, c.size)
-                mem = _grow(mem, m.size)
-                tlb = _grow(tlb, t.size)
-            counts[: c.size] += c
-            mem[: m.size] += m
-            tlb[: t.size] += t
-            if i < epoch_slices - 1:
-                profiler.tick()
-        return counts, mem, tlb
-
+    run = ProfiledRun(
+        workload,
+        machine_config=machine_config,
+        tmp_config=tmp_config,
+        seed=seed,
+        epoch_slices=epoch_slices,
+    )
+    machine = run.machine
+    machine.pml.enabled = True  # capture write sets for extensions
     if init:
-        _execute(workload.init_stream(rng))  # returns ignored
-        profiler.end_epoch()
-        machine.pml.drain()
-        for pt in machine.page_tables.values():
-            machine.pml.clear_dirty(pt)  # re-arm after the population writes
-        epoch_op_bounds.append(machine.op_counter)
-    else:
-        epoch_op_bounds.append(0)
-
+        run.populate()
+    epoch_op_bounds = [machine.op_counter]
     records: list[EpochRecord] = []
-    for e in range(epochs):
-        batch = workload.epoch(e, rng)
-        counts, mem, tlb = _execute(batch)
-        report = profiler.end_epoch()
-        dirty = machine.pml.drain()
-        # Re-arm write tracking: the hypervisor pattern clears D bits
-        # after reading the log, so the next epoch's log is the next
-        # epoch's write set (not just first-ever writes).
-        for pt in machine.page_tables.values():
-            machine.pml.clear_dirty(pt)
-        n_frames = machine.n_frames
-        records.append(
-            EpochRecord(
-                epoch=e,
-                accesses=batch.n,
-                profile=report.profile,
-                counts=_grow(counts, n_frames),
-                mem_counts=_grow(mem, n_frames),
-                tlb_counts=_grow(tlb, n_frames),
-                dirty_pages=dirty.astype(np.int64),
-                overhead_s=report.overhead.total_s,
-                samples=report.samples,
-            )
-        )
+    for _ in range(epochs):
+        records.append(run.run_epoch())
         epoch_op_bounds.append(machine.op_counter)
 
     first_op = machine.frame_stats.first_touch_op.copy()
@@ -207,18 +123,8 @@ def record_run(
         first_touch_epoch=first_epoch,
         first_touch_op=first_op,
         epochs=records,
-        event_totals=event_totals,
+        event_totals=run.event_totals,
     )
-
-
-def _grow(arr: np.ndarray | None, n: int) -> np.ndarray:
-    if arr is None:
-        return np.zeros(n, dtype=np.int64)
-    if arr.size >= n:
-        return arr
-    out = np.zeros(n, dtype=np.int64)
-    out[: arr.size] = arr
-    return out
 
 
 def evaluate_recorded(
@@ -230,71 +136,30 @@ def evaluate_recorded(
     latency_model: LatencyModel | None = None,
     base_epoch_s: float = 1.0,
 ) -> SimulationResult:
-    """Replay placement decisions for one configuration.
+    """Replay placement decisions for one configuration: the online
+    simulator's :class:`PlacementStep`, looped over the stored epochs.
 
     Policies carrying internal state (History's EMA, AutoNUMA's cursor)
     must be fresh instances per evaluation.
     """
-    if not 0 < tier1_ratio <= 1:
-        raise ValueError(f"tier1_ratio must be in (0, 1], got {tier1_ratio}")
-    rank_source = RankSource(rank_source)
-    lm = latency_model or LatencyModel()
-    capacity = max(1, int(round(recorded.footprint_pages * tier1_ratio)))
-    tiers = make_tiers(recorded.n_frames, capacity)
-    mover = PageMover(tiers)  # no machine: no shootdown feedback
-
-    result = SimulationResult(
-        workload=recorded.workload,
-        policy=policy.name,
-        rank_source=rank_source.value,
-        tier1_ratio=float(tier1_ratio),
-        tier1_capacity=capacity,
+    placement = PlacementStep(
+        policy,
+        n_frames=recorded.n_frames,
+        footprint_pages=recorded.footprint_pages,
+        tier1_ratio=tier1_ratio,
+        rank_source=rank_source,
+        latency_model=latency_model,
     )
-
-    prev_profile = None
+    result = placement.new_result(recorded.workload)
     for epoch_index, rec in enumerate(recorded.epochs):
         # First-touch placement of frames that appeared by this epoch.
         newly = recorded.first_touch_epoch <= rec.epoch
-        fcfa_place_new(tiers, recorded.first_touch_op, newly)
-
-        ctx = PolicyContext(
-            epoch=rec.epoch,
-            tier1_capacity=capacity,
-            n_frames=recorded.n_frames,
-            prev_profile=prev_profile,
-            next_profile=rec.profile,
-            true_counts=rec.counts,
-            true_mem_counts=rec.mem_counts,
-            current_tier1=tiers.tier1_pages(),
-            rank_source=rank_source,
-            dirty_pages=rec.dirty_pages,
-            tlb_miss_counts=rec.tlb_counts,
-        )
-        moved = mover.apply_target(policy.target_tier1(ctx))
-
-        tier1_mem = rec.mem_counts[tiers.tier1_pages()].sum()
-        total_mem = rec.mem_counts.sum()
-        hitrate = float(tier1_mem / total_mem) if total_mem else 1.0
-
-        hot_mask = recorded.hot_mask(epoch_index, capacity)
-        latency = lm.epoch_latency(
-            base_s=base_epoch_s,
-            access_counts=rec.counts,
-            slow_mask=tiers.tier_of == TIER2,
-            hot_mask=hot_mask,
-            migrations=moved.moved,
-        )
+        fcfa_place_new(placement.tiers, recorded.first_touch_op, newly)
         result.epochs.append(
-            EpochMetrics(
-                epoch=rec.epoch,
-                accesses=rec.accesses,
-                mem_accesses=int(total_mem),
-                hitrate=hitrate,
-                promoted=moved.promoted,
-                demoted=moved.demoted,
-                latency=latency,
-                profiler_overhead_s=rec.overhead_s,
+            placement.step(
+                rec,
+                base_s=base_epoch_s,
+                hot_mask=recorded.hot_mask(epoch_index, placement.tier1_capacity),
             )
         )
-        prev_profile = rec.profile
     return result

@@ -7,13 +7,16 @@ the emulation latency model score the outcome.
 
 Per epoch (≈ one simulated second, the paper's horizon):
 
-1. execute the epoch's access batch on the machine,
-2. close TMP's profiling epoch (scan + drain + snapshot),
-3. place newly touched frames first-come-first-allocate,
-4. ask the policy for the fast tier's contents — History sees the
-   *previous* epoch's profile, the Oracle peeks at the epoch's truth —
-   and migrate (conceptually, at the epoch's start),
-5. score: tier-1 hitrate over memory accesses, and the protection-fault
+1. execute the epoch's access batch on the machine and close TMP's
+   profiling epoch (scan + drain + snapshot) —
+   :meth:`~repro.core.driver.ProfiledRun.run_epoch`,
+2. place newly touched frames first-come-first-allocate,
+3. :meth:`PlacementStep.step` — the same step
+   :func:`~repro.tiering.recorded.evaluate_recorded` runs over stored
+   epochs: ask the policy for the fast tier's contents — History sees
+   the *previous* epoch's profile, the Oracle peeks at the epoch's
+   truth — migrate (conceptually, at the epoch's start), and score:
+   tier-1 hitrate over memory accesses, and the protection-fault
    latency model with the paper's 50/10/13 µs calibration.
 """
 
@@ -25,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import TMPConfig
+from ..core.driver import EpochRecord, ProfiledRun
 from ..core.hotness import RankSource, top_k_pages
-from ..core.profiler import TMProfiler
 from ..memsim.machine import Machine, MachineConfig
 from ..workloads.base import Workload
 from ..obs.metrics import default_registry
@@ -36,28 +39,7 @@ from .placement import fcfa_place_new
 from .policies.base import Policy, PolicyContext
 from .tiers import TIER2, TieredMemory, make_tiers
 
-__all__ = ["TieredSimulator", "EpochMetrics", "SimulationResult"]
-
-
-def _grown(arr: np.ndarray, size: int) -> np.ndarray:
-    """``arr`` zero-padded to ``size`` (returned as-is when big enough)."""
-    if arr.size >= size:
-        return arr
-    out = np.zeros(size, dtype=arr.dtype)
-    out[: arr.size] = arr
-    return out
-
-
-def _accumulate(total: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """Add ``part`` into ``total``, growing ``total`` once if needed.
-
-    The epoch's per-frame accumulators use this instead of an ad-hoc
-    pad-then-slice dance: the frame space only ever grows across
-    slices, so one grow per slice suffices.
-    """
-    total = _grown(total, part.size)
-    total[: part.size] += part
-    return total
+__all__ = ["TieredSimulator", "PlacementStep", "EpochMetrics", "SimulationResult"]
 
 
 @dataclass
@@ -107,14 +89,126 @@ class SimulationResult:
         return sum(e.promoted + e.demoted for e in self.epochs)
 
     def speedup_over(self, other: "SimulationResult") -> float:
-        """other.runtime / self.runtime (how much faster self is)."""
+        """other.runtime / self.runtime (how much faster self is).
+
+        NaN when this run has no runtime (zero epochs).
+        """
+        if not self.total_runtime_s:
+            return float("nan")
         return other.total_runtime_s / self.total_runtime_s
+
+
+def hot_page_mask(counts: np.ndarray, capacity: int) -> np.ndarray:
+    """Boolean per-PFN mask of the ``capacity`` most-accessed pages."""
+    mask = np.zeros(counts.size, dtype=bool)
+    mask[top_k_pages(counts.astype(np.float64), capacity)] = True
+    return mask
+
+
+class PlacementStep:
+    """The place-and-score half of an epoch.
+
+    Owns the tiers, the mover, the policy and the profile the policy
+    saw last.  The online simulator feeds it live epochs,
+    :func:`~repro.tiering.recorded.evaluate_recorded` stored ones;
+    only with a ``machine`` do migrations issue real TLB shootdowns.
+    """
+
+    def __init__(
+        self,
+        policy: Policy,
+        *,
+        n_frames: int,
+        footprint_pages: int,
+        tier1_ratio: float,
+        rank_source: RankSource | str,
+        latency_model: LatencyModel | None,
+        machine: Machine | None = None,
+    ):
+        if not 0 < tier1_ratio <= 1:
+            raise ValueError(f"tier1_ratio must be in (0, 1], got {tier1_ratio}")
+        self.policy = policy
+        self.tier1_ratio = float(tier1_ratio)
+        self.rank_source = RankSource(rank_source)
+        self.latency_model = latency_model or LatencyModel()
+        self.tier1_capacity = max(1, int(round(footprint_pages * tier1_ratio)))
+        self.tiers: TieredMemory = make_tiers(n_frames, self.tier1_capacity)
+        self.mover = PageMover(self.tiers, machine)
+        self.prev_profile = None
+
+    def new_result(self, workload: str) -> SimulationResult:
+        """An empty result carrying this configuration's labels."""
+        return SimulationResult(
+            workload=workload,
+            policy=self.policy.name,
+            rank_source=self.rank_source.value,
+            tier1_ratio=self.tier1_ratio,
+            tier1_capacity=self.tier1_capacity,
+        )
+
+    def step(
+        self, rec: EpochRecord, base_s: float, hot_mask: np.ndarray | None = None
+    ) -> EpochMetrics:
+        """Decide, migrate and score one epoch (frames already placed).
+
+        ``base_s`` is the epoch's unpenalized application time;
+        ``hot_mask`` lets a caller that scores one recording many times
+        share the ground-truth hot set (see :func:`hot_page_mask`).
+        """
+        tiers = self.tiers
+        ctx = PolicyContext(
+            epoch=rec.epoch,
+            tier1_capacity=self.tier1_capacity,
+            n_frames=tiers.n_frames,
+            prev_profile=self.prev_profile,
+            next_profile=rec.profile,
+            true_counts=rec.counts,
+            true_mem_counts=rec.mem_counts,
+            current_tier1=tiers.tier1_pages(),
+            rank_source=self.rank_source,
+            dirty_pages=rec.dirty_pages,
+            tlb_miss_counts=rec.tlb_counts,
+        )
+        moved = self.mover.apply_target(self.policy.target_tier1(ctx))
+
+        tier1_mem = rec.mem_counts[tiers.tier1_pages()].sum()
+        total_mem = rec.mem_counts.sum()
+        if hot_mask is None:
+            hot_mask = hot_page_mask(rec.counts, self.tier1_capacity)
+        latency = self.latency_model.epoch_latency(
+            base_s=base_s,
+            access_counts=rec.counts,
+            slow_mask=tiers.tier_of == TIER2,
+            hot_mask=hot_mask,
+            migrations=moved.moved,
+        )
+        self.prev_profile = rec.profile
+        return EpochMetrics(
+            epoch=rec.epoch,
+            accesses=rec.accesses,
+            mem_accesses=int(total_mem),
+            hitrate=float(tier1_mem / total_mem) if total_mem else 1.0,
+            promoted=moved.promoted,
+            demoted=moved.demoted,
+            latency=latency,
+            profiler_overhead_s=rec.overhead_s,
+        )
+
+
+def _epochs_per_s():
+    return default_registry().gauge(
+        "repro_sim_epochs_per_s",
+        "Simulated epochs per wall-clock second, last step() call",
+        labelnames=("session",),
+    )
 
 
 class TieredSimulator:
     """Runs one (workload, policy, rank source, tier ratio) experiment.
 
-    Two driving styles share one code path:
+    A :class:`~repro.core.driver.ProfiledRun` executes and profiles
+    each epoch; a :class:`PlacementStep` places and scores it.  Two
+    driving styles share that one code path:
 
     * batch — :meth:`run` executes N epochs and returns the result;
     * incremental — :meth:`start` once, then :meth:`step` any number of
@@ -138,33 +232,34 @@ class TieredSimulator:
         seed: int = 0,
         epoch_slices: int = 1,
     ):
-        if not 0 < tier1_ratio <= 1:
-            raise ValueError(f"tier1_ratio must be in (0, 1], got {tier1_ratio}")
-        if epoch_slices < 1:
-            raise ValueError(f"epoch_slices must be >= 1, got {epoch_slices}")
-        self.epoch_slices = int(epoch_slices)
-        self.workload = workload
-        self.policy = policy
-        self.tier1_ratio = float(tier1_ratio)
-        self.rank_source = RankSource(rank_source)
-        self.latency_model = latency_model or LatencyModel()
         self.seed = seed
-
-        self.machine = Machine(machine_config or MachineConfig.scaled())
-        workload.attach(self.machine)
-        self.profiler = TMProfiler(self.machine, tmp_config or TMPConfig())
-        self.profiler.register_workload(workload)
-
-        self.tier1_capacity = max(1, int(round(workload.footprint_pages * tier1_ratio)))
-        self.tiers: TieredMemory = make_tiers(
-            self.machine.n_frames, self.tier1_capacity
+        self.profiled = ProfiledRun(
+            workload,
+            machine_config=machine_config,
+            tmp_config=tmp_config,
+            seed=seed,
+            epoch_slices=epoch_slices,
         )
-        self.mover = PageMover(self.tiers, self.machine)
-        self._prev_profile = None
-        self._prev_counts_len = 0
-        self._rng: np.random.Generator | None = None
+        self.workload = workload
+        self.machine = self.profiled.machine
+        self.profiler = self.profiled.profiler
+        self.placement = PlacementStep(
+            policy,
+            n_frames=self.machine.n_frames,
+            footprint_pages=workload.footprint_pages,
+            tier1_ratio=tier1_ratio,
+            rank_source=rank_source,
+            latency_model=latency_model,
+            machine=self.machine,
+        )
+        self.policy = policy
+        self.tier1_ratio = self.placement.tier1_ratio
+        self.rank_source = self.placement.rank_source
+        self.latency_model = self.placement.latency_model
+        self.tier1_capacity = self.placement.tier1_capacity
+        self.tiers = self.placement.tiers
+        self.mover = self.placement.mover
         self._result: SimulationResult | None = None
-        self._next_epoch = 0
         self._epoch_hooks: list = []
         #: Label for this simulator's throughput gauge — the service
         #: overwrites it with the session id so Prometheus scrapes show
@@ -181,7 +276,7 @@ class TieredSimulator:
     @property
     def epochs_run(self) -> int:
         """How many scored epochs have executed since :meth:`start`."""
-        return self._next_epoch
+        return self.profiled.epochs_run
 
     def add_epoch_hook(self, hook) -> None:
         """Register ``hook(metrics)`` to fire after every scored epoch.
@@ -193,7 +288,7 @@ class TieredSimulator:
         self._epoch_hooks.append(hook)
 
     def start(self, init: bool = True) -> SimulationResult:
-        """Arm an incremental run: seed the RNG, optionally populate.
+        """Arm an incremental run; optionally populate.
 
         ``init`` first runs the workload's population stream (every
         page written once, in address order) so first-touch placement
@@ -202,17 +297,10 @@ class TieredSimulator:
         """
         if self._result is not None:
             raise RuntimeError("simulation already started")
-        self._rng = np.random.default_rng(self.seed)
-        self._result = SimulationResult(
-            workload=self.workload.name,
-            policy=self.policy.name,
-            rank_source=self.rank_source.value,
-            tier1_ratio=self.tier1_ratio,
-            tier1_capacity=self.tier1_capacity,
-        )
-        self._next_epoch = 0
+        self._result = self.placement.new_result(self.workload.name)
         if init:
-            self._run_init(self._rng)
+            self.profiled.populate()
+            self._place_new_frames()
         return self._result
 
     def step(self, epochs: int = 1) -> list[EpochMetrics]:
@@ -222,27 +310,27 @@ class TieredSimulator:
         the last step, and the per-epoch hooks fire as each epoch
         completes.
         """
-        if self._result is None or self._rng is None:
+        if self._result is None:
             raise RuntimeError("call start() before step()")
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
         out: list[EpochMetrics] = []
         t0 = time.perf_counter()
         for _ in range(epochs):
-            metrics = self._run_epoch(self._next_epoch, self._rng)
+            metrics = self._run_epoch()
             self._result.epochs.append(metrics)
-            self._next_epoch += 1
             out.append(metrics)
             for hook in self._epoch_hooks:
                 hook(metrics)
         elapsed = time.perf_counter() - t0
         if elapsed > 0:
-            default_registry().gauge(
-                "repro_sim_epochs_per_s",
-                "Simulated epochs per wall-clock second, last step() call",
-                labelnames=("session",),
-            ).set(len(out) / elapsed, session=self.obs_label)
+            _epochs_per_s().set(len(out) / elapsed, session=self.obs_label)
         return out
+
+    def close(self) -> None:
+        """Drop this simulator's child of the throughput gauge, so a
+        process hosting many simulators exports only the live ones."""
+        _epochs_per_s().remove(session=self.obs_label)
 
     def run(self, epochs: int = 10, init: bool = True) -> SimulationResult:
         """Execute ``epochs`` epochs; return the scored result.
@@ -255,112 +343,18 @@ class TieredSimulator:
             self.step(epochs)
         return result
 
-    def _run_init(self, rng: np.random.Generator) -> None:
-        """Population phase: execute, profile (discarded), place FCFA."""
-        batch = self.workload.init_stream(rng)
-        res = self.machine.run_batch(batch)
-        self.profiler.observe_batch(batch, res)
-        self.profiler.end_epoch()  # discard the init profile
-        if self.machine.pml.enabled:
-            self.machine.pml.drain()
-            for pt in self.machine.page_tables.values():
-                self.machine.pml.clear_dirty(pt)
-        self.tiers.resize(self.machine.n_frames)
-        fcfa_place_new(
-            self.tiers,
-            self.machine.frame_stats.first_touch_op,
-            self.machine.frame_stats.touched_mask(),
-        )
-
     # ------------------------------------------------------------- internals
 
-    def _run_epoch(self, e: int, rng: np.random.Generator) -> EpochMetrics:
-        machine = self.machine
-
-        # 1. Execute the epoch on the machine, in slices with profiler
-        #    service points between them (graded A-bit counts).
-        batch = self.workload.epoch(e, rng)
-        bounds = np.linspace(0, batch.n, self.epoch_slices + 1).astype(int)
-        counts = np.zeros(0, dtype=np.int64)
-        mem_counts = np.zeros(0, dtype=np.int64)
-        tlb_counts = np.zeros(0, dtype=np.int64)
-        for i in range(self.epoch_slices):
-            part = batch.take(slice(int(bounds[i]), int(bounds[i + 1])))
-            res = machine.run_batch(part)
-            self.profiler.observe_batch(part, res)
-            counts = _accumulate(counts, res.page_access_counts(machine.n_frames))
-            mem_counts = _accumulate(
-                mem_counts, res.page_mem_access_counts(machine.n_frames)
-            )
-            tlb_counts = _accumulate(
-                tlb_counts, res.page_tlb_miss_counts(machine.n_frames)
-            )
-            if i < self.epoch_slices - 1:
-                self.profiler.tick()
-
-        # 2. Close the profiling epoch.
-        report = self.profiler.end_epoch()
-
-        # 3. First-touch placement of newly allocated frames.
-        self.tiers.resize(machine.n_frames)
+    def _place_new_frames(self) -> None:
+        """First-touch placement of newly allocated frames."""
+        frame_stats = self.machine.frame_stats
         fcfa_place_new(
-            self.tiers,
-            machine.frame_stats.first_touch_op,
-            machine.frame_stats.touched_mask(),
+            self.tiers, frame_stats.first_touch_op, frame_stats.touched_mask()
         )
 
-        # 4. Policy decision + migration (conceptually at epoch start).
-        if machine.pml.enabled:
-            # Re-arm per-epoch write tracking (hypervisor D-bit clear).
-            for pt in machine.page_tables.values():
-                machine.pml.clear_dirty(pt)
-        n_frames = machine.n_frames
-        counts = _grown(counts, n_frames)
-        mem_counts = _grown(mem_counts, n_frames)
-        tlb_counts = _grown(tlb_counts, n_frames)
-        dirty = machine.pml.drain() if machine.pml.enabled else None
-        ctx = PolicyContext(
-            epoch=e,
-            tier1_capacity=self.tier1_capacity,
-            n_frames=n_frames,
-            prev_profile=self._prev_profile,
-            next_profile=report.profile,
-            true_counts=counts,
-            true_mem_counts=mem_counts,
-            current_tier1=self.tiers.tier1_pages(),
-            rank_source=self.rank_source,
-            dirty_pages=dirty,
-            tlb_miss_counts=tlb_counts,
-        )
-        target = self.policy.target_tier1(ctx)
-        moved = self.mover.apply_target(target)
-
-        # 5. Score the epoch.
-        tier1_mem = mem_counts[self.tiers.tier1_pages()].sum()
-        total_mem = mem_counts.sum()
-        hitrate = float(tier1_mem / total_mem) if total_mem else 1.0
-
-        base_s = batch.n / machine.config.ops_per_second
-        slow_mask = self.tiers.tier_of == TIER2
-        hot = top_k_pages(counts.astype(np.float64), self.tier1_capacity)
-        hot_mask = np.zeros(n_frames, dtype=bool)
-        hot_mask[hot] = True
-        latency = self.latency_model.epoch_latency(
-            base_s=base_s,
-            access_counts=counts,
-            slow_mask=slow_mask,
-            hot_mask=hot_mask,
-            migrations=moved.moved,
-        )
-
-        self._prev_profile = report.profile
-        return EpochMetrics(
-            epoch=e,
-            accesses=batch.n,
-            mem_accesses=int(total_mem),
-            hitrate=hitrate,
-            promoted=moved.promoted,
-            demoted=moved.demoted,
-            latency=latency,
-            profiler_overhead_s=report.overhead.total_s,
+    def _run_epoch(self) -> EpochMetrics:
+        rec = self.profiled.run_epoch()
+        self._place_new_frames()
+        return self.placement.step(
+            rec, base_s=rec.accesses / self.machine.config.ops_per_second
         )

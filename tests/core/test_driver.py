@@ -1,0 +1,152 @@
+"""Unit tests for ProfiledRun, the one execute-and-profile epoch loop."""
+
+import numpy as np
+import pytest
+
+from repro.core import EpochRecord, ProfiledRun
+from repro.memsim import MachineConfig
+from repro.tiering import record_run
+from repro.workloads import make_workload
+
+
+def _run(wname="web-serving", **kw):
+    kw.setdefault("machine_config", MachineConfig.scaled(ibs_period=16))
+    return ProfiledRun(make_workload(wname, accesses_per_epoch=8_000), **kw)
+
+
+def _count_calls(owner, attr, calls):
+    """Wrap a bound method on the live instance, as the e2e tracer does."""
+    inner = getattr(owner, attr)
+
+    def wrapped(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        calls.append((attr, result))
+        return result
+
+    setattr(owner, attr, wrapped)
+
+
+class TestConstruction:
+    def test_owns_attached_workload_and_profiler(self):
+        run = _run(seed=3, epoch_slices=2)
+        assert run.profiler.machine is run.machine
+        assert run.profiler.registered_pids == sorted(run.workload.pids)
+        assert run.epochs_run == 0 and run.event_totals == {}
+
+    def test_bad_slices(self):
+        with pytest.raises(ValueError, match="epoch_slices"):
+            _run(epoch_slices=0)
+
+
+class TestPopulate:
+    def test_discards_one_profile_and_drains_write_log(self):
+        run = _run(machine_config=MachineConfig.scaled(enable_pml=True))
+        run.populate()
+        assert len(run.profiler.reports) == 1
+        assert run.epochs_run == 0
+        # The population stream writes every page: the log saw them, and
+        # both the log and the D bits are re-armed for epoch 0.
+        assert run.machine.pml.stats.logged > 0
+        assert run.machine.pml.pending == 0
+        for pt in run.machine.page_tables.values():
+            assert run.machine.pml.clear_dirty(pt) == 0
+        assert run.machine.frame_stats.touched_mask().all()
+
+    def test_runs_as_one_batch_whatever_the_slicing(self):
+        run = _run(epoch_slices=4)
+        calls = []
+        _count_calls(run.machine, "run_batch", calls)
+        _count_calls(run.profiler, "tick", calls)
+        run.populate()
+        assert [name for name, _ in calls] == ["run_batch"]
+
+
+class TestRunEpoch:
+    def test_record_shape_and_numbering(self):
+        run = _run()
+        run.populate()
+        first, second = run.run_epoch(), run.run_epoch()
+        assert isinstance(first, EpochRecord)
+        assert (first.epoch, second.epoch, run.epochs_run) == (0, 1, 2)
+        n = run.machine.n_frames
+        for arr in (first.counts, first.mem_counts, first.tlb_counts):
+            assert arr.size == n and arr.dtype == np.int64
+        assert first.counts.sum() == first.accesses
+        assert first.profile is run.profiler.reports[-2].profile
+        assert first.overhead_s == run.profiler.reports[-2].overhead.total_s
+
+    def test_write_set_only_when_pml_is_on(self):
+        off = _run()
+        assert off.run_epoch().dirty_pages is None
+        on = _run(machine_config=MachineConfig.scaled(enable_pml=True))
+        dirty = on.run_epoch().dirty_pages
+        assert dirty.dtype == np.int64 and dirty.size > 0
+        assert on.machine.pml.pending == 0
+
+    @pytest.mark.parametrize("slices", [1, 2, 5])
+    def test_k_slices_give_k_minus_one_ticks(self, slices):
+        run = _run(epoch_slices=slices)
+        calls = []
+        for owner, attr in (
+            (run.workload, "epoch"),
+            (run.machine, "run_batch"),
+            (run.profiler, "observe_batch"),
+            (run.profiler, "tick"),
+            (run.profiler, "end_epoch"),
+        ):
+            _count_calls(owner, attr, calls)
+        rec = run.run_epoch()
+        names = [name for name, _ in calls]
+        assert names.count("epoch") == names.count("end_epoch") == 1
+        assert names.count("run_batch") == names.count("observe_batch") == slices
+        assert names.count("tick") == slices - 1
+        assert sum(r.n for name, r in calls if name == "run_batch") == rec.accesses
+
+    def test_slicing_keeps_ground_truth(self):
+        one, four = _run(seed=5), _run(seed=5, epoch_slices=4)
+        a, b = one.run_epoch(), four.run_epoch()
+        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_array_equal(a.mem_counts, b.mem_counts)
+        np.testing.assert_array_equal(a.tlb_counts, b.tlb_counts)
+
+
+class TestAgainstRecordRun:
+    def test_event_totals_are_the_summed_raw_events(self):
+        run = _run(epoch_slices=3)
+        calls = []
+        _count_calls(run.machine, "run_batch", calls)
+        run.populate()
+        for _ in range(2):
+            run.run_epoch()
+        summed = {}
+        for _, res in calls:
+            for key, value in res.raw_events.items():
+                summed[key] = summed.get(key, 0) + value
+        assert summed == run.event_totals
+        recorded = record_run(
+            make_workload("web-serving", accesses_per_epoch=8_000),
+            machine_config=MachineConfig.scaled(ibs_period=16),
+            epochs=2,
+            epoch_slices=3,
+        )
+        assert recorded.event_totals == summed
+
+    def test_stepped_equals_one_shot(self):
+        """Epoch-by-epoch driving draws the same RNG stream as
+        ``record_run``'s back-to-back loop."""
+        kw = dict(machine_config=MachineConfig.scaled(enable_pml=True), seed=11)
+        run = _run(**kw)
+        run.populate()
+        stepped = [run.run_epoch() for _ in range(3)]
+        recorded = record_run(
+            make_workload("web-serving", accesses_per_epoch=8_000), epochs=3, **kw
+        )
+        for mine, theirs in zip(stepped, recorded.epochs):
+            assert (mine.epoch, mine.accesses) == (theirs.epoch, theirs.accesses)
+            assert mine.overhead_s == theirs.overhead_s
+            for field in ("counts", "mem_counts", "tlb_counts", "dirty_pages"):
+                np.testing.assert_array_equal(
+                    getattr(mine, field), getattr(theirs, field)
+                )
+            np.testing.assert_array_equal(mine.profile.abit, theirs.profile.abit)
+            np.testing.assert_array_equal(mine.profile.trace, theirs.profile.trace)

@@ -7,21 +7,25 @@ from repro.memsim.badgertrap import BadgerTrap
 from repro.memsim.frames import FrameAllocator
 from repro.memsim.page_table import PageTable
 from repro.memsim.pte import is_poisoned
-from repro.memsim.tlb import TLB
+from repro.memsim.tlb import TLBArray
 
 
 @pytest.fixture
 def setup():
     pt = PageTable(1)
     pt.mmap(0x100, 8, FrameAllocator(64))
-    return pt, TLB(entries=64), BadgerTrap()
+    return pt, TLBArray(entries=64), BadgerTrap()
 
 
 class TestInstrument:
     def test_poisons_and_flushes(self, setup):
         pt, tlb, bt = setup
         # Warm the TLB with page 0x102.
-        tlb.access(np.array([1], dtype=np.int32), np.array([0x102], dtype=np.uint64))
+        tlb.access(
+            np.array([1], dtype=np.int32),
+            np.array([0x102], dtype=np.uint64),
+            np.zeros(1, dtype=np.int32),
+        )
         bt.instrument(pt, np.array([2], dtype=np.int64), tlb)
         assert is_poisoned(pt.flags)[2]
         # Its translation must be gone so the next access walks.

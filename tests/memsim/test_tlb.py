@@ -4,42 +4,46 @@ residency semantics and shootdown accounting."""
 import numpy as np
 import pytest
 
-from repro.memsim.tlb import TLB
+from repro.memsim.tlb import TLBArray
 
 
 def _acc(tlb, vpns, pid=1):
     vpns = np.asarray(vpns, dtype=np.uint64)
-    return tlb.access(np.full(vpns.size, pid, dtype=np.int32), vpns)
+    return tlb.access(
+        np.full(vpns.size, pid, dtype=np.int32),
+        vpns,
+        np.zeros(vpns.size, dtype=np.int32),
+    )
 
 
 class TestLookup:
     def test_cold_miss_then_hit(self):
-        tlb = TLB(entries=64)
+        tlb = TLBArray(entries=64)
         np.testing.assert_array_equal(_acc(tlb, [5, 5]), [False, True])
 
     def test_pid_isolation(self):
-        tlb = TLB(entries=64)
+        tlb = TLBArray(entries=64)
         _acc(tlb, [5], pid=1)
         # Same VPN, different PID: distinct translation.
         assert not _acc(tlb, [5], pid=2)[0]
 
     def test_capacity_rounded_down_to_pow2(self):
-        tlb = TLB(entries=100)
+        tlb = TLBArray(entries=100)
         assert tlb.entries == 64
 
     def test_residency_across_batches(self):
-        tlb = TLB(entries=64)
+        tlb = TLBArray(entries=64)
         _acc(tlb, [1, 2, 3])
         assert _acc(tlb, [2]).all()
 
     def test_eviction_by_conflict(self):
-        tlb = TLB(entries=4)
+        tlb = TLBArray(entries=4)
         _acc(tlb, [0])
         _acc(tlb, [4])  # same set in a 4-entry direct-mapped TLB
         assert not _acc(tlb, [0])[0]
 
     def test_stats(self):
-        tlb = TLB(entries=64)
+        tlb = TLBArray(entries=64)
         _acc(tlb, [1, 1, 2])
         assert tlb.stats.lookups == 3
         assert tlb.stats.hits == 1
@@ -47,7 +51,7 @@ class TestLookup:
         assert tlb.stats.miss_rate == pytest.approx(2 / 3)
 
     def test_contains_non_mutating(self):
-        tlb = TLB(entries=64)
+        tlb = TLBArray(entries=64)
         _acc(tlb, [9])
         assert tlb.contains(np.array([1], dtype=np.int32), np.array([9], dtype=np.uint64))[0]
         assert tlb.stats.lookups == 1  # contains doesn't count
@@ -55,7 +59,7 @@ class TestLookup:
 
 class TestShootdowns:
     def test_shootdown_all(self):
-        tlb = TLB(entries=64, n_cpus=6)
+        tlb = TLBArray(n_cpus=6, entries=64)
         _acc(tlb, [1, 2])
         tlb.shootdown_all()
         assert not _acc(tlb, [1])[0]
@@ -64,7 +68,7 @@ class TestShootdowns:
         assert tlb.stats.entries_invalidated == 2
 
     def test_shootdown_pid(self):
-        tlb = TLB(entries=64)
+        tlb = TLBArray(entries=64)
         _acc(tlb, [1], pid=1)
         _acc(tlb, [2], pid=2)
         tlb.shootdown_pid(1)
@@ -72,7 +76,7 @@ class TestShootdowns:
         assert _acc(tlb, [2], pid=2)[0]
 
     def test_shootdown_pages_batched_single_ipi_round(self):
-        tlb = TLB(entries=64, n_cpus=4)
+        tlb = TLBArray(n_cpus=4, entries=64)
         _acc(tlb, [1, 2, 3])
         tlb.shootdown_pages(
             np.array([1, 1], dtype=np.int32), np.array([1, 3], dtype=np.uint64)
@@ -84,7 +88,7 @@ class TestShootdowns:
         np.testing.assert_array_equal(hits, [False, True, False])
 
     def test_occupancy(self):
-        tlb = TLB(entries=64)
+        tlb = TLBArray(entries=64)
         _acc(tlb, [1, 2, 3])
         assert tlb.occupancy() == 3
         tlb.shootdown_all()
@@ -93,7 +97,7 @@ class TestShootdowns:
 
 class TestExactAssocEngine:
     def test_lru_behaviour(self):
-        tlb = TLB(entries=4, ways=2, exact_assoc=True)
+        tlb = TLBArray(entries=4, ways=2, exact_assoc=True)
         # 2 sets x 2 ways. vpns 0,2,4 all map to set 0.
         _acc(tlb, [0, 2])
         assert _acc(tlb, [0])[0]      # hit; LRU now 2

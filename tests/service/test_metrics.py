@@ -155,6 +155,53 @@ class TestActiveSessionsGauge:
         assert self._gauge() == 0
 
 
+class TestThroughputGaugeLifetime:
+    """Regression: ``repro_sim_epochs_per_s{session=<id>}`` children were
+    never removed, so every snapshot grew with all sessions ever hosted."""
+
+    def _children(self, snapshot):
+        return snapshot.get("repro_sim_epochs_per_s", {"samples": []})["samples"]
+
+    def test_closed_sessions_leave_no_children(self):
+        for i in range(5):
+            session = ProfilingSession(
+                f"s{i}", workload="gups", workload_kwargs=dict(SMALL)
+            )
+            session.step(1)
+            session.close()
+        live = ProfilingSession("live", workload="gups", workload_kwargs=dict(SMALL))
+        try:
+            live.step(1)
+            children = self._children(obs_metrics.default_registry().snapshot())
+            assert [c["labels"] for c in children] == [{"session": "live"}]
+        finally:
+            live.close()
+        assert self._children(obs_metrics.default_registry().snapshot()) == []
+
+    def test_worker_side_children_dropped_on_close(self):
+        with ServerThread(workers=1, reap_interval_s=0) as srv:
+            with ServiceClient(address=srv.address) as c:
+                ids = []
+                for _ in range(3):
+                    ids.append(
+                        c.create_session("gups", workload_kwargs=dict(SMALL))["session"]
+                    )
+                    c.step(ids[-1], 1)
+                assert len(self._children(c.metrics())) == 3
+                for sid in ids[:2]:
+                    c.close_session(sid)
+                children = self._children(c.metrics())
+                assert [s["labels"]["session"] for s in children] == ids[2:]
+
+    def test_remove_is_per_child_and_idempotent(self):
+        gauge = obs_metrics.default_registry().gauge("g", labelnames=("k",))
+        gauge.set(1, k="a")
+        gauge.set(2, k="b")
+        gauge.remove(k="a")
+        gauge.remove(k="a")
+        assert gauge.value(k="a") == 0 and gauge.value(k="b") == 2
+
+
 class TestSubscriberDropCounter:
     def test_bounded_queue_drops_are_counted(self):
         session = ProfilingSession(

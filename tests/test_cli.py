@@ -90,6 +90,25 @@ class TestParser:
         assert args.ratio == 0.25
         assert args.baseline
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "gups"],
+            ["tier", "gups"],
+            ["heatmap", "gups"],
+            ["sweep", "gups"],
+            ["record", "gups", "out.npz"],
+            ["evaluate", "gups"],
+        ],
+    )
+    def test_negative_epochs_rejected(self, argv, capsys):
+        """Regression: ``--epochs -2`` used to parse (plain ``int``)."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--epochs", "-2"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert build_parser().parse_args(argv + ["--epochs", "0"]).epochs == 0
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -133,6 +152,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mean hitrate" in out
         assert "speedup" in out
+
+    def test_tier_zero_epochs_with_baseline(self, capsys):
+        """Regression: died with ZeroDivisionError in ``speedup_over``."""
+        assert main(["tier", "gups", "--epochs", "0", "--baseline"]) == 0
+        assert "speedup n/a" in capsys.readouterr().out
 
     def test_tier_unknown_policy(self):
         with pytest.raises(SystemExit, match="unknown policy"):

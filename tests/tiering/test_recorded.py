@@ -1,5 +1,9 @@
 """Tests for record-once / evaluate-offline (the Fig. 6 method)."""
 
+import hashlib
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -60,6 +64,85 @@ class TestRecordRun:
     def test_slices_give_graded_abit(self):
         rec = _record(epochs=2, epoch_slices=4)
         assert rec.epochs[1].profile.abit.max() > 1
+
+
+def _recorded_digest(rec) -> str:
+    """SHA-256 over everything a recording holds except raw samples."""
+    h = hashlib.sha256()
+
+    def arr(a):
+        a = np.ascontiguousarray(a)
+        h.update(str(a.dtype).encode())
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+
+    arr(rec.first_touch_epoch)
+    arr(rec.first_touch_op)
+    totals = {k: int(v) for k, v in rec.event_totals.items()}
+    h.update(json.dumps(totals, sort_keys=True).encode())
+    for r in rec.epochs:
+        h.update(f"{r.epoch}:{r.accesses}:{r.overhead_s!r}".encode())
+        for a in (
+            r.profile.abit,
+            r.profile.trace,
+            r.counts,
+            r.mem_counts,
+            r.tlb_counts,
+            r.dirty_pages,
+        ):
+            arr(a)
+    return h.hexdigest()
+
+
+class TestRecordedGolden:
+    """Recordings are byte-stable: cached ``.npz`` entries and
+    ``serialize._FORMAT_VERSION`` stay valid only while these hold.
+    Digests computed at commit 8d44ac8 (before the shared driver)."""
+
+    @pytest.mark.parametrize(
+        "slices, digest",
+        [
+            (1, "7240376b79b31bea8712f2672bc216c5362b667e49f84e6032c02feaf79ce491"),
+            (4, "bf2245618621585f766aafa13ff9efce91e6a73d20086960e5d20c82b93cbc2f"),
+        ],
+    )
+    def test_gups_recording_digest(self, slices, digest):
+        rec = record_run(make_workload("gups"), epochs=3, seed=0, epoch_slices=slices)
+        assert _recorded_digest(rec) == digest
+
+
+class TestOnlineEqualsOffline:
+    """FCFA never migrates, so there is no shootdown feedback and the
+    online loop and the offline replay must agree on every field —
+    except the base epoch time (online: accesses / ops_per_second;
+    offline: the paper's one-second epoch) and the sums containing it."""
+
+    @pytest.mark.parametrize("slices", [1, 4])
+    @pytest.mark.parametrize("wname", ["data-caching", "web-serving"])
+    def test_every_epoch_metric_matches(self, wname, slices):
+        kw = dict(
+            machine_config=MachineConfig.scaled(ibs_period=16),
+            seed=0,
+            epoch_slices=slices,
+        )
+        online = TieredSimulator(
+            make_workload(wname, accesses_per_epoch=20_000),
+            FCFAPolicy(),
+            tier1_ratio=1 / 16,
+            **kw,
+        ).run(3)
+        offline = evaluate_recorded(
+            record_run(make_workload(wname, accesses_per_epoch=20_000), epochs=3, **kw),
+            FCFAPolicy(),
+            tier1_ratio=1 / 16,
+        )
+        assert len(online.epochs) == len(offline.epochs) == 3
+        for a, b in zip(online.epochs, offline.epochs):
+            da, db = asdict(a), asdict(b)
+            assert da["latency"].pop("base_s") != db["latency"].pop("base_s")
+            assert da == db
+        for field in ("workload", "policy", "rank_source", "tier1_ratio", "tier1_capacity"):
+            assert getattr(online, field) == getattr(offline, field)
 
 
 class TestEvaluateRecorded:

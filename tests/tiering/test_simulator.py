@@ -50,6 +50,36 @@ class TestBasics:
         with pytest.raises(ValueError):
             _sim(FCFAPolicy(), epoch_slices=0)
 
+    def test_public_attributes_are_the_objects_it_drives(self):
+        """The e2e tracer wraps methods on ``sim.machine``, ``sim.policy``
+        … with ``setattr``; that only times the epoch if those are the
+        very objects the driver and the step call."""
+        sim = _sim(HistoryPolicy(), wname="web-serving")
+        assert sim.machine is sim.profiled.machine is sim.profiler.machine
+        assert sim.workload is sim.profiled.workload
+        assert sim.profiler is sim.profiled.profiler
+        step = sim.placement
+        assert (sim.policy, sim.mover, sim.tiers, sim.latency_model) == (
+            step.policy, step.mover, step.tiers, step.latency_model
+        )
+        assert sim.mover.machine is sim.machine
+        seen = []
+
+        def tap(owner, attr):
+            inner = getattr(owner, attr)
+
+            def wrapped(*args, **kwargs):
+                seen.append(attr)
+                return inner(*args, **kwargs)
+
+            setattr(owner, attr, wrapped)
+
+        tap(sim.policy, "target_tier1")
+        tap(sim.mover, "apply_target")
+        tap(sim.latency_model, "epoch_latency")
+        sim.run(2)
+        assert seen == ["target_tier1", "apply_target", "epoch_latency"] * 2
+
     def test_deterministic(self):
         a = _sim(HistoryPolicy()).run(3)
         b = _sim(HistoryPolicy()).run(3)
@@ -152,6 +182,10 @@ class TestRuntimeModel:
         fcfa = _sim(FCFAPolicy()).run(4)
         s = hist.speedup_over(fcfa)
         assert s == pytest.approx(fcfa.total_runtime_s / hist.total_runtime_s)
+
+    def test_speedup_of_an_empty_run_is_nan(self):
+        empty = _sim(HistoryPolicy(), wname="web-serving").run(0)
+        assert np.isnan(empty.speedup_over(empty))
 
 
 class TestInitPhase:
