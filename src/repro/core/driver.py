@@ -44,10 +44,14 @@ class EpochRecord:
 
 
 def _carry(total: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """``total + part`` in ``part``: the frame space only grows, so a
-    later slice's counts are never shorter than the running total."""
-    part[: total.size] += total
-    return part
+    """``total + part``, never written into either: a slice's counts are
+    the machine's own read-only arrays.  The frame space only grows, so
+    a later slice's counts are never shorter than the running total."""
+    if total.size == 0:
+        return part
+    out = part.copy()
+    out[: total.size] += total
+    return out
 
 
 class ProfiledRun:

@@ -129,15 +129,15 @@ class TMProfiler:
     def observe_batch(self, batch: AccessBatch, result: BatchResult) -> None:
         """Attribute executed ops to PIDs (feeds the resource filter).
 
-        One vectorized sorted-array merge per batch — no Python loop
+        The batch's PIDs and op counts come with the result (the
+        machine grouped the batch by PID to execute it); one vectorized
+        sorted-array merge folds them into the epoch's — no Python loop
         over PIDs, so attribution cost is flat in the process count.
         """
         if batch.n == 0:
             return
         self.store.resize(self.machine.n_frames)
-        pids, counts = np.unique(batch.pid, return_counts=True)
-        pids = pids.astype(np.int64, copy=False)
-        counts = counts.astype(np.int64, copy=False)
+        pids, counts = result.pids, result.pid_ops
         if self._epoch_pids.size == 0:
             self._epoch_pids, self._epoch_ops = pids, counts
             return

@@ -26,7 +26,7 @@ import numpy as np
 
 from .address import ADDR_DTYPE, LINE_SIZE
 from .events import DataSource
-from .vecsim import make_engine
+from .vecsim import fold_shards, make_engine
 
 __all__ = ["CacheLevel", "CacheHierarchy", "CacheLevelStats"]
 
@@ -141,22 +141,30 @@ class CacheHierarchy:
             "llc": self._llc.stats.misses,
         }
 
-    def access(self, lines: np.ndarray, cpus: np.ndarray | None = None) -> np.ndarray:
+    def access(
+        self,
+        lines: np.ndarray,
+        cpus: np.ndarray | None = None,
+        *,
+        shard: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Classify each line access with its data source.
 
         ``cpus`` routes each access to its core's private L1/L2 (all on
-        CPU 0 when omitted).  Returns a ``uint8`` array of
-        :class:`DataSource` values aligned with ``lines``;
-        ``DataSource.MEMORY`` marks accesses that missed every level.
+        CPU 0 when omitted): raw CPU ids, folded onto the cores here.
+        A caller that has folded the batch's CPU column already
+        (``Machine.run_batch``) passes it as ``shard`` instead.
+        Returns a ``uint8`` array of :class:`DataSource` values aligned
+        with ``lines``; ``DataSource.MEMORY`` marks accesses that
+        missed every level.
         """
         lines = np.asarray(lines, dtype=ADDR_DTYPE)
         n = lines.size
         source = np.full(n, np.uint8(DataSource.MEMORY), dtype=np.uint8)
         if n == 0:
             return source
-        shard = None
-        if cpus is not None and self.n_cpus > 1:
-            shard = np.asarray(cpus).astype(np.intp) % self.n_cpus
+        if shard is None and cpus is not None and self.n_cpus > 1:
+            shard = fold_shards(cpus, self.n_cpus)
 
         hits1 = self.l1.access(lines, shard)
         source[hits1] = np.uint8(DataSource.L1)

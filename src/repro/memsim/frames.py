@@ -15,11 +15,31 @@ under evaluation only ever see their own (partial) sampled views.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .address import ADDR_DTYPE
 
-__all__ = ["FrameAllocator", "FrameStats", "GrowableArray"]
+__all__ = ["BatchFrameCounts", "FrameAllocator", "FrameStats", "GrowableArray"]
+
+
+class BatchFrameCounts(NamedTuple):
+    """One batch's per-frame counts (PFN-indexed, read-only).
+
+    Computed once, by :meth:`FrameStats.record`; the machine hands the
+    same arrays to :class:`~repro.memsim.machine.BatchResult`.
+    """
+
+    access: np.ndarray
+    mem: np.ndarray
+    tlb_miss: np.ndarray
+
+
+def _count_frames(pf: np.ndarray, n_frames: int) -> np.ndarray:
+    counts = np.bincount(pf, minlength=n_frames)
+    counts.flags.writeable = False
+    return counts
 
 
 class GrowableArray:
@@ -163,31 +183,39 @@ class FrameStats:
         mem_mask: np.ndarray,
         tlb_miss_mask: np.ndarray,
         op_base: int,
-    ) -> None:
+    ) -> BatchFrameCounts:
         """Accumulate one executed batch into the counters.
 
         ``pfns`` are per-access frame numbers; the masks are per-access
         booleans aligned with ``pfns``; ``op_base`` is the global op
         index of the batch's first access (used for first-touch
-        stamps).
+        stamps).  Returns the batch's own per-frame counts, so nobody
+        downstream has to count the batch again.
         """
-        if pfns.size == 0:
-            return
         n = len(self._access)
         pf = pfns.astype(np.intp, copy=False)
-        self._access.data()[:] += np.bincount(pf, minlength=n)
+        counts = BatchFrameCounts(
+            access=_count_frames(pf, n),
+            mem=_count_frames(pf[mem_mask], n),
+            tlb_miss=_count_frames(pf[tlb_miss_mask], n),
+        )
+        if pfns.size == 0:
+            return counts
+        self._access.data()[:] += counts.access
+        self._mem.data()[:] += counts.mem
+        self._tlbmiss.data()[:] += counts.tlb_miss
         if is_store.any():
             self._store.data()[:] += np.bincount(pf[is_store], minlength=n)
-        if mem_mask.any():
-            self._mem.data()[:] += np.bincount(pf[mem_mask], minlength=n)
-        if tlb_miss_mask.any():
-            self._tlbmiss.data()[:] += np.bincount(pf[tlb_miss_mask], minlength=n)
 
+        # First touches: a frame the batch counted that has no stamp
+        # yet.  Asked per frame first, so a batch over known frames
+        # (every batch after warm-up) never scans its accesses.
         first = self._first.data()
-        untouched = np.flatnonzero(first[pf] == self._NEVER)
-        if untouched.size:
+        if ((counts.access != 0) & (first == self._NEVER)).any():
+            untouched = np.flatnonzero(first[pf] == self._NEVER)
             # First position in the batch at which each new frame appears.
             new_pfns, first_pos = np.unique(pf[untouched], return_index=True)
             first[new_pfns] = ADDR_DTYPE(op_base) + untouched[first_pos].astype(
                 ADDR_DTYPE
             )
+        return counts

@@ -31,10 +31,10 @@ from .address import (
 from .badgertrap import BadgerTrap
 from .cache import CacheHierarchy
 from .events import AccessBatch, DataSource
-from .frames import FrameAllocator, FrameStats
+from .frames import BatchFrameCounts, FrameAllocator, FrameStats
 from .ibs import IBSSampler
 from .lwp import LWPSampler
-from .page_table import PageTable, VMA
+from .page_table import PageTable, TranslationFault, VMA
 from .pebs import PEBSSampler
 from .resctrl import ResctrlMonitor
 from .pml import PMLogger
@@ -42,29 +42,43 @@ from .pmu import PMU
 from .ptw import PageTableWalker
 from .sampling import DEFAULT_IBS_PERIOD
 from .tlb import TLBArray
+from .vecsim import fold_shards
 
 __all__ = ["MachineConfig", "Machine", "BatchResult"]
 
 
-def _pid_groups(pid_arr: np.ndarray) -> list[tuple[int, slice | np.ndarray]]:
+def _pid_groups(
+    pid_arr: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, list[slice | np.ndarray]]:
     """Group batch indices by PID with one stable sort (no per-PID scans).
 
-    Returns ``(pid, index)`` pairs where ``index`` is ``slice(None)``
-    for the common single-PID batch (zero-copy) or a program-ordered
-    fancy index otherwise.  Groups come out in ascending-PID order,
-    matching the previous ``np.unique``-driven iteration.
+    Returns ``(pids, ops, indices)``: the PIDs in the batch ascending,
+    each one's access count, and each one's batch index —
+    ``slice(None)`` for the common single-PID batch (zero-copy) or a
+    program-ordered fancy index otherwise.
     """
-    if pid_arr[0] == pid_arr[-1] and (pid_arr == pid_arr[0]).all():
-        return [(int(pid_arr[0]), slice(None))]
-    order = np.argsort(pid_arr, kind="stable")
+    n = pid_arr.size
+    lo, hi = int(pid_arr.min()), int(pid_arr.max())
+    if lo == hi:
+        return (
+            np.array([lo], dtype=np.int64),
+            np.array([n], dtype=np.int64),
+            [slice(None)],
+        )
+    # numpy's stable sort is a radix sort for 16-bit keys only, and any
+    # realistic PID range fits them once it is taken from its minimum.
+    key = (pid_arr - lo).astype(np.uint16) if hi - lo < (1 << 16) else pid_arr
+    order = np.argsort(key, kind="stable")
     sorted_pids = pid_arr[order]
     starts = np.flatnonzero(
         np.concatenate(([True], sorted_pids[1:] != sorted_pids[:-1]))
     )
-    ends = np.append(starts[1:], pid_arr.size)
-    return [
-        (int(sorted_pids[s]), order[s:e]) for s, e in zip(starts, ends)
-    ]
+    ends = np.append(starts[1:], n)
+    return (
+        sorted_pids[starts].astype(np.int64),
+        ends - starts,
+        [order[s:e] for s, e in zip(starts, ends)],
+    )
 
 
 def _subset(idx: slice | np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -72,6 +86,13 @@ def _subset(idx: slice | np.ndarray, mask: np.ndarray) -> np.ndarray:
     if isinstance(idx, slice):
         return np.flatnonzero(mask)
     return idx[mask[idx]]
+
+
+def _at_least(counts: np.ndarray, n_frames: int) -> np.ndarray:
+    """``counts`` itself, zero-padded (a copy) if shorter than ``n_frames``."""
+    if counts.size >= n_frames:
+        return counts
+    return np.pad(counts, (0, n_frames - counts.size))
 
 
 @dataclass
@@ -169,6 +190,16 @@ class BatchResult:
     tlb_hit: np.ndarray
     #: DataSource per access (uint8).
     data_source: np.ndarray
+    #: True where the access was serviced from a memory tier (missed
+    #: every cache).  Shared with the machine's own accounting:
+    #: read-only, like ``pids``, ``pid_ops`` and ``frame_counts``.
+    mem_mask: np.ndarray
+    #: PIDs that executed in the batch (ascending) and their op counts.
+    pids: np.ndarray
+    pid_ops: np.ndarray
+    #: Per-frame access / memory-access / TLB-miss counts of the batch,
+    #: as counted once by ``FrameStats.record``.
+    frame_counts: BatchFrameCounts
     #: Raw PMU-visible event counts for this batch.
     raw_events: dict[str, int] = field(default_factory=dict)
     #: Modelled memory-access cycles for the batch (AMAT accounting).
@@ -183,26 +214,17 @@ class BatchResult:
         """Average memory-access time in cycles for this batch."""
         return self.cycles / self.n if self.n else 0.0
 
-    @property
-    def mem_mask(self) -> np.ndarray:
-        """Accesses serviced from a memory tier (missed every cache)."""
-        return self.data_source == np.uint8(DataSource.MEMORY)
-
     def page_access_counts(self, n_frames: int) -> np.ndarray:
-        """Per-PFN total access counts for this batch."""
-        return np.bincount(self.pfn.astype(np.intp), minlength=n_frames)
+        """Per-PFN total access counts for this batch (read-only)."""
+        return _at_least(self.frame_counts.access, n_frames)
 
     def page_mem_access_counts(self, n_frames: int) -> np.ndarray:
-        """Per-PFN memory-access (LLC-miss) counts for this batch."""
-        return np.bincount(
-            self.pfn[self.mem_mask].astype(np.intp), minlength=n_frames
-        )
+        """Per-PFN memory-access (LLC-miss) counts for this batch (read-only)."""
+        return _at_least(self.frame_counts.mem, n_frames)
 
     def page_tlb_miss_counts(self, n_frames: int) -> np.ndarray:
-        """Per-PFN TLB-miss counts for this batch."""
-        return np.bincount(
-            self.pfn[~self.tlb_hit].astype(np.intp), minlength=n_frames
-        )
+        """Per-PFN TLB-miss counts for this batch (read-only)."""
+        return _at_least(self.frame_counts.tlb_miss, n_frames)
 
 
 class Machine:
@@ -309,10 +331,18 @@ class Machine:
     # --------------------------------------------------------------- execute
 
     def run_batch(self, batch: AccessBatch) -> BatchResult:
-        """Execute one access batch through the full machine pipeline."""
+        """Execute one access batch through the full machine pipeline.
+
+        Every per-access quantity more than one structure needs — the
+        PID grouping, the CPU→shard fold, the TLB-miss and memory
+        masks, the frame numbers as indices — is derived here, once,
+        and handed down; what outlives the call is shared read-only
+        through the :class:`BatchResult`.
+        """
         n = batch.n
         op_base = self.op_counter
         if n == 0:
+            none = np.zeros(0, dtype=np.int64)
             return BatchResult(
                 op_base=op_base,
                 paddr=np.zeros(0, dtype=ADDR_DTYPE),
@@ -320,27 +350,36 @@ class Machine:
                 slot=np.zeros(0, dtype=np.int64),
                 tlb_hit=np.zeros(0, dtype=bool),
                 data_source=np.zeros(0, dtype=np.uint8),
+                mem_mask=np.zeros(0, dtype=bool),
+                pids=none,
+                pid_ops=none,
+                frame_counts=BatchFrameCounts(none, none, none),
             )
 
         vpns = page_of(batch.vaddr)
 
         # 1. Address translation (VMA arithmetic, per process).  The
         #    TLB tag is the mapping unit's head VPN (2 MiB-aligned for
-        #    huge-page regions).
+        #    huge-page regions).  Nothing is mutated until every PID
+        #    has translated: a faulting batch leaves the machine as it
+        #    found it.
         pfn = np.empty(n, dtype=ADDR_DTYPE)
         slot = np.empty(n, dtype=np.int64)
         tlb_vpn = np.empty(n, dtype=ADDR_DTYPE)
-        groups = _pid_groups(batch.pid)
+        pids, pid_ops, indices = _pid_groups(batch.pid)
+        groups = list(zip(pids.tolist(), indices))
         for pid, idx in groups:
             pt = self.page_tables.get(pid)
             if pt is None:
-                from .page_table import TranslationFault
-
                 raise TranslationFault(pid, np.unique(vpns[idx]))
             pfn[idx], slot[idx], tlb_vpn[idx] = pt.translate_ex(vpns[idx])
 
-        # 2. Per-CPU TLB lookup (misses install their fill).
-        tlb_hit = self.tlb.access(batch.pid, tlb_vpn, batch.cpu)
+        # 2. Per-CPU TLB lookup (misses install their fill).  The CPU
+        #    column is folded onto the cores once, for the TLB and the
+        #    private cache levels alike.
+        n_cpus = self.config.n_cpus
+        shard = fold_shards(batch.cpu, n_cpus) if n_cpus > 1 else None
+        tlb_hit = self.tlb.access(batch.pid, tlb_vpn, shard=shard)
         miss = ~tlb_hit
 
         # 3. Page-table walks on misses: A bits, poison faults.
@@ -369,13 +408,14 @@ class Machine:
             batch.vaddr & ADDR_DTYPE(PAGE_OFFSET_MASK)
         )
         lines = paddr >> ADDR_DTYPE(LINE_SHIFT)
-        data_source = self.caches.access(lines, batch.cpu)
+        data_source = self.caches.access(lines, shard=shard)
+        mem_mask = data_source == np.uint8(DataSource.MEMORY)
 
         # 6. Raw PMU events for this batch.
         n_stores = int(np.count_nonzero(batch.is_store))
         l1_miss = int(np.count_nonzero(data_source != np.uint8(DataSource.L1)))
         l2_miss = int(np.count_nonzero(data_source >= np.uint8(DataSource.LLC)))
-        llc_miss = int(np.count_nonzero(data_source == np.uint8(DataSource.MEMORY)))
+        llc_miss = int(np.count_nonzero(mem_mask))
         n_miss = int(np.count_nonzero(miss))
         raw = {
             "retired_ops": n,
@@ -413,20 +453,17 @@ class Machine:
             batch, op_base=op_base, paddr=paddr, tlb_hit=tlb_hit, data_source=data_source
         )
         if self.resctrl is not None:
-            self.resctrl.observe(
-                batch.pid, data_source == np.uint8(DataSource.MEMORY)
-            )
+            self.resctrl.observe(batch.pid, mem_mask)
 
-        # 8. Ground truth.
-        self.frame_stats.record(
-            pfn,
-            batch.is_store,
-            data_source == np.uint8(DataSource.MEMORY),
-            miss,
-            op_base,
+        # 8. Ground truth; its per-frame counts of the batch go out
+        #    with the result instead of being counted again.
+        frame_counts = self.frame_stats.record(
+            pfn.astype(np.intp), batch.is_store, mem_mask, miss, op_base
         )
         self.op_counter += n
 
+        for shared in (mem_mask, pids, pid_ops):
+            shared.flags.writeable = False
         return BatchResult(
             op_base=op_base,
             paddr=paddr,
@@ -434,6 +471,10 @@ class Machine:
             slot=slot,
             tlb_hit=tlb_hit,
             data_source=data_source,
+            mem_mask=mem_mask,
+            pids=pids,
+            pid_ops=pid_ops,
+            frame_counts=frame_counts,
             raw_events=raw,
             cycles=batch_cycles,
         )

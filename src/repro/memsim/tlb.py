@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .address import ADDR_DTYPE
-from .vecsim import make_engine
+from .vecsim import fold_shards, make_engine
 
 __all__ = ["TLBArray", "TLBStats"]
 
@@ -105,15 +105,25 @@ class TLBArray:
         )
         self.stats = TLBStats()
 
-    def _fold(self, cpus: np.ndarray) -> np.ndarray:
-        return np.asarray(cpus).astype(np.intp) % self.n_cpus
-
     def access(
-        self, pids: np.ndarray, vpns: np.ndarray, cpus: np.ndarray
+        self,
+        pids: np.ndarray,
+        vpns: np.ndarray,
+        cpus: np.ndarray | None = None,
+        *,
+        shard: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Route each access to its CPU's shard; return the global hit mask."""
+        """Route each access to its CPU's shard; return the global hit mask.
+
+        ``cpus`` are raw CPU ids and are folded onto the CPUs here.  A
+        caller that has folded the batch's CPU column already
+        (``Machine.run_batch`` does, once for the TLB and the caches)
+        passes it as ``shard`` instead and nothing is re-derived.
+        """
+        if shard is None and cpus is not None:
+            shard = fold_shards(cpus, self.n_cpus)
         keys = _keys(np.asarray(pids), np.asarray(vpns))
-        hits = self._engine.access(keys, shard=self._fold(cpus))
+        hits = self._engine.access(keys, shard=shard)
         self.stats.lookups += int(keys.size)
         self.stats.hits += int(np.count_nonzero(hits))
         return hits

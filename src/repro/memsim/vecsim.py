@@ -4,8 +4,13 @@ Three engines implement the same ``access`` contract:
 
 ``VectorDirectMapped``
     An *exact*, fully vectorized direct-mapped structure.  A batch of
-    accesses is resolved with a single stable sort (``O(n log n)``
-    numpy work, no Python loop).
+    accesses is resolved with a single stable sort of its row indices
+    (no Python loop).  While ``nsets * shards`` fits 16 bits — every
+    scaled geometry, and the full-size L1/L2/TLB — the rows are
+    ``uint16`` from the truncating cast of the key to the scatter of
+    the hit mask: a 16-bit radix sort, 16-bit gathers and compares,
+    and one ``intp`` cast of the per-run first rows, which are the
+    only rows that index the state arrays.
 
 ``VectorSetAssoc``
     An *exact*, vectorized set-associative true-LRU structure.  State
@@ -52,6 +57,7 @@ import numpy as np
 from .address import ADDR_DTYPE, is_pow2
 
 __all__ = [
+    "fold_shards",
     "VectorDirectMapped",
     "VectorSetAssoc",
     "SequentialSetAssoc",
@@ -59,14 +65,28 @@ __all__ = [
 ]
 
 
-def _argsort_rows(rows: np.ndarray, nrows: int) -> np.ndarray:
-    """Stable argsort of small-range row indices.
+def fold_shards(cpus, shards: int) -> np.ndarray:
+    """Fold raw CPU ids onto the shard indices ``[0, shards)``.
 
-    numpy's stable sort is a radix sort for integers, and its cost
-    scales with the key width — row indices fit 16 bits for every
-    realistic geometry, which sorts ~5x faster than the intp default.
+    A column already in range comes back as it is — no copy and no
+    (slow, 64-bit) modulo.  Engines take shard indices on trust, so a
+    batch is folded once, by whoever first holds its CPU column.
     """
-    if nrows <= (1 << 16):
+    cpus = np.asarray(cpus)
+    if cpus.size and (cpus.min() < 0 or cpus.max() >= shards):
+        return cpus.astype(np.intp) % shards
+    return cpus
+
+
+#: Row counts up to this fit ``uint16``, which numpy's stable sort
+#: handles as a radix sort (~8x faster than the ``intp`` merge sort).
+_NARROW_ROWS = 1 << 16
+
+
+def _argsort_rows(rows: np.ndarray, nrows: int) -> np.ndarray:
+    """Stable argsort of ``intp`` row indices (the set-associative
+    engine's; the direct-mapped one never widens its rows)."""
+    if nrows <= _NARROW_ROWS:
         return np.argsort(rows.astype(np.uint16), kind="stable")
     return np.argsort(rows, kind="stable")
 
@@ -107,6 +127,7 @@ class VectorDirectMapped:
         self.nsets = nsets
         self.shards = shards
         self._mask = ADDR_DTYPE(nsets - 1)
+        self._row_dtype = np.uint16 if nsets * shards <= _NARROW_ROWS else np.intp
         self._tags = np.zeros(nsets * shards, dtype=ADDR_DTYPE)
         self._valid = np.zeros(nsets * shards, dtype=bool)
 
@@ -116,9 +137,25 @@ class VectorDirectMapped:
         return self.nsets
 
     def _rows(self, keys: np.ndarray, shard) -> np.ndarray:
-        rows = (keys & self._mask).astype(np.intp)
+        """Row (shard-major set index) per key, in the narrowest of
+        ``uint16`` / ``intp`` that holds ``nsets * shards``.
+
+        ``shard`` must already be a valid shard index per key (callers
+        with raw CPU ids fold them first, see :func:`fold_shards`).
+        """
+        if self._row_dtype is np.uint16:
+            # Truncating the key to 16 bits *is* most of the mask.
+            rows = keys.astype(np.uint16)
+            if self.nsets < _NARROW_ROWS:
+                rows &= np.uint16(self.nsets - 1)
+        else:
+            rows = (keys & self._mask).astype(np.intp)
         if shard is not None and self.shards > 1:
-            rows += np.asarray(shard, dtype=np.intp) * self.nsets
+            # Cast before multiplying: an int16 cpu column times nsets
+            # would wrap long before the row dtype does.
+            rows += np.asarray(shard).astype(self._row_dtype) * self._row_dtype(
+                self.nsets
+            )
         return rows
 
     def flush(self) -> None:
@@ -154,7 +191,7 @@ class VectorDirectMapped:
     def contains(self, keys: np.ndarray, shard=None) -> np.ndarray:
         """Non-mutating membership probe for ``keys`` on their shard."""
         keys = np.asarray(keys, dtype=ADDR_DTYPE)
-        rows = self._rows(keys, shard)
+        rows = self._rows(keys, shard).astype(np.intp, copy=False)
         return self._valid[rows] & (self._tags[rows] == keys)
 
     def contains_any(self, keys: np.ndarray) -> np.ndarray:
@@ -177,8 +214,8 @@ class VectorDirectMapped:
 
         rows = self._rows(keys, shard)
         # Stable sort groups accesses by set while preserving program
-        # order within each set.
-        order = _argsort_rows(rows, self.nsets * self.shards)
+        # order within each set (a radix sort while rows are 16-bit).
+        order = np.argsort(rows, kind="stable")
         s_rows = rows[order]
         s_keys = keys[order]
 
@@ -191,18 +228,22 @@ class VectorDirectMapped:
         # same set used the same key (direct-mapped ⇒ single occupant).
         hit_sorted[1:] = (~run_start[1:]) & (s_keys[1:] == s_keys[:-1])
         hit_sorted[0] = False
-        # First access of each run consults the carried-in state.
+        # First access of each run consults the carried-in state.  One
+        # row per run is all that ever indexes the state arrays, so
+        # this is the only place narrow rows widen (numpy index-casts
+        # non-intp arrays on a slow path).
         first_idx = np.flatnonzero(run_start)
-        fs = s_rows[first_idx]
-        hit_sorted[first_idx] = self._valid[fs] & (self._tags[fs] == s_keys[first_idx])
+        run_rows = s_rows[first_idx].astype(np.intp, copy=False)
+        hit_sorted[first_idx] = self._valid[run_rows] & (
+            self._tags[run_rows] == s_keys[first_idx]
+        )
 
         # Carry-out: the last access of each run is the set's new occupant.
         last_idx = np.empty(first_idx.size, dtype=np.intp)
         last_idx[:-1] = first_idx[1:] - 1
         last_idx[-1] = n - 1
-        ls = s_rows[last_idx]
-        self._tags[ls] = s_keys[last_idx]
-        self._valid[ls] = True
+        self._tags[run_rows] = s_keys[last_idx]
+        self._valid[run_rows] = True
 
         hits = np.empty(n, dtype=bool)
         hits[order] = hit_sorted
@@ -217,7 +258,7 @@ class VectorDirectMapped:
         keys = np.asarray(keys, dtype=ADDR_DTYPE)
         if keys.size == 0:
             return
-        rows = self._rows(keys, shard)
+        rows = self._rows(keys, shard).astype(np.intp, copy=False)
         # Keep only the last occurrence of each set.
         _, last = np.unique(rows[::-1], return_index=True)
         pick = keys.size - 1 - last

@@ -108,20 +108,28 @@ class PageMover:
         return result
 
     def _shootdown_moved(self, pfns: np.ndarray) -> None:
-        """Invalidate moved pages' translations on every CPU."""
-        pids = []
-        vpns = []
-        for pid, pt in self.machine.page_tables.items():
-            for vma in pt.vmas:
-                lo, hi = vma.pfn_base, vma.pfn_base + vma.npages
-                hit = pfns[(pfns >= lo) & (pfns < hi)]
-                if hit.size:
-                    # TLB tags are mapping-unit heads (2 MiB-aligned
-                    # for THP regions).
-                    unit = (hit - lo) >> vma.page_order << vma.page_order
-                    vpns.append(vma.start_vpn + np.unique(unit))
-                    pids.append(np.full(vpns[-1].size, pid, dtype=np.int32))
-        if vpns:
-            self.machine.tlb.shootdown_pages(
-                np.concatenate(pids), np.concatenate(vpns)
-            )
+        """Invalidate moved pages' translations on every CPU.
+
+        Frames are handed out in ascending order and never recycled, so
+        the VMAs' frame ranges are disjoint: one ``searchsorted`` over
+        their bases finds every moved page's VMA, whatever the number
+        of processes and regions.
+        """
+        vmas = sorted(
+            (vma.pfn_base, vma.npages, vma.start_vpn, vma.page_order, pid)
+            for pid, pt in self.machine.page_tables.items()
+            for vma in pt.vmas
+        )
+        if not vmas:
+            return
+        pfn_base, npages, start_vpn, page_order, pid = np.array(vmas, dtype=np.int64).T
+        at = np.searchsorted(pfn_base, pfns, side="right") - 1
+        off = pfns - pfn_base[at]
+        mapped = (at >= 0) & (off < npages[at])
+        at, off = at[mapped], off[mapped]
+        if at.size:
+            # TLB tags are mapping-unit heads (2 MiB-aligned for THP
+            # regions); a unit moved page by page names its head more
+            # than once, which a flush by key does not mind.
+            unit = off >> page_order[at] << page_order[at]
+            self.machine.tlb.shootdown_pages(pid[at], start_vpn[at] + unit)

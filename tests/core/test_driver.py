@@ -102,6 +102,31 @@ class TestRunEpoch:
         assert names.count("tick") == slices - 1
         assert sum(r.n for name, r in calls if name == "run_batch") == rec.accesses
 
+    def test_machine_methods_are_looked_up_on_the_instance_at_every_call(self):
+        """The e2e tracer replaces these after construction; a cached
+        bound method or a private fast path would leave its span empty."""
+        run = _run(epoch_slices=2)
+        m = run.machine
+        calls = []
+        for owner, attr in (
+            (m.tlb, "access"),
+            (m.caches, "access"),
+            (m.ptw, "fill_walks"),
+            (m.ptw, "dirty_updates"),
+            (m.ibs, "observe"),
+            (m.pebs, "observe"),
+            (m.lwp, "observe"),
+            (m.frame_stats, "record"),
+            (run.profiler, "observe_batch"),
+        ):
+            _count_calls(owner, attr, calls)
+        run.run_epoch()
+        names = [name for name, _ in calls]
+        assert names.count("access") == 2 * 2  # TLB and caches, per slice
+        assert names.count("observe") == 3 * 2
+        assert names.count("record") == names.count("observe_batch") == 2
+        assert names.count("fill_walks") >= 2 and names.count("dirty_updates") >= 2
+
     def test_slicing_keeps_ground_truth(self):
         one, four = _run(seed=5), _run(seed=5, epoch_slices=4)
         a, b = one.run_epoch(), four.run_epoch()

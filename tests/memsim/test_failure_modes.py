@@ -56,6 +56,41 @@ class TestTranslationFaults:
         assert m.run_batch(AccessBatch.from_pages(v.vpns, pid=1)).n == 4
 
 
+    def test_fault_in_a_later_pid_mutates_nothing(self):
+        """Translation runs for every PID before anything is written:
+        a batch whose *second* process faults leaves no A/D bit, TLB
+        entry, counter or statistic behind from the first."""
+        m = Machine(MachineConfig(total_frames=1 << 10, enable_pml=True))
+        v1, v2 = m.mmap(1, 8), m.mmap(2, 8)
+        m.run_batch(AccessBatch.from_pages(v1.vpns[:2], pid=1, is_store=True))
+
+        def snapshot():
+            return (
+                m.op_counter,
+                m.cycles,
+                [pt.flags.tolist() for pt in m.page_tables.values()],
+                (m.tlb.stats.lookups, m.tlb.stats.hits, m.tlb.occupancy()),
+                m.caches.miss_counts(),
+                vars(m.ptw.stats).copy(),
+                m.pml.stats.logged,
+                m.frame_stats.access_count.tolist(),
+                m.frame_stats.first_touch_op.tolist(),
+                m.ibs.stats.population,
+            )
+
+        before = snapshot()
+        bad = AccessBatch.concat(
+            [
+                AccessBatch.from_pages(v1.vpns, pid=1, is_store=True),
+                AccessBatch.from_pages([v2.end_vpn + 3], pid=2),
+            ]
+        )
+        with pytest.raises(TranslationFault) as exc:
+            m.run_batch(bad)
+        assert exc.value.pid == 2
+        assert snapshot() == before
+
+
 class TestDegenerateConfigs:
     def test_single_entry_tlb(self):
         m = Machine(MachineConfig(total_frames=1 << 10, tlb_entries=1, n_cpus=1))

@@ -67,6 +67,9 @@ class TestRunBatch:
         r = m.run_batch(AccessBatch.empty())
         assert r.n == 0
         assert m.op_counter == 0
+        assert r.pids.size == r.pid_ops.size == r.mem_mask.size == 0
+        assert r.page_access_counts(5).tolist() == [0] * 5
+        assert r.page_tlb_miss_counts(0).size == 0
 
     def test_op_counter_and_time(self):
         m = small_machine(ops_per_second=1000.0)
@@ -174,6 +177,50 @@ class TestGroundTruth:
         mem = r.page_mem_access_counts(m.n_frames)
         tot = r.page_access_counts(m.n_frames)
         assert (mem <= tot).all()
+
+    def test_batch_page_counts_are_the_machines_own_and_read_only(self):
+        m = small_machine(n_cpus=2)
+        va, vb = m.mmap(1, 48), m.mmap(2, 16)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            b = AccessBatch.concat(
+                [
+                    AccessBatch.from_pages(rng.choice(va.vpns, 900), pid=1),
+                    AccessBatch.from_pages(rng.choice(vb.vpns, 300), pid=2, cpu=1),
+                ]
+            )
+            r = m.run_batch(b.take(rng.permutation(b.n)))
+            n, pf = m.n_frames, r.pfn.astype(np.intp)
+            fresh = {
+                "access": np.bincount(pf, minlength=n),
+                "mem": np.bincount(
+                    pf[r.data_source == DataSource.MEMORY], minlength=n
+                ),
+                "tlb_miss": np.bincount(pf[~r.tlb_hit], minlength=n),
+            }
+            got = {
+                "access": r.page_access_counts(n),
+                "mem": r.page_mem_access_counts(n),
+                "tlb_miss": r.page_tlb_miss_counts(n),
+            }
+            for name, counts in got.items():
+                np.testing.assert_array_equal(counts, fresh[name], err_msg=name)
+                assert counts.dtype == fresh[name].dtype
+                assert not counts.flags.writeable, name
+                with pytest.raises(ValueError):
+                    counts[0] += 1
+            np.testing.assert_array_equal(
+                r.mem_mask, r.data_source == DataSource.MEMORY
+            )
+            assert not r.mem_mask.flags.writeable
+            np.testing.assert_array_equal(r.pids, [1, 2])
+            np.testing.assert_array_equal(r.pid_ops, [900, 300])
+            # A longer frame space than the batch saw: zero-padded.
+            assert r.page_access_counts(n + 7).size == n + 7
+            assert r.page_access_counts(n + 7)[n:].sum() == 0
+        np.testing.assert_array_equal(
+            m.frame_stats.access_count.sum(), m.op_counter
+        )
 
     def test_first_touch_order(self):
         m = small_machine()

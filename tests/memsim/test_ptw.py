@@ -76,3 +76,94 @@ class TestDirtyUpdates:
     def test_empty(self, pt):
         w = PageTableWalker()
         assert w.dirty_updates(pt, np.zeros(0, dtype=np.int64)).size == 0
+
+
+def _reference_walks(flags, slots, bit):
+    """One PTE at a time: set ``bit`` on each slot, note the transitions."""
+    flags = flags.copy()
+    newly = set()
+    for s in slots.tolist():
+        if not int(flags[s]) & bit:
+            flags[s] |= np.uint64(bit)
+            newly.add(s)
+    return flags, sorted(newly)
+
+
+class TestAgainstScalarReference:
+    """Random slot arrays with duplicates, pre-set bits and poisoned PTEs."""
+
+    N_SLOTS = 64
+
+    def _table(self, rng):
+        from repro.memsim.pte import PTE_ACCESSED, PTE_DIRTY
+
+        table = PageTable(1)
+        table.mmap(0x100, self.N_SLOTS, FrameAllocator(1 << 16))
+        for bit in (PTE_ACCESSED, PTE_DIRTY, PTE_POISON):
+            preset = rng.random(self.N_SLOTS) < 0.3
+            table.flags[preset] |= np.uint64(bit)
+        return table
+
+    def _slots(self, rng):
+        # A narrow range on most draws, so duplicates are the rule.
+        hi = int(rng.choice([4, 16, self.N_SLOTS]))
+        return rng.integers(0, hi, int(rng.integers(1, 200))).astype(np.int64)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_fill_walks(self, seed):
+        from repro.memsim.pte import PTE_ACCESSED
+
+        rng = np.random.default_rng(seed)
+        table, w = self._table(rng), PageTableWalker()
+        for _ in range(4):
+            slots = self._slots(rng)
+            before = table.flags.copy()
+            want_flags, want_new = _reference_walks(before, slots, PTE_ACCESSED)
+            a0, p0, w0 = w.stats.a_bits_set, w.stats.poison_faults, w.stats.walks
+            poisoned = w.fill_walks(table, slots)
+            np.testing.assert_array_equal(table.flags, want_flags)
+            np.testing.assert_array_equal(poisoned, (before[slots] & PTE_POISON) != 0)
+            assert w.stats.a_bits_set - a0 == len(want_new)
+            assert w.stats.poison_faults - p0 == int(poisoned.sum())
+            assert w.stats.walks - w0 == slots.size
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_dirty_updates(self, seed):
+        from repro.memsim.pte import PTE_DIRTY
+
+        rng = np.random.default_rng(100 + seed)
+        table, w = self._table(rng), PageTableWalker()
+        for _ in range(4):
+            slots = self._slots(rng)
+            want_flags, want_new = _reference_walks(table.flags, slots, PTE_DIRTY)
+            d0 = w.stats.d_bits_set
+            newly = w.dirty_updates(table, slots)
+            np.testing.assert_array_equal(table.flags, want_flags)
+            assert newly.tolist() == want_new  # distinct and ascending
+            assert w.stats.d_bits_set - d0 == len(want_new)
+
+    def test_sorting_work_follows_transitions(self, monkeypatch):
+        """No timer needed: whatever ``np.unique`` / ``np.sort`` are
+        handed in total is bounded by the bits that actually flipped,
+        however many PTEs were walked."""
+        seen = []
+        for name in ("unique", "sort"):
+            real = getattr(np, name)
+
+            def counting(arr, *args, _real=real, **kwargs):
+                seen.append(np.asarray(arr).size)
+                return _real(arr, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+
+        rng = np.random.default_rng(7)
+        table, w = self._table(rng), PageTableWalker()
+        walked = 0
+        for _ in range(20):
+            slots = rng.integers(0, self.N_SLOTS, 500).astype(np.int64)
+            w.fill_walks(table, slots)
+            w.dirty_updates(table, slots)
+            walked += 2 * slots.size
+        transitions = w.stats.a_bits_set + w.stats.d_bits_set
+        assert 0 < transitions <= 2 * self.N_SLOTS
+        assert sum(seen) <= transitions < walked // 100

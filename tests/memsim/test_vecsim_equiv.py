@@ -138,6 +138,74 @@ class TestDirectMappedEquivalence:
         seq = SequentialSetAssoc(16, 1, shards=shards)
         _drive(vec, seq, rng, universe=80)
 
+    #: (nsets, shards): ``nsets * shards`` = 49152 (the unscaled L2:
+    #: uint16 rows, and ``int16 cpu * nsets`` would wrap), 65536 (the
+    #: last geometry with uint16 rows; with one shard the truncating
+    #: cast is the whole mask) and 131072 (intp rows).
+    WIDE_GEOMETRIES = [(8192, 6), (16384, 4), (65536, 1), (32768, 4)]
+
+    @staticmethod
+    def _aliasing_keys(rng, nsets, n):
+        """Keys that collide: few sets (both ends of the range), tags
+        differing only above the index bits, up to bit 63."""
+        sets = np.concatenate(([0, nsets - 1], rng.integers(0, nsets, 10)))
+        high = np.array([0, nsets, 1 << 16, 1 << 40, 1 << 63], dtype=np.uint64)
+        return sets[rng.integers(0, sets.size, n)].astype(np.uint64) | high[
+            rng.integers(0, high.size, n)
+        ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("nsets,shards", WIDE_GEOMETRIES)
+    def test_both_sides_of_the_16_bit_line(self, nsets, shards, seed):
+        rng = np.random.default_rng(seed * 7 + shards)
+        vec = VectorDirectMapped(nsets, shards=shards)
+        seq = SequentialSetAssoc(nsets, 1, shards=shards)
+        assert vec._row_dtype is (np.uint16 if nsets * shards <= 65536 else np.intp)
+        for step in range(6):
+            n = int(rng.integers(1, 400))
+            keys = self._aliasing_keys(rng, nsets, n)
+            # The machine's cpu column is int16, highest shard included.
+            shard = rng.integers(0, shards, n).astype(np.int16)
+            shard[0] = shards - 1
+            if step == 3:
+                vec.fill(keys, shard)
+                seq.fill(keys, shard)
+            np.testing.assert_array_equal(
+                vec.access(keys, shard), seq.access(keys, shard), err_msg=f"step {step}"
+            )
+            np.testing.assert_array_equal(
+                vec.contains(keys, shard), seq.contains(keys, shard)
+            )
+            assert vec.occupancy() == seq.occupancy()
+            if step == 4:
+                assert vec.flush_keys(keys[:5]) == seq.flush_keys(keys[:5])
+
+    @pytest.mark.parametrize("cpus", [[0, 1, 2, 3], [4, 5, -1, -2], [7, 300, -300, 1]])
+    def test_raw_cpu_ids_fold_like_a_modulo(self, cpus):
+        from repro.memsim.cache import CacheHierarchy
+        from repro.memsim.tlb import TLBArray
+        from repro.memsim.vecsim import fold_shards
+
+        cpus = np.array(cpus * 8, dtype=np.int16)
+        folded = cpus.astype(np.int64) % 3
+        np.testing.assert_array_equal(fold_shards(cpus, 3), folded)
+        if (cpus == folded).all():
+            assert fold_shards(cpus, 3) is cpus  # in range: handed back as is
+        lines = np.arange(cpus.size, dtype=np.uint64) % np.uint64(5)
+        pids = np.ones(cpus.size, dtype=np.int32)
+        raw, pre, ref = (TLBArray(n_cpus=3, entries=16) for _ in range(3))
+        expect = ref.access(pids, lines, folded)
+        np.testing.assert_array_equal(raw.access(pids, lines, cpus), expect)
+        np.testing.assert_array_equal(
+            pre.access(pids, lines, shard=folded.astype(np.int16)), expect
+        )
+        raw, pre, ref = (CacheHierarchy(512, 2048, 8192, n_cpus=3) for _ in range(3))
+        expect = ref.access(lines, folded)
+        np.testing.assert_array_equal(raw.access(lines, cpus), expect)
+        np.testing.assert_array_equal(
+            pre.access(lines, shard=folded.astype(np.int16)), expect
+        )
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_vector_set_assoc_ways1_matches_direct_mapped(self, seed):
         # ways=1 set-assoc degenerates to direct-mapped exactly.

@@ -97,3 +97,85 @@ class TestShootdownIntegration:
         mover = PageMover(tm, m)
         mover.apply_target(np.zeros(0, dtype=np.int64))
         assert m.tlb.stats.shootdowns == 0
+
+
+def _per_vma_shootdown_keys(machine, pfns):
+    """The old per-VMA masking loop, kept here as the reference."""
+    keys = set()
+    for pid, pt in machine.page_tables.items():
+        for vma in pt.vmas:
+            lo, hi = vma.pfn_base, vma.pfn_base + vma.npages
+            hit = pfns[(pfns >= lo) & (pfns < hi)]
+            unit = (hit - lo) >> vma.page_order << vma.page_order
+            keys.update((pid, int(vma.start_vpn + u)) for u in unit)
+    return keys
+
+
+class TestShootdownOfMovedPages:
+    def _machine(self):
+        m = Machine(MachineConfig(total_frames=1 << 14, tlb_entries=2048, n_cpus=3))
+        # Interleaved mmaps: frame order is not PID order; one THP region.
+        regions = [
+            m.mmap(2, 24),
+            m.mmap(1, 40),
+            m.mmap(2, 1024, page_order=9),
+            m.mmap(3, 8),
+            m.mmap(1, 16),
+        ]
+        m.allocator.alloc(5)  # frames no VMA maps
+        regions.append(m.mmap(3, 12))
+        return m, regions
+
+    def _warm(self, m):
+        for pid, pt in m.page_tables.items():
+            for cpu in range(3):
+                for vma in pt.vmas:
+                    m.run_batch(AccessBatch.from_pages(vma.vpns, pid=pid, cpu=cpu))
+
+    def test_same_keys_and_same_tlb_stats_as_the_per_vma_loop(self):
+        rng = np.random.default_rng(11)
+        for trial in range(4):
+            m, _ = self._machine()
+            twin, _ = self._machine()
+            self._warm(m)
+            self._warm(twin)
+            moved = rng.choice(m.n_frames, 200, replace=False).astype(np.int64)
+            want = _per_vma_shootdown_keys(m, moved)
+
+            flushed = []
+            real = m.tlb.shootdown_pages
+            m.tlb.shootdown_pages = lambda pids, vpns: (
+                flushed.extend(zip(pids.tolist(), vpns.tolist())),
+                real(pids, vpns),
+            )
+            PageMover(make_tiers(m.n_frames, 4), m)._shootdown_moved(moved)
+            assert set(flushed) == want
+
+            pids, vpns = (np.array(col) for col in zip(*sorted(want)))
+            twin.tlb.shootdown_pages(pids.astype(np.int32), vpns)
+            assert m.tlb.stats == twin.tlb.stats
+            assert m.tlb.stats.entries_invalidated > 0
+            assert m.tlb.occupancy() == twin.tlb.occupancy()
+
+    def test_thp_unit_flushes_its_head(self):
+        m, regions = self._machine()
+        self._warm(m)
+        thp = regions[2]
+        inside = np.array([thp.pfn_base + 512 + 37], dtype=np.int64)
+        PageMover(make_tiers(m.n_frames, 4), m)._shootdown_moved(inside)
+        heads = np.array([thp.start_vpn, thp.start_vpn + 512], dtype=np.uint64)
+        np.testing.assert_array_equal(
+            m.tlb.contains(np.full(2, 2, dtype=np.int32), heads), [True, False]
+        )
+
+    def test_frames_outside_every_vma_flush_nothing(self):
+        m, regions = self._machine()
+        self._warm(m)
+        unmapped = np.arange(regions[-1].pfn_base - 5, regions[-1].pfn_base)
+        PageMover(make_tiers(m.n_frames, 4), m)._shootdown_moved(unmapped)
+        assert m.tlb.stats.shootdowns == 0
+
+    def test_machine_without_processes(self):
+        m = Machine(MachineConfig(total_frames=1 << 10))
+        PageMover(make_tiers(8, 4), m)._shootdown_moved(np.arange(4))
+        assert m.tlb.stats.shootdowns == 0
