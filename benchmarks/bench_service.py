@@ -292,7 +292,7 @@ def _fanout_payload() -> dict:
     """A representative epoch-telemetry dict, numpy scalars included.
 
     Mirrors ``epoch_metrics_to_dict`` output: the numpy values exercise
-    the ``_json_default`` coercion exactly where the real fan-out pays
+    the ``json_default`` coercion exactly where the real fan-out pays
     it, so the kernel arms measure the production encode cost.
     """
     return {

@@ -134,8 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--port", type=int, default=7790, help="TCP port (0 picks a free one)"
     )
+    # dest names are ServiceServer's keyword names: _cmd_serve passes
+    # them through by name.
     p.add_argument(
-        "--socket", default=None, metavar="PATH",
+        "--socket", dest="socket_path", default=None, metavar="PATH",
         help="serve on a unix socket instead of TCP",
     )
     p.add_argument(
@@ -143,11 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission limit on concurrent sessions",
     )
     p.add_argument(
-        "--idle-ttl", type=float, default=600.0, metavar="SECONDS",
+        "--idle-ttl", dest="idle_ttl_s", type=float, default=600.0,
+        metavar="SECONDS",
         help="evict sessions idle longer than this (<= 0 disables)",
     )
     p.add_argument(
-        "--reap-interval", type=float, default=5.0, metavar="SECONDS",
+        "--reap-interval", dest="reap_interval_s", type=float, default=5.0,
+        metavar="SECONDS",
         help="how often the reaper scans for idle sessions (<= 0 disables)",
     )
     p.add_argument(
@@ -275,39 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo-step-p99", type=float, default=None, metavar="SECONDS",
         help="fail (exit 1) when step p99 latency exceeds this",
     )
-    # --spawn server shape; ignored with --connect/--socket.
     p.add_argument(
-        "--spawn-max-sessions", type=_positive_int, default=None, metavar="N",
-        help="--max-sessions for the spawned server (default: sessions)",
-    )
-    p.add_argument(
-        "--spawn-workers", type=_nonnegative_int, default=0, metavar="N",
-        help="--workers for the spawned server (default 0: in-process steps)",
-    )
-    p.add_argument(
-        "--spawn-tenant-quota", type=_positive_int, default=None, metavar="N",
-        help="--tenant-quota for the spawned server",
-    )
-    p.add_argument(
-        "--spawn-max-inflight-steps", type=_positive_int, default=None,
-        metavar="N", help="--max-inflight-steps for the spawned server",
-    )
-    p.add_argument(
-        "--spawn-idle-ttl", type=float, default=None, metavar="SECONDS",
-        help="--idle-ttl for the spawned server",
-    )
-    p.add_argument(
-        "--spawn-reap-interval", type=float, default=None, metavar="SECONDS",
-        help="--reap-interval for the spawned server",
-    )
-    p.add_argument(
-        "--spawn-ledger-dir", default=None, metavar="DIR",
-        help="--ledger-dir for the spawned server",
-    )
-    p.add_argument(
-        "--spawn-evict-to-disk", action="store_true",
-        help="--evict-to-disk for the spawned server "
-        "(needs --spawn-ledger-dir)",
+        "serve_args", nargs="*", metavar="SERVE_ARG",
+        help="with --spawn, everything after `--` goes to the spawned "
+        "`repro serve` verbatim (after its defaults `--max-sessions "
+        "<sessions> --workers 0`, so a forwarded flag overrides them)",
     )
     p.add_argument(
         "--evict-resume-fraction", type=float, default=0.0,
@@ -696,6 +672,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
+    import inspect
 
     from .obs import log as obs_log
     from .service import ServiceServer
@@ -704,31 +681,17 @@ def _cmd_serve(args) -> int:
         obs_log.configure(enabled=True)
         # Worker processes read the environment, not our in-process state.
         os.environ["REPRO_LOG_JSON"] = "1"
-    metrics_port = args.metrics_port
-    if metrics_port is None and os.environ.get("REPRO_METRICS_PORT"):
-        metrics_port = int(os.environ["REPRO_METRICS_PORT"])
+    if args.metrics_port is None and os.environ.get("REPRO_METRICS_PORT"):
+        args.metrics_port = int(os.environ["REPRO_METRICS_PORT"])
     ledger_dir = args.ledger_dir or os.environ.get("REPRO_LEDGER_DIR") or None
     if args.evict_to_disk and not ledger_dir:
         raise SystemExit("--evict-to-disk needs --ledger-dir")
+    args.ledger_dir = ledger_dir
+    accepted = inspect.signature(ServiceServer).parameters
+    options = {k: v for k, v in vars(args).items() if k in accepted}
 
     async def _serve() -> None:
-        server = ServiceServer(
-            host=args.host,
-            port=args.port,
-            socket_path=args.socket,
-            max_sessions=args.max_sessions,
-            idle_ttl_s=args.idle_ttl,
-            reap_interval_s=args.reap_interval,
-            step_workers=args.step_workers,
-            workers=args.workers,
-            metrics_port=metrics_port,
-            ledger_dir=ledger_dir,
-            ledger_fsync=args.ledger_fsync,
-            ledger_retention_bytes=args.ledger_retention_bytes,
-            tenant_quota=args.tenant_quota,
-            max_inflight_steps=args.max_inflight_steps,
-            evict_to_disk=args.evict_to_disk,
-        )
+        server = ServiceServer(**options)
         await server.start()
         if isinstance(server.address, tuple):
             where = "{}:{}".format(*server.address)
@@ -736,7 +699,7 @@ def _cmd_serve(args) -> int:
             where = server.address
         print(
             f"repro service listening on {where} "
-            f"(max_sessions={args.max_sessions}, idle_ttl={args.idle_ttl:g}s, "
+            f"(max_sessions={args.max_sessions}, idle_ttl={args.idle_ttl_s:g}s, "
             f"workers={server.workers}); SIGTERM drains gracefully",
             flush=True,
         )
@@ -758,6 +721,21 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _spawn_command(args, socket_path: str) -> list[str]:
+    """The `repro serve` command line `loadtest --spawn` runs.
+
+    The loadtest's own defaults lead and ``args.serve_args`` (what
+    followed ``--``) trail verbatim, so a forwarded flag wins.
+    """
+    return [
+        sys.executable, "-m", "repro", "serve",
+        "--socket", socket_path,
+        "--max-sessions", str(args.sessions),
+        "--workers", "0",
+        *args.serve_args,
+    ]
+
+
 def _spawn_server(args, socket_path: str):
     """Start a throwaway `repro serve` subprocess on a unix socket.
 
@@ -767,25 +745,7 @@ def _spawn_server(args, socket_path: str):
     import subprocess
     import time as timelib
 
-    cmd = [
-        sys.executable, "-m", "repro", "serve",
-        "--socket", socket_path,
-        "--max-sessions", str(args.spawn_max_sessions or args.sessions),
-        "--workers", str(args.spawn_workers),
-    ]
-    if args.spawn_tenant_quota is not None:
-        cmd += ["--tenant-quota", str(args.spawn_tenant_quota)]
-    if args.spawn_max_inflight_steps is not None:
-        cmd += ["--max-inflight-steps", str(args.spawn_max_inflight_steps)]
-    if args.spawn_idle_ttl is not None:
-        cmd += ["--idle-ttl", str(args.spawn_idle_ttl)]
-    if args.spawn_reap_interval is not None:
-        cmd += ["--reap-interval", str(args.spawn_reap_interval)]
-    if args.spawn_ledger_dir is not None:
-        cmd += ["--ledger-dir", args.spawn_ledger_dir]
-    if args.spawn_evict_to_disk:
-        cmd += ["--evict-to-disk"]
-    proc = subprocess.Popen(cmd)
+    proc = subprocess.Popen(_spawn_command(args, socket_path))
     deadline = timelib.monotonic() + 30.0
     while timelib.monotonic() < deadline:
         if proc.poll() is not None:
@@ -831,6 +791,8 @@ def _cmd_loadtest(args) -> int:
     )
     proc = None
     tmpdir = None
+    if args.serve_args and not args.spawn:
+        raise SystemExit("arguments after `--` are for --spawn's server")
     if args.connect:
         host, _, port = args.connect.rpartition(":")
         if not host or not port.isdigit():

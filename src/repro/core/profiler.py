@@ -15,7 +15,7 @@ All scheduling is in *simulated* time from ``machine.time_s``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,7 +56,8 @@ class TMPEpochReport:
     """Everything TMP produced for one finished epoch."""
 
     epoch: int
-    profile: EpochProfile
+    #: None once a newer report exists (see :attr:`TMProfiler.reports`).
+    profile: EpochProfile | None
     gating: GatingDecision | None
     tracked_pids: list[int]
     abit_pages_found: int
@@ -83,6 +84,10 @@ class TMProfiler:
         self.trace = TraceDriver(machine, self.config, self.store)
         self.hwpc = HWPCMonitor(machine, self.config)
         self.filter = ProcessFilter(self.config)
+        #: One report per closed epoch.  Only the newest keeps its
+        #: per-frame ``profile`` arrays and raw ``samples``; older
+        #: entries keep their scalar fields — a profiler that lives as
+        #: long as the machine must not retain every epoch's arrays.
         self.reports: list[TMPEpochReport] = []
 
         self._registered: set[int] = set()
@@ -241,6 +246,10 @@ class TMProfiler:
             overhead=self._overhead_delta(),
             samples=samples,
         )
+        if self.reports:
+            # A copy, so whoever still holds the older report object
+            # (``end_epoch``'s caller) keeps the arrays it was handed.
+            self.reports[-1] = replace(self.reports[-1], profile=None, samples=None)
         self.reports.append(report)
         self._epoch_pids = np.zeros(0, dtype=np.int64)
         self._epoch_ops = np.zeros(0, dtype=np.int64)

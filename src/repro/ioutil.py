@@ -1,4 +1,5 @@
-"""Shared durable-file primitives: write-temp, fsync, rename.
+"""Shared file and JSON primitives: atomic writes, one JSON coercion,
+one canonical form.
 
 Both on-disk subsystems — the content-addressed recorded-run cache
 (:mod:`repro.runner.cache`) and the event-sourced telemetry ledger
@@ -12,15 +13,69 @@ stay tested against the same implementation.
 Readers complete the contract with *corruption-is-a-miss*: anything
 that fails to parse under its final name is treated as absent (and
 usually deleted), never as an error surfaced to the caller.
+
+The same two subsystems hash what they store and the service encodes
+what they persist, so the numpy coercion every ``json.dumps`` uses
+(:func:`json_default`) and the canonical form every content hash is
+taken over (:func:`canonical`) live here too, once each.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 from pathlib import Path
 
-__all__ = ["atomic_output", "atomic_write_bytes", "fsync_dir", "fsync_file"]
+__all__ = [
+    "atomic_output",
+    "atomic_write_bytes",
+    "canonical",
+    "fsync_dir",
+    "fsync_file",
+    "json_default",
+]
+
+
+def json_default(obj):
+    """``json.dumps(default=)``: numpy scalars/arrays become vanilla JSON."""
+    tolist = getattr(obj, "tolist", None)
+    if callable(tolist):
+        return tolist()
+    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+
+
+def canonical(obj):
+    """Reduce ``obj`` to a deterministic JSON-encodable form.
+
+    The shared input of every content hash (:func:`repro.runner.cache
+    .cache_key`, :func:`repro.ledger.config_key`): dataclasses become
+    field dicts, dict keys are stringified and sorted, tuples become
+    lists, numpy scalars/arrays become Python values.  Anything else
+    raises ``TypeError`` — a ``repr()`` fallback would embed memory
+    addresses, hash differently in every process and leave a cache
+    that silently never hits.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: canonical(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
+    if isinstance(obj, dict):
+        return {str(k): canonical(obj[k]) for k in sorted(obj, key=str)}
+    if isinstance(obj, (list, tuple)):
+        return [canonical(v) for v in obj]
+    tolist = getattr(obj, "tolist", None)
+    if callable(tolist):  # numpy scalars/arrays
+        return tolist()
+    if obj is None or isinstance(obj, (str, int, float, bool)):
+        return obj
+    raise TypeError(
+        f"cannot build a stable cache key or ledger config key from "
+        f"{type(obj).__name__!s}: values must be JSON-like "
+        "(None/str/int/float/bool), numpy scalars/arrays, dataclasses, "
+        "or containers of those"
+    )
 
 
 def fsync_file(path: str | Path) -> None:

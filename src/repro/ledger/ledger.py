@@ -15,34 +15,17 @@ import json
 import time
 from pathlib import Path
 
-from ..ioutil import atomic_write_bytes
+from ..ioutil import atomic_write_bytes, canonical
 from .storage import DEFAULT_SEGMENT_BYTES, LEDGER_FORMAT_VERSION, SessionLedger
 
 __all__ = ["Ledger", "config_key"]
-
-
-def _canonical(obj):
-    """JSON-encodable deterministic form (loud on anything exotic)."""
-    if isinstance(obj, dict):
-        return {str(k): _canonical(obj[k]) for k in sorted(obj, key=str)}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    tolist = getattr(obj, "tolist", None)
-    if callable(tolist):  # numpy scalars/arrays
-        return tolist()
-    if obj is None or isinstance(obj, (str, int, float, bool)):
-        return obj
-    raise TypeError(
-        f"cannot build a stable ledger key from {type(obj).__name__!s}: "
-        "session params must be JSON-like values"
-    )
 
 
 def config_key(config: dict) -> str:
     """Content hash of a session-creation config (provenance key)."""
     payload = {
         "ledger_format": LEDGER_FORMAT_VERSION,
-        "config": _canonical(config),
+        "config": canonical(config),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -103,9 +86,9 @@ class Ledger:
         meta = {
             "format": LEDGER_FORMAT_VERSION,
             "session": str(session_id),
-            "config": _canonical(config),
+            "config": canonical(config),
             "config_key": config_key(config),
-            "info": _canonical(info or {}),
+            "info": canonical(info or {}),
             "created_unix": time.time(),
         }
         atomic_write_bytes(
@@ -146,7 +129,7 @@ class Ledger:
             "format": LEDGER_FORMAT_VERSION,
             "session": str(session_id),
             "checkpoint_unix": time.time(),
-            **_canonical(data),
+            **canonical(data),
         }
         atomic_write_bytes(
             self.checkpoint_path(session_id),

@@ -38,7 +38,7 @@ import threading
 import time
 from pathlib import Path
 
-from ..ioutil import atomic_write_bytes, fsync_dir
+from ..ioutil import atomic_write_bytes, fsync_dir, json_default
 from ..obs import metrics as obs_metrics
 
 __all__ = ["LEDGER_FORMAT_VERSION", "SessionLedger"]
@@ -56,17 +56,9 @@ def _registry():
     return obs_metrics.default_registry()
 
 
-def _json_default(obj):
-    """Coerce numpy scalars/arrays so records stay vanilla JSON."""
-    tolist = getattr(obj, "tolist", None)
-    if callable(tolist):
-        return tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
 def _encode_data(data) -> bytes:
     """One record's ``data`` as compact JSON bytes (numpy coerced)."""
-    return json.dumps(data, separators=(",", ":"), default=_json_default).encode(
+    return json.dumps(data, separators=(",", ":"), default=json_default).encode(
         "utf-8"
     )
 

@@ -20,7 +20,13 @@ from __future__ import annotations
 
 import asyncio
 
-from ..service.protocol import ErrorCode, ServiceError, decode_frame, encode_frame
+from ..service.protocol import (
+    MAX_LINE_BYTES,
+    ErrorCode,
+    ServiceError,
+    decode_frame,
+    encode_frame,
+)
 
 __all__ = ["AsyncServiceClient"]
 
@@ -65,10 +71,16 @@ class AsyncServiceClient:
                 socket_path = address
             else:
                 host, port = address[0], int(address[1])
+        # The protocol's line limit, not asyncio's 64 KiB default: a
+        # long step's response is a legal frame well past the latter.
         if socket_path is not None:
-            reader, writer = await asyncio.open_unix_connection(socket_path)
+            reader, writer = await asyncio.open_unix_connection(
+                socket_path, limit=MAX_LINE_BYTES
+            )
         elif host is not None and port is not None:
-            reader, writer = await asyncio.open_connection(host, port)
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=MAX_LINE_BYTES
+            )
         else:
             raise ValueError("need host+port, socket_path, or address")
         return cls(reader, writer, on_event=on_event)

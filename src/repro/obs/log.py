@@ -27,6 +27,8 @@ import sys
 import threading
 import time
 
+from ..ioutil import json_default
+
 __all__ = ["JsonLogger", "configure", "get_logger", "is_enabled"]
 
 _LEVELS = ("debug", "info", "warning", "error")
@@ -48,11 +50,12 @@ def is_enabled() -> bool:
     return _state["enabled"]
 
 
-def _json_default(obj):
-    tolist = getattr(obj, "tolist", None)
-    if callable(tolist):
-        return tolist()
-    return str(obj)
+def _lenient_default(obj):
+    """:func:`json_default`, else ``str``: a log line must never raise."""
+    try:
+        return json_default(obj)
+    except TypeError:
+        return str(obj)
 
 
 class JsonLogger:
@@ -81,7 +84,7 @@ class JsonLogger:
         }
         record.update(self.context)
         record.update(fields)
-        line = json.dumps(record, separators=(",", ":"), default=_json_default)
+        line = json.dumps(record, separators=(",", ":"), default=_lenient_default)
         stream = _state["stream"] or sys.stderr
         with _write_lock:
             stream.write(line + "\n")

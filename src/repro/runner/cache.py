@@ -18,15 +18,12 @@ caller re-records.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
-
 from ..core.config import TMPConfig
-from ..ioutil import atomic_output
+from ..ioutil import atomic_output, canonical
 from ..memsim.machine import MachineConfig
 from ..obs import metrics as obs_metrics
 from ..tiering import serialize as _serialize
@@ -43,38 +40,6 @@ def _count(outcome: str) -> None:
     ).inc(outcome=outcome)
 
 
-def _canonical(obj):
-    """Reduce ``obj`` to a deterministic JSON-encodable form.
-
-    Raises ``TypeError`` for anything it cannot canonicalize.  The old
-    ``repr()`` fallback was a correctness trap: default ``repr`` embeds
-    the object's memory address (``<object at 0x7f...>``), so a spec
-    carrying such a value in ``workload_kw`` hashed differently in
-    every process and the cache silently never hit.  A loud failure at
-    key time beats a cache that lies about being cold.
-    """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _canonical(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, dict):
-        return {str(k): _canonical(obj[k]) for k in sorted(obj, key=str)}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if obj is None or isinstance(obj, (str, int, float, bool)):
-        return obj
-    raise TypeError(
-        f"cannot build a stable cache key from {type(obj).__name__!s}: "
-        "RecordSpec values must be JSON-like (None/str/int/float/bool), "
-        "numpy scalars/arrays, dataclasses, or containers of those"
-    )
-
-
 def cache_key(spec) -> str:
     """Stable content hash for a :class:`~repro.runner.executor.RecordSpec`.
 
@@ -87,9 +52,9 @@ def cache_key(spec) -> str:
     payload = {
         "format_version": _serialize._FORMAT_VERSION,
         "workload": spec.workload,
-        "workload_kw": _canonical(dict(spec.workload_kw)),
-        "machine_config": _canonical(spec.machine_config or MachineConfig.scaled()),
-        "tmp_config": _canonical(spec.tmp_config or TMPConfig()),
+        "workload_kw": canonical(dict(spec.workload_kw)),
+        "machine_config": canonical(spec.machine_config or MachineConfig.scaled()),
+        "tmp_config": canonical(spec.tmp_config or TMPConfig()),
         "epochs": spec.epochs,
         "seed": spec.seed,
         "init": spec.init,

@@ -25,12 +25,15 @@ Layering:
     on separate cores, with crash recovery and structured error
     frames; ``workers=0`` keeps the in-process path.
 ``manager``
-    The session registry: admission, lookup, TTL/idle eviction.
-    Deliberate discards (eviction, drain) push structured
-    ``evicted``/``server_drain`` goodbye frames before detaching.
+    The session registry and the one owner of the session lifecycle:
+    admission, create, idle eviction (optionally checkpointed to
+    disk), resume, crash recovery, close.  Deliberate discards
+    (eviction, drain) push structured ``evicted``/``server_drain``
+    goodbye frames before detaching.
 ``server``
-    The asyncio JSON-lines server (TCP or unix socket) and a
-    thread-hosted variant for embedding in sync programs and tests.
+    Transport and dispatch: the asyncio JSON-lines server (TCP or unix
+    socket) and a thread-hosted variant for embedding in sync programs
+    and tests.
 ``client``
     A blocking socket client (`ServiceClient`).
 

@@ -1,4 +1,12 @@
-"""The session registry: admission, lookup, and idle eviction.
+"""The session registry and the one owner of the session lifecycle.
+
+Every transition a session makes — created, evicted (optionally
+checkpointed to disk), resumed, recovered after a worker crash,
+closed, discarded — is a method of :class:`SessionManager`, and the
+collaborators those need (the session factory, the :class:`~repro
+.ledger.Ledger`, whether eviction checkpoints) are given to it at
+construction.  The server above it moves bytes and dispatches ops;
+the sessions below it own tenancy and fan-out.
 
 Enforces the server's multi-tenancy envelope: at most ``max_sessions``
 live sessions (admission is checked *before* the expensive session
@@ -16,13 +24,14 @@ registry lock at every mutation, so it always equals
 creates/closes cannot publish stale counts out of order.
 
 Construction is pluggable: ``session_factory`` defaults to the
-in-process :class:`ProfilingSession`, and the worker-pool server swaps
-in :meth:`~repro.service.workers.WorkerPool.session_factory` so the
-same admission/eviction envelope governs worker-backed sessions.
+in-process :class:`ProfilingSession`, and the worker-pool server
+passes :meth:`~repro.service.workers.WorkerPool.session_factory` so
+the same lifecycle governs worker-backed sessions.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -30,7 +39,7 @@ from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from .protocol import ErrorCode, ServiceError
 from .session import ProfilingSession
-from .telemetry import crash_event_data
+from .telemetry import crash_event_data, resumed_event_data
 
 __all__ = ["SessionManager"]
 
@@ -57,8 +66,28 @@ def _still_live(session_id) -> ServiceError:
     )
 
 
+def _rebuild_params(meta: dict, session_ledger, epochs: int) -> dict:
+    """Create params that rebuild a session at ``epochs`` scored epochs.
+
+    The one rebuild recipe (:meth:`SessionManager.resume` and
+    :meth:`SessionManager.recover`): the creation config recorded in
+    ``meta`` plus a ``catchup`` — the epoch count to silently re-run
+    and every ``reconfigured`` record in the ledger, re-applied at its
+    recorded epoch.  Scans the ledger; epoch payloads are never decoded.
+    """
+    reconfigured = [
+        json.loads(payload)
+        for _, event, payload in session_ledger.read_encoded()
+        if event == "reconfigured"
+    ]
+    return {
+        **meta["config"],
+        "catchup": {"epochs": int(epochs), "reconfigured": reconfigured},
+    }
+
+
 class SessionManager:
-    """Creates, finds, evicts, and closes profiling sessions."""
+    """Creates, finds, evicts, resumes, recovers and closes sessions."""
 
     def __init__(
         self,
@@ -67,6 +96,8 @@ class SessionManager:
         clock=time.monotonic,
         session_factory=ProfilingSession,
         tenant_quota: int | None = None,
+        ledger=None,
+        evict_to_disk: bool = False,
     ):
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be >= 1, got {max_sessions}")
@@ -78,14 +109,16 @@ class SessionManager:
         self.tenant_quota = None if tenant_quota is None else int(tenant_quota)
         self.idle_ttl_s = float(idle_ttl_s)
         self.session_factory = session_factory
-        #: Optional ``checkpointer(session) -> dict | None`` hook the
-        #: server installs for ``--evict-to-disk``: called by
-        #: :meth:`evict_idle` after the eviction claim but *before* the
-        #: goodbye fan-out and slot release, so the goodbye can carry
-        #: ``resumable: true`` only when the checkpoint actually
-        #: persisted.  Returning None (or raising) degrades to the
-        #: historical discard-on-evict behavior for that session.
-        self.checkpointer = None
+        #: The durable event store (``--ledger-dir``): every session is
+        #: given its own ledger before it is published, which is what
+        #: makes replay, crash recovery and resume possible.  None
+        #: disables all three.
+        self.ledger = ledger
+        #: Checkpoint-to-disk idle eviction (``--evict-to-disk``):
+        #: :meth:`evict_idle` persists a marker before releasing an idle
+        #: session's slots, so :meth:`resume` can re-admit it
+        #: bit-identically.  Inert without a ledger.
+        self.evict_to_disk = bool(evict_to_disk) and ledger is not None
         #: Lifetime counters surfaced through ``server_info`` so an
         #: external harness (the CI eviction/resume soak) can assert
         #: checkpointed == resumed without scraping metrics.
@@ -130,8 +163,7 @@ class SessionManager:
         with self._lock:
             counts: dict[str, int] = {}
             for session in self._sessions.values():
-                tenant = getattr(session, "tenant", "default")
-                counts[tenant] = counts.get(tenant, 0) + 1
+                counts[session.tenant] = counts.get(session.tenant, 0) + 1
             return counts
 
     def _admit_locked(self, tenant: str) -> int:
@@ -214,7 +246,18 @@ class SessionManager:
         slot is reserved under the lock but the (slow) session
         construction happens outside it, so concurrent creates neither
         oversubscribe nor serialize.
+
+        With a ledger the session's own ledger is created (recording
+        ``params``, the recipe a rebuild re-runs) and attached before
+        the session is published — no frame can ever fan out
+        un-persisted, so queue seq and ledger seq stay equal.
         """
+        if "catchup" in params:
+            # Rebuild-only: from a client it would advance the simulator
+            # with no frame fanned out or persisted, for as long as it says.
+            raise ServiceError(
+                ErrorCode.BAD_PARAMS, "catchup is not a create_session param"
+            )
         tenant = params.get("tenant", "default")
         if not isinstance(tenant, str) or not tenant:
             raise ServiceError(
@@ -224,12 +267,24 @@ class SessionManager:
             drain_gen = self._admit_locked(tenant)
             self._next_id += 1
             session_id = f"s{self._next_id}"
-        session = self._build_admitted(
-            session_id,
-            tenant,
-            drain_gen,
-            lambda: self.session_factory(session_id, clock=self._clock, **params),
-        )
+
+        def build():
+            session = self.session_factory(
+                session_id, clock=self._clock, **params
+            )
+            if self.ledger is not None:
+                try:
+                    session.attach_ledger(
+                        self.ledger.create_session(
+                            session_id, dict(params), info=session.info()
+                        )
+                    )
+                except Exception:
+                    session.close()
+                    raise
+            return session
+
+        session = self._build_admitted(session_id, tenant, drain_gen, build)
         _metrics().counter(
             "repro_service_sessions_created_total", "Sessions admitted and built"
         ).inc()
@@ -238,7 +293,7 @@ class SessionManager:
             session=session_id,
             tenant=tenant,
             workload=params.get("workload"),
-            worker=getattr(getattr(session, "worker", None), "index", None),
+            worker=session.worker_index,
         )
         return session
 
@@ -260,19 +315,47 @@ class SessionManager:
                 raise _still_live(session_id)
             time.sleep(0.005)
 
-    def resume(self, session_id: str, tenant: str, builder) -> ProfilingSession:
+    def resume(self, session_id: str, tenant: str | None = None) -> ProfilingSession:
         """Re-admit a checkpointed (evicted-to-disk) session.
 
         Goes through the *same* admission gate as :meth:`create` — the
         global capacity check and the tenant quota both apply, so a
         resume cannot sneak past the limits its eviction freed up —
-        but keeps the original ``session_id`` (the ledger's seq chain
-        continues) instead of minting a new one.  ``builder`` rebuilds
-        the session outside the lock (worker rebuild + deterministic
-        catch-up is slow); a still-live id is rejected with
-        ``bad_request`` before any slot is reserved.
+        but keeps the original ``session_id`` instead of minting a new
+        one.  A still-live id is ``bad_request`` before any slot is
+        reserved (pollers must not touch the idle clock), an id with no
+        checkpoint is ``unknown_session``.
+
+        The rebuild is crash recovery's (:func:`_rebuild_params`): the
+        recorded config re-runs deterministically with a silent
+        catch-up to the checkpointed epoch count, outside the lock, so
+        the resumed state is bit-identical to an uninterrupted run.
+        The reopened ledger continues the seq chain
+        (``attach_ledger(start_seq=next_seq)``), the marker is cleared,
+        and one ``resumed`` frame is appended so a ``from_seq`` replay
+        shows eviction and resumption gap-free.  ``tenant`` defaults to
+        the one the session was evicted under.
         """
-        if not isinstance(tenant, str) or not tenant:
+        if self.ledger is None:
+            raise ServiceError(
+                ErrorCode.BAD_PARAMS,
+                "resume_session needs a ledger; start the server with "
+                "--ledger-dir and --evict-to-disk",
+            )
+        # Checked again (atomically) below; this early answer gives
+        # pollers the ``bad_request`` that means "not evicted yet"
+        # instead of "no checkpoint".
+        self.await_evicted(session_id)
+        checkpoint = self.ledger.load_checkpoint(session_id)
+        meta = self.ledger.load_meta(session_id)
+        if checkpoint is None or meta is None:
+            raise ServiceError(
+                ErrorCode.UNKNOWN_SESSION,
+                f"no checkpoint for session {session_id!r}; only sessions "
+                "evicted with --evict-to-disk can be resumed",
+            )
+        tenant = tenant or checkpoint.get("tenant") or "default"
+        if not isinstance(tenant, str):
             raise ServiceError(
                 ErrorCode.BAD_PARAMS, "tenant must be a non-empty string"
             )
@@ -280,7 +363,35 @@ class SessionManager:
             if session_id in self._sessions:
                 raise _still_live(session_id)
             drain_gen = self._admit_locked(tenant)
-        session = self._build_admitted(session_id, tenant, drain_gen, builder)
+
+        def rebuild():
+            session_ledger = self.ledger.open_session(session_id)
+            try:
+                epochs = int(checkpoint.get("epochs", session_ledger.epoch_count))
+                params = _rebuild_params(meta, session_ledger, epochs)
+                params["tenant"] = tenant
+                session = self.session_factory(
+                    session_id, clock=self._clock, **params
+                )
+                session.attach_ledger(
+                    session_ledger, start_seq=session_ledger.next_seq
+                )
+                self.ledger.clear_checkpoint(session_id)
+                session._fanout(
+                    "resumed",
+                    resumed_event_data(
+                        epochs,
+                        f"session {session_id} resumed from checkpoint "
+                        f"({epochs} epochs caught up)",
+                        worker=session.worker_index,
+                    ),
+                )
+                return session
+            except Exception:
+                session_ledger.close()
+                raise
+
+        session = self._build_admitted(session_id, tenant, drain_gen, rebuild)
         with self._lock:
             self.sessions_resumed += 1
         _metrics().counter(
@@ -289,6 +400,41 @@ class SessionManager:
         ).inc()
         _log.info("session_resumed", session=session_id, tenant=tenant)
         return session
+
+    def recover(self, session_id) -> bool:
+        """Rebuild a crashed worker-backed session in place, or forget it.
+
+        The session is already marked crashed and its subscribers
+        already hold the structured ``worker_crashed`` frame.  With a
+        ledger it is re-materialized: its recorded config plus the
+        persisted epoch count re-run the deterministic simulator in a
+        fresh worker, the same session object is un-crashed — so its
+        subscribers and its seq chain survive — and subscribers see a
+        ``recovered`` frame and a gap-free continuation.  Without one,
+        or when the rebuild fails, all that is left is releasing the
+        admission slots (:meth:`discard`).  Returns True when the
+        session is live again.
+        """
+        with self._lock:
+            session = self._sessions.get(session_id)
+        if session is None or session.crashed is None:
+            return False  # closed or evicted while the crash was in flight
+        meta = None if self.ledger is None else self.ledger.load_meta(session_id)
+        if meta is None or session.ledger is None:
+            self.discard(session_id)
+            return False
+        try:
+            params = _rebuild_params(
+                meta, session.ledger, session.ledger.epoch_count
+            )
+            session.pool.recover_session(session, params)
+        except Exception as exc:  # noqa: BLE001 — recovery is best-effort
+            _log.error(
+                "session_recovery_failed", session=session_id, error=str(exc)
+            )
+            self.discard(session_id)
+            return False
+        return True
 
     def get(self, session_id) -> ProfilingSession:
         with self._lock:
@@ -372,6 +518,37 @@ class SessionManager:
             ).inc(len(sessions))
         return [sid for sid, _ in sessions]
 
+    def _checkpoint(self, session) -> bool:
+        """Persist the eviction marker; True when ``session`` is resumable.
+
+        Runs after the eviction claim and before the goodbye fan-out,
+        so the recorded epoch count is exact (no step can land —
+        ``begin_op`` refuses once claimed) and the goodbye can
+        truthfully carry ``resumable: true``.  The config itself is
+        already durable in the session ledger's ``meta.json``; the
+        marker only pins the eviction moment.
+        """
+        if session.ledger is None:
+            return False
+        meta = self.ledger.load_meta(session.session_id)
+        if meta is None:
+            return False
+        marker = self.ledger.write_checkpoint(
+            session.session_id,
+            {
+                "config_key": meta.get("config_key"),
+                "epochs": session.ledger.epoch_count,
+                "frame_seq": session.frame_seq,
+                "tenant": session.tenant,
+            },
+        )
+        _log.info(
+            "session_checkpointed",
+            session=session.session_id,
+            epochs=marker.get("epochs"),
+        )
+        return True
+
     def evict_idle(self, now: float | None = None) -> list[str]:
         """Close sessions idle longer than the TTL; returns their ids.
 
@@ -385,8 +562,8 @@ class SessionManager:
         fails ``begin_op`` with a structured ``evicted`` error; it can
         never run against the closed simulator.
 
-        Ordering is load-bearing: the session is claimed, then (when a
-        :attr:`checkpointer` is installed) checkpointed, then the
+        Ordering is load-bearing: the session is claimed, then (with
+        :attr:`evict_to_disk`) checkpointed, then the
         structured goodbye fans out and the session is closed *while
         it is still registered*, and only then is it popped from the
         registry and its slots released.  A concurrent ``subscribe``
@@ -415,9 +592,9 @@ class SessionManager:
             # the goodbye itself lands in the ledger as the last frame
             # of this session life.
             resumable = None
-            if self.checkpointer is not None:
+            if self.evict_to_disk:
                 try:
-                    resumable = self.checkpointer(session) is not None
+                    resumable = self._checkpoint(session)
                 except Exception:  # noqa: BLE001 — degrade to plain evict
                     _log.warning("session_checkpoint_failed", session=sid)
                     resumable = False

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import json
 
+from ..ioutil import json_default
+
 __all__ = [
     "ErrorCode",
     "MAX_LINE_BYTES",
@@ -77,14 +79,6 @@ class ServiceError(Exception):
         return {"code": self.code, "message": self.message}
 
 
-def _json_default(obj):
-    """Coerce numpy scalars/arrays so frames stay vanilla JSON."""
-    tolist = getattr(obj, "tolist", None)
-    if callable(tolist):
-        return tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
 def encode_frame(frame: dict, max_bytes: int | None = None) -> bytes:
     """One frame → one newline-terminated UTF-8 JSON line.
 
@@ -95,7 +89,7 @@ def encode_frame(frame: dict, max_bytes: int | None = None) -> bytes:
     of emitting a frame the peer's own decoder would refuse.
     """
     line = (
-        json.dumps(frame, separators=(",", ":"), default=_json_default) + "\n"
+        json.dumps(frame, separators=(",", ":"), default=json_default) + "\n"
     ).encode("utf-8")
     limit = MAX_LINE_BYTES if max_bytes is None else max_bytes
     if len(line) > limit:
@@ -115,7 +109,7 @@ def encode_payload(data) -> bytes:
     can be spliced into an envelope (:func:`splice_event_frame`) or a
     ledger record and remain bit-identical to a whole-dict encode.
     """
-    return json.dumps(data, separators=(",", ":"), default=_json_default).encode(
+    return json.dumps(data, separators=(",", ":"), default=json_default).encode(
         "utf-8"
     )
 

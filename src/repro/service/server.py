@@ -14,6 +14,12 @@ of worker *processes*, so concurrent sessions step on separate cores
 instead of contending for the GIL.  ``workers=0`` (the default for
 embedded servers) keeps the historical in-process path.
 
+This module is transport and dispatch only.  Every session lifecycle
+transition — create, evict/checkpoint, resume, crash recovery, close —
+belongs to :class:`~repro.service.manager.SessionManager`, which
+``start()`` builds once from the ledger and the pool; nothing is
+assigned onto it afterwards.
+
 Lifecycle: ``start()`` binds a TCP port or unix socket and installs
 SIGTERM/SIGINT handlers when the platform allows; ``drain()`` (also
 the signal path) stops accepting, rejects new work with
@@ -31,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import itertools
-import json
 import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -41,7 +46,6 @@ from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from ..obs.http import MetricsHTTPServer
 from .manager import SessionManager
-from .telemetry import resumed_event_data
 from .protocol import (
     MAX_LINE_BYTES,
     ErrorCode,
@@ -52,6 +56,7 @@ from .protocol import (
     ok_response,
     splice_event_frame,
 )
+from .session import ProfilingSession
 from .workers import WorkerPool, resolve_workers
 
 __all__ = ["ServiceServer", "ServerThread"]
@@ -119,7 +124,6 @@ class ServiceServer:
 
     def __init__(
         self,
-        manager: SessionManager | None = None,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -139,11 +143,12 @@ class ServiceServer:
         ledger_retention_age_s: float | None = None,
         evict_to_disk: bool = False,
     ):
-        self.manager = manager or SessionManager(
-            max_sessions=max_sessions,
-            idle_ttl_s=idle_ttl_s,
-            tenant_quota=tenant_quota,
-        )
+        self.max_sessions = max_sessions
+        self.idle_ttl_s = idle_ttl_s
+        self.tenant_quota = tenant_quota
+        #: Built by :meth:`start`, once the worker pool it builds
+        #: sessions through exists.
+        self.manager: SessionManager | None = None
         #: Global backpressure on stepping: at most this many ``step``
         #: requests execute (or wait on an executor thread) at once;
         #: excess requests are rejected immediately with a structured
@@ -180,17 +185,12 @@ class ServiceServer:
                 retention_age_s=ledger_retention_age_s,
                 **ledger_kwargs,
             )
-        #: Checkpoint-to-disk idle eviction (``--evict-to-disk``): the
-        #: reaper persists a checkpoint marker before releasing an idle
-        #: session's slots, so a later ``resume_session`` re-admits it
-        #: bit-identically.  Needs a ledger; silently inert without one.
         self.evict_to_disk = bool(evict_to_disk)
         self.address: tuple[str, int] | str | None = None
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._pool: WorkerPool | None = None
-        self._base_factory = None
         self._connections: set[_Connection] = set()
         self._reaper: asyncio.Task | None = None
         self._inflight = 0
@@ -219,36 +219,24 @@ class ServiceServer:
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         step_threads = self.step_workers
+        factory = ProfilingSession
         if self.workers > 0:
             self._pool = WorkerPool(
                 self.workers, on_session_crash=self._on_worker_crash
             )
-            self.manager.session_factory = self._pool.session_factory
+            factory = self._pool.session_factory
             if step_threads is None:
                 # Executor threads only courier RPCs to the pool; give
                 # the pool headroom so threads never gate core count.
                 step_threads = max(8, 4 * self.workers)
-        # The un-ledgered factory (pool or in-process): ``resume_session``
-        # builds through it directly, reopening the session's ledger
-        # instead of creating one.
-        self._base_factory = self.manager.session_factory
-        if self._ledger is not None:
-            # Attach each session's ledger inside the factory, before
-            # the manager publishes the session — no frame can ever fan
-            # out un-persisted, so queue seq and ledger seq stay equal.
-
-            def _ledgered_factory(session_id, clock=None, **params):
-                kwargs = {} if clock is None else {"clock": clock}
-                session = self._base_factory(session_id, **kwargs, **params)
-                session_ledger = self._ledger.create_session(
-                    session_id, dict(params), info=session.info()
-                )
-                session.attach_ledger(session_ledger)
-                return session
-
-            self.manager.session_factory = _ledgered_factory
-            if self.evict_to_disk:
-                self.manager.checkpointer = self._checkpoint_session
+        self.manager = SessionManager(
+            max_sessions=self.max_sessions,
+            idle_ttl_s=self.idle_ttl_s,
+            tenant_quota=self.tenant_quota,
+            ledger=self._ledger,
+            evict_to_disk=self.evict_to_disk,
+            session_factory=factory,
+        )
         self._executor = ThreadPoolExecutor(
             max_workers=step_threads,
             thread_name_prefix="repro-service-step",
@@ -353,179 +341,19 @@ class ServiceServer:
         )
 
     def _on_worker_crash(self, session_ids, message) -> None:
-        """Pool callback (reader thread): recover or drop dead sessions.
-
-        The sessions are already marked crashed and their subscribers
-        already hold the structured ``worker_crashed`` frame.  With a
-        ledger each session can be re-materialized: its recorded config
-        plus the persisted epoch count re-run the deterministic
-        simulator in a fresh worker, after which subscribers see a
-        ``recovered`` frame and a gap-free continuation.  Without one,
-        all that is left is releasing the admission slots.
-        """
+        """Pool callback (reader thread): hand each dead session to
+        :meth:`SessionManager.recover`, which rebuilds it from the
+        ledger or releases its slots."""
         for session_id in session_ids:
-            if self._ledger is not None and not self._draining:
-                self._loop.call_soon_threadsafe(self._spawn_recovery, session_id)
-            else:
-                self.manager.discard(session_id)
-
-    def _spawn_recovery(self, session_id) -> None:
-        asyncio.create_task(self._recover_session(session_id))
-
-    def _rebuild_params(self, meta, session_ledger, epochs) -> dict:
-        """Create params that rebuild a session at ``epochs`` scored epochs.
-
-        The one rebuild recipe (crash recovery and ``resume_session``):
-        the creation config recorded in ``meta`` plus a ``catchup`` —
-        the epoch count to silently re-run and every ``reconfigured``
-        record in the ledger, re-applied at its recorded epoch.
-        Blocking (scans the ledger; epoch payloads are never decoded).
-        """
-        reconfigured = [
-            json.loads(payload)
-            for _, event, payload in session_ledger.read_encoded()
-            if event == "reconfigured"
-        ]
-        return {
-            **meta["config"],
-            "catchup": {"epochs": int(epochs), "reconfigured": reconfigured},
-        }
-
-    async def _recover_session(self, session_id) -> None:
-        """Re-materialize one crashed session from its ledger."""
-        try:
-            session = self.manager.get(session_id)
-        except ServiceError:
-            return  # closed or evicted while the crash was in flight
-        meta = self._ledger.load_meta(session_id)
-        if (
-            self._pool is None
-            or meta is None
-            or session.ledger is None
-            or self._draining
-        ):
-            self.manager.discard(session_id)
-            return
-
-        def rebuild():
-            params = self._rebuild_params(
-                meta, session.ledger, session.ledger.epoch_count
-            )
-            self._pool.recover_session(session, params)
-
-        try:
-            await self._run_blocking(rebuild)
-        except Exception as exc:  # noqa: BLE001 — recovery is best-effort
-            _log.error(
-                "session_recovery_failed", session=session_id, error=str(exc)
-            )
-            self.manager.discard(session_id)
-
-    # ----------------------------------------------------- checkpoint/resume
-
-    def _checkpoint_session(self, session) -> dict | None:
-        """``manager.checkpointer`` hook: persist the eviction marker.
-
-        Runs on the reaper's executor thread after the eviction claim
-        and before the goodbye fan-out, so the recorded epoch count is
-        exact (no step can land — ``begin_op`` refuses once claimed)
-        and the goodbye can truthfully carry ``resumable: true``.  The
-        config itself is already durable in the session ledger's
-        ``meta.json``; the marker only pins the eviction moment.
-        """
-        if session.ledger is None or self._ledger is None:
-            return None
-        meta = self._ledger.load_meta(session.session_id)
-        if meta is None:
-            return None
-        marker = self._ledger.write_checkpoint(
-            session.session_id,
-            {
-                "config_key": meta.get("config_key"),
-                "epochs": session.ledger.epoch_count,
-                "frame_seq": session.frame_seq,
-                "tenant": session.tenant,
-            },
-        )
-        _log.info(
-            "session_checkpointed",
-            session=session.session_id,
-            epochs=marker.get("epochs"),
-        )
-        return marker
-
-    def _resume_session_blocking(self, session_id, tenant_param):
-        """Re-admit one checkpointed session (executor thread).
-
-        Admission goes through :meth:`SessionManager.resume` — the
-        same capacity/tenant gate as ``create_session`` — and the
-        rebuild is crash recovery's (:meth:`_rebuild_params`): the
-        recorded config re-runs deterministically with a silent
-        catch-up to the checkpointed epoch count, so the resumed state
-        is bit-identical to an uninterrupted run.  The reopened ledger
-        continues the seq chain (``attach_ledger(start_seq=next_seq)``),
-        the marker is cleared, and one ``resumed`` frame is appended so
-        a ``from_seq`` replay shows eviction and resumption gap-free.
-        """
-        # Checked again (atomically) inside manager.resume; this early
-        # answer gives pollers the ``bad_request`` that means "not
-        # evicted yet" instead of "no checkpoint".
-        self.manager.await_evicted(session_id)
-        checkpoint = self._ledger.load_checkpoint(session_id)
-        meta = self._ledger.load_meta(session_id)
-        if checkpoint is None or meta is None:
-            raise ServiceError(
-                ErrorCode.UNKNOWN_SESSION,
-                f"no checkpoint for session {session_id!r}; only sessions "
-                "evicted with --evict-to-disk can be resumed",
-            )
-        tenant = tenant_param or checkpoint.get("tenant") or "default"
-
-        def builder():
-            session_ledger = self._ledger.open_session(session_id)
-            try:
-                epochs = int(checkpoint.get("epochs", session_ledger.epoch_count))
-                params = self._rebuild_params(meta, session_ledger, epochs)
-                params["tenant"] = tenant
-                session = self._base_factory(
-                    session_id, clock=self.manager._clock, **params
-                )
-                session.attach_ledger(
-                    session_ledger, start_seq=session_ledger.next_seq
-                )
-                self._ledger.clear_checkpoint(session_id)
-                session._fanout(
-                    "resumed",
-                    resumed_event_data(
-                        epochs,
-                        f"session {session_id} resumed from checkpoint "
-                        f"({epochs} epochs caught up)",
-                        worker=getattr(
-                            getattr(session, "worker", None), "index", None
-                        ),
-                    ),
-                )
-                return session
-            except Exception:
-                session_ledger.close()
-                raise
-
-        session = self.manager.resume(session_id, tenant, builder)
-        return session.info()
+            self._executor.submit(self.manager.recover, session_id)
 
     async def _op_resume_session(self, conn, params) -> dict:
         if self._draining:
             raise ServiceError(ErrorCode.SHUTTING_DOWN, "server is draining")
-        if self._ledger is None:
-            raise ServiceError(
-                ErrorCode.BAD_PARAMS,
-                "resume_session needs a ledger; start the server with "
-                "--ledger-dir and --evict-to-disk",
-            )
-        session_id = self._session_id(params)
-        return await self._run_blocking(
-            self._resume_session_blocking, session_id, params.get("tenant")
+        session = await self._run_blocking(
+            self.manager.resume, self._session_id(params), params.get("tenant")
         )
+        return session.info()
 
     # ----------------------------------------------------------- connections
 
@@ -628,7 +456,7 @@ class ServiceServer:
             "draining": self._draining,
             "address": list(address) if isinstance(address, tuple) else address,
             "workers": self.workers,
-            "evict_to_disk": bool(self._ledger is not None and self.evict_to_disk),
+            "evict_to_disk": self.manager.evict_to_disk,
             "sessions_checkpointed": self.manager.sessions_checkpointed,
             "sessions_resumed": self.manager.sessions_resumed,
         }
@@ -650,12 +478,6 @@ class ServiceServer:
     async def _op_create_session(self, conn, params) -> dict:
         if self._draining:
             raise ServiceError(ErrorCode.SHUTTING_DOWN, "server is draining")
-        if "catchup" in params:
-            # Rebuild-only: from a client it would advance the simulator
-            # with no frame fanned out or persisted, for as long as it says.
-            raise ServiceError(
-                ErrorCode.BAD_PARAMS, "catchup is not a create_session param"
-            )
         session = await self._run_blocking(self.manager.create, **params)
         return session.info()
 

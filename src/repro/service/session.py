@@ -4,9 +4,9 @@ A session is the service-side unit of tenancy.  It owns a
 :class:`TieredSimulator` driven incrementally through the epoch-step
 hook (``start()`` once, ``step(n)`` on demand), the
 :class:`TMPDaemon` front-end over that simulator's profiler (for
-``stats``/``numa_maps``/``reconfigure``), per-step timing records
-(reusing the runner's :class:`RunnerMetrics`), and any number of
-bounded subscriber queues that receive one frame per scored epoch.
+``stats``/``numa_maps``/``reconfigure``), running step-timing totals,
+and any number of bounded subscriber queues that receive one frame per
+scored epoch.
 
 Thread model: the server executes stepping and daemon reads in a
 worker executor so the event loop stays responsive, while subscriber
@@ -34,7 +34,6 @@ from ..core.config import TMPConfig
 from ..core.daemon import TMPDaemon
 from ..memsim.machine import MachineConfig
 from ..obs import metrics as obs_metrics
-from ..runner.metrics import RunnerMetrics
 from ..tiering.policies import POLICIES
 from ..tiering.simulator import TieredSimulator
 from ..workloads import WORKLOAD_NAMES, make_workload
@@ -234,12 +233,18 @@ class SessionBase:
     """Tenancy bookkeeping shared by local and worker-backed sessions.
 
     Identity, activity tracking (``touch``/``idle_s`` drive the
-    manager's TTL eviction), step timing records, and the subscriber
-    table with its drop-oldest fan-out.  Subclasses supply the
+    manager's TTL eviction) and the subscriber table with its
+    drop-oldest fan-out.  Subclasses supply the
     simulation: :class:`ProfilingSession` hosts it in-process,
     :class:`~repro.service.workers.RemoteSession` forwards to a sticky
     worker process and feeds frames back through :meth:`_fanout`.
     """
+
+    #: Why the hosting worker died, while the session waits to be
+    #: recovered; only worker-backed sessions ever set it.
+    crashed: str | None = None
+    #: Index of the hosting worker process (None: hosted in-process).
+    worker_index: int | None = None
 
     def __init__(self, session_id: str, clock=time.monotonic, tenant: str = "default"):
         self.session_id = session_id
@@ -250,7 +255,6 @@ class SessionBase:
         self.created_s = clock()
         self.last_active_s = self.created_s
         self.closed = False
-        self.metrics = RunnerMetrics(jobs=1)
         #: In-flight blocking operations (steps in progress or queued on
         #: the simulator lock).  A busy session is never idle, however
         #: long the operation runs — the idle-TTL reaper must not close
@@ -428,7 +432,7 @@ class SessionBase:
             # A crashed-awaiting-recovery session (``crashed`` set) is
             # still subscribable: its subscribers are owed the
             # ``recovered`` frame when the ledger re-materializes it.
-            if self.closed and getattr(self, "crashed", None) is None:
+            if self.closed and self.crashed is None:
                 raise ServiceError(
                     ErrorCode.UNKNOWN_SESSION,
                     f"session {self.session_id} is closed",
@@ -517,6 +521,11 @@ class ProfilingSession(SessionBase):
             )
         super().__init__(session_id, clock=clock, tenant=tenant)
         self._sim_lock = threading.Lock()
+        #: Running totals behind ``stats()["timings"]["step"]``: a
+        #: record per step would grow with the session's age.
+        self._step_timing = {
+            "events": 0, "items": 0, "work_seconds": 0.0, "cached": 0
+        }
 
         try:
             wl = make_workload(workload, **(workload_kwargs or {}))
@@ -611,7 +620,7 @@ class ProfilingSession(SessionBase):
         """Advance ``epochs`` scored epochs; returns their telemetry.
 
         Runs under the simulator lock (one step at a time per session)
-        and records a ``step`` timing event in :attr:`metrics`.
+        and adds the call to the ``step`` timing totals.
         Subscriber frames are pushed as each epoch completes, so a
         subscriber sees epoch ``k`` while ``k+1`` is still executing.
 
@@ -632,9 +641,10 @@ class ProfilingSession(SessionBase):
                 t0 = time.perf_counter()
                 stepped = self.sim.step(epochs)
                 seconds = time.perf_counter() - t0
-                event = self.metrics.add(
-                    "step", self.session_id, seconds, items=len(stepped)
-                )
+                timing = self._step_timing
+                timing["events"] += 1
+                timing["items"] += len(stepped)
+                timing["work_seconds"] += seconds
                 registry = obs_metrics.default_registry()
                 registry.histogram(
                     "repro_session_step_seconds",
@@ -647,7 +657,7 @@ class ProfilingSession(SessionBase):
                     "session": self.session_id,
                     "epochs": [epoch_metrics_to_dict(m) for m in stepped],
                     "epochs_run": self.sim.epochs_run,
-                    "step_seconds": event.seconds,
+                    "step_seconds": seconds,
                 }
         finally:
             self.end_op()
@@ -665,7 +675,11 @@ class ProfilingSession(SessionBase):
                 "session": self.info(),
                 "daemon": self.daemon.statistics(),
                 "result": simulation_result_to_dict(self.sim.result),
-                "timings": self.metrics.summary()["stages"],
+                "timings": (
+                    {"step": dict(self._step_timing)}
+                    if self._step_timing["events"]
+                    else {}
+                ),
             }
 
     def numa_maps(self, pids=None) -> str:

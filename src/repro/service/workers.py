@@ -408,6 +408,10 @@ class RemoteSession(SessionBase):
         self._static_info: dict = {}
         self._epochs_run = 0
 
+    @property
+    def worker_index(self) -> int:
+        return self.worker.index
+
     # ------------------------------------------------------------ plumbing
 
     def _request(self, op, payload=None, timeout_s=None):
@@ -470,7 +474,7 @@ class RemoteSession(SessionBase):
             epochs_run=self._epochs_run,
             subscribers=len(self._subscribers),
             idle_s=self.idle_s(),
-            worker=self.worker.index,
+            worker=self.worker_index,
         )
         if self.crashed is not None:
             info["crashed"] = self.crashed
@@ -481,14 +485,7 @@ class RemoteSession(SessionBase):
             raise ServiceError(ErrorCode.BAD_PARAMS, "epochs must be >= 1")
         self.begin_op()
         try:
-            t0 = time.perf_counter()
             result = self._request("step", (self.session_id, epochs))
-            self.metrics.add(
-                "step",
-                self.session_id,
-                time.perf_counter() - t0,
-                items=len(result["epochs"]),
-            )
             self._epochs_run = result["epochs_run"]
             return result
         finally:

@@ -65,14 +65,17 @@ class TestRunEpoch:
     def test_record_shape_and_numbering(self):
         run = _run()
         run.populate()
-        first, second = run.run_epoch(), run.run_epoch()
+        first = run.run_epoch()
+        # Checked while that report is the newest: older ones give
+        # their arrays up (TestReportsRetention).
+        assert first.profile is run.profiler.reports[-1].profile
+        second = run.run_epoch()
         assert isinstance(first, EpochRecord)
         assert (first.epoch, second.epoch, run.epochs_run) == (0, 1, 2)
         n = run.machine.n_frames
         for arr in (first.counts, first.mem_counts, first.tlb_counts):
             assert arr.size == n and arr.dtype == np.int64
         assert first.counts.sum() == first.accesses
-        assert first.profile is run.profiler.reports[-2].profile
         assert first.overhead_s == run.profiler.reports[-2].overhead.total_s
 
     def test_write_set_only_when_pml_is_on(self):
@@ -133,6 +136,54 @@ class TestRunEpoch:
         np.testing.assert_array_equal(a.counts, b.counts)
         np.testing.assert_array_equal(a.mem_counts, b.mem_counts)
         np.testing.assert_array_equal(a.tlb_counts, b.tlb_counts)
+
+
+def _array_bytes(root) -> int:
+    """Bytes of every distinct numpy array reachable from ``root``."""
+    seen, total, stack = set(), 0, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.base is None:
+                total += obj.nbytes
+            else:
+                stack.append(obj.base)  # a view pins its whole buffer
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+        elif obj is not None and hasattr(type(obj), "__slots__"):
+            stack.extend(getattr(obj, s, None) for s in type(obj).__slots__)
+    return total
+
+
+class TestReportsRetention:
+    def test_only_the_newest_report_keeps_arrays(self):
+        run = _run("gups")
+        run.populate()
+        for _ in range(50):
+            record = run.run_epoch()
+        reports = run.profiler.reports
+        assert len(reports) == 51  # populate's + 50 scored
+        newest = reports[-1]
+        assert newest.profile is record.profile and newest.samples.n > 0
+        assert _array_bytes(reports) == _array_bytes(newest) > 0
+        # The scalar fields every summary reads survive on all of them.
+        assert [r.epoch for r in reports] == list(range(51))
+        assert sum(r.trace_samples for r in reports[-10:]) > newest.trace_samples
+        assert all(r.overhead.total_s >= 0 and r.app_time_s > 0 for r in reports)
+
+    def test_a_held_report_keeps_what_it_was_handed(self):
+        run = _run()
+        held = run.profiler.end_epoch()
+        profile = held.profile
+        run.run_epoch()
+        assert held.profile is profile and held.rank().size == profile.abit.size
 
 
 class TestAgainstRecordRun:

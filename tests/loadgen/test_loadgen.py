@@ -5,7 +5,12 @@ import json
 
 import pytest
 
-from repro.loadgen import LoadTestConfig, run_load_test, write_report
+from repro.loadgen import (
+    AsyncServiceClient,
+    LoadTestConfig,
+    run_load_test,
+    write_report,
+)
 from repro.loadgen.report import LatencyRecorder, evaluate_slo, percentile
 from repro.obs import metrics as obs_metrics
 from repro.service import ServerThread
@@ -84,6 +89,28 @@ class TestEvaluateSlo:
 
     def test_no_steps_fails_when_gated(self):
         assert evaluate_slo({}, 1.0)["ok"] is False
+
+
+class TestAsyncClient:
+    def test_reads_a_response_past_asyncio_default_limit(self):
+        # 300 epochs answer in one ~95 KB line: legal under the
+        # protocol's 1 MiB bound, fatal to a 64 KiB StreamReader.
+        async def main(address):
+            client = await AsyncServiceClient.connect(address=address)
+            try:
+                info = await client.request(
+                    "create_session", workload="gups", workload_kwargs=dict(SMALL)
+                )
+                stepped = await client.request(
+                    "step", session=info["session"], epochs=300
+                )
+                assert len(json.dumps(stepped)) > 2**16
+                return stepped["epochs_run"]
+            finally:
+                await client.close()
+
+        with ServerThread(port=0, workers=0, reap_interval_s=0) as srv:
+            assert asyncio.run(main(srv.address)) == 300
 
 
 class TestRunLoadTest:
@@ -177,6 +204,11 @@ class TestRunLoadTest:
             subscribe_fraction=0.0,
             stats_fraction=0.0,
             timeout_s=1.0,
+            # One connection per session: a connection's requests are
+            # handled in order, so on a shared one a create that
+            # arrives behind another session's 1500-epoch step is never
+            # answered inside the budget (and `cancelled` reads 2).
+            connections=3,
         )
         with ServerThread(
             port=0, workers=0, max_sessions=cfg.sessions, reap_interval_s=0

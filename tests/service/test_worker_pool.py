@@ -7,11 +7,12 @@ parity of a worker-hosted session with a direct simulator run.
 
 import json
 import time
+from collections import deque
 
 import pytest
 
 from repro.memsim import MachineConfig
-from repro.service import ServiceError, WorkerPool, resolve_workers
+from repro.service import ProfilingSession, ServiceError, WorkerPool, resolve_workers
 from repro.service.protocol import ErrorCode
 from repro.tiering import TieredSimulator
 from repro.tiering.policies import POLICIES
@@ -35,6 +36,46 @@ def _wait(predicate, timeout_s=15.0):
             return True
         time.sleep(0.02)
     return False
+
+
+def _grown_with_steps(session, steps):
+    """Names of containers, on the session or one attribute down, that
+    hold at least one entry per step taken."""
+    grown = []
+    for name, value in vars(session).items():
+        nested = getattr(value, "__dict__", {}).items()
+        for label, obj in [(name, value), *((f"{name}.{k}", v) for k, v in nested)]:
+            if isinstance(obj, (list, tuple, dict, set, deque)) and len(obj) >= steps:
+                grown.append(label)
+    return grown
+
+
+class TestStepTimings:
+    """1 000 one-epoch steps leave totals, not one record per step."""
+
+    TINY = {
+        "workload": "gups",
+        "workload_kwargs": {"footprint_pages": 256, "accesses_per_epoch": 200},
+    }
+    STEPS = 1000
+
+    def _step_and_check(self, session):
+        for _ in range(self.STEPS):
+            session.step(1)
+        timing = session.stats()["timings"]["step"]
+        assert timing["events"] == timing["items"] == self.STEPS
+        assert timing["cached"] == 0 and timing["work_seconds"] > 0
+        assert sorted(timing) == ["cached", "events", "items", "work_seconds"]
+        assert _grown_with_steps(session, self.STEPS) == []
+
+    def test_worker_side_of_the_pipe(self):
+        # What a worker hosts is a plain ProfilingSession.
+        session = ProfilingSession("tiny", **self.TINY)
+        assert session.stats()["timings"] == {}
+        self._step_and_check(session)
+
+    def test_parent_side_of_the_pipe(self, pool):
+        self._step_and_check(pool.session_factory("tiny", **self.TINY))
 
 
 class TestResolveWorkers:

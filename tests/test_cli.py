@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _spawn_command, build_parser, main
 
 
 class TestParser:
@@ -22,9 +22,9 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"
         assert args.port == 7790
-        assert args.socket is None
+        assert args.socket_path is None
         assert args.max_sessions == 16
-        assert args.idle_ttl == 600.0
+        assert args.idle_ttl_s == 600.0
         assert args.workers is None  # resolved at server start
 
     def test_serve_options(self):
@@ -32,9 +32,9 @@ class TestParser:
             ["serve", "--socket", "/tmp/repro.sock", "--max-sessions", "4",
              "--idle-ttl", "30", "--step-workers", "2", "--workers", "4"]
         )
-        assert args.socket == "/tmp/repro.sock"
+        assert args.socket_path == "/tmp/repro.sock"
         assert args.max_sessions == 4
-        assert args.idle_ttl == 30.0
+        assert args.idle_ttl_s == 30.0
         assert args.step_workers == 2
         assert args.workers == 4
 
@@ -61,6 +61,51 @@ class TestParser:
         assert args.ledger_retention_bytes == 1048576
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--ledger-fsync", "maybe"])
+
+    def test_loadtest_spawn_forwards_serve_args_verbatim(self):
+        # What follows `--` is the spawned server's own command line:
+        # it must parse under the serve sub-parser, after the
+        # loadtest's defaults, so a forwarded flag overrides them.
+        parser = build_parser()
+        args = parser.parse_args(
+            ["loadtest", "--spawn", "--sessions", "32", "--",
+             "--idle-ttl", "0.5", "--reap-interval", "0.1",
+             "--ledger-dir", "soak-ledger", "--evict-to-disk",
+             "--tenant-quota", "3"]
+        )
+        command = _spawn_command(args, "/tmp/lt.sock")
+        assert command[1:4] == ["-m", "repro", "serve"]
+        serve = parser.parse_args(command[3:])
+        assert serve.command == "serve"
+        assert serve.socket_path == "/tmp/lt.sock"
+        assert (serve.max_sessions, serve.workers) == (32, 0)  # the defaults
+        assert (serve.idle_ttl_s, serve.reap_interval_s) == (0.5, 0.1)
+        assert (serve.ledger_dir, serve.evict_to_disk) == ("soak-ledger", True)
+        assert serve.tenant_quota == 3
+
+        overriding = parser.parse_args(
+            ["loadtest", "--spawn", "--sessions", "32", "--",
+             "--workers", "2", "--max-sessions", "64"]
+        )
+        serve = parser.parse_args(_spawn_command(overriding, "/tmp/lt.sock")[3:])
+        assert (serve.max_sessions, serve.workers) == (64, 2)
+
+        bare = parser.parse_args(["loadtest", "--spawn", "--sessions", "5"])
+        assert bare.serve_args == []
+        serve = parser.parse_args(_spawn_command(bare, "/tmp/lt.sock")[3:])
+        assert (serve.max_sessions, serve.workers, serve.ledger_dir) == (5, 0, None)
+        for removed in ("--spawn-workers", "--spawn-idle-ttl", "--spawn-ledger-dir"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["loadtest", "--spawn", removed, "1"])
+
+    def test_serve_dests_are_server_keywords(self):
+        import inspect
+
+        from repro.service import ServiceServer
+
+        accepted = set(inspect.signature(ServiceServer).parameters)
+        passed = set(vars(build_parser().parse_args(["serve"]))) & accepted
+        assert passed == accepted - {"ledger_segment_bytes", "ledger_retention_age_s"}
 
     def test_ledger_subcommands(self):
         args = build_parser().parse_args(["ledger", "list", "/tmp/led"])
