@@ -63,12 +63,15 @@ class ABitDriver:
 
         Each process contributes at most the configured budget of PTEs;
         the cursor wraps so successive passes cover the whole table.
+        The walk itself is per process (PTE flags are, and so is the
+        cost model: its float additions happen per process, in walk
+        order); what the pass found is credited to the store once.
         """
         if not self.enabled:
             return 0
         costs = self.config.costs
         budget = self.config.abit_scan_budget_pages
-        found_total = 0
+        found: list[np.ndarray] = []
         self.stats.scans += 1
         for pid in pids:
             pt = self.machine.page_tables.get(int(pid))
@@ -83,26 +86,31 @@ class ABitDriver:
             else:
                 start = 0  # head-restart: the same bounded window each pass
             span = n if budget is None else min(budget, n)
-            idx = (start + np.arange(span, dtype=np.int64)) % n
             self._cursors[pid] = (start + span) % n
 
             flags = pt.flags
             # gather_a_history: test-and-clear the accessed bit.
-            visited = flags[idx]
-            had = (visited & PTE_ACCESSED) != 0
-            flags[idx] = visited & ~PTE_ACCESSED
+            if start + span <= n:
+                # The window does not wrap (it never does from the table
+                # head): test and clear it in place, as a slice.
+                window = flags[start : start + span]
+                set_slots = (window & PTE_ACCESSED).nonzero()[0]
+                window &= ~PTE_ACCESSED
+                if start:
+                    set_slots += start
+            else:
+                idx = (start + np.arange(span, dtype=np.int64)) % n
+                visited = flags[idx]
+                set_slots = idx[(visited & PTE_ACCESSED) != 0]
+                flags[idx] = visited & ~PTE_ACCESSED
 
             self.stats.ptes_visited += span
             self.stats.time_s += span * costs.abit_per_pte_s
 
-            set_slots = idx[had]
-            n_found = int(set_slots.size)
-            if n_found:
-                self.store.record_abit(pt.slot_to_pfn(set_slots))
-                found_total += n_found
-                self.stats.bits_found_set += n_found
-
-            if self.config.abit_shootdown and n_found:
+            if set_slots.size == 0:
+                continue
+            found.append(pt.slot_to_pfn(set_slots))
+            if self.config.abit_shootdown:
                 # Precise mode: flush the cleared translations so the
                 # very next access walks again (one IPI round per PID).
                 vpns = pt.slot_to_vpn(set_slots)
@@ -111,7 +119,13 @@ class ABitDriver:
                 )
                 self.stats.shootdowns += 1
                 self.stats.time_s += costs.shootdown_s
-        return found_total
+
+        if not found:
+            return 0
+        pfns = np.concatenate(found)
+        self.store.record_abit(pfns)
+        self.stats.bits_found_set += int(pfns.size)
+        return int(pfns.size)
 
     def reset_cursors(self) -> None:
         """Restart all scan cursors from slot 0."""

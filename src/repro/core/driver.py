@@ -43,15 +43,16 @@ class EpochRecord:
     samples: object = None
 
 
-def _carry(total: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """``total + part``, never written into either: a slice's counts are
-    the machine's own read-only arrays.  The frame space only grows, so
-    a later slice's counts are never shorter than the running total."""
-    if total.size == 0:
-        return part
-    out = part.copy()
-    out[: total.size] += total
-    return out
+def _add_counts(totals: np.ndarray, parts) -> np.ndarray:
+    """Add one slice's per-frame counts (the machine's own read-only
+    arrays) to the epoch's ``(3, n_frames)`` totals, widened first if
+    the frame space grew under it."""
+    width = max(part.size for part in parts)
+    if width > totals.shape[1]:
+        totals = np.pad(totals, ((0, 0), (0, width - totals.shape[1])))
+    for total, part in zip(totals, parts):
+        total[: part.size] += part
+    return totals
 
 
 class ProfiledRun:
@@ -121,21 +122,27 @@ class ProfiledRun:
         """Execute and profile the next epoch, in ``epoch_slices``
         sub-batches with a profiler ``tick`` between them (graded A-bit
         counts, see :meth:`TMProfiler.tick`)."""
+        # What outlives the epoch is allocated around its garbage, not
+        # in it: the per-frame totals now, while the heap is at rest,
+        # and the profile and samples (``end_epoch``) only after the
+        # stream and the last slice's arrays have been let go.  A
+        # survivor that lands among an epoch's transients pins
+        # megabytes of freed heap under it (``peak_rss_mb``).
+        totals = np.zeros((3, self.machine.n_frames), dtype=np.int64)
         batch = self.workload.epoch(self.epochs_run, self.rng)
         bounds = np.linspace(0, batch.n, self.epoch_slices + 1).astype(int)
-        counts = mem_counts = tlb_counts = np.zeros(0, dtype=np.int64)
         for i in range(self.epoch_slices):
             res = self._run_slice(batch.take(slice(int(bounds[i]), int(bounds[i + 1]))))
-            n_frames = self.machine.n_frames
-            counts = _carry(counts, res.page_access_counts(n_frames))
-            mem_counts = _carry(mem_counts, res.page_mem_access_counts(n_frames))
-            tlb_counts = _carry(tlb_counts, res.page_tlb_miss_counts(n_frames))
+            totals = _add_counts(totals, res.frame_counts)
             if i < self.epoch_slices - 1:
                 self.profiler.tick()
+        accesses = batch.n
+        del batch, res
+        counts, mem_counts, tlb_counts = totals
         report = self.profiler.end_epoch()
         record = EpochRecord(
             epoch=self.epochs_run,
-            accesses=batch.n,
+            accesses=accesses,
             profile=report.profile,
             counts=counts,
             mem_counts=mem_counts,

@@ -60,6 +60,8 @@ class TMPEpochReport:
     profile: EpochProfile | None
     gating: GatingDecision | None
     tracked_pids: list[int]
+    #: Pages found accessed by every scan pass of the epoch: the
+    #: boundary scan and the mid-epoch ``tick`` scans before it.
     abit_pages_found: int
     trace_samples: int
     app_time_s: float
@@ -90,7 +92,11 @@ class TMProfiler:
         #: long as the machine must not retain every epoch's arrays.
         self.reports: list[TMPEpochReport] = []
 
-        self._registered: set[int] = set()
+        #: The daemon-supplied tracking universe, ascending; replaced,
+        #: never edited in place, so a scan may walk it as it is.
+        self._registered: tuple[int, ...] = ()
+        #: Pages found by this epoch's ``tick`` scans so far.
+        self._tick_found = 0
         #: Per-epoch op attribution as parallel sorted arrays (pid →
         #: executed ops); array-merged so observe_batch stays loop-free.
         self._epoch_pids = np.zeros(0, dtype=np.int64)
@@ -103,7 +109,7 @@ class TMProfiler:
 
     def register_pids(self, pids) -> None:
         """Add PIDs to the daemon-supplied tracking universe."""
-        self._registered.update(int(p) for p in pids)
+        self._registered = tuple(sorted({*self._registered, *(int(p) for p in pids)}))
 
     def register_workload(self, workload) -> None:
         """Register every process of an attached workload."""
@@ -118,7 +124,7 @@ class TMProfiler:
         them again.  Their pages' history is retained in the store.
         """
         drop = {int(p) for p in pids}
-        self._registered.difference_update(drop)
+        self._registered = tuple(p for p in self._registered if p not in drop)
         keep = ~np.isin(self._epoch_pids, np.fromiter(drop, dtype=np.int64))
         self._epoch_pids = self._epoch_pids[keep]
         self._epoch_ops = self._epoch_ops[keep]
@@ -127,7 +133,18 @@ class TMProfiler:
     @property
     def registered_pids(self) -> list[int]:
         """All PIDs the daemon has registered (pre-filter)."""
-        return sorted(self._registered)
+        return list(self._registered)
+
+    def _scan_set(self) -> list[int] | tuple[int, ...]:
+        """PIDs the A-bit walker covers now.
+
+        Strict filter semantics: when the process filter is armed, only
+        its tracked set is walked — an empty tracked set means *no*
+        scan coverage, never a fall-back to every registered PID (which
+        would charge filtered-out processes the walk the filter exists
+        to avoid).
+        """
+        return self.filter.tracked if self.config.process_filter else self._registered
 
     # ------------------------------------------------------------- observation
 
@@ -164,7 +181,7 @@ class TMProfiler:
         total_frames = max(self.machine.n_frames, 1)
         n_cpus = self.machine.config.n_cpus
         usage = []
-        for pid in sorted(self._registered):
+        for pid in self._registered:
             pt = self.machine.page_tables.get(pid)
             mem = (pt.total_frames / total_frames) if pt else 0.0
             # CPU share in single-core units (as `top` reports it): a
@@ -190,13 +207,7 @@ class TMProfiler:
         if now - self._last_scan_s < self.config.abit_scan_interval_s:
             return False
         self.store.resize(self.machine.n_frames)
-        # Strict filter semantics, identical to end_epoch: when the
-        # process filter is armed, only its tracked set is walked —
-        # an empty tracked set means *no* scan coverage, never a
-        # fall-back to every registered PID (which would charge
-        # filtered-out processes the walk the filter exists to avoid).
-        tracked = self.filter.tracked if self.config.process_filter else self.registered_pids
-        self.abit.scan(tracked)
+        self._tick_found += self.abit.scan(self._scan_set())
         self._last_scan_s = now
         return True
 
@@ -222,12 +233,13 @@ class TMProfiler:
         if now - self._last_filter_s >= cfg.filter_interval_s:
             self.filter.evaluate(self._usage())
             self._last_filter_s = now
-        tracked = self.filter.tracked if cfg.process_filter else self.registered_pids
+        tracked = self._scan_set()
 
-        # 3. A-bit scan pass (once per scan interval).
-        abit_found = 0
+        # 3. A-bit scan pass (once per scan interval), on top of what
+        #    the epoch's mid-epoch scans found.
+        abit_found, self._tick_found = self._tick_found, 0
         if now - self._last_scan_s >= cfg.abit_scan_interval_s:
-            abit_found = self.abit.scan(tracked)
+            abit_found += self.abit.scan(tracked)
             self._last_scan_s = now
 
         # 4. Drain the trace buffer.

@@ -12,7 +12,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .address import ADDR_DTYPE
+from .address import ADDR_DTYPE, compose
 
 __all__ = ["DataSource", "AccessBatch", "SampleBatch", "concat_samples"]
 
@@ -70,27 +70,31 @@ class AccessBatch:
         """Number of accesses in the batch."""
         return int(self.vaddr.size)
 
+    @classmethod
+    def of_columns(cls, vaddr, is_store, pid, cpu, ip) -> "AccessBatch":
+        """A batch over columns cut or joined from validated batches.
+
+        They already are what ``__post_init__`` would make of them
+        (equal length, the column dtypes, contiguous or a slice of
+        such), so it is not run again; anything else goes through the
+        constructor.
+        """
+        batch = object.__new__(cls)
+        batch.vaddr = vaddr
+        batch.is_store = is_store
+        batch.pid = pid
+        batch.cpu = cpu
+        batch.ip = ip
+        return batch
+
     def take(self, idx) -> "AccessBatch":
         """Return a sub-batch at positions ``idx`` (order preserved).
 
-        A ``slice`` index returns zero-copy column views (the columns
-        are already validated contiguous arrays, so re-validation would
-        only force copies); epoch slicing leans on this.
+        A ``slice`` index returns zero-copy column views; epoch slicing
+        leans on this.
         """
-        if isinstance(idx, slice):
-            sub = object.__new__(AccessBatch)
-            sub.vaddr = self.vaddr[idx]
-            sub.is_store = self.is_store[idx]
-            sub.pid = self.pid[idx]
-            sub.cpu = self.cpu[idx]
-            sub.ip = self.ip[idx]
-            return sub
-        return AccessBatch(
-            vaddr=self.vaddr[idx],
-            is_store=self.is_store[idx],
-            pid=self.pid[idx],
-            cpu=self.cpu[idx],
-            ip=self.ip[idx],
+        return AccessBatch.of_columns(
+            self.vaddr[idx], self.is_store[idx], self.pid[idx], self.cpu[idx], self.ip[idx]
         )
 
     @staticmethod
@@ -98,12 +102,12 @@ class AccessBatch:
         """Concatenate batches in order into one batch."""
         if not batches:
             return AccessBatch.empty()
-        return AccessBatch(
-            vaddr=np.concatenate([b.vaddr for b in batches]),
-            is_store=np.concatenate([b.is_store for b in batches]),
-            pid=np.concatenate([b.pid for b in batches]),
-            cpu=np.concatenate([b.cpu for b in batches]),
-            ip=np.concatenate([b.ip for b in batches]),
+        return AccessBatch.of_columns(
+            np.concatenate([b.vaddr for b in batches]),
+            np.concatenate([b.is_store for b in batches]),
+            np.concatenate([b.pid for b in batches]),
+            np.concatenate([b.cpu for b in batches]),
+            np.concatenate([b.ip for b in batches]),
         )
 
     @staticmethod
@@ -120,17 +124,8 @@ class AccessBatch:
         scalar ``is_store``/``pid``/``cpu``/``ip``/``offset`` broadcast
         over every access.
         """
-        vpns = np.asarray(vpns, dtype=ADDR_DTYPE)
-        from .address import compose
-
-        vaddr = compose(vpns, np.asarray(offset, dtype=ADDR_DTYPE))
-        n = vaddr.size
         return AccessBatch(
-            vaddr=vaddr,
-            is_store=np.broadcast_to(np.asarray(is_store, dtype=bool), (n,)).copy(),
-            pid=np.broadcast_to(np.asarray(pid, dtype=np.int32), (n,)).copy(),
-            cpu=np.broadcast_to(np.asarray(cpu, dtype=np.int16), (n,)).copy(),
-            ip=np.broadcast_to(np.asarray(ip, dtype=ADDR_DTYPE), (n,)).copy(),
+            vaddr=compose(vpns, offset), is_store=is_store, pid=pid, cpu=cpu, ip=ip
         )
 
 
@@ -226,7 +221,9 @@ def _col(value, n: int, dtype, name: str) -> np.ndarray:
     """Coerce a column to length ``n``, broadcasting scalars."""
     arr = np.asarray(value, dtype=dtype)
     if arr.ndim == 0:
-        return np.broadcast_to(arr, (n,)).copy()
+        out = np.empty(n, dtype=arr.dtype)
+        out.fill(arr)
+        return out
     if arr.size != n:
         raise ValueError(f"column {name!r} has length {arr.size}, expected {n}")
     return np.ascontiguousarray(arr)

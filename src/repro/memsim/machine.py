@@ -34,7 +34,7 @@ from .events import AccessBatch, DataSource
 from .frames import BatchFrameCounts, FrameAllocator, FrameStats
 from .ibs import IBSSampler
 from .lwp import LWPSampler
-from .page_table import PageTable, TranslationFault, VMA
+from .page_table import VMA, PageTable, VMAIndex
 from .pebs import PEBSSampler
 from .resctrl import ResctrlMonitor
 from .pml import PMLogger
@@ -45,47 +45,6 @@ from .tlb import TLBArray
 from .vecsim import fold_shards
 
 __all__ = ["MachineConfig", "Machine", "BatchResult"]
-
-
-def _pid_groups(
-    pid_arr: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list[slice | np.ndarray]]:
-    """Group batch indices by PID with one stable sort (no per-PID scans).
-
-    Returns ``(pids, ops, indices)``: the PIDs in the batch ascending,
-    each one's access count, and each one's batch index —
-    ``slice(None)`` for the common single-PID batch (zero-copy) or a
-    program-ordered fancy index otherwise.
-    """
-    n = pid_arr.size
-    lo, hi = int(pid_arr.min()), int(pid_arr.max())
-    if lo == hi:
-        return (
-            np.array([lo], dtype=np.int64),
-            np.array([n], dtype=np.int64),
-            [slice(None)],
-        )
-    # numpy's stable sort is a radix sort for 16-bit keys only, and any
-    # realistic PID range fits them once it is taken from its minimum.
-    key = (pid_arr - lo).astype(np.uint16) if hi - lo < (1 << 16) else pid_arr
-    order = np.argsort(key, kind="stable")
-    sorted_pids = pid_arr[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_pids[1:] != sorted_pids[:-1]))
-    )
-    ends = np.append(starts[1:], n)
-    return (
-        sorted_pids[starts].astype(np.int64),
-        ends - starts,
-        [order[s:e] for s, e in zip(starts, ends)],
-    )
-
-
-def _subset(idx: slice | np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Indices of ``mask`` restricted to a group's index, program order."""
-    if isinstance(idx, slice):
-        return np.flatnonzero(mask)
-    return idx[mask[idx]]
 
 
 def _at_least(counts: np.ndarray, n_frames: int) -> np.ndarray:
@@ -237,6 +196,8 @@ class Machine:
         self.frame_stats = FrameStats()
         self.page_tables: dict[int, PageTable] = {}
         self._next_vpn: dict[int, int] = {}
+        self._vma_index = VMAIndex(())
+        self._indexed_frames = 0
         self.tlb = TLBArray(
             n_cpus=c.n_cpus,
             entries=c.tlb_entries,
@@ -306,6 +267,23 @@ class Machine:
         return vma
 
     @property
+    def vma_index(self) -> VMAIndex:
+        """Every process's VMAs as one interval table, never stale.
+
+        Every mapping takes its frames from the machine's allocator and
+        frames are never handed back, so the allocation count is the
+        mapping version: the index is rebuilt when the count has moved
+        — also after an ``mmap`` made straight on ``process(pid)``,
+        whose frames get their ground-truth counters here — and is the
+        same object for as long as nothing is mapped.
+        """
+        if self._indexed_frames != self.allocator.allocated:
+            self._vma_index = VMAIndex(self.page_tables.values())
+            self._indexed_frames = self.allocator.allocated
+            self.frame_stats.resize(self._indexed_frames)
+        return self._vma_index
+
+    @property
     def n_frames(self) -> int:
         """Frames allocated so far (PFN-indexed array length)."""
         return self.allocator.allocated
@@ -329,6 +307,26 @@ class Machine:
         return self.resctrl
 
     # --------------------------------------------------------------- execute
+
+    def _walk_and_dirty(
+        self,
+        index: VMAIndex,
+        rank: np.ndarray,
+        miss: np.ndarray,
+        is_store: np.ndarray,
+        slot: np.ndarray,
+        pfn: np.ndarray,
+    ) -> None:
+        """Stages 3 and 4 of :meth:`run_batch`, one process at a time;
+        their per-process index arrays die with this frame."""
+        for pt, mm in index.by_process(rank, miss):
+            poisoned = self.ptw.fill_walks(pt, slot[mm])
+            if poisoned.any():
+                self.badgertrap.handle_faults(pfn[mm][poisoned])
+        for pt, ms in index.by_process(rank, is_store):
+            newly_dirty = self.ptw.dirty_updates(pt, slot[ms])
+            if newly_dirty.size and self.pml.enabled:
+                self.pml.observe_dirty(pt.slot_to_pfn(newly_dirty))
 
     def run_batch(self, batch: AccessBatch) -> BatchResult:
         """Execute one access batch through the full machine pipeline.
@@ -356,23 +354,15 @@ class Machine:
                 frame_counts=BatchFrameCounts(none, none, none),
             )
 
-        vpns = page_of(batch.vaddr)
-
-        # 1. Address translation (VMA arithmetic, per process).  The
+        # 1. Address translation: one lookup in the machine-wide VMA
+        #    index for the whole batch, whoever its processes are.  The
         #    TLB tag is the mapping unit's head VPN (2 MiB-aligned for
-        #    huge-page regions).  Nothing is mutated until every PID
-        #    has translated: a faulting batch leaves the machine as it
-        #    found it.
-        pfn = np.empty(n, dtype=ADDR_DTYPE)
-        slot = np.empty(n, dtype=np.int64)
-        tlb_vpn = np.empty(n, dtype=ADDR_DTYPE)
-        pids, pid_ops, indices = _pid_groups(batch.pid)
-        groups = list(zip(pids.tolist(), indices))
-        for pid, idx in groups:
-            pt = self.page_tables.get(pid)
-            if pt is None:
-                raise TranslationFault(pid, np.unique(vpns[idx]))
-            pfn[idx], slot[idx], tlb_vpn[idx] = pt.translate_ex(vpns[idx])
+        #    huge-page regions).  A fault is raised here, before
+        #    anything is mutated: a faulting batch leaves the machine
+        #    as it found it.
+        index = self.vma_index
+        pfn, slot, tlb_vpn, rank = index.translate(batch.pid, page_of(batch.vaddr))
+        pids, pid_ops = index.process_ops(rank)
 
         # 2. Per-CPU TLB lookup (misses install their fill).  The CPU
         #    column is folded onto the cores once, for the TLB and the
@@ -382,26 +372,12 @@ class Machine:
         tlb_hit = self.tlb.access(batch.pid, tlb_vpn, shard=shard)
         miss = ~tlb_hit
 
-        # 3. Page-table walks on misses: A bits, poison faults.
-        for pid, idx in groups:
-            mm = _subset(idx, miss)
-            if mm.size == 0:
-                continue
-            pt = self.page_tables[pid]
-            poisoned = self.ptw.fill_walks(pt, slot[mm])
-            if poisoned.any():
-                self.badgertrap.handle_faults(pfn[mm][poisoned])
-
-        # 4. Dirty bits on stores (TLB-independent; see ptw docstring).
-        if batch.is_store.any():
-            for pid, idx in groups:
-                ms = _subset(idx, batch.is_store)
-                if ms.size == 0:
-                    continue
-                pt = self.page_tables[pid]
-                newly_dirty = self.ptw.dirty_updates(pt, slot[ms])
-                if newly_dirty.size and self.pml.enabled:
-                    self.pml.observe_dirty(pt.slot_to_pfn(newly_dirty))
+        # 3. Page-table walks on misses (A bits, poison faults) and
+        # 4. dirty bits on stores (TLB-independent; see ptw docstring).
+        #    PTE flags are per process, so the misses and the stores —
+        #    not the batch — are grouped by process.
+        self._walk_and_dirty(index, rank, miss, batch.is_store, slot, pfn)
+        del rank, tlb_vpn
 
         # 5. Cache hierarchy on physical line addresses.
         paddr = (pfn << ADDR_DTYPE(PAGE_SHIFT)) | (
@@ -409,6 +385,7 @@ class Machine:
         )
         lines = paddr >> ADDR_DTYPE(LINE_SHIFT)
         data_source = self.caches.access(lines, shard=shard)
+        del lines, shard
         mem_mask = data_source == np.uint8(DataSource.MEMORY)
 
         # 6. Raw PMU events for this batch.
@@ -458,7 +435,7 @@ class Machine:
         # 8. Ground truth; its per-frame counts of the batch go out
         #    with the result instead of being counted again.
         frame_counts = self.frame_stats.record(
-            pfn.astype(np.intp), batch.is_store, mem_mask, miss, op_base
+            pfn.view(np.int64), batch.is_store, mem_mask, miss, op_base
         )
         self.op_counter += n
 

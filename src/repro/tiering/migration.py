@@ -110,26 +110,24 @@ class PageMover:
     def _shootdown_moved(self, pfns: np.ndarray) -> None:
         """Invalidate moved pages' translations on every CPU.
 
-        Frames are handed out in ascending order and never recycled, so
-        the VMAs' frame ranges are disjoint: one ``searchsorted`` over
-        their bases finds every moved page's VMA, whatever the number
-        of processes and regions.
+        The machine's VMA index keeps its rows in frame order too
+        (frame ranges are disjoint: frames are never recycled), so one
+        ``searchsorted`` finds every moved page's VMA, whatever the
+        number of processes and regions — and the table is the
+        machine's, built when a mapping changed, not here per epoch.
         """
-        vmas = sorted(
-            (vma.pfn_base, vma.npages, vma.start_vpn, vma.page_order, pid)
-            for pid, pt in self.machine.page_tables.items()
-            for vma in pt.vmas
-        )
-        if not vmas:
+        vmas = self.machine.vma_index.by_pfn
+        if vmas.pfn_base.size == 0:
             return
-        pfn_base, npages, start_vpn, page_order, pid = np.array(vmas, dtype=np.int64).T
-        at = np.searchsorted(pfn_base, pfns, side="right") - 1
-        off = pfns - pfn_base[at]
-        mapped = (at >= 0) & (off < npages[at])
+        at = np.searchsorted(vmas.pfn_base, pfns, side="right") - 1
+        off = pfns - vmas.pfn_base[at]
+        mapped = (at >= 0) & (off < vmas.npages[at])
         at, off = at[mapped], off[mapped]
         if at.size:
             # TLB tags are mapping-unit heads (2 MiB-aligned for THP
             # regions); a unit moved page by page names its head more
             # than once, which a flush by key does not mind.
-            unit = off >> page_order[at] << page_order[at]
-            self.machine.tlb.shootdown_pages(pid[at], start_vpn[at] + unit)
+            order = vmas.page_order[at]
+            self.machine.tlb.shootdown_pages(
+                vmas.pid[at], vmas.start_vpn[at] + (off >> order << order)
+            )

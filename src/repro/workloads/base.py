@@ -54,16 +54,27 @@ def interleave(
         return AccessBatch.empty()
     if len(batches) == 1:
         return batches[0]
-    pieces: list[tuple[float, int, int, int]] = []
-    for bi, b in enumerate(batches):
-        n_pieces = (b.n + chunk - 1) // chunk
-        # Jittered timeline position for each piece keeps per-stream order
-        # (cumulative) while shuffling across streams.
-        positions = np.cumsum(rng.uniform(0.5, 1.5, n_pieces))
-        for pi in range(n_pieces):
-            pieces.append((float(positions[pi]), bi, pi * chunk, min((pi + 1) * chunk, b.n)))
-    pieces.sort()
-    return AccessBatch.concat([batches[bi].take(slice(lo, hi)) for _, bi, lo, hi in pieces])
+    # Jittered timeline position for each piece keeps per-stream order
+    # (cumulative) while shuffling across streams.  One draw per stream,
+    # in stream order; ties fall to the earlier stream (stable sort).
+    starts = [np.arange(0, b.n, chunk) for b in batches]
+    positions = np.concatenate(
+        [np.cumsum(rng.uniform(0.5, 1.5, s.size)) for s in starts]
+    )
+    stream = np.repeat(np.arange(len(batches)), [s.size for s in starts])
+    order = np.argsort(positions, kind="stable")
+    pieces = [
+        (batches[bi], slice(lo, lo + chunk))
+        for bi, lo in zip(stream[order].tolist(), np.concatenate(starts)[order].tolist())
+    ]
+    # Every output column is written once, straight from the streams'.
+    return AccessBatch.of_columns(
+        np.concatenate([b.vaddr[cut] for b, cut in pieces]),
+        np.concatenate([b.is_store[cut] for b, cut in pieces]),
+        np.concatenate([b.pid[cut] for b, cut in pieces]),
+        np.concatenate([b.cpu[cut] for b, cut in pieces]),
+        np.concatenate([b.ip[cut] for b, cut in pieces]),
+    )
 
 
 class Workload(ABC):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..memsim.address import ADDR_DTYPE, PAGE_OFFSET_MASK
+from ..memsim.address import ADDR_DTYPE, LINE_SHIFT, LINES_PER_PAGE, PAGE_SHIFT
 from ..memsim.events import AccessBatch
 from ..memsim.page_table import VMA
 
@@ -152,18 +152,19 @@ def batch_on_vma(
     given, else zero.
     """
     page_idx = np.asarray(page_idx, dtype=np.int64)
-    if page_idx.size and (page_idx.min() < 0 or page_idx.max() >= vma.npages):
+    # The address column is built once, in place; the constant columns
+    # are filled by the batch constructor.  Unsigned, a negative index
+    # is a huge one: a single bound covers both ends.
+    vaddr = page_idx.astype(ADDR_DTYPE)
+    if vaddr.size and vaddr.max() >= vma.npages:
         raise ValueError(
             f"page indices out of range for VMA {vma.name!r} "
             f"({vma.npages} pages)"
         )
-    vpns = ADDR_DTYPE(vma.start_vpn) + page_idx.astype(ADDR_DTYPE)
-    if rng is None:
-        offset = 0
-    else:
-        offset = (
-            rng.integers(0, 64, size=page_idx.size, dtype=np.int64) * 64
-        ) & PAGE_OFFSET_MASK
-    return AccessBatch.from_pages(
-        vpns, is_store=is_store, pid=pid, cpu=cpu, ip=ip, offset=offset
-    )
+    vaddr += ADDR_DTYPE(vma.start_vpn)
+    vaddr <<= ADDR_DTYPE(PAGE_SHIFT)
+    if rng is not None:
+        offset = rng.integers(0, LINES_PER_PAGE, size=page_idx.size, dtype=np.int64)
+        offset <<= LINE_SHIFT
+        vaddr |= offset.view(ADDR_DTYPE)
+    return AccessBatch(vaddr=vaddr, is_store=is_store, pid=pid, cpu=cpu, ip=ip)

@@ -118,6 +118,29 @@ class TestSlotMappings:
         pfns, slots = pt.translate(vpns)
         np.testing.assert_array_equal(pt.slot_to_pfn(slots), pfns)
 
+    @pytest.mark.parametrize("page_order, npages, n_slots", [(0, 8, 8), (9, 1500, 3)])
+    @pytest.mark.parametrize("method", ["slot_to_pfn", "slot_to_vpn"])
+    def test_unowned_slot_is_an_index_error(self, alloc, method, page_order, npages, n_slots):
+        """A slot no VMA owns used to come back as whatever ``np.empty``
+        held (``[3, 140164212923616, 16520197559526106898]``); negative
+        ones must not wrap around to the table's tail either."""
+        pt = PageTable(1)
+        pt.mmap(0x40, 2, alloc)
+        vma = pt.mmap(0x1000, npages, alloc, page_order=page_order)
+        assert pt.n_pages == 2 + n_slots
+        convert = getattr(pt, method)
+        base = vma.pfn_base if method == "slot_to_pfn" else vma.start_vpn
+        np.testing.assert_array_equal(
+            convert(np.array([2, pt.n_pages - 1])),
+            [base, base + ((n_slots - 1) << page_order)],
+        )
+        with pytest.raises(IndexError, match=r"slot\(s\) \[99, -1\]"):
+            convert(np.array([3, 99, -1]))
+        with pytest.raises(IndexError, match=rf"\[{pt.n_pages}\]"):
+            convert(np.array([pt.n_pages]))
+        assert convert(np.zeros(0, dtype=np.int64)).size == 0
+        assert convert(np.array([0])).dtype == np.uint64
+
 
 class TestWalk:
     def test_walk_visits_all_vmas(self, alloc):

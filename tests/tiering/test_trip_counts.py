@@ -1,0 +1,88 @@
+"""Trip-count guards: an epoch's Python trips follow its work, not its
+process count.
+
+One 15-process, 4-slice ``web-serving`` epoch (the ``sim_multiproc``
+shape of the e2e benchmark) is run with counters on the calls that used
+to be made once per process: ``PageTable.translate_ex`` from
+``Machine.run_batch``, ``PageStatsStore.record_abit`` from
+``ABitDriver.scan``, and the per-epoch VMA table of
+``PageMover._shootdown_moved``.  Each guard fails at the commit before
+the machine-wide VMA index (PR 18).
+"""
+
+import pytest
+
+from repro.core import TMPConfig
+from repro.memsim import MachineConfig
+from repro.memsim.page_table import PageTable
+from repro.tiering import TieredSimulator
+from repro.tiering.policies import POLICIES
+from repro.workloads import make_workload
+
+
+@pytest.fixture
+def sim():
+    sim = TieredSimulator(
+        make_workload("web-serving", accesses_per_epoch=20_000),
+        POLICIES["history"](),
+        machine_config=MachineConfig.scaled(),
+        # Every registered PID is walked: the scan's trip count is 15.
+        tmp_config=TMPConfig(process_filter=False),
+        seed=0,
+        epoch_slices=4,
+    )
+    sim.start(init=True)
+    sim.step(1)
+    assert sim.workload.n_processes == 15
+    return sim
+
+
+def count_calls(monkeypatch, owner, attr):
+    calls = []
+    inner = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(attr)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_run_batch_never_translates_per_process(sim, monkeypatch):
+    translations = count_calls(monkeypatch, PageTable, "translate_ex")
+    batches = count_calls(monkeypatch, sim.machine, "run_batch")
+    sim.step(1)
+    assert len(batches) == 4
+    assert translations == []
+
+
+def test_one_abit_credit_per_scan(sim, monkeypatch):
+    scans = count_calls(monkeypatch, sim.profiler.abit, "scan")
+    credits = count_calls(monkeypatch, sim.profiler.store, "record_abit")
+    found_before = sim.profiler.abit.stats.bits_found_set
+    sim.step(1)
+    assert len(scans) == 4  # three ticks and the boundary
+    assert 1 <= len(credits) <= len(scans)
+    # ... and the pass did walk every process, finding pages in several.
+    assert sim.profiler.abit.stats.processes_scanned >= 15 * 4
+    assert sim.profiler.abit.stats.bits_found_set - found_before > 15
+
+
+def test_shootdown_reads_the_machines_index(sim, monkeypatch):
+    seen = []
+    inner = sim.mover._shootdown_moved
+
+    def watched(pfns):
+        seen.append(sim.machine.vma_index)
+        return inner(pfns)
+
+    monkeypatch.setattr(sim.mover, "_shootdown_moved", watched)
+    lookups = count_calls(monkeypatch, sim.machine.tlb, "shootdown_pages")
+    sim.step(2)
+    assert len(seen) == len(lookups) == 2  # pages did move, both epochs
+    assert seen[0] is seen[1]  # no mmap in between: the same object
+    assert seen[0].by_pfn is sim.machine.vma_index.by_pfn
+    # A mapping retires it.
+    sim.machine.mmap(sim.workload.pids[0], 4)
+    assert sim.machine.vma_index is not seen[0]
