@@ -882,7 +882,7 @@ def _cmd_ledger(args) -> int:
         return 0
     try:
         session_ledger = ledger.open_session(args.session)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # no such / not an id
         raise SystemExit(str(exc)) from exc
     try:
         if args.ledger_command == "cat":

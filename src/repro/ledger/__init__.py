@@ -24,6 +24,10 @@ Layering:
 ``ledger``
     :class:`Ledger` — the root directory of session ledgers plus
     content-addressed config provenance (:func:`config_key`).
+``snapshot``
+    The checked envelope (:func:`write_snapshot` / :func:`read_snapshot`)
+    around the state a checkpointed session leaves beside its marker,
+    so a rebuild replays the tail since the snapshot, not the whole life.
 ``replay``
     Records → :class:`SimulationResult` / epoch dicts for offline use.
 
@@ -34,13 +38,17 @@ treats anything unparseable as absent, never as an error.
 
 from .ledger import Ledger, config_key
 from .replay import iter_epoch_dicts, replay_result
+from .snapshot import SnapshotError, read_snapshot, write_snapshot
 from .storage import LEDGER_FORMAT_VERSION, SessionLedger
 
 __all__ = [
     "LEDGER_FORMAT_VERSION",
     "Ledger",
     "SessionLedger",
+    "SnapshotError",
     "config_key",
     "iter_epoch_dicts",
+    "read_snapshot",
     "replay_result",
+    "write_snapshot",
 ]

@@ -6,12 +6,20 @@ recording the exact session-creation config and its content-addressed
 :func:`config_key` — the same canonical-JSON/SHA-256 discipline as the
 recorded-run cache, so provenance survives the server process and a
 recovered session can prove it was rebuilt from the right recipe.
+
+Every path below the root is derived here, from a session id that
+:meth:`Ledger.session_dir` has validated: ids reach this module from
+the wire (``resume_session``), and what lives in a session directory
+is trusted state — ``meta.json`` is re-run and ``snapshot.bin`` is
+unpickled — so an id must never name anything but one directory
+directly under the root.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -19,6 +27,11 @@ from ..ioutil import atomic_write_bytes, canonical
 from .storage import DEFAULT_SEGMENT_BYTES, LEDGER_FORMAT_VERSION, SessionLedger
 
 __all__ = ["Ledger", "config_key"]
+
+#: One path component of the shape the session manager mints (``s12``)
+#: or :meth:`Ledger.create_session` archives (``s12.1712345678901``):
+#: never empty, ``.``/``..``, absolute, or holding a separator or NUL.
+_SESSION_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,127}")
 
 
 def config_key(config: dict) -> str:
@@ -53,7 +66,11 @@ class Ledger:
     # ------------------------------------------------------------ sessions
 
     def session_dir(self, session_id: str) -> Path:
-        return self.root / str(session_id)
+        """``<root>/<session_id>``; ``ValueError`` for an id that is
+        not a single well-formed path component."""
+        if not isinstance(session_id, str) or not _SESSION_ID.fullmatch(session_id):
+            raise ValueError(f"invalid session id: {session_id!r}")
+        return self.root / session_id
 
     def _make(self, directory: Path) -> SessionLedger:
         return SessionLedger(
@@ -94,7 +111,7 @@ class Ledger:
         atomic_write_bytes(
             directory / "meta.json",
             json.dumps(meta, indent=2, sort_keys=True).encode(),
-            durable=self.fsync != "never",
+            durable=self.durable,
         )
         return self._make(directory)
 
@@ -113,14 +130,15 @@ class Ledger:
     def write_checkpoint(self, session_id: str, data: dict) -> dict:
         """Persist an idle-eviction checkpoint marker for ``session_id``.
 
-        The marker is tiny on purpose: the ledger's ``meta.json``
-        already records the full creation config (and its
-        ``config_key``) and the segment chain already holds the epoch
-        history, so the checkpoint only pins the *moment* of eviction —
-        epoch count, frame seq, tenant — that a later ``resume_session``
-        re-admits from.  Written atomically so a crash mid-eviction
-        leaves either no marker (session not resumable, nothing lost
-        but the voluntary eviction) or a complete one.
+        The marker pins the *moment* of eviction — epoch count, frame
+        seq, tenant — and is what makes the session resumable; the
+        state itself is in the snapshot written beside it
+        (:meth:`snapshot_path`), the recipe in ``meta.json`` and the
+        history in the segment chain, either of which can stand in for
+        a snapshot that is missing or refused.  Written atomically so a
+        crash mid-eviction leaves either no marker (session not
+        resumable, nothing lost but the voluntary eviction) or a
+        complete one.
         """
         directory = self.session_dir(session_id)
         if not directory.is_dir():
@@ -134,14 +152,15 @@ class Ledger:
         atomic_write_bytes(
             self.checkpoint_path(session_id),
             json.dumps(marker, indent=2, sort_keys=True).encode(),
-            durable=self.fsync != "never",
+            durable=self.durable,
         )
         return marker
 
     def load_checkpoint(self, session_id: str) -> dict | None:
         """The eviction checkpoint marker, or None when absent/corrupt."""
+        path = self.checkpoint_path(session_id)
         try:
-            marker = json.loads(self.checkpoint_path(session_id).read_text())
+            marker = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
         if not isinstance(marker, dict) or "session" not in marker:
@@ -156,12 +175,34 @@ class Ledger:
         except OSError:
             return False
 
+    # ----------------------------------------------------------- snapshots
+
+    @property
+    def durable(self) -> bool:
+        """Whether files written beside the segments are fsynced."""
+        return self.fsync != "never"
+
+    def snapshot_path(self, session_id: str) -> Path:
+        """Where ``session_id``'s state snapshot lives (see
+        :mod:`repro.ledger.snapshot` for what the file holds).  It
+        outlives :meth:`clear_checkpoint` — a resumed session that
+        later loses its worker rebuilds from it — and is replaced by
+        the next eviction's."""
+        return self.session_dir(session_id) / "snapshot.bin"
+
+    def clear_snapshot(self, session_id: str) -> bool:
+        """Drop the snapshot (the session was closed); True when one existed."""
+        try:
+            self.snapshot_path(session_id).unlink()
+            return True
+        except OSError:
+            return False
+
     def load_meta(self, session_id: str) -> dict | None:
         """The recorded creation config, or None when absent/corrupt."""
+        path = self.session_dir(session_id) / "meta.json"
         try:
-            meta = json.loads(
-                (self.session_dir(session_id) / "meta.json").read_text()
-            )
+            meta = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
         if not isinstance(meta, dict) or "config" not in meta:
@@ -172,7 +213,7 @@ class Ledger:
         """Every session ledger under the root, with summary stats."""
         out = []
         for directory in sorted(self.root.iterdir()):
-            if not directory.is_dir():
+            if not directory.is_dir() or not _SESSION_ID.fullmatch(directory.name):
                 continue
             meta = self.load_meta(directory.name)
             if meta is None:

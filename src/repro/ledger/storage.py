@@ -6,6 +6,7 @@ A :class:`SessionLedger` owns a directory of JSONL segment files::
     seg-0000000000.jsonl         # records seq 0..k-1   (sealed)
     seg-0000000000.idx           # byte offsets sidecar  (sealed)
     seg-0000000137.jsonl         # the active tail segment
+    carried.json                 # what retention dropped, carried forward
 
 Each record is one JSON line ``{"seq": n, "event": "...", "data":
 {...}, "unix": t}``.  Segments are named by the first seq they hold,
@@ -25,7 +26,12 @@ Retention is size/age based: :meth:`compact` (called opportunistically
 on rotation) unlinks the oldest *sealed* segments while the session
 exceeds ``retention_bytes`` or segments are older than
 ``retention_age_s``; :attr:`first_seq` then reports the oldest record
-still replayable so readers can account the gap as drops.
+still replayable so readers can account the gap as drops.  What a
+rebuild needs from the dropped records — how many were epochs, and the
+``reconfigured`` payloads with their seqs — is carried forward in
+``carried.json`` before the unlink, so :attr:`epoch_count` and
+:attr:`reconfigured` describe the session's whole life whatever
+retention has removed.
 """
 
 from __future__ import annotations
@@ -50,6 +56,9 @@ LEDGER_FORMAT_VERSION = 1
 DEFAULT_SEGMENT_BYTES = 1 << 18
 
 _FSYNC_POLICIES = ("always", "rotate", "never")
+
+#: What retention dropped, carried forward (see the module docstring).
+_CARRIED_NAME = "carried.json"
 
 
 def _registry():
@@ -99,11 +108,12 @@ def _split_record(line: bytes):
 class _Segment:
     """Bookkeeping for one sealed or active segment file.
 
-    ``epochs`` and ``offsets`` are tracked incrementally as records
-    append, so sealing a segment writes its sidecar from memory instead
-    of re-reading the whole file to count/locate records.  Sealed
-    segments recovered from a healthy sidecar keep ``offsets`` empty —
-    the on-disk index already holds them.
+    ``epochs``, ``reconfigured`` and ``offsets`` are tracked
+    incrementally as records append, so sealing a segment writes its
+    sidecar from memory instead of re-reading the whole file to
+    count/locate records.  Sealed segments recovered from a healthy
+    sidecar keep ``offsets`` empty — the on-disk index already holds
+    them.
     """
 
     def __init__(
@@ -114,6 +124,7 @@ class _Segment:
         nbytes: int,
         epochs: int = 0,
         offsets: list[int] | None = None,
+        reconfigured: list[dict] | None = None,
     ):
         self.path = path
         self.first_seq = first_seq
@@ -121,6 +132,9 @@ class _Segment:
         self.nbytes = nbytes
         self.epochs = epochs
         self.offsets: list[int] = [] if offsets is None else offsets
+        #: ``{"seq", "changes", "epochs_run"}`` of each ``reconfigured``
+        #: record held: what a rebuild re-applies (see ``carried.json``).
+        self.reconfigured: list[dict] = [] if reconfigured is None else reconfigured
 
     @property
     def end_seq(self) -> int:
@@ -167,21 +181,35 @@ class SessionLedger:
         self._fh: io.BufferedWriter | None = None
         self._closed = False
         self.next_seq = 0
-        #: Count of ``epoch`` records ever appended (survives reopen) —
-        #: the catch-up distance for crashed-session recovery.
+        #: Count of ``epoch`` records ever appended (survives reopen and
+        #: retention) — the epoch a rebuild of this session must reach.
         self.epoch_count = 0
+        #: What retention has dropped so far: ``epochs`` records that
+        #: were epochs, their ``reconfigured`` payloads, and
+        #: ``through_seq``, one past the last seq dropped.
+        self._carried = {"epochs": 0, "reconfigured": [], "through_seq": 0}
         self._recover()
 
     # ----------------------------------------------------------- recovery
 
     def _recover(self) -> None:
         """Rebuild in-memory state from disk, truncating any torn tail."""
-        paths = sorted(self.directory.glob("seg-*.jsonl"))
-        for i, path in enumerate(paths):
+        self._load_carried()
+        self.epoch_count = self._carried["epochs"]
+        paths = []
+        for path in sorted(self.directory.glob("seg-*.jsonl")):
             try:
                 first_seq = int(path.stem.split("-", 1)[1])
             except (IndexError, ValueError):
                 continue
+            if first_seq < self._carried["through_seq"]:
+                # Carried forward, then the process died before the
+                # unlink: finish the compaction instead of counting the
+                # segment's records twice.
+                self._unlink_segment(path)
+                continue
+            paths.append((path, first_seq))
+        for i, (path, first_seq) in enumerate(paths):
             sidecar = self._load_sidecar(path, first_seq)
             if sidecar is not None and i < len(paths) - 1:
                 # Sealed segment with a healthy index: trust it.
@@ -190,7 +218,8 @@ class SessionLedger:
                     first_seq,
                     sidecar["count"],
                     sidecar["bytes"],
-                    epochs=sidecar.get("epochs", 0),
+                    epochs=sidecar["epochs"],
+                    reconfigured=sidecar["reconfigured"],
                 )
                 self._sealed.append(seg)
                 self.epoch_count += seg.epochs
@@ -203,6 +232,7 @@ class SessionLedger:
             count = 0
             epochs = 0
             offsets: list[int] = []
+            reconfigured: list[dict] = []
             with open(path, "rb") as fh:
                 for line in fh:
                     if not line.endswith(b"\n"):
@@ -218,11 +248,21 @@ class SessionLedger:
                     count += 1
                     if record.get("event") == "epoch":
                         epochs += 1
+                    elif record.get("event") == "reconfigured":
+                        reconfigured.append(
+                            {"seq": record["seq"], **record["data"]}
+                        )
             if good_bytes < path.stat().st_size:
                 with open(path, "rb+") as fh:
                     fh.truncate(good_bytes)
             seg = _Segment(
-                path, first_seq, count, good_bytes, epochs=epochs, offsets=offsets
+                path,
+                first_seq,
+                count,
+                good_bytes,
+                epochs=epochs,
+                offsets=offsets,
+                reconfigured=reconfigured,
             )
             self.epoch_count += epochs
             self.next_seq = seg.end_seq
@@ -255,6 +295,9 @@ class SessionLedger:
             if (
                 index["first_seq"] == first_seq
                 and len(index["offsets"]) == index["count"]
+                # Sealed before segments recorded these: rescan it.
+                and isinstance(index["epochs"], int)
+                and isinstance(index["reconfigured"], list)
             ):
                 return index
         except (OSError, ValueError, KeyError, TypeError):
@@ -274,6 +317,7 @@ class SessionLedger:
                 "count": seg.count,
                 "bytes": seg.nbytes,
                 "epochs": seg.epochs,
+                "reconfigured": seg.reconfigured,
                 "offsets": seg.offsets,
             },
             separators=(",", ":"),
@@ -332,6 +376,10 @@ class SessionLedger:
                 if event == "epoch":
                     self.epoch_count += 1
                     self._active.epochs += 1
+                elif event == "reconfigured":
+                    self._active.reconfigured.append(
+                        {"seq": self.next_seq - 1, **json.loads(payload)}
+                    )
             self._fh.write(b"".join(lines))
             # Flush unconditionally so same-process readers (the replay
             # path) see the records; fsync is the configurable part.
@@ -418,12 +466,49 @@ class SessionLedger:
                 break
             self._sealed.pop(0)
             total -= seg.nbytes
-            seg.path.unlink(missing_ok=True)
-            self._sidecar_path(seg.path).unlink(missing_ok=True)
+            # Carried forward durably *before* the unlink: a crash
+            # between the two leaves a segment :meth:`_recover` drops.
+            carried = self._carried
+            carried["epochs"] += seg.epochs
+            carried["reconfigured"] += seg.reconfigured
+            carried["through_seq"] = seg.end_seq
+            atomic_write_bytes(
+                self.directory / _CARRIED_NAME,
+                json.dumps(carried, separators=(",", ":")).encode(),
+                durable=self.fsync != "never",
+            )
+            self._unlink_segment(seg.path)
             removed += 1
         return removed
 
+    def _unlink_segment(self, path: Path) -> None:
+        path.unlink(missing_ok=True)
+        self._sidecar_path(path).unlink(missing_ok=True)
+
+    def _load_carried(self) -> None:
+        """Read ``carried.json``; absent means nothing was ever dropped."""
+        try:
+            carried = json.loads((self.directory / _CARRIED_NAME).read_text())
+            self._carried = {
+                "epochs": int(carried["epochs"]),
+                "reconfigured": list(carried["reconfigured"]),
+                "through_seq": int(carried["through_seq"]),
+            }
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
+
     # ------------------------------------------------------------- reading
+
+    @property
+    def reconfigured(self) -> list[dict]:
+        """Every ``reconfigured`` record of the session's life, oldest
+        first, as ``{"seq", "changes", "epochs_run"}`` — kept beside the
+        records (and past their retention), so reading it scans nothing."""
+        with self._lock:
+            out = list(self._carried["reconfigured"])
+            for seg in (*self._sealed, self._active):
+                out += seg.reconfigured
+            return out
 
     @property
     def first_seq(self) -> int:

@@ -31,7 +31,6 @@ the same lifecycle governs worker-backed sessions.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
@@ -66,24 +65,43 @@ def _still_live(session_id) -> ServiceError:
     )
 
 
-def _rebuild_params(meta: dict, session_ledger, epochs: int) -> dict:
+def _rebuild_params(meta: dict, session_ledger, epochs: int, snapshot_path) -> dict:
     """Create params that rebuild a session at ``epochs`` scored epochs.
 
     The one rebuild recipe (:meth:`SessionManager.resume` and
     :meth:`SessionManager.recover`): the creation config recorded in
-    ``meta`` plus a ``catchup`` — the epoch count to silently re-run
-    and every ``reconfigured`` record in the ledger, re-applied at its
-    recorded epoch.  Scans the ledger; epoch payloads are never decoded.
+    ``meta`` plus a ``catchup`` — where the session's last snapshot
+    would be and whose it must be, the epoch to reach, and every
+    ``reconfigured`` record of the session's life with its seq.  The
+    process that builds the session restores the snapshot if it checks
+    out and replays only what came after it; otherwise it replays
+    everything (:class:`~repro.service.session.ProfilingSession`).
+    Reads what the ledger keeps beside its records; scans none of them.
     """
-    reconfigured = [
-        json.loads(payload)
-        for _, event, payload in session_ledger.read_encoded()
-        if event == "reconfigured"
-    ]
     return {
         **meta["config"],
-        "catchup": {"epochs": int(epochs), "reconfigured": reconfigured},
+        "catchup": {
+            "epochs": int(epochs),
+            "reconfigured": session_ledger.reconfigured,
+            "snapshot": {
+                "path": str(snapshot_path),
+                "config_key": meta.get("config_key"),
+            },
+        },
     }
+
+
+def _observe_rebuild(rebuild: dict, seconds: float) -> None:
+    registry = _metrics()
+    registry.histogram(
+        "repro_service_rebuild_seconds",
+        "Wall-clock time to rebuild a session (resume or crash recovery)",
+        labelnames=("source",),
+    ).observe(seconds, source="snapshot" if rebuild["snapshot_bytes"] else "replay")
+    registry.counter(
+        "repro_service_rebuild_epochs_replayed_total",
+        "Epochs silently re-run by session rebuilds",
+    ).inc(rebuild["epochs_replayed"])
 
 
 class SessionManager:
@@ -115,9 +133,9 @@ class SessionManager:
         #: disables all three.
         self.ledger = ledger
         #: Checkpoint-to-disk idle eviction (``--evict-to-disk``):
-        #: :meth:`evict_idle` persists a marker before releasing an idle
-        #: session's slots, so :meth:`resume` can re-admit it
-        #: bit-identically.  Inert without a ledger.
+        #: :meth:`evict_idle` persists a marker and a state snapshot
+        #: before releasing an idle session's slots, so :meth:`resume`
+        #: can re-admit it bit-identically.  Inert without a ledger.
         self.evict_to_disk = bool(evict_to_disk) and ledger is not None
         #: Lifetime counters surfaced through ``server_info`` so an
         #: external harness (the CI eviction/resume soak) can assert
@@ -324,17 +342,21 @@ class SessionManager:
         but keeps the original ``session_id`` instead of minting a new
         one.  A still-live id is ``bad_request`` before any slot is
         reserved (pollers must not touch the idle clock), an id with no
-        checkpoint is ``unknown_session``.
+        checkpoint — or an id that is not a well-formed session id at
+        all — is ``unknown_session``.
 
-        The rebuild is crash recovery's (:func:`_rebuild_params`): the
-        recorded config re-runs deterministically with a silent
-        catch-up to the checkpointed epoch count, outside the lock, so
-        the resumed state is bit-identical to an uninterrupted run.
-        The reopened ledger continues the seq chain
-        (``attach_ledger(start_seq=next_seq)``), the marker is cleared,
-        and one ``resumed`` frame is appended so a ``from_seq`` replay
-        shows eviction and resumption gap-free.  ``tenant`` defaults to
-        the one the session was evicted under.
+        The rebuild is crash recovery's (:func:`_rebuild_params`),
+        outside the lock: the snapshot the eviction wrote is restored —
+        nothing is left to replay — or, when it is missing or refused,
+        the recorded config re-runs deterministically to the
+        checkpointed epoch count; either way the resumed state is
+        bit-identical to an uninterrupted run.  The reopened ledger
+        continues the seq chain (``attach_ledger(start_seq=next_seq)``),
+        the marker is cleared (the snapshot stays: a later crash
+        recovery starts from it), and one ``resumed`` frame is appended
+        so a ``from_seq`` replay shows eviction and resumption
+        gap-free.  ``tenant`` defaults to the one the session was
+        evicted under.
         """
         if self.ledger is None:
             raise ServiceError(
@@ -342,6 +364,12 @@ class SessionManager:
                 "resume_session needs a ledger; start the server with "
                 "--ledger-dir and --evict-to-disk",
             )
+        try:
+            # The id is the client's: nothing is looked up by it before
+            # the ledger has said it names a directory under its root.
+            snapshot_path = self.ledger.snapshot_path(session_id)
+        except ValueError as exc:
+            raise ServiceError(ErrorCode.UNKNOWN_SESSION, str(exc)) from exc
         # Checked again (atomically) below; this early answer gives
         # pollers the ``bad_request`` that means "not evicted yet"
         # instead of "no checkpoint".
@@ -368,11 +396,15 @@ class SessionManager:
             session_ledger = self.ledger.open_session(session_id)
             try:
                 epochs = int(checkpoint.get("epochs", session_ledger.epoch_count))
-                params = _rebuild_params(meta, session_ledger, epochs)
+                params = _rebuild_params(
+                    meta, session_ledger, epochs, snapshot_path
+                )
                 params["tenant"] = tenant
+                t0 = time.perf_counter()
                 session = self.session_factory(
                     session_id, clock=self._clock, **params
                 )
+                _observe_rebuild(session.rebuild, time.perf_counter() - t0)
                 session.attach_ledger(
                     session_ledger, start_seq=session_ledger.next_seq
                 )
@@ -380,9 +412,9 @@ class SessionManager:
                 session._fanout(
                     "resumed",
                     resumed_event_data(
+                        session_id,
                         epochs,
-                        f"session {session_id} resumed from checkpoint "
-                        f"({epochs} epochs caught up)",
+                        session.rebuild,
                         worker=session.worker_index,
                     ),
                 )
@@ -398,7 +430,9 @@ class SessionManager:
             "repro_service_sessions_resumed_total",
             "Checkpointed sessions re-admitted via resume_session",
         ).inc()
-        _log.info("session_resumed", session=session_id, tenant=tenant)
+        _log.info(
+            "session_resumed", session=session_id, tenant=tenant, **session.rebuild
+        )
         return session
 
     def recover(self, session_id) -> bool:
@@ -406,9 +440,11 @@ class SessionManager:
 
         The session is already marked crashed and its subscribers
         already hold the structured ``worker_crashed`` frame.  With a
-        ledger it is re-materialized: its recorded config plus the
-        persisted epoch count re-run the deterministic simulator in a
-        fresh worker, the same session object is un-crashed — so its
+        ledger it is re-materialized by the same recipe as a resume —
+        its last snapshot, if an eviction ever wrote one, plus a replay
+        of the epochs persisted since; the whole recorded history
+        otherwise — in a fresh worker, the same session object is
+        un-crashed — so its
         subscribers and its seq chain survive — and subscribers see a
         ``recovered`` frame and a gap-free continuation.  Without one,
         or when the rebuild fails, all that is left is releasing the
@@ -425,9 +461,14 @@ class SessionManager:
             return False
         try:
             params = _rebuild_params(
-                meta, session.ledger, session.ledger.epoch_count
+                meta,
+                session.ledger,
+                session.ledger.epoch_count,
+                self.ledger.snapshot_path(session_id),
             )
+            t0 = time.perf_counter()
             session.pool.recover_session(session, params)
+            _observe_rebuild(session.rebuild, time.perf_counter() - t0)
         except Exception as exc:  # noqa: BLE001 — recovery is best-effort
             _log.error(
                 "session_recovery_failed", session=session_id, error=str(exc)
@@ -465,7 +506,12 @@ class SessionManager:
             "repro_service_sessions_closed_total", "Sessions closed by request"
         ).inc()
         _log.info("session_closed", session=session_id)
-        return session.close(**close_kwargs)
+        summary = session.close(**close_kwargs)
+        if self.ledger is not None:
+            # Nothing can resume or recover a closed session; its frames
+            # stay replayable, its state need not take up disk.
+            self.ledger.clear_snapshot(session_id)
+        return summary
 
     def discard(self, session_id) -> bool:
         """Forget a session *without* closing it (worker-crash path:
@@ -519,22 +565,28 @@ class SessionManager:
         return [sid for sid, _ in sessions]
 
     def _checkpoint(self, session) -> bool:
-        """Persist the eviction marker; True when ``session`` is resumable.
+        """Persist the eviction marker and the state snapshot; True
+        when ``session`` is resumable.
 
         Runs after the eviction claim and before the goodbye fan-out,
         so the recorded epoch count is exact (no step can land —
         ``begin_op`` refuses once claimed) and the goodbye can
-        truthfully carry ``resumable: true``.  The config itself is
-        already durable in the session ledger's ``meta.json``; the
-        marker only pins the eviction moment.
+        truthfully carry ``resumable: true``.  The marker pins the
+        eviction moment and is what makes the session resumable; the
+        snapshot beside it — written by the process that holds the
+        simulator, replacing the previous eviction's — is what makes
+        resuming cost a load instead of a replay of the session's life.
+        A snapshot that cannot be written (full disk, an unpicklable
+        member) costs exactly that and nothing else.
         """
         if session.ledger is None:
             return False
-        meta = self.ledger.load_meta(session.session_id)
+        session_id = session.session_id
+        meta = self.ledger.load_meta(session_id)
         if meta is None:
             return False
         marker = self.ledger.write_checkpoint(
-            session.session_id,
+            session_id,
             {
                 "config_key": meta.get("config_key"),
                 "epochs": session.ledger.epoch_count,
@@ -542,10 +594,27 @@ class SessionManager:
                 "tenant": session.tenant,
             },
         )
+        snapshot_bytes = 0
+        t0 = time.perf_counter()
+        try:
+            snapshot_bytes = session.write_snapshot(
+                str(self.ledger.snapshot_path(session_id)),
+                config_key=meta.get("config_key"),
+                frame_seq=marker["frame_seq"],
+                durable=self.ledger.durable,
+            )["payload_bytes"]
+        except Exception as exc:  # noqa: BLE001 — degrade to marker-only
+            _log.warning(
+                "session_snapshot_failed",
+                session=session_id,
+                error=f"{type(exc).__name__}: {exc}",
+            )
         _log.info(
             "session_checkpointed",
-            session=session.session_id,
+            session=session_id,
             epochs=marker.get("epochs"),
+            snapshot_bytes=snapshot_bytes,
+            snapshot_write_seconds=time.perf_counter() - t0,
         )
         return True
 

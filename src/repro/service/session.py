@@ -26,13 +26,16 @@ semantics of the in-process path.
 from __future__ import annotations
 
 import json
+import pickle
 import threading
 import time
 from collections import deque
 
 from ..core.config import TMPConfig
 from ..core.daemon import TMPDaemon
+from ..ledger.snapshot import SnapshotError, read_snapshot, write_snapshot
 from ..memsim.machine import MachineConfig
+from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from ..tiering.policies import POLICIES
 from ..tiering.simulator import TieredSimulator
@@ -47,6 +50,8 @@ __all__ = [
     "SubscriberQueue",
     "DEFAULT_MAX_QUEUE",
 ]
+
+_log = obs_log.get_logger("service.session")
 
 #: Default per-subscriber frame buffer (drop-oldest beyond this).
 DEFAULT_MAX_QUEUE = 64
@@ -527,41 +532,99 @@ class ProfilingSession(SessionBase):
             "events": 0, "items": 0, "work_seconds": 0.0, "cached": 0
         }
 
-        try:
-            wl = make_workload(workload, **(workload_kwargs or {}))
-            pol = POLICIES[policy](**(policy_kwargs or {}))
-            tmp_config = TMPConfig(**tmp) if tmp else None
-            self.sim = TieredSimulator(
-                wl,
-                pol,
-                tier1_ratio=tier1_ratio,
-                rank_source=rank_source,
-                machine_config=MachineConfig.scaled(ibs_period=ibs_period),
-                tmp_config=tmp_config,
-                seed=seed,
-                epoch_slices=epoch_slices,
+        #: What the rebuild that made this session did (None when it
+        #: was built by ``create``): ``epochs_restored`` from a
+        #: snapshot, ``epochs_replayed`` after it, ``snapshot_bytes``,
+        #: and the ``fallback_reason`` when a snapshot was not used.
+        self.rebuild: dict | None = None
+        # A rebuild starts from the newest usable snapshot at or before
+        # the epoch it must reach; with none it starts, like ``create``,
+        # from a fresh build at epoch 0.
+        snapshot = fallback_reason = None
+        if catchup and catchup.get("snapshot"):
+            snapshot, fallback_reason = self._restore(
+                catchup["snapshot"], catchup["epochs"]
             )
-        except ServiceError:
-            raise
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ServiceError(ErrorCode.BAD_PARAMS, str(exc)) from exc
-        self.sim.obs_label = session_id
-        self.daemon = TMPDaemon(self.sim.profiler)
-        self.daemon.add_workload(wl)
-        self.sim.start(init=init)
+        if snapshot is None:
+            try:
+                wl = make_workload(workload, **(workload_kwargs or {}))
+                pol = POLICIES[policy](**(policy_kwargs or {}))
+                tmp_config = TMPConfig(**tmp) if tmp else None
+                self.sim = TieredSimulator(
+                    wl,
+                    pol,
+                    tier1_ratio=tier1_ratio,
+                    rank_source=rank_source,
+                    machine_config=MachineConfig.scaled(ibs_period=ibs_period),
+                    tmp_config=tmp_config,
+                    seed=seed,
+                    epoch_slices=epoch_slices,
+                )
+            except ServiceError:
+                raise
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ServiceError(ErrorCode.BAD_PARAMS, str(exc)) from exc
+            self.sim.obs_label = session_id
+            self.daemon = TMPDaemon(self.sim.profiler)
+            self.daemon.add_workload(wl)
+            self.sim.start(init=init)
         if catchup:
             # Rebuild catch-up (crash recovery, checkpoint resume):
-            # silently re-run the epochs already scored, re-applying
-            # each recorded ``reconfigured`` payload at its epoch
-            # boundary, *before* attaching the fan-out hook, so
-            # subscribers (and the ledger) never see them twice.  The
-            # simulator is deterministic, so the caught-up state is
-            # bit-identical to the state before the interruption.
+            # silently re-run the epochs scored since that starting
+            # point, re-applying each ``reconfigured`` payload recorded
+            # since then at its epoch boundary, *before* attaching the
+            # fan-out hook, so subscribers (and the ledger) never see
+            # them twice.  "Since" is by seq, not by epoch: a
+            # reconfigure made right after a resume shares its
+            # ``epochs_run`` with the snapshot.  The simulator is
+            # deterministic, so the caught-up state is bit-identical to
+            # the state before the interruption.
+            since_seq = snapshot["frame_seq"] if snapshot else 0
+            restored = self.sim.epochs_run
             for record in catchup["reconfigured"]:
-                self._catch_up_to(record["epochs_run"])
-                self.daemon.reconfigure(**record["changes"])
+                if record["seq"] >= since_seq:
+                    self._catch_up_to(record["epochs_run"])
+                    self.daemon.reconfigure(**record["changes"])
             self._catch_up_to(catchup["epochs"])
+            self.rebuild = {
+                "epochs_restored": restored,
+                "epochs_replayed": self.sim.epochs_run - restored,
+                "snapshot_bytes": snapshot["payload_bytes"] if snapshot else 0,
+            }
+            if fallback_reason:
+                self.rebuild["fallback_reason"] = fallback_reason
         self.sim.add_epoch_hook(self._on_epoch)
+
+    def _restore(self, snapshot: dict, target: int) -> tuple[dict | None, str | None]:
+        """Adopt the simulator and daemon of the snapshot file that
+        ``snapshot`` (``{"path", "config_key"}``, from the session
+        manager) describes; returns ``(its header, None)``.
+
+        Returns ``(None, reason)`` — after logging why — when the file
+        is missing, fails any check
+        (:func:`~repro.ledger.snapshot.read_snapshot`) or does not
+        load: a bad snapshot can cost time, never a session.
+        """
+        try:
+            header, payload = read_snapshot(
+                snapshot["path"],
+                config_key=snapshot["config_key"],
+                max_epochs=target,
+            )
+            # Bytes this server wrote, verified against their digest, on
+            # a path the ledger derived (docs/service.md, trust boundary).
+            self.sim, self.daemon = pickle.loads(payload)
+        except Exception as exc:  # noqa: BLE001 — fall back to replay from 0
+            reason = exc.reason if isinstance(exc, SnapshotError) else "load_failed"
+            _log.log(
+                "info" if reason == "missing" else "warning",
+                "snapshot_not_used",
+                session=self.session_id,
+                reason=reason,
+                error=str(exc),
+            )
+            return None, reason
+        return header, None
 
     def _catch_up_to(self, epoch: int) -> None:
         behind = int(epoch) - self.sim.epochs_run
@@ -661,6 +724,29 @@ class ProfilingSession(SessionBase):
                 }
         finally:
             self.end_op()
+
+    def snapshot(self) -> tuple[int, bytes]:
+        """``(epochs_run, state)`` at one instant: simulator and daemon
+        in a single pickle, so the objects they share stay shared."""
+        with self._sim_lock:
+            return self.sim.epochs_run, pickle.dumps(
+                (self.sim, self.daemon), protocol=pickle.HIGHEST_PROTOCOL
+            )
+
+    def write_snapshot(
+        self, path: str, *, config_key: str, frame_seq: int, durable: bool
+    ) -> dict:
+        """Write :meth:`snapshot` to ``path`` (the session manager's
+        checkpoint step names it); returns the header written."""
+        epochs, payload = self.snapshot()
+        return write_snapshot(
+            path,
+            payload,
+            config_key=config_key,
+            epochs=epochs,
+            frame_seq=frame_seq,
+            durable=durable,
+        )
 
     def _on_epoch(self, metrics) -> None:
         """Epoch-step hook: fan one frame out to every subscriber."""

@@ -67,36 +67,49 @@ def crash_event_data(
     return data
 
 
+def _rebuilt_message(session_id: str, verb: str, epochs: int, rebuild: dict) -> str:
+    return (
+        f"session {session_id} {verb} at epoch {epochs} "
+        f"({rebuild['epochs_restored']} restored, "
+        f"{rebuild['epochs_replayed']} replayed)"
+    )
+
+
 def recovered_event_data(
-    worker: int, epochs_replayed: int, message: str
+    session_id: str, worker: int, epochs: int, rebuild: dict
 ) -> dict:
     """Payload of the ``recovered`` frame after a ledger re-materialize.
 
-    Pushed once the crashed session's replacement has caught back up
-    to ``epochs_replayed`` scored epochs; subsequent ``epoch`` frames
-    continue the pre-crash series bit-identically.
+    Pushed once the crashed session's replacement is back at ``epochs``
+    scored epochs; subsequent ``epoch`` frames continue the pre-crash
+    series bit-identically.  ``rebuild``
+    (:attr:`ProfilingSession.rebuild`) says how it got there:
+    ``epochs_restored`` from a snapshot of ``snapshot_bytes`` bytes and
+    ``epochs_replayed`` after it — or 0 / every epoch / 0 with a
+    ``fallback_reason`` when the snapshot was missing or refused.
     """
     return {
         "worker": int(worker),
-        "epochs_replayed": int(epochs_replayed),
-        "message": message,
+        **rebuild,
+        "message": _rebuilt_message(session_id, "recovered", epochs, rebuild),
     }
 
 
 def resumed_event_data(
-    epochs_resumed: int, message: str, worker: int | None = None
+    session_id: str, epochs: int, rebuild: dict, worker: int | None = None
 ) -> dict:
     """Payload of the ``resumed`` frame after a checkpoint re-admission.
 
     The voluntary-eviction sibling of :func:`recovered_event_data`:
-    pushed (and ledger-appended) once a checkpointed session has been
-    re-built and silently caught back up to ``epochs_resumed`` scored
-    epochs, so a ``subscribe(from_seq=...)`` stream shows checkpoint,
+    pushed (and ledger-appended) once a checkpointed session is back at
+    ``epochs`` scored epochs — ``rebuild`` says how, in the same fields
+    — so a ``subscribe(from_seq=...)`` stream shows checkpoint,
     ``evicted`` goodbye, and resumption as one gap-free seq sequence.
     """
     data = {
-        "epochs_resumed": int(epochs_resumed),
-        "message": message,
+        "epochs_resumed": int(epochs),
+        **rebuild,
+        "message": _rebuilt_message(session_id, "resumed", epochs, rebuild),
     }
     if worker is not None:
         data["worker"] = int(worker)

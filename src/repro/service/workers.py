@@ -10,7 +10,7 @@ life.  The worker hosts the real :class:`ProfilingSession` (simulator
 + daemon), so worker-pool runs are bit-identical to the in-process
 path; the parent holds a :class:`RemoteSession` facade that owns the
 subscriber queues and forwards ``step``/``stats``/``numa_maps``/
-``reconfigure``/``close`` over the worker's duplex pipe.
+``reconfigure``/``snapshot``/``close`` over the worker's duplex pipe.
 
 Wire shape on each pipe (pickled tuples):
 
@@ -136,8 +136,9 @@ def _worker_main(conn, worker_id: int) -> None:
 
     def dispatch(op, payload):
         if op == "create":
-            # A rebuild's ``params`` carry ``catchup``: that history
-            # re-runs before the sink attaches, unseen by the parent.
+            # A rebuild's ``params`` carry ``catchup``: the snapshot it
+            # names is read here, and the history since re-runs before
+            # the sink attaches, unseen by the parent.
             session_id, params = payload
             try:
                 session = ProfilingSession(session_id, **params)
@@ -148,7 +149,7 @@ def _worker_main(conn, worker_id: int) -> None:
             batchers[session_id] = _EventBatcher(conn, session_id)
             session.add_sink(batchers[session_id])
             sessions[session_id] = session
-            return session.info()
+            return {**session.info(), "rebuild": session.rebuild}
         if op == "step":
             session_id, epochs = payload
             return get(session_id).step(epochs)
@@ -160,6 +161,10 @@ def _worker_main(conn, worker_id: int) -> None:
         if op == "reconfigure":
             session_id, changes = payload
             return get(session_id).reconfigure(changes)
+        if op == "snapshot":
+            # Written from here: the state never crosses the pipe.
+            session_id, path, header = payload
+            return get(session_id).write_snapshot(path, **header)
         if op == "close":
             session_id, options = payload
             summary = get(session_id).close(**options)
@@ -407,6 +412,8 @@ class RemoteSession(SessionBase):
         self._discarded = False
         self._static_info: dict = {}
         self._epochs_run = 0
+        #: :attr:`ProfilingSession.rebuild` of the worker-side copy.
+        self.rebuild: dict | None = None
 
     @property
     def worker_index(self) -> int:
@@ -435,15 +442,18 @@ class RemoteSession(SessionBase):
     def _set_info(self, info: dict) -> None:
         """Cache the worker-side ``info()`` reply of a (re)build."""
         self._static_info = {
-            k: v for k, v in info.items() if k not in ("idle_s", "subscribers")
+            k: v
+            for k, v in info.items()
+            if k not in ("idle_s", "subscribers", "rebuild")
         }
         self._epochs_run = info.get("epochs_run", 0)
+        self.rebuild = info.get("rebuild")
 
     def recover(self, worker: WorkerHandle, info: dict) -> None:
         """Un-crash this session after a ledger re-materialization.
 
         The replacement session (same config, caught up to the ledger's
-        epoch count — ``info`` is its worker-side ``info()``) now lives
+        epoch count — ``info`` is the worker's ``create`` reply) now lives
         on ``worker``; subscriber queues and the session-global frame
         seq were parent-side state all along, so the ``recovered``
         frame and every live epoch frame after it continue the
@@ -456,10 +466,7 @@ class RemoteSession(SessionBase):
         self._fanout(
             "recovered",
             recovered_event_data(
-                worker.index,
-                self._epochs_run,
-                f"session {self.session_id} recovered from ledger "
-                f"({self._epochs_run} epochs replayed)",
+                self.session_id, worker.index, self._epochs_run, self.rebuild
             ),
         )
         self.touch()
@@ -505,6 +512,14 @@ class RemoteSession(SessionBase):
         result = self._request("reconfigure", (self.session_id, changes))
         self.touch()
         return result
+
+    def write_snapshot(self, path: str, **header) -> dict:
+        """:meth:`ProfilingSession.write_snapshot`, run by the worker."""
+        return self._request(
+            "snapshot",
+            (self.session_id, path, header),
+            timeout_s=DEFAULT_JOIN_TIMEOUT_S,
+        )
 
     def close(
         self,
@@ -636,7 +651,8 @@ class WorkerPool:
         Waits for a live worker (the dead slot respawns on its reader
         thread), re-pins the session there, and sends it the ordinary
         ``create`` with ``params`` — the recorded config plus the
-        ``catchup`` that silently re-runs the session's history.
+        ``catchup`` that restores the session's last snapshot and
+        silently re-runs its history since.
         On success the session object itself is un-crashed in place —
         its subscribers see one ``recovered`` frame and then gap-free
         live epochs.  Raises :class:`ServiceError` when no worker
@@ -712,7 +728,8 @@ class WorkerPool:
             "session_recovered",
             session=session.session_id,
             worker=worker.index,
-            epochs_replayed=info.get("epochs_run", 0),
+            epochs=info.get("epochs_run", 0),
+            **session.rebuild,
         )
         return session
 

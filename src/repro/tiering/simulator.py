@@ -266,6 +266,12 @@ class TieredSimulator:
         #: per-session epoch throughput.
         self.obs_label = workload.name
 
+    def __getstate__(self) -> dict:
+        # Epoch hooks are callbacks into whoever drives *this* copy (the
+        # service's fan-out); a pickled copy starts with none and its
+        # new driver registers its own.
+        return {**self.__dict__, "_epoch_hooks": []}
+
     # -------------------------------------------------------------- stepping
 
     @property

@@ -110,3 +110,61 @@ class TestSessions:
         root.create_session("s1", {"workload": "gups"}).close()
         meta = json.loads((tmp_path / "s1" / "meta.json").read_text())
         assert meta["format"] >= 1
+
+
+#: What a client may put in ``resume_session``'s ``session`` field.
+BAD_IDS = ["../x", "/abs", "a/b", "..", ".", "", "s1\x00", "s1\n", 7, ["s1"], None]
+
+
+class TestSessionIdValidation:
+    """Every path under the root is derived from a validated id: an id
+    is one well-formed path component or it is refused, before any file
+    is touched."""
+
+    @pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+    def test_no_accessor_derives_a_path_from_a_bad_id(self, tmp_path, bad):
+        root = Ledger(tmp_path / "root")
+        outside = tmp_path / "x"
+        outside.mkdir()
+        (outside / "meta.json").write_text('{"config": {}}')
+        (outside / "checkpoint.json").write_text('{"session": "x"}')
+        for access in (
+            root.session_dir,
+            root.load_meta,
+            root.load_checkpoint,
+            root.clear_checkpoint,
+            root.open_session,
+            root.checkpoint_path,
+            root.snapshot_path,
+            root.clear_snapshot,
+            lambda sid: root.create_session(sid, {"workload": "gups"}),
+            lambda sid: root.write_checkpoint(sid, {"epochs": 0}),
+        ):
+            with pytest.raises(ValueError, match="invalid session id"):
+                access(bad)
+        assert sorted(p.name for p in outside.iterdir()) == [
+            "checkpoint.json", "meta.json"
+        ]
+        assert list((tmp_path / "root").iterdir()) == []
+
+    def test_minted_and_archived_ids_are_accepted(self, tmp_path):
+        root = Ledger(tmp_path)
+        for sid in ("s1", "s12.1712345678901", "tenant-a_7"):
+            assert root.session_dir(sid) == tmp_path / sid
+
+    def test_listing_skips_directories_no_id_could_name(self, tmp_path):
+        root = Ledger(tmp_path)
+        root.create_session("s1", {"workload": "gups"}).close()
+        (tmp_path / ".trash").mkdir()
+        assert [s["session"] for s in root.list_sessions()] == ["s1"]
+
+    def test_snapshot_outlives_the_marker_and_clears_on_request(self, tmp_path):
+        root = Ledger(tmp_path)
+        root.create_session("s1", {"workload": "gups"}).close()
+        root.write_checkpoint("s1", {"epochs": 0})
+        assert root.snapshot_path("s1").parent == root.checkpoint_path("s1").parent
+        root.snapshot_path("s1").write_bytes(b"state")
+        assert root.clear_checkpoint("s1") is True
+        assert root.snapshot_path("s1").exists()
+        assert root.clear_snapshot("s1") is True
+        assert root.clear_snapshot("s1") is False

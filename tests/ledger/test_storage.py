@@ -287,3 +287,88 @@ class TestRetention:
         assert stats["segments"] >= 1
         assert stats["bytes"] > 0
         ledger.close()
+
+
+class TestRetentionCarriesForward:
+    """What a rebuild reads — the epoch count and every ``reconfigured``
+    record — describes the session's whole life, whatever retention
+    has dropped and however often the ledger is reopened."""
+
+    CHANGES = [
+        {"changes": {"trace_sample_period": 8}, "epochs_run": 5},
+        {"changes": {"abit_scan_interval_s": 0.5}, "epochs_run": 40},
+    ]
+
+    def _fill_with_reconfigures(self, ledger):
+        _fill(ledger, 5)
+        ledger.append("reconfigured", self.CHANGES[0])
+        _fill(ledger, 35, start=5)
+        ledger.append("reconfigured", self.CHANGES[1])
+        _fill(ledger, 20, start=40)
+        return [{"seq": 5, **self.CHANGES[0]}, {"seq": 41, **self.CHANGES[1]}]
+
+    def test_counts_and_reconfigures_survive_compaction_and_reopen(self, tmp_path):
+        kwargs = dict(segment_bytes=128, retention_bytes=512)
+        ledger = SessionLedger(tmp_path, **kwargs)
+        expected = self._fill_with_reconfigures(ledger)
+        # Both reconfigures have been compacted away from the segments...
+        assert ledger.first_seq > 41
+        on_disk = [r["event"] for r in ledger.read()]
+        assert "reconfigured" not in on_disk and len(on_disk) < 20
+        # ...and neither they nor the dropped epochs are forgotten.
+        assert ledger.epoch_count == 60
+        assert ledger.reconfigured == expected
+        ledger.close()
+        for _ in range(2):  # a reopen reads it back; a second one still does
+            reopened = SessionLedger(tmp_path, **kwargs)
+            assert reopened.epoch_count == 60
+            assert reopened.next_seq == 62
+            assert reopened.reconfigured == expected
+            reopened.close()
+
+    def test_reconfigures_are_tracked_without_retention_too(self, tmp_path):
+        ledger = SessionLedger(tmp_path, segment_bytes=128)
+        expected = self._fill_with_reconfigures(ledger)
+        assert ledger.reconfigured == expected
+        ledger.close()
+        assert not (tmp_path / "carried.json").exists()
+        reopened = SessionLedger(tmp_path, segment_bytes=128)
+        assert reopened.reconfigured == expected
+        assert reopened.epoch_count == 60
+        reopened.close()
+
+    def test_crash_between_carry_and_unlink_counts_nothing_twice(self, tmp_path):
+        """The facts are written before the segment is unlinked; dying
+        in between leaves a segment the reopen must drop, not recount."""
+        import shutil
+
+        ledger = SessionLedger(tmp_path, segment_bytes=128)
+        expected = self._fill_with_reconfigures(ledger)
+        oldest = sorted(tmp_path.glob("seg-*"))[:2]  # .idx and .jsonl
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for path in oldest:
+            shutil.copy(path, kept)
+        ledger.retention_bytes = 512
+        assert ledger.compact() >= 1
+        ledger.close()
+        for path in oldest:  # as if the unlink never happened
+            shutil.copy(kept / path.name, path)
+        reopened = SessionLedger(tmp_path, segment_bytes=128)
+        assert reopened.epoch_count == 60
+        assert reopened.reconfigured == expected
+        assert not any(path.exists() for path in oldest)
+        reopened.close()
+
+    def test_sidecar_sealed_before_the_facts_were_kept_is_rescanned(self, tmp_path):
+        ledger = SessionLedger(tmp_path, segment_bytes=128)
+        expected = self._fill_with_reconfigures(ledger)
+        ledger.close()
+        for sidecar in tmp_path.glob("seg-*.idx"):
+            index = json.loads(sidecar.read_text())
+            del index["reconfigured"]
+            sidecar.write_text(json.dumps(index))
+        reopened = SessionLedger(tmp_path, segment_bytes=128)
+        assert reopened.reconfigured == expected
+        assert reopened.epoch_count == 60
+        reopened.close()

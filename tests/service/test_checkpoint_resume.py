@@ -215,6 +215,35 @@ class TestCheckpointResume:
 
         run_async(main())
 
+    def test_resume_with_a_path_for_an_id_is_unknown_session(self, tmp_path):
+        """``session`` comes off the wire; the ledger refuses to turn
+        anything but a session id into a directory, and the client is
+        told the same as for an id that does not exist."""
+
+        async def main():
+            root = tmp_path / "root"
+            server = await _start_server(
+                workers=0, ledger_dir=str(root), evict_to_disk=True
+            )
+            try:
+                client = await WireClient.open(server.address)
+                info = await client.request("create_session", **PARAMS)
+                sid = info["session"]
+                await client.request("step", session=sid, epochs=2)
+                assert _evict_now(server) == [sid]
+                (root / sid).rename(tmp_path / "outside")
+                for bad in ("../outside", "/abs", "a/b", "..", "", 7, [sid]):
+                    with pytest.raises(ServiceError) as exc_info:
+                        await client.request("resume_session", session=bad)
+                    assert exc_info.value.code == ErrorCode.UNKNOWN_SESSION, bad
+                assert (tmp_path / "outside" / "checkpoint.json").exists()
+                assert (await client.request("list_sessions"))["sessions"] == []
+                await client.close()
+            finally:
+                await server.drain()
+
+        run_async(main())
+
     def test_plain_eviction_without_flag_is_not_resumable(self, tmp_path):
         """A ledger-backed server without --evict-to-disk keeps the
         historical discard-on-evict contract: goodbye says

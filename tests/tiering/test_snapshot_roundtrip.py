@@ -1,0 +1,84 @@
+"""A pickled simulator continues exactly where the original does.
+
+The service snapshots a session as one ``pickle.dumps((sim, daemon))``
+(:meth:`repro.service.session.ProfilingSession.snapshot`).  That is only
+sound while no two objects of the simulator share state through
+something pickle would silently un-share — an array *view* of another
+object's buffer comes back as a private copy, and the restored run
+drifts from the original a few epochs later.  So every workload, every
+policy and every optional mechanism is run, dumped mid-life and loaded,
+and then both copies run on: per-epoch results, the daemon's statistics
+and the numa_maps text must stay equal.
+"""
+
+import pickle
+
+import pytest
+
+from repro.core.daemon import TMPDaemon
+from repro.memsim import MachineConfig
+from repro.tiering import TieredSimulator
+from repro.tiering.policies import POLICIES
+from repro.workloads import WORKLOAD_NAMES, make_workload
+
+EPOCHS = 12
+SMALL = dict(scale=1 / 64, accesses_per_epoch=4000)
+
+CASES = {
+    **{
+        f"workload-{name}": dict(workload=name)
+        for name in WORKLOAD_NAMES
+    },
+    **{
+        f"policy-{name}": dict(workload="web-serving", policy=name, epoch_slices=4)
+        for name in POLICIES
+    },
+    "exact-assoc-4way": dict(
+        workload="gups", machine=dict(exact_assoc=True, tlb_ways=4, cache_ways=4)
+    ),
+    "all-samplers-pml-jitter": dict(
+        workload="gups",
+        machine=dict(
+            enable_pebs=True, enable_lwp=True, enable_pml=True, ibs_jitter=0.2
+        ),
+    ),
+    "gups-thp": dict(workload="gups", workload_kwargs=dict(thp=True)),
+}
+
+
+def _build(spec):
+    workload = make_workload(
+        spec["workload"], **SMALL, **spec.get("workload_kwargs", {})
+    )
+    sim = TieredSimulator(
+        workload,
+        POLICIES[spec.get("policy", "history")](),
+        machine_config=MachineConfig.scaled(ibs_period=16, **spec.get("machine", {})),
+        seed=3,
+        epoch_slices=spec.get("epoch_slices", 1),
+    )
+    daemon = TMPDaemon(sim.profiler)
+    daemon.add_workload(workload)
+    sim.start()
+    return sim, daemon
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_loaded_copy_runs_on_like_the_original(name):
+    sim, daemon = _build(CASES[name])
+    seen = []
+    sim.add_epoch_hook(seen.append)
+    sim.step(EPOCHS)
+    copy, copy_daemon = pickle.loads(pickle.dumps((sim, daemon)))
+
+    # One object graph, not two halves: the daemon still fronts the
+    # copy's own profiler, and the driver's hooks did not come along.
+    assert copy_daemon.profiler is copy.profiler
+    assert copy.profiler.machine is copy.machine
+    assert copy._epoch_hooks == [] and len(sim._epoch_hooks) == 1
+
+    assert copy.step(EPOCHS) == sim.step(EPOCHS)
+    assert len(seen) == 2 * EPOCHS
+    assert copy.result == sim.result
+    assert copy_daemon.statistics() == daemon.statistics()
+    assert copy_daemon.numa_maps() == daemon.numa_maps()
