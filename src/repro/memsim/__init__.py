@@ -25,7 +25,6 @@ from .machine import BatchResult, Machine, MachineConfig
 from .page_table import PageTable, TranslationFault, VMA
 from .pebs import PEBSSampler
 from .pml import PMLogger
-from .resctrl import ResctrlMonitor, RMIDReading
 from .pmu import EVENT_NAMES, PMU
 from .ptw import PageTableWalker
 from .sampling import DEFAULT_IBS_PERIOD
@@ -53,8 +52,6 @@ __all__ = [
     "PageTableWalker",
     "PEBSSampler",
     "PMLogger",
-    "ResctrlMonitor",
-    "RMIDReading",
     "PMU",
     "SampleBatch",
     "TranslationFault",

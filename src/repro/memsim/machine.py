@@ -36,7 +36,6 @@ from .ibs import IBSSampler
 from .lwp import LWPSampler
 from .page_table import VMA, PageTable, VMAIndex
 from .pebs import PEBSSampler
-from .resctrl import ResctrlMonitor
 from .pml import PMLogger
 from .pmu import PMU
 from .ptw import PageTableWalker
@@ -222,8 +221,6 @@ class Machine:
         self.pebs.enabled = c.enable_pebs
         self.lwp = LWPSampler(period=c.lwp_period)
         self.lwp.enabled = c.enable_lwp
-        #: Optional Resource-Control monitor (see :meth:`enable_resctrl`).
-        self.resctrl: ResctrlMonitor | None = None
         self.pml = PMLogger()
         self.pml.enabled = c.enable_pml
         self.badgertrap = BadgerTrap()
@@ -297,14 +294,6 @@ class Machine:
     def amat_cycles(self) -> float:
         """Whole-run average memory-access time in cycles."""
         return self.cycles / self.op_counter if self.op_counter else 0.0
-
-    def enable_resctrl(self, decay: float = 0.5, max_rmids: int = 64) -> ResctrlMonitor:
-        """Arm the Resource-Control monitor (CMT/MBM; footnote 3)."""
-        if self.resctrl is None:
-            self.resctrl = ResctrlMonitor(
-                self.config.llc_bytes, decay=decay, max_rmids=max_rmids
-            )
-        return self.resctrl
 
     # --------------------------------------------------------------- execute
 
@@ -419,7 +408,7 @@ class Machine:
         )
         self.cycles += batch_cycles
 
-        # 7. Trace samplers + optional resource-control accounting.
+        # 7. Trace samplers.
         self.ibs.observe(
             batch, op_base=op_base, paddr=paddr, tlb_hit=tlb_hit, data_source=data_source
         )
@@ -429,8 +418,6 @@ class Machine:
         self.lwp.observe(
             batch, op_base=op_base, paddr=paddr, tlb_hit=tlb_hit, data_source=data_source
         )
-        if self.resctrl is not None:
-            self.resctrl.observe(batch.pid, mem_mask)
 
         # 8. Ground truth; its per-frame counts of the batch go out
         #    with the result instead of being counted again.

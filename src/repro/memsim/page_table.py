@@ -140,7 +140,8 @@ class VMAIndex:
 
     def __init__(self, tables: Iterable["PageTable"]):
         #: The indexed page tables (those with a mapping), ascending PID;
-        #: ``rank[row]`` is a row's position in this list.
+        #: ``rank[row]`` is a row's position in this list (emptied in a
+        #: page table's index of itself, see ``PageTable.mmap``).
         self.tables = sorted((pt for pt in tables if pt.vmas), key=lambda pt: pt.pid)
         self.pids = np.array([pt.pid for pt in self.tables], dtype=np.int64)
         self._pid_lo = int(self.pids[0]) if self.tables else 0
@@ -372,6 +373,9 @@ class PageTable:
         self.vmas.append(vma)
         self.vmas.sort(key=lambda v: v.start_vpn)
         self._index = VMAIndex((self,))
+        # Only translated through; holding its table would close a cycle
+        # and keep a dropped machine on the heap until a full collection.
+        self._index.tables.clear()
         return vma
 
     # ------------------------------------------------------------ translate

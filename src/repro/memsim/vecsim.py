@@ -1,33 +1,12 @@
 """Lookup-structure engines shared by the TLB and cache models.
 
-Three engines implement the same ``access`` contract:
-
-``VectorDirectMapped``
-    An *exact*, fully vectorized direct-mapped structure.  A batch of
-    accesses is resolved with a single stable sort of its row indices
-    (no Python loop).  While ``nsets * shards`` fits 16 bits — every
-    scaled geometry, and the full-size L1/L2/TLB — the rows are
-    ``uint16`` from the truncating cast of the key to the scatter of
-    the hit mask: a 16-bit radix sort, 16-bit gathers and compares,
-    and one ``intp`` cast of the per-run first rows, which are the
-    only rows that index the state arrays.
-
-``VectorSetAssoc``
-    An *exact*, vectorized set-associative true-LRU structure.  State
-    lives in dense ``[nsets * shards, ways]`` tag/valid/recency
-    matrices; a batch is stable-sorted into per-set segments, adjacent
-    same-key repeats collapse to guaranteed hits, and the surviving
-    touches resolve in vectorized *rounds* (round ``r`` handles the
-    ``r``-th surviving touch of every set at once, so each round
-    gathers/scatters each set row at most once).  Recency is a
-    monotonically increasing stamp assigned in program order, which
-    reproduces true-LRU ordering exactly regardless of how the batch
-    was regrouped.
-
-``SequentialSetAssoc``
-    The golden-reference set-associative LRU structure processed one
-    access at a time in Python.  Property and equivalence tests
-    cross-check the vectorized engines against it.
+Three engines implement the same ``access`` contract (each class says
+how): ``VectorDirectMapped``, exact and fully vectorized — one stable
+sort of the batch's row indices, 16-bit while ``nsets * shards`` fits;
+``VectorSetAssoc``, exact true-LRU set-associative, vectorized in
+conflict-free rounds over per-set segments; ``SequentialSetAssoc``, the
+golden reference, one access at a time in Python, which the property
+and equivalence tests hold the other two to.
 
 All engines are *stateful* across batches — essential for the paper's
 no-shootdown A-bit semantics, where a translation that stays resident in
@@ -102,6 +81,36 @@ _PRIO_FREE = np.int64(1) << np.int64(61)
 #: numpy dispatch) exceeds scalar per-touch replay, so the rounds loop
 #: hands the stragglers to ``_replay_segments``.
 _SCALAR_CUTOVER = 64
+
+#: Touches the scalar tail takes at a time: 64 pointers are 512 bytes,
+#: the largest block Python's own allocator serves.
+_REPLAY_PIECE = 64
+
+
+class _RoundScratch:
+    """Everything one round of :class:`VectorSetAssoc` gathers or derives.
+
+    A round touches each row at most once, so ``rows`` entries hold any
+    round and the rounds allocate no array.  That is for the allocator:
+    a round's arrays shrink from batch length to a few dozen entries,
+    numpy keeps every freed block under 1 KiB for reuse by exact size,
+    and such a block, first asked for while the call's batch-length
+    arrays lie below it, keeps the heap from shrinking back over them —
+    megabytes resident on some runs and not on others
+    (docs/performance.md, "Resident memory").
+    """
+
+    def __init__(self, rows: int, ways: int):
+        self.act = np.empty(rows, dtype=np.intp)
+        self.rows = np.empty(rows, dtype=np.intp)
+        self.keys = np.empty(rows, dtype=ADDR_DTYPE)
+        self.stamps = np.empty(rows, dtype=np.int64)
+        self.tags = np.empty((rows, ways), dtype=ADDR_DTYPE)
+        self.valid = np.empty((rows, ways), dtype=bool)
+        self.match = np.empty((rows, ways), dtype=bool)
+        self.prio = np.empty((rows, ways), dtype=np.int64)
+        self.way = np.empty(rows, dtype=np.intp)
+        self.hit = np.empty(rows, dtype=bool)
 
 
 class VectorDirectMapped:
@@ -289,7 +298,8 @@ class VectorSetAssoc:
     3. resolve the surviving touches in rounds: round ``r`` handles
        the ``r``-th surviving touch of every set simultaneously.  Each
        round touches each set row at most once, so the gather /
-       compare / scatter is plain numpy with no write conflicts.
+       compare / scatter is plain numpy with no write conflicts, into
+       buffers the engine owns (``_RoundScratch``).
 
     The round count equals the longest per-set *alternation* sequence
     in the batch, which is short for realistic streams (hot keys
@@ -313,6 +323,16 @@ class VectorSetAssoc:
         self._valid = np.zeros((rows, ways), dtype=bool)
         self._stamp = np.zeros((rows, ways), dtype=np.int64)
         self._clock = 1
+        self._scratch = _RoundScratch(rows, ways)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_scratch"]  # no state in it: a snapshot need not carry it
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._scratch = _RoundScratch(self.nsets * self.shards, self.ways)
 
     @property
     def capacity(self) -> int:
@@ -372,6 +392,7 @@ class VectorSetAssoc:
         c_rows = s_rows[kidx]
         c_keys = s_keys[kidx]
         c_stamp = s_stamp[run_end]
+        del s_rows, s_keys, s_stamp, run_end  # not held through the rounds
 
         seg_start = np.empty(m, dtype=bool)
         seg_start[0] = True
@@ -381,28 +402,37 @@ class VectorSetAssoc:
         c_hits = np.empty(m, dtype=bool)
         # Rounds: the r-th surviving touch of every set resolves
         # together; rows within a round are distinct, so fancy-indexed
-        # scatters are conflict-free.  Once too few segments stay live
+        # scatters are conflict-free.  Longest segments first: those
+        # live in round r are the first ``k``.  Once too few stay live
         # to amortize a round's fixed numpy cost, the stragglers finish
         # on the scalar tail instead (heavily aliased streams would
         # otherwise degrade to one tiny vector op per access).
-        act = first
-        for r in range(int(seg_len.max())):
-            if r:
-                live = seg_len > r
-                act = first[live] + r
-                if act.size < _SCALAR_CUTOVER:
-                    self._replay_segments(
-                        first[live], seg_len[live], r, c_rows, c_keys, c_stamp, c_hits
-                    )
-                    break
-            c_hits[act] = self._touch_rows(c_rows[act], c_keys[act], c_stamp[act])
+        by_len = np.argsort(seg_len)[::-1]
+        first = first[by_len]
+        lens = seg_len[by_len].tolist()
+        scratch = self._scratch
+        k = len(lens)
+        for r in range(lens[0]):
+            while lens[k - 1] <= r:
+                k -= 1
+            if r and k < _SCALAR_CUTOVER:
+                self._replay_segments(
+                    first[:k], lens[:k], r, c_rows, c_keys, c_stamp, c_hits
+                )
+                break
+            act = np.add(first[:k], r, out=scratch.act[:k])
+            c_hits[act] = self._touch_rows(
+                c_rows.take(act, out=scratch.rows[:k], mode="clip"),
+                c_keys.take(act, out=scratch.keys[:k], mode="clip"),
+                c_stamp.take(act, out=scratch.stamps[:k], mode="clip"),
+            )
         hit_sorted[kidx] = c_hits
         hits[order] = hit_sorted
 
     def _replay_segments(
         self,
         starts: np.ndarray,
-        lens: np.ndarray,
+        lens: list[int],
         r: int,
         c_rows: np.ndarray,
         c_keys: np.ndarray,
@@ -419,37 +449,39 @@ class VectorSetAssoc:
         else true LRU).
         """
         W = self.ways
-        for s0, sl in zip(starts.tolist(), lens.tolist()):
+        for s0, sl in zip(starts.tolist(), lens):
             row = int(c_rows[s0])
             tags = self._tags[row].tolist()
             valid = self._valid[row].tolist()
             stamp = self._stamp[row].tolist()
-            seg_hits = []
-            for k, st in zip(
-                c_keys[s0 + r : s0 + sl].tolist(),
-                c_stamp[s0 + r : s0 + sl].tolist(),
-            ):
-                w = -1
-                for j in range(W):
-                    if valid[j] and tags[j] == k:
-                        w = j
-                        break
-                if w >= 0:
-                    seg_hits.append(True)
-                else:
-                    seg_hits.append(False)
+            # In pieces: Python keeps a list this short in its own
+            # pools; a longer one is a malloc block, which once freed
+            # can hold the heap up as a round's arrays could.
+            for lo in range(s0 + r, s0 + sl, _REPLAY_PIECE):
+                hi = min(lo + _REPLAY_PIECE, s0 + sl)
+                seg_hits = []
+                for k, st in zip(c_keys[lo:hi].tolist(), c_stamp[lo:hi].tolist()):
+                    w = -1
                     for j in range(W):
-                        if not valid[j] and (w < 0 or stamp[j] < stamp[w]):
+                        if valid[j] and tags[j] == k:
                             w = j
-                    if w < 0:
-                        w = 0
-                        for j in range(1, W):
-                            if stamp[j] < stamp[w]:
+                            break
+                    if w >= 0:
+                        seg_hits.append(True)
+                    else:
+                        seg_hits.append(False)
+                        for j in range(W):
+                            if not valid[j] and (w < 0 or stamp[j] < stamp[w]):
                                 w = j
-                    tags[w] = k
-                    valid[w] = True
-                stamp[w] = st
-            c_hits[s0 + r : s0 + sl] = seg_hits
+                        if w < 0:
+                            w = 0
+                            for j in range(1, W):
+                                if stamp[j] < stamp[w]:
+                                    w = j
+                        tags[w] = k
+                        valid[w] = True
+                    stamp[w] = st
+                c_hits[lo:hi] = seg_hits
             self._tags[row] = tags
             self._valid[row] = valid
             self._stamp[row] = stamp
@@ -457,16 +489,24 @@ class VectorSetAssoc:
     def _touch_rows(
         self, rows: np.ndarray, keys: np.ndarray, stamps: np.ndarray
     ) -> np.ndarray:
-        """One access per (distinct) row: hit → touch, miss → install."""
-        tags = self._tags[rows]
-        valid = self._valid[rows]
-        match = valid & (tags == keys[:, None])
+        """One access per (distinct) row: hit → touch, miss → install.
+        The hit mask returned is round scratch: read it before the next."""
+        scratch = self._scratch
+        k = rows.size
+        tags = self._tags.take(rows, axis=0, out=scratch.tags[:k], mode="clip")
+        valid = self._valid.take(rows, axis=0, out=scratch.valid[:k], mode="clip")
+        match = np.equal(tags, keys[:, None], out=scratch.match[:k])
+        match &= valid
+        free = np.logical_not(valid, out=valid)
         # One argmax over banded priorities picks the way: the matched
         # way on hits, any invalid way while the set still has room,
         # else the true-LRU (min-stamp) way.
-        prio = match * _PRIO_HIT + ~valid * _PRIO_FREE - self._stamp[rows]
-        way = prio.argmax(axis=1)
-        hit = match.any(axis=1)
+        prio = self._stamp.take(rows, axis=0, out=scratch.prio[:k], mode="clip")
+        np.negative(prio, out=prio)
+        np.add(prio, _PRIO_HIT, out=prio, where=match)
+        np.add(prio, _PRIO_FREE, out=prio, where=free)
+        way = prio.argmax(axis=1, out=scratch.way[:k])
+        hit = match.any(axis=1, out=scratch.hit[:k])
         self._tags[rows, way] = keys
         self._valid[rows, way] = True
         self._stamp[rows, way] = stamps

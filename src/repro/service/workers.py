@@ -263,6 +263,10 @@ class WorkerHandle:
         self.closing = False
         self._send_lock = threading.Lock()
         self._pending_lock = threading.Lock()
+        #: Serialises a respawn against ``close()``: a death that lost
+        #: the race to shutdown starts nothing, and ``close()`` never
+        #: sees a process that is constructed but not yet started.
+        self._lifecycle_lock = threading.Lock()
         self._pending: dict[int, Future] = {}
         self._request_ids = itertools.count(1)
         self.process = None
@@ -365,14 +369,16 @@ class WorkerHandle:
         # subscribers see the error frame the moment the pipe breaks.
         self._on_death(self.index, lost, message)
         self.generation += 1
-        if not self.closing:
-            self._spawn()
+        with self._lifecycle_lock:
+            if not self.closing:
+                self._spawn()
 
     # ----------------------------------------------------------- lifecycle
 
     def close(self, timeout_s: float = DEFAULT_JOIN_TIMEOUT_S) -> None:
         """Graceful stop: ask the worker to exit, then join or kill."""
-        self.closing = True
+        with self._lifecycle_lock:
+            self.closing = True
         try:
             self.request("shutdown", timeout_s=timeout_s)
         except ServiceError:

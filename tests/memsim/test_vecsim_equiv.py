@@ -19,6 +19,8 @@ Coverage axes:
   per-access outcomes and ``EpochMetrics``.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,24 @@ class TestSetAssocEquivalence:
         np.testing.assert_array_equal(vec.access(keys), seq.access(keys))
         keys = np.arange(5000, dtype=np.uint64) % (ways + 1)  # strict cycle
         np.testing.assert_array_equal(vec.access(keys), seq.access(keys))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uneven_segments_over_many_rows(self, seed):
+        # Skewed touch counts over hundreds of rows: vector rounds over
+        # the longest-first prefix still live, then the scalar tail;
+        # halfway the engine is pickled, which drops the round scratch.
+        rng = np.random.default_rng(seed)
+        vec = VectorSetAssoc(128, 4, shards=2)
+        seq = SequentialSetAssoc(128, 4, shards=2)
+        for step in range(4):
+            keys = (rng.zipf(1.3, 6000) % 4096).astype(np.uint64)
+            shard = rng.integers(0, 2, keys.size)
+            np.testing.assert_array_equal(
+                vec.access(keys, shard), seq.access(keys, shard), err_msg=f"step {step}"
+            )
+            if step == 1:
+                vec = pickle.loads(pickle.dumps(vec))
+        assert vec.occupancy() == seq.occupancy()
 
     def test_repeat_runs_collapse_to_hits(self):
         # Adjacent same-key repeats are hits and advance recency: after

@@ -6,8 +6,12 @@ parity of a worker-hosted session with a direct simulator run.
 """
 
 import json
+import os
+import signal
+import threading
 import time
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
@@ -211,3 +215,72 @@ class TestShutdown:
         assert all(p.is_alive() for p in processes)
         pool.shutdown()
         assert all(not p.is_alive() for p in processes)
+
+    @pytest.mark.parametrize("hold", ["before_spawn", "before_start"])
+    def test_death_racing_shutdown_leaves_no_process(self, hold):
+        # The reader thread of a killed worker is past its ``closing``
+        # check when shutdown begins.  Unless respawn and ``close()``
+        # are serialised, a reader held at the door of ``_spawn`` goes
+        # on to start a process nobody will ever close, and one held
+        # between ``Process(...)`` and ``start()`` hands ``close()`` a
+        # half-spawned one ("can only join a started process").
+        pool = WorkerPool(1)
+        handle = pool.workers[0]
+        entered, release = threading.Event(), threading.Event()
+        spawned = [handle.process]
+
+        def gate():
+            entered.set()
+            assert release.wait(30)
+
+        class HeldStart:
+            """A ``Process`` whose ``start()`` waits at the gate first."""
+
+            def __init__(self, proc):
+                self._proc = proc
+
+            def start(self):
+                gate()
+                self._proc.start()
+
+            def __getattr__(self, name):
+                return getattr(self._proc, name)
+
+        ctx, spawn = handle._ctx, handle._spawn
+
+        def process(*args, **kwargs):
+            proc = ctx.Process(*args, **kwargs)
+            spawned.append(proc)
+            return HeldStart(proc) if hold == "before_start" else proc
+
+        handle._ctx = SimpleNamespace(Pipe=ctx.Pipe, Process=process)
+        if hold == "before_spawn":
+            handle._spawn = lambda: (gate(), spawn())
+        reader = next(
+            t for t in threading.enumerate() if t.name == "repro-service-reader-0"
+        )
+        errors = []
+
+        def shutdown():
+            try:
+                pool.shutdown(timeout_s=10)
+            except BaseException as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+
+        stopper = threading.Thread(target=shutdown, daemon=True)
+        try:
+            os.kill(handle.process.pid, signal.SIGKILL)
+            assert entered.wait(30), "reader never reached the respawn"
+            stopper.start()
+            stopper.join(0.5)  # serialised, it waits for the respawn in flight
+            release.set()
+            stopper.join(30)
+            reader.join(30)
+            assert not stopper.is_alive() and not reader.is_alive()
+            assert errors == []
+            assert not any(p.is_alive() for p in spawned), "respawned under shutdown"
+        finally:
+            release.set()
+            for proc in spawned:
+                if proc.is_alive():
+                    proc.kill()

@@ -1,5 +1,8 @@
 """Integration tests for the online tiered simulator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,26 @@ class TestStepping:
         sim.step(1)
         assert seen == [0, 1, 2]
         assert [m.epoch for m in sim.result.epochs] == [0, 1, 2]
+
+
+    @pytest.mark.parametrize("wname", ["gups", "web-serving"])
+    def test_a_dropped_simulator_is_freed_at_once(self, wname):
+        """No cycle holds its arrays until a full collection (one through
+        each page table's own index once did: half a megabyte per
+        discarded simulator, and whatever heap lay below it)."""
+        gc.collect()
+        gc.disable()
+        try:
+            sim = _sim(HistoryPolicy(), wname=wname)
+            sim.start()
+            sim.step(2)
+            parts = [sim.machine, sim.profiler, sim.mover, sim.placement]
+            parts += sim.machine.page_tables.values()
+            gone = [weakref.ref(part) for part in parts]
+            del sim, parts
+            assert [ref() for ref in gone] == [None] * len(gone)
+        finally:
+            gc.enable()
 
 
 class TestPolicyOrdering:
