@@ -1,0 +1,88 @@
+"""What the command modules share: argument types, the flag groups
+several commands take, and the helpers that turn parsed arguments into
+library objects.
+
+``import repro`` has loaded ``core``, ``memsim``, ``runner``, ``tiering``
+and ``workloads`` before any of this runs, so the command modules import
+them at the top; ``analysis``, ``service``, ``ledger`` and ``loadgen`` it
+has not, and those stay inside the handlers that need them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+
+from ..memsim import MachineConfig
+from ..runner import RecordSpec, RunCache
+from ..tiering.policies import resolve_policy
+from ..workloads import WORKLOAD_NAMES, resolve_workload
+
+
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+positive_int = _int_at_least(1)
+nonnegative_int = _int_at_least(0)
+
+
+def runner_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--jobs", type=positive_int, default=None, metavar="N",
+        help="parallel worker processes (default: $REPRO_JOBS or cpu count)",
+    )
+    p.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="content-addressed recorded-run cache (default: $REPRO_CACHE_DIR)",
+    )
+
+
+def workload_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("workload", help="workload name (see `repro list`)")
+    p.add_argument("--epochs", type=nonnegative_int, default=8)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--ibs-period", type=int, default=16,
+        help="trace sampling period (scaled; 64=default rate, 16=4x, 8=8x)",
+    )
+
+
+def machine_config(args):
+    return MachineConfig.scaled(ibs_period=args.ibs_period)
+
+
+def record_spec(args, name: str):
+    return RecordSpec(
+        name, machine_config=machine_config(args), epochs=args.epochs, seed=args.seed
+    )
+
+
+def workload(args):
+    return resolve_workload(args.workload, error=SystemExit)()
+
+
+def workload_names(args) -> list[str]:
+    """Resolve the workload positional, allowing ``all`` for the suite."""
+    if args.workload == "all":
+        return list(WORKLOAD_NAMES)
+    resolve_workload(args.workload, error=SystemExit, also=("all",))
+    return [args.workload]
+
+
+def policy_class(name: str):
+    return resolve_policy(name, error=SystemExit)
+
+
+def run_cache(args):
+    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
+    return RunCache(cache_dir) if cache_dir else None

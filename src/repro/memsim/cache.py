@@ -63,14 +63,11 @@ class CacheLevel:
         ways: int = 1,
         *,
         exact_assoc: bool = False,
-        reference: bool = False,
         shards: int = 1,
     ):
         lines = size_bytes // LINE_SIZE
         cap = 1 << (int(lines).bit_length() - 1)  # round down to pow2
-        self._engine = make_engine(
-            cap, ways, exact_assoc=exact_assoc, reference=reference, shards=shards
-        )
+        self._engine = make_engine(cap, ways, exact_assoc=exact_assoc, shards=shards)
         self.name = name
         self.capacity_lines = cap
         self.shards = shards
@@ -113,12 +110,11 @@ class CacheHierarchy:
         n_cpus: int = 1,
         ways: int = 1,
         exact_assoc: bool = False,
-        reference: bool = False,
     ):
         if n_cpus < 1:
             raise ValueError(f"n_cpus must be >= 1, got {n_cpus}")
         self.n_cpus = n_cpus
-        kw = dict(ways=ways, exact_assoc=exact_assoc, reference=reference)
+        kw = dict(ways=ways, exact_assoc=exact_assoc)
         self.l1 = CacheLevel("L1", l1_bytes, shards=n_cpus, **kw)
         self.l2 = CacheLevel("L2", l2_bytes, shards=n_cpus, **kw)
         self._llc = CacheLevel("LLC", llc_bytes, **kw)

@@ -69,8 +69,6 @@ class MachineConfig:
     cache_ways: int = 1
     #: Use the exact set-associative LRU engines (vectorized).
     exact_assoc: bool = False
-    #: Use the scalar golden-reference engines (slow; equivalence tests).
-    assoc_reference: bool = False
     n_cpus: int = 6
     #: Simulated memory-access throughput, accesses/second.  Converts op
     #: counts to wall-clock for scan scheduling and overhead accounting.
@@ -202,7 +200,6 @@ class Machine:
             entries=c.tlb_entries,
             ways=c.tlb_ways,
             exact_assoc=c.exact_assoc,
-            reference=c.assoc_reference,
         )
         self.caches = CacheHierarchy(
             c.l1_bytes,
@@ -211,7 +208,6 @@ class Machine:
             n_cpus=c.n_cpus,
             ways=c.cache_ways,
             exact_assoc=c.exact_assoc,
-            reference=c.assoc_reference,
         )
         self.ptw = PageTableWalker()
         self.pmu = PMU(n_counters=c.pmu_counters)

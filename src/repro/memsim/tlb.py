@@ -79,8 +79,8 @@ class TLBArray:
     precisely why they cost IPIs).  Aggregate statistics are summed
     over CPUs, with shootdown rounds counted once (one IPI round
     invalidates on all CPUs).  ``entries`` is per CPU and rounds down
-    to a power of two; ``ways``, ``exact_assoc`` and ``reference`` pick
-    the lookup engine (see :func:`~repro.memsim.vecsim.make_engine`).
+    to a power of two; ``ways`` and ``exact_assoc`` pick the
+    lookup engine (see :func:`~repro.memsim.vecsim.make_engine`).
     """
 
     def __init__(
@@ -90,18 +90,13 @@ class TLBArray:
         ways: int = 1,
         *,
         exact_assoc: bool = False,
-        reference: bool = False,
     ):
         if n_cpus < 1:
             raise ValueError(f"n_cpus must be >= 1, got {n_cpus}")
         self.n_cpus = n_cpus
         self.entries = _pow2_floor(entries)
         self._engine = make_engine(
-            self.entries,
-            ways,
-            exact_assoc=exact_assoc,
-            reference=reference,
-            shards=n_cpus,
+            self.entries, ways, exact_assoc=exact_assoc, shards=n_cpus
         )
         self.stats = TLBStats()
 

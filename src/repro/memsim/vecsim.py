@@ -1,14 +1,14 @@
 """Lookup-structure engines shared by the TLB and cache models.
 
-Three engines implement the same ``access`` contract (each class says
+Two engines implement the same ``access`` contract (each class says
 how): ``VectorDirectMapped``, exact and fully vectorized — one stable
 sort of the batch's row indices, 16-bit while ``nsets * shards`` fits;
 ``VectorSetAssoc``, exact true-LRU set-associative, vectorized in
-conflict-free rounds over per-set segments; ``SequentialSetAssoc``, the
-golden reference, one access at a time in Python, which the property
-and equivalence tests hold the other two to.
+conflict-free rounds over per-set segments.  The scalar reference both
+are held to, one access at a time in Python, lives with the tests
+(``tests/memsim/reference.py``).
 
-All engines are *stateful* across batches — essential for the paper's
+Both engines are *stateful* across batches — essential for the paper's
 no-shootdown A-bit semantics, where a translation that stays resident in
 the TLB suppresses page-walks (and therefore A-bit re-sets) across scan
 intervals.
@@ -39,7 +39,6 @@ __all__ = [
     "fold_shards",
     "VectorDirectMapped",
     "VectorSetAssoc",
-    "SequentialSetAssoc",
     "make_engine",
 ]
 
@@ -113,22 +112,13 @@ class _RoundScratch:
         self.hit = np.empty(rows, dtype=bool)
 
 
-class VectorDirectMapped:
-    """Exact direct-mapped lookup structure with vectorized batch access.
+class _DenseEngine:
+    """What the two engines share: ``_tags`` / ``_valid`` arrays over
+    ``nsets * shards`` rows (one column or ``ways``), and everything
+    that reads them as a bag of resident tags — the shootdowns and the
+    any-shard probes, which never look at a set index."""
 
-    Parameters
-    ----------
-    nsets:
-        Number of sets (must be a power of two); equals per-shard
-        capacity in entries since the structure is direct-mapped.
-    shards:
-        Number of independent replicas sharing the dense arrays (one
-        per CPU for private structures).
-    """
-
-    ways = 1
-
-    def __init__(self, nsets: int, shards: int = 1):
+    def __init__(self, nsets: int, shards: int):
         if not is_pow2(nsets):
             raise ValueError(f"nsets must be a power of two, got {nsets}")
         if shards < 1:
@@ -136,36 +126,11 @@ class VectorDirectMapped:
         self.nsets = nsets
         self.shards = shards
         self._mask = ADDR_DTYPE(nsets - 1)
-        self._row_dtype = np.uint16 if nsets * shards <= _NARROW_ROWS else np.intp
-        self._tags = np.zeros(nsets * shards, dtype=ADDR_DTYPE)
-        self._valid = np.zeros(nsets * shards, dtype=bool)
 
     @property
     def capacity(self) -> int:
         """Number of entries one shard can hold."""
-        return self.nsets
-
-    def _rows(self, keys: np.ndarray, shard) -> np.ndarray:
-        """Row (shard-major set index) per key, in the narrowest of
-        ``uint16`` / ``intp`` that holds ``nsets * shards``.
-
-        ``shard`` must already be a valid shard index per key (callers
-        with raw CPU ids fold them first, see :func:`fold_shards`).
-        """
-        if self._row_dtype is np.uint16:
-            # Truncating the key to 16 bits *is* most of the mask.
-            rows = keys.astype(np.uint16)
-            if self.nsets < _NARROW_ROWS:
-                rows &= np.uint16(self.nsets - 1)
-        else:
-            rows = (keys & self._mask).astype(np.intp)
-        if shard is not None and self.shards > 1:
-            # Cast before multiplying: an int16 cpu column times nsets
-            # would wrap long before the row dtype does.
-            rows += np.asarray(shard).astype(self._row_dtype) * self._row_dtype(
-                self.nsets
-            )
-        return rows
+        return self.nsets * self.ways
 
     def flush(self) -> None:
         """Invalidate every entry on every shard (full shootdown)."""
@@ -197,16 +162,64 @@ class VectorDirectMapped:
         self._valid[doomed] = False
         return n
 
+    def contains_any(self, keys: np.ndarray) -> np.ndarray:
+        """Non-mutating probe: resident on *any* shard?"""
+        keys = np.asarray(keys, dtype=ADDR_DTYPE)
+        return np.isin(keys, self._tags[self._valid])
+
+    def occupancy(self) -> int:
+        """Number of currently valid entries (all shards)."""
+        return int(np.count_nonzero(self._valid))
+
+
+class VectorDirectMapped(_DenseEngine):
+    """Exact direct-mapped lookup structure with vectorized batch access.
+
+    Parameters
+    ----------
+    nsets:
+        Number of sets (must be a power of two); equals per-shard
+        capacity in entries since the structure is direct-mapped.
+    shards:
+        Number of independent replicas sharing the dense arrays (one
+        per CPU for private structures).
+    """
+
+    ways = 1
+
+    def __init__(self, nsets: int, shards: int = 1):
+        super().__init__(nsets, shards)
+        self._row_dtype = np.uint16 if nsets * shards <= _NARROW_ROWS else np.intp
+        self._tags = np.zeros(nsets * shards, dtype=ADDR_DTYPE)
+        self._valid = np.zeros(nsets * shards, dtype=bool)
+
+    def _rows(self, keys: np.ndarray, shard) -> np.ndarray:
+        """Row (shard-major set index) per key, in the narrowest of
+        ``uint16`` / ``intp`` that holds ``nsets * shards``.
+
+        ``shard`` must already be a valid shard index per key (callers
+        with raw CPU ids fold them first, see :func:`fold_shards`).
+        """
+        if self._row_dtype is np.uint16:
+            # Truncating the key to 16 bits *is* most of the mask.
+            rows = keys.astype(np.uint16)
+            if self.nsets < _NARROW_ROWS:
+                rows &= np.uint16(self.nsets - 1)
+        else:
+            rows = (keys & self._mask).astype(np.intp)
+        if shard is not None and self.shards > 1:
+            # Cast before multiplying: an int16 cpu column times nsets
+            # would wrap long before the row dtype does.
+            rows += np.asarray(shard).astype(self._row_dtype) * self._row_dtype(
+                self.nsets
+            )
+        return rows
+
     def contains(self, keys: np.ndarray, shard=None) -> np.ndarray:
         """Non-mutating membership probe for ``keys`` on their shard."""
         keys = np.asarray(keys, dtype=ADDR_DTYPE)
         rows = self._rows(keys, shard).astype(np.intp, copy=False)
         return self._valid[rows] & (self._tags[rows] == keys)
-
-    def contains_any(self, keys: np.ndarray) -> np.ndarray:
-        """Non-mutating probe: resident on *any* shard?"""
-        keys = np.asarray(keys, dtype=ADDR_DTYPE)
-        return np.isin(keys, self._tags[self._valid])
 
     def access(self, keys: np.ndarray, shard=None) -> np.ndarray:
         """Resolve a batch of accesses in order; return the hit mask.
@@ -274,12 +287,8 @@ class VectorDirectMapped:
         self._tags[rows[pick]] = keys[pick]
         self._valid[rows[pick]] = True
 
-    def occupancy(self) -> int:
-        """Number of currently valid entries (all shards)."""
-        return int(np.count_nonzero(self._valid))
 
-
-class VectorSetAssoc:
+class VectorSetAssoc(_DenseEngine):
     """Exact set-associative true-LRU structure, vectorized over batches.
 
     State is three dense ``[nsets * shards, ways]`` matrices: tags,
@@ -308,16 +317,10 @@ class VectorSetAssoc:
     """
 
     def __init__(self, nsets: int, ways: int, shards: int = 1):
-        if not is_pow2(nsets):
-            raise ValueError(f"nsets must be a power of two, got {nsets}")
+        super().__init__(nsets, shards)
         if ways < 1:
             raise ValueError(f"ways must be >= 1, got {ways}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.nsets = nsets
         self.ways = ways
-        self.shards = shards
-        self._mask = ADDR_DTYPE(nsets - 1)
         rows = nsets * shards
         self._tags = np.zeros((rows, ways), dtype=ADDR_DTYPE)
         self._valid = np.zeros((rows, ways), dtype=bool)
@@ -333,11 +336,6 @@ class VectorSetAssoc:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._scratch = _RoundScratch(self.nsets * self.shards, self.ways)
-
-    @property
-    def capacity(self) -> int:
-        """Number of entries one shard can hold."""
-        return self.nsets * self.ways
 
     def _rows(self, keys: np.ndarray, shard) -> np.ndarray:
         rows = (keys & self._mask).astype(np.intp)
@@ -358,11 +356,9 @@ class VectorSetAssoc:
         return hits
 
     def fill(self, keys: np.ndarray, shard=None) -> None:
-        """Install ``keys`` without hit/miss accounting (refill path)."""
-        keys = np.ascontiguousarray(keys, dtype=ADDR_DTYPE)
-        if keys.size == 0:
-            return
-        self._resolve(keys, self._rows(keys, shard), np.empty(keys.size, dtype=bool))
+        """Install ``keys`` without hit/miss accounting (refill path):
+        the same touches as :meth:`access`, its answer unread."""
+        self.access(keys, shard)
 
     def _resolve(self, keys: np.ndarray, rows: np.ndarray, hits: np.ndarray) -> None:
         n = keys.size
@@ -520,195 +516,12 @@ class VectorSetAssoc:
         rows = self._rows(keys, shard)
         return (self._valid[rows] & (self._tags[rows] == keys[:, None])).any(axis=1)
 
-    def contains_any(self, keys: np.ndarray) -> np.ndarray:
-        """Non-mutating probe: resident on *any* shard?"""
-        keys = np.asarray(keys, dtype=ADDR_DTYPE)
-        return np.isin(keys, self._tags[self._valid])
-
-    # ------------------------------------------------------------ shootdowns
-
-    def flush(self) -> None:
-        """Invalidate every entry on every shard (full shootdown)."""
-        self._valid[:] = False
-
-    def flush_where(self, predicate) -> int:
-        """Invalidate entries (all shards) whose tag satisfies ``predicate``."""
-        doomed = self._valid & predicate(self._tags)
-        n = int(np.count_nonzero(doomed))
-        self._valid[doomed] = False
-        return n
-
-    def flush_keys(self, keys: np.ndarray) -> int:
-        """Invalidate entries matching any of ``keys`` on every shard."""
-        keys = np.asarray(keys, dtype=ADDR_DTYPE)
-        if keys.size == 0:
-            return 0
-        doomed = self._valid & np.isin(self._tags, keys)
-        n = int(np.count_nonzero(doomed))
-        self._valid[doomed] = False
-        return n
-
-    def occupancy(self) -> int:
-        """Number of currently valid entries (all shards)."""
-        return int(np.count_nonzero(self._valid))
-
-
-class SequentialSetAssoc:
-    """Reference set-associative structure with true-LRU replacement.
-
-    Processed one access at a time in Python; the golden reference the
-    vectorized engines are cross-checked against.  ``ways=1``
-    reproduces ``VectorDirectMapped`` exactly; any ``ways`` reproduces
-    ``VectorSetAssoc``.
-    """
-
-    def __init__(self, nsets: int, ways: int, shards: int = 1):
-        if not is_pow2(nsets):
-            raise ValueError(f"nsets must be a power of two, got {nsets}")
-        if ways < 1:
-            raise ValueError(f"ways must be >= 1, got {ways}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.nsets = nsets
-        self.ways = ways
-        self.shards = shards
-        self._mask = nsets - 1
-        # Each set is a list of keys ordered MRU-first.
-        self._sets: list[list[int]] = [[] for _ in range(nsets * shards)]
-
-    @property
-    def capacity(self) -> int:
-        """Number of entries one shard can hold."""
-        return self.nsets * self.ways
-
-    def _resident_keys(self) -> np.ndarray:
-        """All resident keys, concatenated in set order."""
-        total = sum(len(s) for s in self._sets)
-        return np.fromiter(
-            (k for s in self._sets for k in s), dtype=ADDR_DTYPE, count=total
-        )
-
-    def flush(self) -> None:
-        """Invalidate every entry on every shard (full shootdown)."""
-        for s in self._sets:
-            s.clear()
-
-    def flush_where(self, predicate) -> int:
-        """Invalidate entries (all shards) whose tag satisfies ``predicate``."""
-        n = 0
-        for i, s in enumerate(self._sets):
-            if not s:
-                continue
-            keep_mask = ~predicate(np.asarray(s, dtype=ADDR_DTYPE))
-            kept = [k for k, keep in zip(s, keep_mask) if keep]
-            n += len(s) - len(kept)
-            self._sets[i] = kept
-        return n
-
-    def flush_keys(self, keys: np.ndarray) -> int:
-        """Invalidate entries matching any of ``keys`` on every shard.
-
-        One ``np.isin`` over the materialized resident keys replaces
-        the old per-element Python set lookups; only sets that actually
-        hold a doomed entry are rebuilt.
-        """
-        keys = np.asarray(keys, dtype=ADDR_DTYPE)
-        if keys.size == 0:
-            return 0
-        resident = self._resident_keys()
-        if resident.size == 0:
-            return 0
-        doomed = np.isin(resident, keys)
-        n = int(np.count_nonzero(doomed))
-        if n == 0:
-            return 0
-        lens = np.fromiter((len(s) for s in self._sets), dtype=np.intp)
-        offsets = np.concatenate([[0], np.cumsum(lens)])
-        set_ids = np.repeat(np.arange(lens.size), lens)
-        for i in np.unique(set_ids[doomed]):
-            d = doomed[offsets[i] : offsets[i + 1]]
-            s = self._sets[i]
-            self._sets[i] = [k for k, dead in zip(s, d) if not dead]
-        return n
-
-    def contains(self, keys: np.ndarray, shard=None) -> np.ndarray:
-        """Non-mutating membership probe for ``keys`` on their shard.
-
-        A key only ever resides in its own set (and, with ``shard``
-        given, its own shard), so a vectorized membership test over the
-        materialized resident keys is exact for unsharded engines; the
-        sharded probe falls back to per-set lookups.
-        """
-        keys = np.asarray(keys, dtype=ADDR_DTYPE)
-        if self.shards == 1 or shard is None:
-            return np.isin(keys, self._resident_keys())
-        shard = np.asarray(shard, dtype=np.intp)
-        out = np.zeros(keys.size, dtype=bool)
-        for i, k in enumerate(keys):
-            row = (int(k) & self._mask) + int(shard[i]) * self.nsets
-            out[i] = int(k) in self._sets[row]
-        return out
-
-    def contains_any(self, keys: np.ndarray) -> np.ndarray:
-        """Non-mutating probe: resident on *any* shard?"""
-        keys = np.asarray(keys, dtype=ADDR_DTYPE)
-        return np.isin(keys, self._resident_keys())
-
-    def access_one(self, key: int, shard: int = 0) -> bool:
-        """Resolve a single access; return True on hit."""
-        key = int(key)
-        s = self._sets[(key & self._mask) + int(shard) * self.nsets]
-        try:
-            s.remove(key)
-            hit = True
-        except ValueError:
-            hit = False
-            if len(s) >= self.ways:
-                s.pop()  # evict LRU (tail)
-        s.insert(0, key)
-        return hit
-
-    def access(self, keys: np.ndarray, shard=None) -> np.ndarray:
-        """Resolve a batch of accesses in order; return the hit mask."""
-        keys = np.asarray(keys, dtype=ADDR_DTYPE)
-        out = np.empty(keys.size, dtype=bool)
-        access_one = self.access_one
-        if shard is None:
-            for i, k in enumerate(keys):
-                out[i] = access_one(k)
-        else:
-            shard = np.asarray(shard, dtype=np.intp)
-            for i, k in enumerate(keys):
-                out[i] = access_one(k, shard[i])
-        return out
-
-    def fill(self, keys: np.ndarray, shard=None) -> None:
-        """Install ``keys`` without hit/miss accounting (refill path)."""
-        keys = np.asarray(keys, dtype=ADDR_DTYPE)
-        shard = None if shard is None else np.asarray(shard, dtype=np.intp)
-        for i, k in enumerate(keys):
-            key = int(k)
-            row = key & self._mask
-            if shard is not None:
-                row += int(shard[i]) * self.nsets
-            s = self._sets[row]
-            if key in s:
-                s.remove(key)
-            elif len(s) >= self.ways:
-                s.pop()
-            s.insert(0, key)
-
-    def occupancy(self) -> int:
-        """Number of currently valid entries (all shards)."""
-        return sum(len(s) for s in self._sets)
-
 
 def make_engine(
     capacity_entries: int,
     ways: int = 1,
     *,
     exact_assoc: bool = False,
-    reference: bool = False,
     shards: int = 1,
 ):
     """Build a lookup engine of ``capacity_entries`` entries per shard.
@@ -716,22 +529,21 @@ def make_engine(
     By default a capacity-equivalent :class:`VectorDirectMapped` engine
     is returned.  ``exact_assoc=True`` selects the exact vectorized
     set-associative engine (:class:`VectorSetAssoc`) with the requested
-    associativity.  ``reference=True`` returns the sequential golden
-    reference (:class:`SequentialSetAssoc`) with the same geometry the
-    corresponding vectorized engine would have — the scalar arm of the
-    equivalence suite and benchmarks.
+    associativity; ``ways`` without it is an error, not a no-op.
     """
     if not is_pow2(capacity_entries):
         raise ValueError(f"capacity must be a power of two, got {capacity_entries}")
-    if exact_assoc:
-        if capacity_entries % ways:
-            raise ValueError("capacity must be divisible by ways")
-        nsets = capacity_entries // ways
-        if not is_pow2(nsets):
-            raise ValueError("capacity/ways must be a power of two")
-        if reference:
-            return SequentialSetAssoc(nsets, ways, shards)
-        return VectorSetAssoc(nsets, ways, shards)
-    if reference:
-        return SequentialSetAssoc(capacity_entries, 1, shards)
-    return VectorDirectMapped(capacity_entries, shards)
+    if not exact_assoc:
+        if ways != 1:
+            raise ValueError(
+                f"ways={ways} needs exact_assoc=True: the default engine is "
+                "direct-mapped (MachineConfig: tlb_ways / cache_ways with "
+                "exact_assoc)"
+            )
+        return VectorDirectMapped(capacity_entries, shards)
+    if capacity_entries % ways:
+        raise ValueError("capacity must be divisible by ways")
+    nsets = capacity_entries // ways
+    if not is_pow2(nsets):
+        raise ValueError("capacity/ways must be a power of two")
+    return VectorSetAssoc(nsets, ways, shards)

@@ -30,7 +30,7 @@ from pathlib import Path
 from ..core.config import TMPConfig
 from ..memsim.machine import MachineConfig
 from ..obs import metrics as obs_metrics
-from ..tiering.policies import POLICIES
+from ..tiering.policies import resolve_policy
 from ..tiering.recorded import RecordedRun, evaluate_recorded, record_run
 from ..tiering.serialize import load_recorded
 from ..tiering.simulator import SimulationResult
@@ -200,15 +200,6 @@ def get_or_record(
     return record_suite([spec], jobs=1, cache=cache, metrics=metrics)[0]
 
 
-def _make_policy(name: str):
-    try:
-        return POLICIES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {name!r}; available: {', '.join(POLICIES)}"
-        ) from None
-
-
 #: Per-worker memo of recordings loaded from cache paths, so a worker
 #: scoring many chunks of the same recording parses the .npz once.
 _WORKER_RUNS: dict[str, RecordedRun] = {}
@@ -235,7 +226,8 @@ def _evaluate_chunk(ref, chunk, eval_kw):
         t0 = time.perf_counter()
         res = evaluate_recorded(
             recorded,
-            _make_policy(cell.policy),  # fresh instance: stateful policies
+            # A fresh instance per cell: policies are stateful.
+            resolve_policy(cell.policy, error=ValueError)(),
             tier1_ratio=cell.ratio,
             rank_source=cell.source,
             **eval_kw,
@@ -263,11 +255,7 @@ def evaluate_grids(
     grids = [(ref, list(cells), label) for ref, cells, label in grids]
     for _, cells, _ in grids:
         for cell in cells:
-            if cell.policy not in POLICIES:
-                raise ValueError(
-                    f"unknown policy {cell.policy!r}; "
-                    f"available: {', '.join(POLICIES)}"
-                )
+            resolve_policy(cell.policy, error=ValueError)
     out: list[list] = [[None] * len(cells) for _, cells, _ in grids]
     _count_jobs("evaluate", sum(len(cells) for _, cells, _ in grids))
 

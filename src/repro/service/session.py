@@ -25,6 +25,7 @@ semantics of the in-process path.
 
 from __future__ import annotations
 
+import functools
 import json
 import pickle
 import threading
@@ -37,9 +38,9 @@ from ..ledger.snapshot import SnapshotError, read_snapshot, write_snapshot
 from ..memsim.machine import MachineConfig
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
-from ..tiering.policies import POLICIES
+from ..tiering.policies import resolve_policy
 from ..tiering.simulator import TieredSimulator
-from ..workloads import WORKLOAD_NAMES, make_workload
+from ..workloads import make_workload, resolve_workload
 from .protocol import ErrorCode, ServiceError, encode_payload, splice_event_frame
 from .telemetry import epoch_metrics_to_dict, simulation_result_to_dict
 
@@ -513,17 +514,9 @@ class ProfilingSession(SessionBase):
         clock=time.monotonic,
         catchup: dict | None = None,
     ):
-        if workload not in WORKLOAD_NAMES:
-            raise ServiceError(
-                ErrorCode.BAD_PARAMS,
-                f"unknown workload {workload!r}; available: "
-                f"{', '.join(WORKLOAD_NAMES)}",
-            )
-        if policy not in POLICIES:
-            raise ServiceError(
-                ErrorCode.BAD_PARAMS,
-                f"unknown policy {policy!r}; available: {', '.join(POLICIES)}",
-            )
+        bad_params = functools.partial(ServiceError, ErrorCode.BAD_PARAMS)
+        resolve_workload(workload, error=bad_params)
+        policy_class = resolve_policy(policy, error=bad_params)
         super().__init__(session_id, clock=clock, tenant=tenant)
         self._sim_lock = threading.Lock()
         #: Running totals behind ``stats()["timings"]["step"]``: a
@@ -548,7 +541,7 @@ class ProfilingSession(SessionBase):
         if snapshot is None:
             try:
                 wl = make_workload(workload, **(workload_kwargs or {}))
-                pol = POLICIES[policy](**(policy_kwargs or {}))
+                pol = policy_class(**(policy_kwargs or {}))
                 tmp_config = TMPConfig(**tmp) if tmp else None
                 self.sim = TieredSimulator(
                     wl,

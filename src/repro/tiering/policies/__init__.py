@@ -24,6 +24,19 @@ POLICIES = {
     )
 }
 
+
+def resolve_policy(name: str, *, error=KeyError) -> type[Policy]:
+    """The policy class registered as ``name``; a name nobody registered
+    raises ``error(message)``, worded here and nowhere else (the twin of
+    :func:`repro.workloads.resolve_workload`)."""
+    try:
+        return POLICIES[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable off the wire
+        raise error(
+            f"unknown policy {name!r}; available: {', '.join(POLICIES)}"
+        ) from None
+
+
 __all__ = [
     "AutoNUMAPolicy",
     "FCFAPolicy",
@@ -37,4 +50,5 @@ __all__ = [
     "ThermostatPolicy",
     "WriteAwarePolicy",
     "fill_with_residents",
+    "resolve_policy",
 ]

@@ -14,6 +14,7 @@ from .registry import (
     WORKLOADS,
     make_workload,
     paper_suite,
+    resolve_workload,
 )
 from .synth import (
     BoundedZipf,
@@ -46,6 +47,7 @@ __all__ = [
     "interleave",
     "make_workload",
     "paper_suite",
+    "resolve_workload",
     "rmw_expand",
     "sequential_sweep",
     "strided_sweep",

@@ -24,6 +24,7 @@ from .xsbench import XSBench
 __all__ = [
     "WORKLOADS",
     "WORKLOAD_NAMES",
+    "resolve_workload",
     "make_workload",
     "paper_suite",
     "DEFAULT_SCALE",
@@ -95,15 +96,29 @@ WORKLOADS: dict[str, Callable[..., Workload]] = {
 WORKLOAD_NAMES = tuple(WORKLOADS)
 
 
+def resolve_workload(
+    name: str, *, error: Callable[[str], Exception] = KeyError, also: tuple = ()
+) -> Callable[..., Workload]:
+    """The factory registered as ``name``.
+
+    The one place a name nobody registered is reported: it raises
+    ``error(message)`` — ``KeyError`` by default, the caller's own kind
+    at a boundary (``SystemExit`` on the command line, ``bad_params``
+    in the service).  ``also`` names what the caller accepts besides the
+    registry (the command line's ``all``), so the message offers it.
+    """
+    try:
+        return WORKLOADS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable off the wire
+        raise error(
+            f"unknown workload {name!r}; "
+            f"available: {', '.join((*also, *WORKLOAD_NAMES))}"
+        ) from None
+
+
 def make_workload(name: str, scale: float = DEFAULT_SCALE, **kw) -> Workload:
     """Instantiate a Table III workload by name."""
-    try:
-        factory = WORKLOADS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown workload {name!r}; available: {sorted(WORKLOADS)}"
-        ) from None
-    return factory(scale=scale, **kw)
+    return resolve_workload(name)(scale=scale, **kw)
 
 
 def paper_suite(scale: float = DEFAULT_SCALE, **kw) -> dict[str, Workload]:

@@ -5,17 +5,16 @@ The key invariant: ``VectorDirectMapped`` is bit-for-bit equivalent to
 batch boundaries, flushes and fills.
 """
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim.vecsim import (
-    SequentialSetAssoc,
-    VectorDirectMapped,
-    VectorSetAssoc,
-    make_engine,
-)
+from repro.memsim.vecsim import VectorDirectMapped, VectorSetAssoc, make_engine
+
+from .reference import SequentialSetAssoc, reference_engine
 
 
 class TestVectorDirectMappedBasics:
@@ -150,14 +149,27 @@ class TestMakeEngine:
         assert e.capacity == 64
         assert e.ways == 4
 
-    def test_reference_engines(self):
-        e = make_engine(64, ways=4, exact_assoc=True, reference=True)
+    def test_reference_has_the_vector_engines_geometry(self):
+        # The switch is gone from ``make_engine``; the test-side
+        # substitute builds the reference at the geometry asked for.
+        e = reference_engine(64, ways=4, exact_assoc=True, shards=3)
         assert isinstance(e, SequentialSetAssoc)
-        assert e.capacity == 64
-        assert e.ways == 4
-        e = make_engine(64, reference=True)
+        assert (e.capacity, e.ways, e.nsets, e.shards) == (64, 4, 16, 3)
+        e = reference_engine(64)
         assert isinstance(e, SequentialSetAssoc)
-        assert e.ways == 1
+        assert (e.capacity, e.ways) == (64, 1)
+
+    def test_ways_without_exact_assoc_is_refused(self):
+        # It used to return a direct-mapped engine of the full capacity
+        # and say nothing.
+        from repro.memsim import Machine, MachineConfig
+
+        with pytest.raises(ValueError, match="ways=4.*exact_assoc"):
+            make_engine(64, ways=4)
+        for field in ("tlb_ways", "cache_ways"):
+            with pytest.raises(ValueError, match="exact_assoc"):
+                Machine(MachineConfig.scaled(**{field: 4}))
+        Machine(MachineConfig.scaled(exact_assoc=True, tlb_ways=4, cache_ways=4))
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
@@ -167,10 +179,10 @@ class TestMakeEngine:
 
 
 @st.composite
-def access_trace(draw):
+def access_trace(draw, keys_per_set=4):
     """A trace split into batches, over a small key universe."""
     nsets = draw(st.sampled_from([1, 2, 4, 8]))
-    universe = draw(st.integers(min_value=1, max_value=4 * nsets))
+    universe = draw(st.integers(min_value=1, max_value=keys_per_set * nsets))
     n_batches = draw(st.integers(min_value=1, max_value=4))
     batches = [
         draw(
@@ -183,6 +195,45 @@ def access_trace(draw):
         for _ in range(n_batches)
     ]
     return nsets, batches
+
+
+class TextbookLRU:
+    """The oracle of last resort: an ``OrderedDict`` per set, oldest first."""
+
+    def __init__(self, nsets, ways):
+        self.sets = [OrderedDict() for _ in range(nsets)]
+        self.ways = ways
+
+    def access(self, keys):
+        hits = []
+        for key in map(int, keys):
+            lines = self.sets[key % len(self.sets)]
+            hits.append(key in lines)
+            lines[key] = None
+            lines.move_to_end(key)
+            if len(lines) > self.ways:
+                lines.popitem(last=False)
+        return hits
+
+
+class TestTextbookLRUDifferential:
+    """All three engines against the textbook, on ``access`` alone."""
+
+    @given(access_trace(keys_per_set=10), st.sampled_from([1, 2, 4]))
+    @settings(max_examples=150, deadline=None)
+    def test_every_engine_is_textbook_lru(self, trace, ways):
+        nsets, batches = trace
+        engines = [VectorSetAssoc(nsets, ways), SequentialSetAssoc(nsets, ways)]
+        if ways == 1:
+            engines.append(VectorDirectMapped(nsets))
+        oracle = TextbookLRU(nsets, ways)
+        for batch in batches:
+            keys = np.asarray(batch, dtype=np.uint64)
+            expect = oracle.access(keys)
+            for engine in engines:
+                np.testing.assert_array_equal(
+                    engine.access(keys), expect, err_msg=type(engine).__name__
+                )
 
 
 class TestEquivalenceProperty:

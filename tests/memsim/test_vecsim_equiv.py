@@ -14,21 +14,21 @@ Coverage axes:
 * operation mix — interleaved ``access``/``fill``/``flush_keys``/
   ``flush_where``/``contains``/``flush``, including eviction-heavy
   traces (universe >> capacity) and shootdown-heavy mixes;
-* machine level — whole ``Machine``/``TieredSimulator`` runs with
-  vectorized vs ``assoc_reference=True`` engines must yield identical
-  per-access outcomes and ``EpochMetrics``.
+* machine level — whole ``Machine``/``TieredSimulator`` runs with the
+  vectorized engines vs the reference substituted for them (the
+  ``reference_engines`` fixture) must yield identical per-access
+  outcomes and ``EpochMetrics``.
 """
 
 import pickle
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from repro.memsim.vecsim import (
-    SequentialSetAssoc,
-    VectorDirectMapped,
-    VectorSetAssoc,
-)
+from repro.memsim.vecsim import VectorDirectMapped, VectorSetAssoc
+
+from .reference import SequentialSetAssoc
 
 SEEDS = range(6)
 GEOMETRIES = [(1, 2, 1), (1, 4, 1), (2, 1, 1), (8, 4, 1), (8, 2, 6), (64, 4, 2)]
@@ -241,13 +241,17 @@ class TestDirectMappedEquivalence:
 class TestMachineLevelEquivalence:
     """The whole pipeline, vectorized vs golden-reference engines."""
 
-    def _run_pair(self, **config_kw):
+    def _run_pair(self, reference_engines, **config_kw):
         from repro.memsim import AccessBatch, Machine, MachineConfig
 
         results = []
-        for reference in (False, True):
-            cfg = MachineConfig.scaled(assoc_reference=reference, **config_kw)
-            m = Machine(cfg)
+        for engines in (nullcontext, reference_engines):
+            cfg = MachineConfig.scaled(**config_kw)
+            with engines():
+                m = Machine(cfg)
+            assert isinstance(m.tlb._engine, SequentialSetAssoc) == (
+                engines is reference_engines
+            )
             vma = m.mmap(1, 512)
             rng = np.random.default_rng(0)
             outs = []
@@ -273,8 +277,10 @@ class TestMachineLevelEquivalence:
         ],
         ids=["direct", "ways4", "mixed"],
     )
-    def test_run_batch_bit_identical(self, config_kw):
-        (m_vec, out_vec), (m_ref, out_ref) = self._run_pair(**config_kw)
+    def test_run_batch_bit_identical(self, config_kw, reference_engines):
+        (m_vec, out_vec), (m_ref, out_ref) = self._run_pair(
+            reference_engines, **config_kw
+        )
         for rv, rr in zip(out_vec, out_ref):
             np.testing.assert_array_equal(rv.tlb_hit, rr.tlb_hit)
             np.testing.assert_array_equal(rv.data_source, rr.data_source)
@@ -285,22 +291,24 @@ class TestMachineLevelEquivalence:
         assert m_vec.caches.miss_counts() == m_ref.caches.miss_counts()
 
     @pytest.mark.parametrize("exact", [False, True], ids=["direct", "ways4"])
-    def test_simulator_epoch_metrics_identical(self, exact):
+    def test_simulator_epoch_metrics_identical(self, exact, reference_engines):
         from repro.memsim import MachineConfig
         from repro.tiering import TieredSimulator
         from repro.tiering.policies import POLICIES
         from repro.workloads import make_workload
 
         results = []
-        for reference in (False, True):
+        for engines in (nullcontext, reference_engines):
             kw = {"exact_assoc": True, "tlb_ways": 4, "cache_ways": 4} if exact else {}
-            sim = TieredSimulator(
-                make_workload("gups", footprint_pages=512, accesses_per_epoch=4000),
-                POLICIES["history"](),
-                machine_config=MachineConfig.scaled(
-                    ibs_period=64, assoc_reference=reference, **kw
-                ),
-                seed=3,
+            with engines():
+                sim = TieredSimulator(
+                    make_workload("gups", footprint_pages=512, accesses_per_epoch=4000),
+                    POLICIES["history"](),
+                    machine_config=MachineConfig.scaled(ibs_period=64, **kw),
+                    seed=3,
+                )
+            assert isinstance(sim.machine.caches.llc._engine, SequentialSetAssoc) == (
+                engines is reference_engines
             )
             sim.start()
             sim.step(3)

@@ -67,6 +67,14 @@ class TestProfilingSession:
         }
         assert epoch["latency"]["total_s"] >= epoch["latency"]["base_s"]
 
+    @pytest.mark.parametrize("field", ["workload", "policy"])
+    @pytest.mark.parametrize("bad", ["nope", None, 7, ["gups"], {"a": 1}])
+    def test_a_name_nobody_registered_is_bad_params(self, field, bad):
+        # Names come off the wire: whatever JSON can carry, hashable or not.
+        with pytest.raises(ServiceError, match=f"unknown {field} ") as exc:
+            ProfilingSession("s1", **{"workload": "gups", field: bad})
+        assert exc.value.code == "bad_params"
+
     def test_bit_identical_to_direct_simulator(self):
         s = _session(seed=42)
         frames = []

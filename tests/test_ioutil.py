@@ -57,14 +57,17 @@ class TestAtomicWriteBytes:
 
 
 class TestOneCanonicalFormOneCoercion:
-    """Both content hashes are taken over :func:`canonical`; the hex
-    digests below were computed at 58f467a, when the run cache and the
-    ledger each had their own copy — an entry written then must still
-    be found now."""
+    """Both content hashes are taken over :func:`canonical`.  The config
+    key below was computed at 58f467a, when the run cache and the ledger
+    each had their own copy — an entry written then must still be found
+    now.  The cache key covers every ``MachineConfig`` field, so it was
+    taken again when 0.17.0 removed ``assoc_reference`` (a new key by
+    the cache's own rule; until then it was 66a27d31…, also from
+    58f467a)."""
 
     def test_cache_key_is_pinned(self):
         assert cache_key(RecordSpec("gups", epochs=3, seed=0)) == (
-            "66a27d31a3bbccdd94a110c14c3620ad3de460901b4486427e803cb8d15240ac"
+            "086a26ab707992eaace5436b97aea5985d5b376d868dbd71dc784c7276642785"
         )
 
     def test_config_key_is_pinned(self):

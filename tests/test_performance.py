@@ -32,6 +32,8 @@ from repro.service.protocol import (
     splice_event_frame,
 )
 
+from .memsim.reference import reference_engine
+
 # The stepped run every service guard shares: 8 concurrent sessions,
 # 24 epochs each, 4 per request.
 SERVICE_WORKLOAD = {"footprint_pages": 512, "accesses_per_epoch": 4000}
@@ -48,16 +50,18 @@ def _throughput(fn, n_items, repeats=3):
 
 
 def _engine_keys_per_s(*, reference):
-    """Best-of-3 key rate of a 1024-set x 4-way ``make_engine`` engine
-    over three 200 K batches of zipf keys (hot head, long tail, like
-    page traffic); one batch is the scaled testbed's simulated second."""
+    """Best-of-3 key rate of a 1024-set x 4-way engine (``make_engine``'s,
+    or the scalar reference at that geometry) over three 200 K batches
+    of zipf keys (hot head, long tail, like page traffic); one batch is
+    the scaled testbed's simulated second."""
     keys = [
         (np.random.default_rng(e).zipf(1.2, 200_000) % (1 << 16)).astype(np.uint64)
         for e in range(3)
     ]
 
     def run():
-        engine = make_engine(4096, 4, exact_assoc=True, reference=reference)
+        build = reference_engine if reference else make_engine
+        engine = build(4096, 4, exact_assoc=True)
         for k in keys:
             engine.access(k)
 
