@@ -27,11 +27,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..memsim.machine import Machine
+from ..memsim.page_table import PageTable
 from ..memsim.pte import PTE_ACCESSED
 from .config import TMPConfig
 from .page_stats import PageStatsStore
 
 __all__ = ["ABitDriver", "ABitScanStats"]
+
+
+def _runs(first: list[int], length: list[int]) -> np.ndarray:
+    """The runs ``[first, first + length)``, concatenated: one
+    ``arange`` over them all, each run shifted to its first value."""
+    shift, at = [], 0
+    for f, n in zip(first, length):
+        shift.append(f - at)
+        at += n
+    idx = np.arange(at, dtype=np.int64)
+    idx += np.repeat(np.array(shift, dtype=np.int64), length)
+    return idx
 
 
 @dataclass
@@ -63,23 +76,26 @@ class ABitDriver:
 
         Each process contributes at most the configured budget of PTEs;
         the cursor wraps so successive passes cover the whole table.
-        The walk itself is per process (PTE flags are, and so is the
-        cost model: its float additions happen per process, in walk
-        order); what the pass found is credited to the store once.
+        Cursors and the cost model stay per process (its float additions
+        happen in walk order); the walk itself is one gather and one
+        test-and-clear over every window at once in the machine's PTE
+        column, and what it found is credited to the store once.
         """
         if not self.enabled:
             return 0
         costs = self.config.costs
         budget = self.config.abit_scan_budget_pages
-        found: list[np.ndarray] = []
+        pte = self.machine.pte
         self.stats.scans += 1
+        # Each visited process's window, as column runs: [from, from +
+        # length), two when the window wraps past the table's end.
+        windows: list[tuple[int, PageTable, int]] = []
+        run_from: list[int] = []
+        run_len: list[int] = []
         for pid in pids:
             pt = self.machine.page_tables.get(int(pid))
             if pt is None or pt.n_pages == 0:
                 continue
-            self.stats.processes_scanned += 1
-            self.stats.time_s += costs.abit_per_scan_s
-
             n = pt.n_pages
             if self.config.abit_scan_resumable:
                 start = self._cursors.get(pid, 0) % n
@@ -87,42 +103,53 @@ class ABitDriver:
                 start = 0  # head-restart: the same bounded window each pass
             span = n if budget is None else min(budget, n)
             self._cursors[pid] = (start + span) % n
+            windows.append((pid, pt, span))
+            head = min(span, n - start)
+            run_from.append(pt.base + start)
+            run_len.append(head)
+            if head < span:
+                run_from.append(pt.base)
+                run_len.append(span - head)
 
-            flags = pt.flags
-            # gather_a_history: test-and-clear the accessed bit.
-            if start + span <= n:
-                # The window does not wrap (it never does from the table
-                # head): test and clear it in place, as a slice.
-                window = flags[start : start + span]
-                set_slots = (window & PTE_ACCESSED).nonzero()[0]
-                window &= ~PTE_ACCESSED
-                if start:
-                    set_slots += start
-            else:
-                idx = (start + np.arange(span, dtype=np.int64)) % n
-                visited = flags[idx]
-                set_slots = idx[(visited & PTE_ACCESSED) != 0]
-                flags[idx] = visited & ~PTE_ACCESSED
+        if not windows:
+            return 0
 
+        # gather_a_history: test-and-clear the accessed bit.
+        idx = _runs(run_from, run_len)
+        visited = pte.flags[idx]
+        at = (visited & PTE_ACCESSED).nonzero()[0]
+        set_slots = idx[at]
+        if len({pt.pid for _, pt, _ in windows}) < len(windows):
+            # A process visited twice finds its bits already cleared by
+            # the first visit: credit each slot at its first visit only.
+            _, first = np.unique(set_slots, return_index=True)
+            first.sort()
+            at, set_slots = at[first], set_slots[first]
+        pte.flags[set_slots] = visited[at] & ~PTE_ACCESSED
+
+        shootdown = self.config.abit_shootdown
+        if shootdown:
+            # Window i found set_slots[cuts[i] : cuts[i + 1]].
+            ends = np.cumsum([span for _, _, span in windows])
+            cuts = [0, *np.searchsorted(at, ends).tolist()]
+        for i, (pid, pt, span) in enumerate(windows):
+            self.stats.processes_scanned += 1
+            self.stats.time_s += costs.abit_per_scan_s
             self.stats.ptes_visited += span
             self.stats.time_s += span * costs.abit_per_pte_s
-
-            if set_slots.size == 0:
-                continue
-            found.append(pt.slot_to_pfn(set_slots))
-            if self.config.abit_shootdown:
+            if shootdown and cuts[i] < cuts[i + 1]:
                 # Precise mode: flush the cleared translations so the
                 # very next access walks again (one IPI round per PID).
-                vpns = pt.slot_to_vpn(set_slots)
+                vpns = pt.slot_to_vpn(set_slots[cuts[i] : cuts[i + 1]] - pt.base)
                 self.machine.tlb.shootdown_pages(
                     np.full(vpns.size, pid, dtype=np.int32), vpns
                 )
                 self.stats.shootdowns += 1
                 self.stats.time_s += costs.shootdown_s
 
-        if not found:
+        if set_slots.size == 0:
             return 0
-        pfns = np.concatenate(found)
+        pfns = pte.slot_pfn[set_slots]
         self.store.record_abit(pfns)
         self.stats.bits_found_set += int(pfns.size)
         return int(pfns.size)

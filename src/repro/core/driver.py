@@ -104,8 +104,7 @@ class ProfiledRun:
         if not machine.pml.enabled:
             return None
         dirty = machine.pml.drain()
-        for pt in machine.page_tables.values():
-            machine.pml.clear_dirty(pt)
+        machine.pml.clear_dirty(machine.pte)
         return dirty.astype(np.int64)
 
     def populate(self) -> None:

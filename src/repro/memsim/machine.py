@@ -34,7 +34,7 @@ from .events import AccessBatch, DataSource
 from .frames import BatchFrameCounts, FrameAllocator, FrameStats
 from .ibs import IBSSampler
 from .lwp import LWPSampler
-from .page_table import VMA, PageTable, VMAIndex
+from .page_table import VMA, PageTable, PTEColumns, VMAIndex
 from .pebs import PEBSSampler
 from .pml import PMLogger
 from .pmu import PMU
@@ -140,7 +140,8 @@ class BatchResult:
     paddr: np.ndarray
     #: Physical frame number per access.
     pfn: np.ndarray
-    #: PTE slot per access (per-process index; meaningful with ``pid``).
+    #: PTE slot per access: machine-wide, an index into ``Machine.pte``
+    #: as laid out when the batch ran.
     slot: np.ndarray
     #: True where the access hit the TLB.
     tlb_hit: np.ndarray
@@ -194,6 +195,7 @@ class Machine:
         self.page_tables: dict[int, PageTable] = {}
         self._next_vpn: dict[int, int] = {}
         self._vma_index = VMAIndex(())
+        self._pte = PTEColumns()
         self._indexed_frames = 0
         self.tlb = TLBArray(
             n_cpus=c.n_cpus,
@@ -270,11 +272,26 @@ class Machine:
         whose frames get their ground-truth counters here — and is the
         same object for as long as nothing is mapped.
         """
+        self._reindex_if_mapped()
+        return self._vma_index
+
+    @property
+    def pte(self) -> PTEColumns:
+        """Every mapped process's PTE flags and slot → PFN, one column
+        each, indexed by the slots :attr:`vma_index` translates to.
+
+        Laid out again with the index, in its PID order; each page
+        table's ``flags`` is a view of its slice.
+        """
+        self._reindex_if_mapped()
+        return self._pte
+
+    def _reindex_if_mapped(self) -> None:
         if self._indexed_frames != self.allocator.allocated:
             self._vma_index = VMAIndex(self.page_tables.values())
+            self._pte = self._vma_index.lay_out()
             self._indexed_frames = self.allocator.allocated
             self.frame_stats.resize(self._indexed_frames)
-        return self._vma_index
 
     @property
     def n_frames(self) -> int:
@@ -294,24 +311,22 @@ class Machine:
     # --------------------------------------------------------------- execute
 
     def _walk_and_dirty(
-        self,
-        index: VMAIndex,
-        rank: np.ndarray,
-        miss: np.ndarray,
-        is_store: np.ndarray,
-        slot: np.ndarray,
-        pfn: np.ndarray,
+        self, miss: np.ndarray, is_store: np.ndarray, slot: np.ndarray, pfn: np.ndarray
     ) -> None:
-        """Stages 3 and 4 of :meth:`run_batch`, one process at a time;
-        their per-process index arrays die with this frame."""
-        for pt, mm in index.by_process(rank, miss):
-            poisoned = self.ptw.fill_walks(pt, slot[mm])
-            if poisoned.any():
-                self.badgertrap.handle_faults(pfn[mm][poisoned])
-        for pt, ms in index.by_process(rank, is_store):
-            newly_dirty = self.ptw.dirty_updates(pt, slot[ms])
-            if newly_dirty.size and self.pml.enabled:
-                self.pml.observe_dirty(pt.slot_to_pfn(newly_dirty))
+        """Stages 3 and 4 of :meth:`run_batch`: one walk over the batch's
+        misses and one dirty-bit update over its stores, both on the
+        machine's PTE column, whatever the number of processes.
+
+        Newly dirtied slots come back ascending, which in the column's
+        PID-major layout is (PID, slot) order: the PML log's order.
+        """
+        pte = self._pte
+        poisoned = self.ptw.fill_walks(pte, slot[miss])
+        if poisoned.any():
+            self.badgertrap.handle_faults(pfn[miss][poisoned])
+        newly_dirty = self.ptw.dirty_updates(pte, slot[is_store])
+        if newly_dirty.size and self.pml.enabled:
+            self.pml.observe_dirty(pte.slot_pfn[newly_dirty])
 
     def run_batch(self, batch: AccessBatch) -> BatchResult:
         """Execute one access batch through the full machine pipeline.
@@ -359,9 +374,8 @@ class Machine:
 
         # 3. Page-table walks on misses (A bits, poison faults) and
         # 4. dirty bits on stores (TLB-independent; see ptw docstring).
-        #    PTE flags are per process, so the misses and the stores —
-        #    not the batch — are grouped by process.
-        self._walk_and_dirty(index, rank, miss, batch.is_store, slot, pfn)
+        #    The translated slots index the machine's one PTE column.
+        self._walk_and_dirty(miss, batch.is_store, slot, pfn)
         del rank, tlb_vpn
 
         # 5. Cache hierarchy on physical line addresses.

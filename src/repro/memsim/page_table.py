@@ -17,6 +17,12 @@ a batch that mixes processes translates in a single pass.  A
 :class:`PageTable` keeps one over its own regions; the machine keeps
 one over everybody's (``Machine.vma_index``).
 
+The PTE state itself — flag words and each slot's head frame — lives in
+:class:`PTEColumns`.  A standalone table owns its own; on a machine,
+every table is a slice of one pair of columns laid out in the index's
+PID order (:meth:`VMAIndex.lay_out`), so the walker, the dirty-bit
+update and the A-bit scan each touch every process's PTEs in one pass.
+
 ``walk()`` mirrors the kernel's ``mm_walk``: it visits every valid PTE
 range so the A-bit driver can test-and-clear accessed bits in bulk
 (§III-B.2 of the paper).
@@ -31,10 +37,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .address import ADDR_DTYPE
-from .frames import FrameAllocator, GrowableArray
+from .frames import FrameAllocator
 from .pte import PTE_DEFAULT
 
-__all__ = ["VMA", "VMAIndex", "PageTable", "TranslationFault"]
+__all__ = ["VMA", "VMAIndex", "PTEColumns", "PageTable", "TranslationFault"]
 
 #: A composite key is ``process << VPN_BITS | vpn`` — the split TLB tags
 #: use (``tlb.py``): 48 bits of VPN, 16 bits of process.
@@ -125,6 +131,22 @@ class FrameView(NamedTuple):
     pid: np.ndarray
 
 
+class PTEColumns:
+    """Leaf PTE state as two slot-indexed columns.
+
+    ``flags`` holds the PTE flag words, ``slot_pfn`` each slot's
+    mapping-unit head frame (8 bytes per PTE: slot → PFN is a gather).
+    One page table's own, or a whole machine's (``Machine.pte``), where
+    each table's slots are a contiguous range from its ``base``.
+    """
+
+    __slots__ = ("flags", "slot_pfn")
+
+    def __init__(self, n_slots: int = 0):
+        self.flags = np.zeros(n_slots, dtype=np.uint64)
+        self.slot_pfn = np.zeros(n_slots, dtype=ADDR_DTYPE)
+
+
 class VMAIndex:
     """Every VMA of a set of page tables as one sorted interval table.
 
@@ -136,6 +158,12 @@ class VMAIndex:
     on a row it is not inside of, so the one bounds test ``offset >=
     npages[row]`` is the whole fault check.  Built once per mapping
     change, never per batch.
+
+    Slots are numbered across the tables in the same PID order: table
+    ``rank`` owns slots ``bases[rank]`` up to ``bases[rank + 1]``, and a
+    translated slot is that base plus the table's own slot — an index
+    into the columns :meth:`lay_out` builds.  Over one table, the base
+    is 0 and the slots are the table's own.
     """
 
     def __init__(self, tables: Iterable["PageTable"]):
@@ -143,6 +171,10 @@ class VMAIndex:
         #: ``rank[row]`` is a row's position in this list (emptied in a
         #: page table's index of itself, see ``PageTable.mmap``).
         self.tables = sorted((pt for pt in tables if pt.vmas), key=lambda pt: pt.pid)
+        #: First slot of each table, and one past the last slot overall.
+        self.bases = [0]
+        for pt in self.tables:
+            self.bases.append(self.bases[-1] + pt.n_pages)
         self.pids = np.array([pt.pid for pt in self.tables], dtype=np.int64)
         self._pid_lo = int(self.pids[0]) if self.tables else 0
         self._pid_span = int(self.pids[-1]) - self._pid_lo if self.tables else 0
@@ -155,8 +187,16 @@ class VMAIndex:
         # Each table keeps its regions sorted by start VPN, so the rows
         # come out in key order; the sentinel closes them.
         rows = [
-            (pt.pid, v.start_vpn, v.npages, v.pfn_base, v.slot_base, v.page_order, rank)
-            for rank, pt in enumerate(self.tables)
+            (
+                pt.pid,
+                v.start_vpn,
+                v.npages,
+                v.pfn_base,
+                base + v.slot_base,
+                v.page_order,
+                rank,
+            )
+            for rank, (pt, base) in enumerate(zip(self.tables, self.bases))
             for v in pt.vmas
         ]
         self.keys = np.array(
@@ -190,13 +230,13 @@ class VMAIndex:
         """Translate ``(pid, vpn)`` pairs to ``(pfns, slots, tlb_vpns, ranks)``.
 
         One ``searchsorted`` over the index, whatever the number of
-        processes in the batch.  ``ranks`` (each access's process, as a
-        16-bit position in :attr:`tables`) is what :meth:`process_ops`
-        and :meth:`by_process` take; ``tlb_vpns`` is ``vpns`` itself
-        when no region is huge.  Raises the :class:`TranslationFault`
-        of the lowest faulting PID, listing that PID's distinct
-        unmapped VPNs; nothing is returned unless every access
-        translates.
+        processes in the batch.  ``slots`` are the index's (see the
+        class docstring); ``ranks`` (each access's process, as a 16-bit
+        position in :attr:`tables`) is what :meth:`process_ops` takes;
+        ``tlb_vpns`` is ``vpns`` itself when no region is huge.  Raises
+        the :class:`TranslationFault` of the lowest faulting PID,
+        listing that PID's distinct unmapped VPNs; nothing is returned
+        unless every access translates.
 
         A long batch goes through in blocks of ``_BLOCK`` accesses:
         the intermediates (key, row, one gather) stay a quarter of a
@@ -273,54 +313,50 @@ class VMAIndex:
         present = ops > 0
         return self.pids[present], ops[present]
 
-    def by_process(
-        self, rank: np.ndarray, mask: np.ndarray
-    ) -> list[tuple["PageTable", np.ndarray]]:
-        """Split the batch positions under ``mask`` by owning process.
+    def lay_out(self) -> PTEColumns:
+        """Every indexed table's PTE state as one pair of columns.
 
-        Returns ``(page table, positions)`` per process that has any,
-        ascending PID, program order kept within each.  Only what is
-        asked about is sorted (16-bit ranks: a radix sort), never the
-        whole batch.
+        Each table's flags and slot → PFN are copied in at its base and
+        the table is pointed at its slice, so what the index's slots
+        address and what the tables read and write are the same words.
+        Run once per mapping change, like the index itself.
         """
-        at = mask.nonzero()[0]
-        if at.size == 0:
-            return []
-        if len(self.tables) == 1:
-            return [(self.tables[0], at)]
-        rank = rank[at]
-        order = np.argsort(rank, kind="stable")
-        at = at[order]
-        rank = rank[order]
-        del order
-        cuts = (rank[1:] != rank[:-1]).nonzero()[0]
-        cuts += 1
-        starts = [0, *cuts.tolist()]
-        ends = [*starts[1:], at.size]
-        return [
-            (self.tables[r], at[s:e])
-            for r, s, e in zip(rank[starts].tolist(), starts, ends)
-        ]
+        columns = PTEColumns(self.bases[-1])
+        for pt, base in zip(self.tables, self.bases):
+            pt._move_to(columns, base)
+        return columns
 
 
 class PageTable:
     """Leaf page-table state for one process.
 
-    PTE flags for all of the process's pages live in one contiguous
-    ``uint64`` array indexed by *slot*; every VMA occupies a contiguous
-    slot range, so bulk flag updates for a translated batch are a
-    single fancy-indexed in-place operation.
+    PTE flags for all of the process's pages are one contiguous range
+    of ``uint64`` words indexed by *slot*; every VMA occupies a
+    contiguous slot range, so bulk flag updates for a translated batch
+    are a single fancy-indexed in-place operation.  The words live in a
+    :class:`PTEColumns` from :attr:`base` on: the table's own, or its
+    machine's.  The table holds the columns and the base, never a view,
+    so :attr:`flags` is always the current slice and a pickled machine
+    stores its columns once.
     """
 
     def __init__(self, pid: int):
         self.pid = int(pid)
         self.vmas: list[VMA] = []
-        self._flags = GrowableArray(np.uint64, fill=0)
-        #: Head frame of every slot's mapping unit (8 bytes per PTE):
-        #: slot → PFN is a gather.
-        self._slot_pfn = GrowableArray(ADDR_DTYPE, fill=0)
+        self._columns = PTEColumns()
+        #: Where the table's slot 0 sits in its columns.
+        self.base = 0
+        self._n_slots = 0
         # Rebuilt on mmap (mmap is rare; lookups are hot).
         self._index = VMAIndex(())
+
+    def _move_to(self, columns: PTEColumns, base: int) -> None:
+        """Copy the table's PTE state into ``columns`` at ``base`` and
+        read and write it there from now on."""
+        old, lo, n = self._columns, self.base, self._n_slots
+        columns.flags[base : base + n] = old.flags[lo : lo + n]
+        columns.slot_pfn[base : base + n] = old.slot_pfn[lo : lo + n]
+        self._columns, self.base = columns, base
 
     # ------------------------------------------------------------------ map
 
@@ -355,7 +391,7 @@ class PageTable:
                     f"VMA {v.name!r} [{v.start_vpn:#x}, {v.end_vpn:#x})"
                 )
         pfn_base = allocator.alloc(npages)
-        slot_base = len(self._flags)
+        slot_base = self._n_slots
         vma = VMA(
             name=name,
             start_vpn=int(start_vpn),
@@ -364,10 +400,13 @@ class PageTable:
             slot_base=slot_base,
             page_order=int(page_order),
         )
-        self._flags.resize(slot_base + vma.n_units)
-        self._flags.data()[slot_base:] = PTE_DEFAULT
-        self._slot_pfn.resize(slot_base + vma.n_units)
-        self._slot_pfn.data()[slot_base:] = ADDR_DTYPE(pfn_base) + (
+        # The table grows into columns of its own; a machine lays
+        # everybody out again before it next reads them (the allocation
+        # above is how it notices, see ``Machine.vma_index``).
+        self._move_to(PTEColumns(slot_base + vma.n_units), 0)
+        self._n_slots += vma.n_units
+        self._columns.flags[slot_base:] = PTE_DEFAULT
+        self._columns.slot_pfn[slot_base:] = ADDR_DTYPE(pfn_base) + (
             np.arange(vma.n_units, dtype=ADDR_DTYPE) << ADDR_DTYPE(page_order)
         )
         self.vmas.append(vma)
@@ -383,7 +422,7 @@ class PageTable:
     @property
     def n_pages(self) -> int:
         """Total PTEs (mapping units) — what an A-bit walk visits."""
-        return len(self._flags)
+        return self._n_slots
 
     @property
     def total_frames(self) -> int:
@@ -392,8 +431,9 @@ class PageTable:
 
     @property
     def flags(self) -> np.ndarray:
-        """The process's PTE-flag array, indexed by slot."""
-        return self._flags.data()
+        """The process's PTE-flag array, indexed by slot: a writable
+        view of its slice of the columns, taken afresh on every read."""
+        return self._columns.flags[self.base : self.base + self._n_slots]
 
     def translate(self, vpns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Translate an array of VPNs to ``(pfns, slots)``.
@@ -440,7 +480,7 @@ class PageTable:
         """Slot → PFN of the mapping unit's head frame."""
         slots = np.asarray(slots, dtype=np.int64)
         self._check_slots(slots)
-        return self._slot_pfn.data()[slots]
+        return self._columns.slot_pfn[slots + self.base]
 
     # ----------------------------------------------------------------- walk
 
@@ -451,7 +491,7 @@ class PageTable:
         A-bit driver's ``gather_a_history`` callback test-and-clears
         accessed bits directly on it.
         """
-        flags = self._flags.data()
+        flags = self.flags
         for v in self.vmas:
             yield v, flags[v.slot_base : v.slot_base + v.n_units]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .address import ADDR_DTYPE
-from .page_table import PageTable
+from .page_table import PageTable, PTEColumns
 from .pte import PTE_DIRTY
 
 __all__ = ["PMLogger", "PMLStats", "PML_LOG_ENTRIES"]
@@ -78,8 +78,9 @@ class PMLogger:
         return self._pending_n
 
     @staticmethod
-    def clear_dirty(pt: PageTable) -> int:
-        """Clear every D bit in a page table; return how many were set.
+    def clear_dirty(pt: PageTable | PTEColumns) -> int:
+        """Clear every D bit in a page table, or in a whole machine's
+        column (``Machine.pte``); return how many were set.
 
         Re-arms the log for the next write-tracking interval.
         """

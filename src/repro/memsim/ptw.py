@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pte import PTE_ACCESSED, PTE_DIRTY, PTE_POISON
-from .page_table import PageTable
+from .page_table import PageTable, PTEColumns
 
 __all__ = ["PageTableWalker", "PTWStats"]
 
@@ -59,8 +59,11 @@ class PageTableWalker:
     def __init__(self):
         self.stats = PTWStats()
 
-    def fill_walks(self, pt: PageTable, miss_slots: np.ndarray) -> np.ndarray:
-        """Process TLB-miss fills for one process's accesses.
+    def fill_walks(
+        self, pt: PageTable | PTEColumns, miss_slots: np.ndarray
+    ) -> np.ndarray:
+        """Process TLB-miss fills against ``pt``'s flags: one page table's,
+        or a whole machine's column (``Machine.pte``).
 
         ``miss_slots`` are PTE slots of the accesses that missed the
         TLB, in program order (duplicates allowed — several misses can
@@ -86,8 +89,11 @@ class PageTableWalker:
         self.stats.poison_faults += int(np.count_nonzero(poisoned_mask))
         return poisoned_mask
 
-    def dirty_updates(self, pt: PageTable, store_slots: np.ndarray) -> np.ndarray:
-        """Set D bits for a batch of stores; return slots newly dirtied.
+    def dirty_updates(
+        self, pt: PageTable | PTEColumns, store_slots: np.ndarray
+    ) -> np.ndarray:
+        """Set D bits for a batch of stores in ``pt``'s flags (a page
+        table's or a machine's column); return slots newly dirtied.
 
         Newly dirtied slots (ascending) are what Intel PML would append
         to its write log.  A store to an already-dirty page costs

@@ -1,13 +1,15 @@
 """``ABitDriver.scan`` against the per-PID loop it replaced.
 
-The driver now test-and-clears a non-wrapping window as a slice, maps
-slots to frames by gather and credits the store once per pass.  The
-parent's loop — gather/scatter through ``arange % n``, a mask per VMA
-for slot → PFN/VPN, one ``record_abit`` per process — is kept here as
-the reference; both run over twin machines and must leave the same PTE
-flags, store arrays, cursors, TLB and every ``ABitScanStats`` field,
-``time_s`` compared with ``==`` (the cost model's float additions
-happen per process, in the same order).
+The scan test-and-clears every tracked process's window at once, in
+one gather over the machine's PTE column, maps slots to frames by one
+more gather and credits the store once per pass.  The original loop —
+per process, gather/scatter through ``arange % n`` on its own table, a
+mask per VMA for slot → PFN/VPN, one ``record_abit`` per process — is
+kept here as the reference; both run over twin machines and must leave
+the same PTE flags, store arrays, cursors, TLB and every
+``ABitScanStats`` field, ``time_s`` compared with ``==`` (the cost
+model's float additions happen per process, in the same order), also
+when a pass visits a process twice.
 """
 
 import dataclasses
@@ -128,11 +130,14 @@ def state(m, store, drv):
     )
 
 
-@pytest.mark.parametrize(
-    "budget, resumable, shootdown, thp",
-    list(itertools.product((None, 7, 1024), (False, True), (False, True), (False, True))),
+CONFIGS = list(
+    itertools.product((None, 7, 1024), (False, True), (False, True), (False, True))
 )
-def test_scan_equals_the_per_pid_loop(budget, resumable, shootdown, thp):
+
+
+def run_twins(budget, resumable, shootdown, thp, tracked, rounds):
+    """Both drivers over twin machines, ``rounds`` scans cycling through
+    ``tracked``; everything they leave must be equal after every scan."""
     config = TMPConfig(
         abit_scan_budget_pages=budget,
         abit_scan_resumable=resumable,
@@ -140,10 +145,7 @@ def test_scan_equals_the_per_pid_loop(budget, resumable, shootdown, thp):
     )
     new_m, vmas, new_store, new = build(config, thp, ABitDriver)
     ref_m, _, ref_store, ref = build(config, thp, ReferenceDriver)
-    # Everybody, then what a process filter would leave (a subset, one
-    # unmapped PID, one unknown PID), in and out of PID order.
-    tracked = ([*PIDS, SMALL_PID], [23, SMALL_PID, 12, 99, 15, 404], [19], [])
-    for round_, pids in enumerate(itertools.islice(itertools.cycle(tracked), 9)):
+    for round_, pids in enumerate(itertools.islice(itertools.cycle(tracked), rounds)):
         rng_new, rng_ref = (np.random.default_rng(round_) for _ in range(2))
         new_m.run_batch(traffic(vmas, rng_new))
         ref_m.run_batch(traffic(vmas, rng_ref))
@@ -151,8 +153,37 @@ def test_scan_equals_the_per_pid_loop(budget, resumable, shootdown, thp):
         got, want = state(new_m, new_store, new), state(ref_m, ref_store, ref)
         assert got["stats"]["time_s"] == want["stats"]["time_s"]  # ==, not approx
         assert got == want
+    return new
+
+
+@pytest.mark.parametrize("budget, resumable, shootdown, thp", CONFIGS)
+def test_scan_equals_the_per_pid_loop(budget, resumable, shootdown, thp):
+    # Everybody, then what a process filter would leave (a subset, one
+    # unmapped PID, one unknown PID), in and out of PID order.
+    tracked = ([*PIDS, SMALL_PID], [23, SMALL_PID, 12, 99, 15, 404], [19], [])
+    new = run_twins(budget, resumable, shootdown, thp, tracked, rounds=9)
     if budget == 7 and resumable:
         # Five passes of 7 over 10 PTEs: the gather/scatter branch ran.
         assert new._cursors[SMALL_PID] == (5 * 7) % SMALL_PTES
     assert new.stats.bits_found_set > 0
     assert new.stats.shootdowns > 0 or not shootdown
+
+
+@pytest.mark.parametrize("budget, resumable, shootdown, thp", CONFIGS)
+def test_a_process_visited_twice_is_credited_once(budget, resumable, shootdown, thp):
+    """The second visit finds the first one's bits already cleared: its
+    window, where it overlaps the first, credits nothing.  (One gather
+    over both windows would credit those pages twice.)"""
+    tracked = ([12, 12, 15], [SMALL_PID, 19, SMALL_PID, SMALL_PID])
+    new = run_twins(budget, resumable, shootdown, thp, tracked, rounds=4)
+    assert new.stats.processes_scanned == 2 * (3 + 4)
+
+
+def test_a_repeated_visit_of_a_whole_table_finds_nothing():
+    config = TMPConfig(abit_scan_budget_pages=None)
+    found = []
+    for pids in ([12], [12, 12]):
+        m, vmas, store, drv = build(config, False, ABitDriver)
+        m.run_batch(traffic(vmas, np.random.default_rng(0)))
+        found.append((drv.scan(pids), store.abit_total.tolist()))
+    assert found[0] == found[1] and found[0][0] > 0

@@ -1,13 +1,22 @@
-"""The machine-wide VMA index: one translation per batch.
+"""The machine-wide VMA index and PTE column: one translation, one walk
+and one dirty-bit update per batch.
 
 ``Machine.run_batch`` translates a whole batch — whatever processes it
-mixes — with one lookup in ``Machine.vma_index``.  These tests hold it
-to the per-process path it replaced: ``PageTable.translate_ex`` process
-by process (the parent's loop, kept here as the reference) and a scalar
-walk over the ``VMA`` records themselves, on seeded random machines
-with base-page and huge-page regions mapped out of address order and
-after the first batch; and to the parent's ``TranslationFault``.
+mixes — with one lookup in ``Machine.vma_index``, and walks and dirties
+it in one pass over ``Machine.pte``, every process's PTE flags laid out
+in PID order.  These tests hold both to the per-process paths they
+replaced, kept here as references: ``PageTable.translate_ex`` process by
+process and a scalar walk over the ``VMA`` records themselves; the
+walker and the dirty-bit update called once per process on its own
+table.  On seeded random machines with base-page and huge-page regions
+mapped out of address and PID order and after the first batch, with
+BadgerTrap-poisoned PTEs and PML on; and to the ``TranslationFault``
+the per-process translation raised.
 """
+
+import dataclasses
+import pickle
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +25,7 @@ from repro.memsim import AccessBatch, Machine, MachineConfig, TranslationFault
 from repro.memsim.address import page_of
 from repro.memsim import page_table
 from repro.memsim.page_table import MAX_PID_SPAN, PageTable, VMAIndex
+from repro.memsim.pte import PTE_ACCESSED, PTE_DEFAULT, PTE_DIRTY, PTE_POISON
 
 N_MACHINES = 50
 
@@ -27,11 +37,13 @@ def block_size(request, monkeypatch):
         monkeypatch.setattr(page_table, "_BLOCK", request.param)
 
 
-def random_machine(seed: int):
+def random_machine(seed: int, **config):
     """3–20 processes, 1–4 regions each, mapped in a shuffled order at
     explicit, shuffled addresses; a third of the regions are huge."""
     rng = np.random.default_rng(seed)
-    m = Machine(MachineConfig(total_frames=1 << 18, n_cpus=2, tlb_entries=64))
+    m = Machine(
+        MachineConfig(total_frames=1 << 18, n_cpus=2, tlb_entries=64, **config)
+    )
     pids = rng.choice(np.arange(1, 400), size=int(rng.integers(3, 21)), replace=False)
     todo = [(int(pid), k) for pid in pids for k in range(int(rng.integers(1, 5)))]
     rng.shuffle(todo)
@@ -60,8 +72,19 @@ def random_batch(m: Machine, rng, n: int = 600) -> AccessBatch:
     )
 
 
+def column_bases(m: Machine) -> dict[int, int]:
+    """Where each table's slot 0 must sit in the machine's PTE column:
+    the tables in PID order, each as long as it has PTEs."""
+    bases, at = {}, 0
+    for pid in sorted(m.page_tables):
+        bases[pid] = at
+        at += m.page_tables[pid].n_pages
+    return bases
+
+
 def per_process_reference(m: Machine, batch: AccessBatch):
-    """The parent's stage 1: group by PID, translate each group."""
+    """Stage 1 done per process: group by PID, translate each group
+    (slots are each table's own)."""
     vpns = page_of(batch.vaddr)
     n = batch.n
     pfn = np.empty(n, dtype=np.uint64)
@@ -89,10 +112,12 @@ def scalar_reference(m: Machine, pid: int, vpn: int):
 
 def assert_same_translation(m: Machine, batch: AccessBatch):
     pfn, slot, tlb_vpn, pids, ops = per_process_reference(m, batch)
+    bases = column_bases(m)
+    wide = slot + np.array([bases[pid] for pid in batch.pid.tolist()], dtype=np.int64)
     got_pfn, got_slot, got_tlb, rank = m.vma_index.translate(
         batch.pid, page_of(batch.vaddr)
     )
-    for got, want in ((got_pfn, pfn), (got_slot, slot), (got_tlb, tlb_vpn)):
+    for got, want in ((got_pfn, pfn), (got_slot, wide), (got_tlb, tlb_vpn)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     got_pids, got_ops = m.vma_index.process_ops(rank)
@@ -101,7 +126,7 @@ def assert_same_translation(m: Machine, batch: AccessBatch):
         np.testing.assert_array_equal(got, want)
     result = m.run_batch(batch)
     np.testing.assert_array_equal(result.pfn, pfn)
-    np.testing.assert_array_equal(result.slot, slot)
+    np.testing.assert_array_equal(result.slot, wide)
     np.testing.assert_array_equal(result.pids, pids)
     np.testing.assert_array_equal(result.pid_ops, ops)
     for i in range(0, batch.n, 37):
@@ -110,19 +135,63 @@ def assert_same_translation(m: Machine, batch: AccessBatch):
         )
 
 
-@pytest.mark.parametrize("seed", range(N_MACHINES))
-def test_batched_translation_equals_per_process(seed):
-    m, rng = random_machine(seed)
-    assert_same_translation(m, random_batch(m, rng))
-    # Mappings added after the first batch — a new region in an old
-    # process (below its lowest), and a new lowest and highest PID.
+def map_late(m: Machine) -> None:
+    """Mappings added after the first batch — a new region in an old
+    process (below its lowest), and a new lowest and highest PID."""
     old = min(m.page_tables)
     m.process(old).mmap(0x800, 30, m.allocator)
     m.mmap(0, 17, start_vpn=0x20000)
     m.mmap(401, 600, page_order=9)
+
+
+@pytest.mark.parametrize("seed", range(N_MACHINES))
+def test_batched_translation_equals_per_process(seed):
+    m, rng = random_machine(seed)
+    assert_same_translation(m, random_batch(m, rng))
+    map_late(m)
     batch = random_batch(m, rng)
     assert {0, 401} <= set(batch.pid.tolist())
     assert_same_translation(m, batch)
+
+
+# ----------------------------------------------- walks and dirty bits
+
+
+def by_process(tables, rank: np.ndarray, mask: np.ndarray):
+    """Split the batch positions under ``mask`` by owning process:
+    ``(page table, positions)`` per process that has any, ascending
+    PID, program order kept within each (a stable sort of the ranks)."""
+    at = mask.nonzero()[0]
+    if at.size == 0:
+        return []
+    if len(tables) == 1:
+        return [(tables[0], at)]
+    rank = rank[at]
+    order = np.argsort(rank, kind="stable")
+    at = at[order]
+    rank = rank[order]
+    cuts = (rank[1:] != rank[:-1]).nonzero()[0] + 1
+    starts = [0, *cuts.tolist()]
+    ends = [*starts[1:], at.size]
+    return [(tables[r], at[s:e]) for r, s, e in zip(rank[starts].tolist(), starts, ends)]
+
+
+def per_process_walk_and_dirty(self, miss, is_store, slot, pfn):
+    """``Machine._walk_and_dirty`` with per-process PTE flags: the walker
+    and the dirty-bit update called once per process, on its own table
+    with its own slots, ascending PID."""
+    index = self.vma_index
+    bases = np.array(index.bases)
+    rank = np.searchsorted(bases, slot, side="right") - 1
+    local = slot - bases[rank]
+    for pt, mm in by_process(index.tables, rank, miss):
+        poisoned = self.ptw.fill_walks(pt, local[mm])
+        if poisoned.any():
+            self.badgertrap.handle_faults(pfn[mm][poisoned])
+    for pt, ms in by_process(index.tables, rank, is_store):
+        newly_dirty = self.ptw.dirty_updates(pt, local[ms])
+        if newly_dirty.size and self.pml.enabled:
+            self.pml.observe_dirty(pt.slot_to_pfn(newly_dirty))
 
 
 def groups_reference(batch: AccessBatch, mask: np.ndarray):
@@ -134,16 +203,63 @@ def groups_reference(batch: AccessBatch, mask: np.ndarray):
 
 @pytest.mark.parametrize("seed", range(0, N_MACHINES, 5))
 def test_groups_are_per_process_in_program_order(seed):
+    """The reference's own grouping, against one mask per PID."""
     m, rng = random_machine(seed)
     batch = random_batch(m, rng)
     index = m.vma_index
     *_, rank = index.translate(batch.pid, page_of(batch.vaddr))
     for mask in (batch.is_store, ~batch.is_store, np.zeros(batch.n, dtype=bool)):
-        got = index.by_process(rank, mask)
+        got = by_process(index.tables, rank, mask)
         want = groups_reference(batch, mask)
         assert [pt.pid for pt, _ in got] == [pid for pid, _ in want]
         for (_, at), (_, ref) in zip(got, want):
             np.testing.assert_array_equal(at, ref)
+
+
+def poison_some(m: Machine, rng) -> None:
+    """BadgerTrap on an eighth of the PTEs of about half the processes."""
+    for pid in sorted(m.page_tables):
+        pt = m.page_tables[pid]
+        if rng.random() < 0.5:
+            m.badgertrap.instrument(
+                pt, rng.integers(0, pt.n_pages, 1 + pt.n_pages // 8), m.tlb
+            )
+
+
+def pte_state(m: Machine) -> dict:
+    return dict(
+        flags={pid: pt.flags.tolist() for pid, pt in m.page_tables.items()},
+        column=m.pte.flags.tolist(),
+        ptw=dataclasses.asdict(m.ptw.stats),
+        faults=m.badgertrap.fault_counts.tolist(),
+        badgertrap=dataclasses.asdict(m.badgertrap.stats),
+        pml_log=m.pml.drain().tolist(),
+        pml=dataclasses.asdict(m.pml.stats),
+    )
+
+
+@pytest.mark.parametrize("seed", range(N_MACHINES))
+def test_one_walk_equals_the_per_process_loop(seed):
+    """Every flag, walker counter, fault count and the PML log in order."""
+    twins = []
+    for reference in (False, True):
+        m, rng = random_machine(seed, enable_pml=True)
+        if reference:
+            m._walk_and_dirty = types.MethodType(per_process_walk_and_dirty, m)
+        poison_some(m, rng)
+        twins.append((m, rng))
+    for round_ in range(3):
+        if round_ == 2:
+            for m, _ in twins:
+                map_late(m)
+                poison_some(m, np.random.default_rng(seed))
+        for m, rng in twins:
+            m.run_batch(random_batch(m, rng))
+        (got, _), (want, _) = twins
+        got_state = pte_state(got)
+        assert got_state == pte_state(want)
+        assert got_state["pml_log"]
+    assert got.ptw.stats.poison_faults > 0
 
 
 class TestFaults:
@@ -293,3 +409,71 @@ class TestFrameView:
         assert index.tables == [] and index.keys.size == 1
         pfn, slot, tlb_vpn = PageTable(1).translate_ex(np.zeros(0, dtype=np.uint64))
         assert pfn.size == slot.size == tlb_vpn.size == 0
+
+
+class TestOneColumn:
+    """Every mapped table's flags are a view of the machine's column, in
+    PID order, whatever order the mappings came in and however made."""
+
+    @staticmethod
+    def assert_laid_out(m: Machine) -> None:
+        column = m.pte
+        bases = column_bases(m)
+        assert column.flags.size == column.slot_pfn.size == sum(
+            pt.n_pages for pt in m.page_tables.values()
+        )
+        for pid, pt in m.page_tables.items():
+            if not pt.n_pages:
+                continue
+            assert np.shares_memory(pt.flags, column.flags)
+            assert pt.base == bases[pid]
+            slots = np.arange(pt.n_pages)
+            np.testing.assert_array_equal(
+                column.slot_pfn[bases[pid] + slots], pt.slot_to_pfn(slots)
+            )
+
+    def test_interleaved_mmaps(self):
+        m = Machine(MachineConfig(total_frames=1 << 14))
+        for pid, npages, order in (
+            (9, 5, 0), (2, 600, 9), (9, 3, 0), (4, 7, 0), (2, 2, 0)
+        ):
+            m.mmap(pid, npages, page_order=order)
+        m.process(3)  # registered, never mapped: no slots
+        self.assert_laid_out(m)
+        assert [pt.pid for pt in m.vma_index.tables] == [2, 4, 9]
+        assert (m.pte.flags == PTE_DEFAULT).all()
+
+    def test_mmap_straight_on_the_page_table_keeps_every_bit(self):
+        m = Machine(MachineConfig(total_frames=1 << 12))
+        a, b = m.mmap(5, 8), m.mmap(7, 8)
+        m.run_batch(
+            AccessBatch.concat(
+                [
+                    AccessBatch.from_pages(a.vpns, pid=5, is_store=True),
+                    AccessBatch.from_pages(b.vpns[:3], pid=7),
+                ]
+            )
+        )
+        m.page_tables[7].flags[5] |= PTE_POISON
+        before = {pid: pt.flags.copy() for pid, pt in m.page_tables.items()}
+        # A new region in the lower PID moves the higher one's slots.
+        m.process(5).mmap(0x9000, 4, m.allocator)
+        m.process(1).mmap(0x9000, 2, m.allocator)
+        self.assert_laid_out(m)
+        assert m.page_tables[7].base == 2 + 12
+        for pid, flags in before.items():
+            np.testing.assert_array_equal(m.page_tables[pid].flags[: flags.size], flags)
+        both = PTE_ACCESSED | PTE_DIRTY
+        assert (m.page_tables[5].flags[:8] & both == both).all()
+        assert m.page_tables[7].flags[5] & PTE_POISON
+
+    def test_a_write_through_a_table_reaches_the_next_batch(self):
+        m = Machine(MachineConfig(total_frames=1 << 12))
+        m.mmap(3, 8)
+        v = m.mmap(6, 8)
+        copy = pickle.loads(pickle.dumps(m))
+        self.assert_laid_out(copy)
+        copy.page_tables[6].flags[2] |= PTE_POISON
+        copy.run_batch(AccessBatch.from_pages(v.vpns[2:3], pid=6))
+        assert copy.badgertrap.stats.faults == 1
+        assert m.page_tables[6].flags[2] & PTE_POISON == 0

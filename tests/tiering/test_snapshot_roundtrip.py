@@ -13,10 +13,12 @@ and the numa_maps text must stay equal.
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.daemon import TMPDaemon
-from repro.memsim import MachineConfig
+from repro.memsim import AccessBatch, MachineConfig
+from repro.memsim.pte import PTE_POISON
 from repro.tiering import TieredSimulator
 from repro.tiering.policies import POLICIES
 from repro.workloads import WORKLOAD_NAMES, make_workload
@@ -82,3 +84,25 @@ def test_loaded_copy_runs_on_like_the_original(name):
     assert copy.result == sim.result
     assert copy_daemon.statistics() == daemon.statistics()
     assert copy_daemon.numa_maps() == daemon.numa_maps()
+
+
+def test_loaded_tables_still_share_the_machines_column():
+    """The column comes back once, every table a view of it: a write
+    through one table's ``flags`` is what the next batch walks."""
+    sim, daemon = _build(CASES["workload-web-serving"])
+    sim.step(2)
+    copy, _ = pickle.loads(pickle.dumps((sim, daemon)))
+    machine = copy.machine
+    tables = [pt for pt in machine.page_tables.values() if pt.n_pages]
+    assert len(tables) > 1
+    for pt in tables:
+        assert np.shares_memory(pt.flags, machine.pte.flags)
+        assert not np.shares_memory(pt.flags, sim.machine.pte.flags)
+    pt = tables[-1]
+    vma = pt.vmas[0]
+    pt.flags[vma.slot_base] |= PTE_POISON
+    machine.tlb.shootdown_pages(np.array([pt.pid]), np.array([vma.start_vpn]))
+    faults = machine.badgertrap.stats.faults
+    machine.run_batch(AccessBatch.from_pages([vma.start_vpn], pid=pt.pid))
+    assert machine.badgertrap.stats.faults == faults + 1
+    assert sim.machine.page_tables[pt.pid].flags[vma.slot_base] & PTE_POISON == 0

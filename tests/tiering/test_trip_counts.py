@@ -6,8 +6,10 @@ shape of the e2e benchmark) is run with counters on the calls that used
 to be made once per process: ``PageTable.translate_ex`` from
 ``Machine.run_batch``, ``PageStatsStore.record_abit`` from
 ``ABitDriver.scan``, and the per-epoch VMA table of
-``PageMover._shootdown_moved``.  Each guard fails at the commit before
-the machine-wide VMA index (PR 18).
+``PageMover._shootdown_moved`` (each fails before the machine-wide VMA
+index); the walker's ``fill_walks`` / ``dirty_updates`` from
+``run_batch``, and ``PageTable.flags`` / ``slot_to_pfn`` from the scan
+(each fails with per-process PTE flags, before ``Machine.pte``).
 """
 
 import pytest
@@ -55,6 +57,56 @@ def test_run_batch_never_translates_per_process(sim, monkeypatch):
     sim.step(1)
     assert len(batches) == 4
     assert translations == []
+
+
+def test_one_walk_and_one_dirty_update_per_batch(sim, monkeypatch):
+    walks = count_calls(monkeypatch, sim.machine.ptw, "fill_walks")
+    dirties = count_calls(monkeypatch, sim.machine.ptw, "dirty_updates")
+    batches = count_calls(monkeypatch, sim.machine, "run_batch")
+    walks_before = sim.machine.ptw.stats.walks
+    sim.step(1)
+    assert len(batches) == 4
+    assert 1 <= len(walks) <= 4 and 1 <= len(dirties) <= 4
+    # ... and the batches did walk and dirty pages of many processes.
+    assert sim.machine.ptw.stats.walks - walks_before > 15
+    assert len(sim.machine.vma_index.tables) == 15
+
+
+def test_scan_reads_the_column_not_the_tables(sim, monkeypatch):
+    scans, in_scan = [], []
+    scan = sim.profiler.abit.scan
+
+    def watched(pids):
+        scans.append(len(pids))
+        in_scan.append(True)
+        try:
+            return scan(pids)
+        finally:
+            in_scan.pop()
+
+    monkeypatch.setattr(sim.profiler.abit, "scan", watched)
+    lookups = []
+    flags = PageTable.flags.fget
+    slot_to_pfn = PageTable.slot_to_pfn
+
+    def flags_read(pt):
+        if in_scan:
+            lookups.append("flags")
+        return flags(pt)
+
+    def pfn_lookup(pt, slots):
+        if in_scan:
+            lookups.append("slot_to_pfn")
+        return slot_to_pfn(pt, slots)
+
+    monkeypatch.setattr(PageTable, "flags", property(flags_read))
+    monkeypatch.setattr(PageTable, "slot_to_pfn", pfn_lookup)
+    found_before = sim.profiler.abit.stats.bits_found_set
+    assert not sim.profiler.config.abit_shootdown
+    sim.step(1)
+    assert scans == [15] * 4
+    assert sim.profiler.abit.stats.bits_found_set - found_before > 15
+    assert lookups == []
 
 
 def test_one_abit_credit_per_scan(sim, monkeypatch):
