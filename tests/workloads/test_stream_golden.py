@@ -1,14 +1,14 @@
 """Golden access streams: every generator's bytes, pinned.
 
 ``tests/tiering/test_golden_digest.py`` reaches two workloads through a
-whole simulator; the column builders (``batch_on_vma``,
-``AccessBatch.from_pages``/``concat``/``take``, ``interleave``) sit
-under all eight.  Each case hashes the five columns — bytes *and*
-dtypes — of the population stream and of epochs 0..2 of a small seed-0
-instance, and compares with the value the commit before the
-built-once columns (PR 18) produced.  A digest only changes when a
-generator draws differently; say so in the PR and regenerate with
-``python tests/workloads/test_stream_golden.py``.
+whole simulator; the column builders and ``interleave`` sit under all
+eight.  Each case hashes the five columns — bytes *and* dtypes — of the
+population stream and of epochs 0..4 of a small seed-0 instance (five
+epochs: every phase of web-serving's load wave and graph500's BFS
+levels), and compares with the pinned value.  ``colocation`` pins the
+interleave of two tenants' interleaved streams.  A digest only changes
+when a generator draws differently; say so in the PR and regenerate
+with ``python tests/workloads/test_stream_golden.py``.
 """
 
 import hashlib
@@ -17,31 +17,39 @@ import numpy as np
 import pytest
 
 from repro.memsim import Machine, MachineConfig
-from repro.workloads import WORKLOADS, make_workload
+from repro.workloads import WORKLOADS, MultiWorkload, make_workload
 
-EPOCHS = 3
+EPOCHS = 5
 SMALL = dict(footprint_pages=2048, accesses_per_epoch=6_000)
 
 CASES = {name: dict(workload=name) for name in WORKLOADS}
 CASES["gups_thp"] = dict(workload="gups", thp=True)
+CASES["colocation"] = dict(tenants=("gups", "web-serving"))
 
 GOLDEN = {
-    "data-analytics": "78724965c8c829c17b7cdc8b50d85860f5223bb59cf3d1eb7f6f0439c900418e",
-    "data-caching": "d5d6af63232563d6567c0a00c107f8f011666450397c401ff8b2fd14fc027059",
-    "graph-analytics": "eb3f3f27118a616e8efcb19626d4eb6d692dd1cb34d8e56c11dde2c7f593cf5c",
-    "graph500": "d40d780852b687b54f09385755772380a4be10bf92076875d234588ee0a26a13",
-    "gups": "02e742017eb5488b2bb3ab88af57887981a685ad131111ac16510c180d031197",
+    "colocation": "43b2ffb2df98f33a5f53ff0196bf0797c99650c577682ba5b28af79da143ac55",
+    "data-analytics": "0a93bacdc1e6dd7914a4cedfb883d55c8cf764af03ed89d2b9f648f7e7abc1ec",
+    "data-caching": "12cc2f2414ca2ac85a954417a941087d2e9124b6dbd20a86490b0abc60804055",
+    "graph-analytics": "0836926e029f1981432c2dcf0b0496d5ef7e1b68721ed20d3639189674619c7f",
+    "graph500": "3bdf8ceccb8aeeaf463698f14615b3c7d232ebf3fa78e430d3fdfb684cfa0357",
+    "gups": "c2402280e9bebd61a550de9d3852766f878f30736896dac5a955800092addddc",
     # Huge pages change the mapping, not the virtual stream: same bytes.
-    "gups_thp": "02e742017eb5488b2bb3ab88af57887981a685ad131111ac16510c180d031197",
-    "lulesh": "1d744a201ef5f5b139597dfddd42a41997dc0328241a9b6baa072c38cc2bf44b",
-    "web-serving": "477553d619bc8102a3785d6ed0544a5184744bbbfd783983b4e1d307f43e0f14",
-    "xsbench": "abe2ca9ded86a271dfa3d2a826675b35d5e56b4d6c1a0449de1c94756518fecf",
+    "gups_thp": "c2402280e9bebd61a550de9d3852766f878f30736896dac5a955800092addddc",
+    "lulesh": "347f159aa249e3f84f0726ef21341dbea4da139449fdb8a2ab253371ad1c0c1e",
+    "web-serving": "d0d615cfb52a5729eee030192a6638f753c51e0592fe8f16ce416ad2616c550f",
+    "xsbench": "6837fc152203b8873a95a730915e1e2b7d4f3ca48091c0c1f93cd260b8c1eccc",
 }
 
 
-def stream_digest(spec: dict) -> str:
+def make(spec: dict):
     spec = dict(spec)
-    workload = make_workload(spec.pop("workload"), **SMALL, **spec)
+    if "tenants" in spec:
+        return MultiWorkload([make_workload(t, **SMALL) for t in spec["tenants"]])
+    return make_workload(spec.pop("workload"), **SMALL, **spec)
+
+
+def stream_digest(spec: dict) -> str:
+    workload = make(spec)
     workload.attach(Machine(MachineConfig.scaled()))
     rng = np.random.default_rng(0)
     h = hashlib.sha256()
@@ -55,7 +63,7 @@ def stream_digest(spec: dict) -> str:
 
 
 def test_every_registry_workload_is_pinned():
-    assert set(CASES) == set(GOLDEN) == set(WORKLOADS) | {"gups_thp"}
+    assert set(CASES) == set(GOLDEN) == set(WORKLOADS) | {"gups_thp", "colocation"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
