@@ -18,7 +18,7 @@ from .registry import (
 )
 from .synth import (
     BoundedZipf,
-    batch_on_vma,
+    StreamBuilder,
     rmw_expand,
     sequential_sweep,
     strided_sweep,
@@ -38,12 +38,12 @@ __all__ = [
     "LULESH",
     "MultiWorkload",
     "ProcessContext",
+    "StreamBuilder",
     "WORKLOADS",
     "WORKLOAD_NAMES",
     "WebServing",
     "Workload",
     "XSBench",
-    "batch_on_vma",
     "interleave",
     "make_workload",
     "paper_suite",

@@ -5,7 +5,8 @@ VMAs on a machine via :meth:`attach`, and then emits one
 :class:`~repro.memsim.events.AccessBatch` per *epoch* (the paper's
 policy/profiling quantum, nominally one second of execution).  All
 randomness flows through the caller-supplied ``numpy.random.Generator``
-so runs are reproducible end to end.
+so runs are reproducible end to end; a workload's processes draw from
+it through the epoch's :class:`~repro.workloads.synth.StreamBuilder`.
 
 Multi-process workloads (Table III runs CloudSuite services with many
 workers and HPC codes with 8 ranks) split their footprint across
@@ -23,6 +24,7 @@ import numpy as np
 from ..memsim.events import AccessBatch
 from ..memsim.machine import Machine
 from ..memsim.page_table import VMA
+from .synth import CHUNK, StreamBuilder, _runs, interleave_pieces
 
 __all__ = ["Workload", "ProcessContext", "interleave"]
 
@@ -41,40 +43,20 @@ class ProcessContext:
 
 
 def interleave(
-    batches: list[AccessBatch], rng: np.random.Generator, chunk: int = 256
+    batches: list[AccessBatch], rng: np.random.Generator, chunk: int = CHUNK
 ) -> AccessBatch:
-    """Interleave per-process streams in randomized chunks.
-
-    Each stream is cut into ``chunk``-sized pieces; pieces are merged in
-    a random global order that preserves each stream's internal order —
-    a round-robin-with-jitter model of concurrent execution.
-    """
+    """Interleave whole streams in randomized chunks
+    (:func:`~repro.workloads.synth.interleave_pieces`); a workload's own
+    processes are interleaved by its :class:`StreamBuilder`."""
     batches = [b for b in batches if b.n]
     if not batches:
         return AccessBatch.empty()
     if len(batches) == 1:
         return batches[0]
-    # Jittered timeline position for each piece keeps per-stream order
-    # (cumulative) while shuffling across streams.  One draw per stream,
-    # in stream order; ties fall to the earlier stream (stable sort).
-    starts = [np.arange(0, b.n, chunk) for b in batches]
-    positions = np.concatenate(
-        [np.cumsum(rng.uniform(0.5, 1.5, s.size)) for s in starts]
-    )
-    stream = np.repeat(np.arange(len(batches)), [s.size for s in starts])
-    order = np.argsort(positions, kind="stable")
-    pieces = [
-        (batches[bi], slice(lo, lo + chunk))
-        for bi, lo in zip(stream[order].tolist(), np.concatenate(starts)[order].tolist())
-    ]
-    # Every output column is written once, straight from the streams'.
-    return AccessBatch.of_columns(
-        np.concatenate([b.vaddr[cut] for b, cut in pieces]),
-        np.concatenate([b.is_store[cut] for b, cut in pieces]),
-        np.concatenate([b.pid[cut] for b, cut in pieces]),
-        np.concatenate([b.cpu[cut] for b, cut in pieces]),
-        np.concatenate([b.ip[cut] for b, cut in pieces]),
-    )
+    whole = AccessBatch.concat(batches)
+    first, order = interleave_pieces([b.n for b in batches], rng, chunk)
+    size = np.diff(first, append=whole.n)
+    return whole.take(_runs(first[order], size[order]))
 
 
 class Workload(ABC):
@@ -146,11 +128,11 @@ class Workload(ABC):
         if self._machine is None:
             raise RuntimeError(f"workload {self.name!r} is not attached to a machine")
         per_proc = max(1, self.accesses_per_epoch // self.n_processes)
-        streams = [
-            self._process_epoch(proc, epoch_idx, per_proc, rng)
-            for proc in self.processes
-        ]
-        return interleave(streams, rng)
+        out = StreamBuilder(rng)
+        for proc in self.processes:
+            self._process_epoch(proc, epoch_idx, per_proc, out)
+            out.end_stream()
+        return out.build()
 
     def init_stream(self, rng: np.random.Generator, dwell: int = 2) -> AccessBatch:
         """The population phase: write every page once, in address order.
@@ -163,18 +145,13 @@ class Workload(ABC):
         """
         if self._machine is None:
             raise RuntimeError(f"workload {self.name!r} is not attached to a machine")
-        streams = []
+        out = StreamBuilder(rng)
         for proc in self.processes:
             for vma in proc.vmas.values():
                 pages = np.repeat(np.arange(vma.npages, dtype=np.int64), dwell)
-                from .synth import batch_on_vma
-
-                streams.append(
-                    batch_on_vma(
-                        vma, pages, pid=proc.pid, cpu=proc.cpu, is_store=True, rng=rng
-                    )
-                )
-        return interleave(streams, rng)
+                out.add(vma, pages, pid=proc.pid, cpu=proc.cpu, is_store=True)
+                out.end_stream()
+        return out.build()
 
     @abstractmethod
     def _process_epoch(
@@ -182,9 +159,10 @@ class Workload(ABC):
         proc: ProcessContext,
         epoch_idx: int,
         n_accesses: int,
-        rng: np.random.Generator,
-    ) -> AccessBatch:
-        """Generate one process's stream for this epoch."""
+        out: StreamBuilder,
+    ) -> None:
+        """Add one process's stream for this epoch to ``out``, drawing
+        through ``out.rng``."""
 
     def __repr__(self) -> str:
         return (

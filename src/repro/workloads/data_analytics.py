@@ -15,12 +15,9 @@ traffic in the caches.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..memsim.events import AccessBatch
 from ..memsim.machine import Machine
 from .base import ProcessContext, Workload
-from .synth import BoundedZipf, batch_on_vma, sequential_sweep, windowed_sweep
+from .synth import BoundedZipf, StreamBuilder, sequential_sweep, windowed_sweep
 
 __all__ = ["DataAnalytics"]
 
@@ -62,8 +59,8 @@ class DataAnalytics(Workload):
         proc: ProcessContext,
         epoch_idx: int,
         n_accesses: int,
-        rng: np.random.Generator,
-    ) -> AccessBatch:
+        out: StreamBuilder,
+    ) -> None:
         n_model = int(n_accesses * self.model_fraction)
         n_scratch = n_accesses // 10
         n_scan = n_accesses - n_model - n_scratch
@@ -74,19 +71,16 @@ class DataAnalytics(Workload):
         dwell = 4
         start = (epoch_idx * (n_scan // dwell)) % shard.npages
         scan = windowed_sweep(shard.npages, n_scan, dwell, start=start)
-        scan_batch = batch_on_vma(
-            shard, scan, pid=proc.pid, cpu=proc.cpu, ip=_IP_SCAN, rng=rng
-        )
+        out.add(shard, scan, pid=proc.pid, cpu=proc.cpu, ip=_IP_SCAN)
 
         model = proc.vma("model")
-        model_batch = batch_on_vma(
-            model, self._model_zipf.sample(rng, n_model),
-            pid=proc.pid, cpu=proc.cpu, ip=_IP_MODEL, rng=rng,
+        out.add(
+            model, self._model_zipf.sample(out.rng, n_model),
+            pid=proc.pid, cpu=proc.cpu, ip=_IP_MODEL,
         )
 
         scratch = proc.vma("scratch")
-        scratch_batch = batch_on_vma(
+        out.add(
             scratch, sequential_sweep(scratch.npages, n_scratch),
-            pid=proc.pid, cpu=proc.cpu, is_store=True, ip=_IP_SCRATCH, rng=rng,
+            pid=proc.pid, cpu=proc.cpu, is_store=True, ip=_IP_SCRATCH,
         )
-        return AccessBatch.concat([scan_batch, model_batch, scratch_batch])

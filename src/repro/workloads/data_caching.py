@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..memsim.events import AccessBatch
 from ..memsim.machine import Machine
 from .base import ProcessContext, Workload
-from .synth import BoundedZipf, batch_on_vma, sequential_sweep
+from .synth import BoundedZipf, StreamBuilder, sequential_sweep
 
 __all__ = ["DataCaching"]
 
@@ -81,13 +80,14 @@ class DataCaching(Workload):
         proc: ProcessContext,
         epoch_idx: int,
         n_accesses: int,
-        rng: np.random.Generator,
-    ) -> AccessBatch:
+        out: StreamBuilder,
+    ) -> None:
         if "values" in proc.vmas:
-            return self._server_epoch(proc, n_accesses, rng)
-        return self._client_epoch(proc, n_accesses, rng)
+            self._server_epoch(proc, n_accesses, out)
+        else:
+            self._client_epoch(proc, n_accesses, out)
 
-    def _server_epoch(self, proc, n_accesses, rng) -> AccessBatch:
+    def _server_epoch(self, proc, n_accesses, out) -> None:
         # Value accesses dominate; the compact hash index takes a much
         # smaller probe share (and stays largely cache-resident).
         n_index = int(n_accesses * self.index_fraction)
@@ -95,25 +95,21 @@ class DataCaching(Workload):
         values = proc.vma("values")
         index = proc.vma("index")
 
-        value_pages = self._zipfs[proc.pid].sample(rng, n_values)
-        is_set = rng.random(n_values) < self.set_fraction
-        value_batch = batch_on_vma(
+        value_pages = self._zipfs[proc.pid].sample(out.rng, n_values)
+        is_set = out.rng.random(n_values) < self.set_fraction
+        out.add(
             values, value_pages, pid=proc.pid, cpu=proc.cpu, is_store=is_set,
-            ip=_IP_VALUES, rng=rng,
+            ip=_IP_VALUES,
         )
-        # Hash-index probes: uniform over the compact index.
-        idx_pages = rng.integers(0, index.npages, n_index)
-        idx_batch = batch_on_vma(
-            index, idx_pages, pid=proc.pid, cpu=proc.cpu, ip=_IP_INDEX, rng=rng
-        )
-        return AccessBatch.concat([idx_batch, value_batch])
+        # Hash-index probes: uniform over the compact index, drawn after
+        # the values but issued ahead of them.
+        idx_pages = out.rng.integers(0, index.npages, n_index)
+        out.add(index, idx_pages, pid=proc.pid, cpu=proc.cpu, ip=_IP_INDEX, at=0)
 
-    def _client_epoch(self, proc, n_accesses, rng) -> AccessBatch:
+    def _client_epoch(self, proc, n_accesses, out) -> None:
         # Clients are cheap: reuse a small request buffer continuously.
         # (Light enough to fall below TMP's 5% CPU filter threshold.)
         buf = proc.vma("reqbuf")
         n = max(16, n_accesses // 32)
         sweep = sequential_sweep(buf.npages, n)
-        return batch_on_vma(
-            buf, sweep, pid=proc.pid, cpu=proc.cpu, ip=_IP_CLIENT, rng=rng
-        )
+        out.add(buf, sweep, pid=proc.pid, cpu=proc.cpu, ip=_IP_CLIENT)

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..memsim.events import AccessBatch
 from ..memsim.machine import Machine
 from .base import ProcessContext, Workload
-from .synth import BoundedZipf, batch_on_vma, rmw_expand, sequential_sweep
+from .synth import BoundedZipf, StreamBuilder, rmw_expand, sequential_sweep
 
 __all__ = ["Graph500"]
 
@@ -74,8 +73,8 @@ class Graph500(Workload):
         proc: ProcessContext,
         epoch_idx: int,
         n_accesses: int,
-        rng: np.random.Generator,
-    ) -> AccessBatch:
+        out: StreamBuilder,
+    ) -> None:
         intensity = _LEVEL_INTENSITY[epoch_idx % len(_LEVEL_INTENSITY)]
         n = max(16, int(n_accesses * intensity))
         n_frontier = n // 4
@@ -86,24 +85,19 @@ class Graph500(Workload):
         seq = sequential_sweep(
             frontier.npages, n_frontier, start=(epoch_idx * 7) % frontier.npages
         )
-        fr_batch = batch_on_vma(
-            frontier, seq, pid=proc.pid, cpu=proc.cpu, ip=_IP_FRONTIER, rng=rng
-        )
+        out.add(frontier, seq, pid=proc.pid, cpu=proc.cpu, ip=_IP_FRONTIER)
 
         edges = proc.vma("edges")
-        edge_pages = self._edge_zipf.sample(rng, n_edges)
+        edge_pages = self._edge_zipf.sample(out.rng, n_edges)
         # The shared zipf is sized for this topology; clamp defensively
         # in case of ragged per-process region sizes.
         edge_pages = np.minimum(edge_pages, edges.npages - 1)
-        ed_batch = batch_on_vma(
-            edges, edge_pages, pid=proc.pid, cpu=proc.cpu, ip=_IP_EDGES, rng=rng
-        )
+        out.add(edges, edge_pages, pid=proc.pid, cpu=proc.cpu, ip=_IP_EDGES)
 
         visited = proc.vma("visited")
-        targets = rng.integers(0, visited.npages, n_visited_pairs)
-        pages, is_store = rmw_expand(targets, rng, store_fraction=0.6)
-        vi_batch = batch_on_vma(
+        targets = out.rng.integers(0, visited.npages, n_visited_pairs)
+        pages, is_store = rmw_expand(targets, out.rng, store_fraction=0.6)
+        out.add(
             visited, pages, pid=proc.pid, cpu=proc.cpu, is_store=is_store,
-            ip=_IP_VISITED, rng=rng,
+            ip=_IP_VISITED,
         )
-        return AccessBatch.concat([fr_batch, ed_batch, vi_batch])

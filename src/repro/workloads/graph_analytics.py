@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..memsim.events import AccessBatch
 from ..memsim.machine import Machine
 from .base import ProcessContext, Workload
-from .synth import BoundedZipf, batch_on_vma, windowed_sweep
+from .synth import BoundedZipf, StreamBuilder, windowed_sweep
 
 __all__ = ["GraphAnalytics"]
 
@@ -63,8 +62,8 @@ class GraphAnalytics(Workload):
         proc: ProcessContext,
         epoch_idx: int,
         n_accesses: int,
-        rng: np.random.Generator,
-    ) -> AccessBatch:
+        out: StreamBuilder,
+    ) -> None:
         n_neigh = int(n_accesses * self.neighbor_fraction)
         n_sweep = n_accesses - n_neigh
 
@@ -73,14 +72,11 @@ class GraphAnalytics(Workload):
         # The sweep writes the new rank vector: alternate load/store.
         is_store = np.zeros(n_sweep, dtype=bool)
         is_store[1::2] = True
-        sweep_batch = batch_on_vma(
+        out.add(
             ranks, sweep, pid=proc.pid, cpu=proc.cpu, is_store=is_store,
-            ip=_IP_RANKS, rng=rng,
+            ip=_IP_RANKS,
         )
 
         graph = proc.vma("graph")
-        neigh = self._zipfs[proc.pid].sample(rng, n_neigh)
-        neigh_batch = batch_on_vma(
-            graph, neigh, pid=proc.pid, cpu=proc.cpu, ip=_IP_NEIGHBORS, rng=rng
-        )
-        return AccessBatch.concat([sweep_batch, neigh_batch])
+        neigh = self._zipfs[proc.pid].sample(out.rng, n_neigh)
+        out.add(graph, neigh, pid=proc.pid, cpu=proc.cpu, ip=_IP_NEIGHBORS)

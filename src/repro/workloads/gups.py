@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..memsim.events import AccessBatch
 from ..memsim.machine import Machine
 from .base import ProcessContext, Workload
-from .synth import batch_on_vma, rmw_expand, uniform_pages
+from .synth import StreamBuilder, rmw_expand, uniform_pages
 
 __all__ = ["GUPS"]
 
@@ -60,24 +59,20 @@ class GUPS(Workload):
         proc: ProcessContext,
         epoch_idx: int,
         n_accesses: int,
-        rng: np.random.Generator,
-    ) -> AccessBatch:
+        out: StreamBuilder,
+    ) -> None:
         n_updates = int(n_accesses * self.update_fraction) // 2  # RMW pairs
         n_stream = n_accesses - 2 * n_updates
 
         table = proc.vma("table")
-        targets = uniform_pages(rng, table.npages, n_updates)
-        pages, is_store = rmw_expand(targets, rng, store_fraction=1.0)
-        updates = batch_on_vma(
+        targets = uniform_pages(out.rng, table.npages, n_updates)
+        pages, is_store = rmw_expand(targets, out.rng, store_fraction=1.0)
+        out.add(
             table, pages, pid=proc.pid, cpu=proc.cpu, is_store=is_store,
-            ip=_IP_UPDATE, rng=rng,
+            ip=_IP_UPDATE,
         )
 
         stream = proc.vma("stream")
         start = (epoch_idx * n_stream) % stream.npages
         seq = (start + np.arange(n_stream, dtype=np.int64) // 8) % stream.npages
-        stream_batch = batch_on_vma(
-            stream, seq, pid=proc.pid, cpu=proc.cpu, is_store=False,
-            ip=_IP_STREAM, rng=rng,
-        )
-        return AccessBatch.concat([updates, stream_batch])
+        out.add(stream, seq, pid=proc.pid, cpu=proc.cpu, ip=_IP_STREAM)

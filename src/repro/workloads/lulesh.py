@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..memsim.events import AccessBatch
 from ..memsim.machine import Machine
 from .base import ProcessContext, Workload
-from .synth import batch_on_vma, strided_sweep, windowed_sweep
+from .synth import StreamBuilder, strided_sweep, windowed_sweep
 
 __all__ = ["LULESH"]
 
@@ -62,8 +61,8 @@ class LULESH(Workload):
         proc: ProcessContext,
         epoch_idx: int,
         n_accesses: int,
-        rng: np.random.Generator,
-    ) -> AccessBatch:
+        out: StreamBuilder,
+    ) -> None:
         n_nodal = n_accesses // 2
         n_elem = n_accesses // 3
         n_stencil = n_accesses - n_nodal - n_elem
@@ -76,9 +75,9 @@ class LULESH(Workload):
         sweep = windowed_sweep(nodal.npages, n_nodal, self.dwell, start=start)
         is_store = np.zeros(n_nodal, dtype=bool)
         is_store[1::2] = True
-        nodal_batch = batch_on_vma(
+        out.add(
             nodal, sweep, pid=proc.pid, cpu=proc.cpu, is_store=is_store,
-            ip=_IP_NODAL, rng=rng,
+            ip=_IP_NODAL,
         )
 
         elem = proc.vma("elem")
@@ -86,16 +85,11 @@ class LULESH(Workload):
             elem.npages, n_elem, self.dwell,
             start=(epoch_idx * (n_elem // self.dwell) // 4) % elem.npages,
         )
-        elem_batch = batch_on_vma(
-            elem, elem_sweep, pid=proc.pid, cpu=proc.cpu, ip=_IP_ELEM, rng=rng
-        )
+        out.add(elem, elem_sweep, pid=proc.pid, cpu=proc.cpu, ip=_IP_ELEM)
 
         # Stencil neighbors in the k-dimension: strided companion reads.
         stencil = strided_sweep(
             nodal.npages, n_stencil, stride=self.plane_stride,
             start=start % self.plane_stride,
         )
-        stencil_batch = batch_on_vma(
-            nodal, stencil, pid=proc.pid, cpu=proc.cpu, ip=_IP_STENCIL, rng=rng
-        )
-        return AccessBatch.concat([nodal_batch, elem_batch, stencil_batch])
+        out.add(nodal, stencil, pid=proc.pid, cpu=proc.cpu, ip=_IP_STENCIL)

@@ -17,12 +17,13 @@ are also what exercise TMP's HWPC-based gating.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from ..memsim.events import AccessBatch
 from ..memsim.machine import Machine
 from .base import ProcessContext, Workload
-from .synth import BoundedZipf, batch_on_vma, sequential_sweep
+from .synth import BoundedZipf, StreamBuilder, sequential_sweep
 
 __all__ = ["WebServing"]
 
@@ -31,6 +32,15 @@ _IP_SESSION = 0xB000_1000
 
 #: Request-rate wave (relative intensity per epoch, cycled).
 _LOAD_WAVE = (1.0, 0.85, 0.3, 0.15, 0.6)
+
+
+@lru_cache(maxsize=2 * len(_LOAD_WAVE))
+def _client_sweep(n_pages: int, size: int) -> np.ndarray:
+    """A client's request-buffer sweep: the same for every client of an
+    epoch, so it is made once (read-only; the builder copies it)."""
+    sweep = sequential_sweep(n_pages, size)
+    sweep.flags.writeable = False
+    return sweep
 
 
 class WebServing(Workload):
@@ -49,6 +59,8 @@ class WebServing(Workload):
         hot_fraction: float = 0.9,
         **kw,
     ):
+        if session_touches < 1:
+            raise ValueError(f"session_touches must be >= 1, got {session_touches}")
         super().__init__(
             footprint_pages, n_servers + n_clients, accesses_per_epoch, **kw
         )
@@ -79,24 +91,23 @@ class WebServing(Workload):
         proc: ProcessContext,
         epoch_idx: int,
         n_accesses: int,
-        rng: np.random.Generator,
-    ) -> AccessBatch:
+        out: StreamBuilder,
+    ) -> None:
         intensity = _LOAD_WAVE[epoch_idx % len(_LOAD_WAVE)]
         n = max(16, int(n_accesses * intensity))
         if "code" not in proc.vmas:
             client = proc.vma("client")
-            sweep = sequential_sweep(client.npages, max(8, n // 8))
-            return batch_on_vma(
-                client, sweep, pid=proc.pid, cpu=proc.cpu, ip=_IP_SESSION, rng=rng
-            )
+            sweep = _client_sweep(client.npages, max(8, n // 8))
+            out.add(client, sweep, pid=proc.pid, cpu=proc.cpu, ip=_IP_SESSION)
+            return
 
         n_code = int(n * self.hot_fraction)
         n_session = n - n_code
 
         code = proc.vma("code")
-        code_batch = batch_on_vma(
-            code, self._code_zipf.sample(rng, n_code),
-            pid=proc.pid, cpu=proc.cpu, ip=_IP_CODE, rng=rng,
+        out.add(
+            code, self._code_zipf.sample(out.rng, n_code),
+            pid=proc.pid, cpu=proc.cpu, ip=_IP_CODE,
         )
 
         sessions = proc.vma("sessions")
@@ -108,8 +119,7 @@ class WebServing(Workload):
         pages = np.repeat(fresh, self.session_touches)[:n_session]
         is_store = np.zeros(pages.size, dtype=bool)
         is_store[:: self.session_touches] = True  # first touch writes
-        session_batch = batch_on_vma(
+        out.add(
             sessions, pages, pid=proc.pid, cpu=proc.cpu, is_store=is_store,
-            ip=_IP_SESSION, rng=rng,
+            ip=_IP_SESSION,
         )
-        return AccessBatch.concat([code_batch, session_batch])

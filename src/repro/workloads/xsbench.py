@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..memsim.events import AccessBatch
 from ..memsim.machine import Machine
 from .base import ProcessContext, Workload
-from .synth import BoundedZipf, batch_on_vma, uniform_pages
+from .synth import BoundedZipf, StreamBuilder, uniform_pages
 
 __all__ = ["XSBench"]
 
@@ -67,8 +66,8 @@ class XSBench(Workload):
         proc: ProcessContext,
         epoch_idx: int,
         n_accesses: int,
-        rng: np.random.Generator,
-    ) -> AccessBatch:
+        out: StreamBuilder,
+    ) -> None:
         n_index = int(n_accesses * self.index_fraction)
         n_grid = n_accesses - n_index
         n_lookups = max(1, n_grid // self.lookup_width)
@@ -76,20 +75,13 @@ class XSBench(Workload):
         grid = proc.vma("grid")
         # Each lookup reads `lookup_width` consecutive pages at a random
         # grid point (the nuclide rows bracketing the sampled energy).
-        points = uniform_pages(rng, grid.npages - self.lookup_width, n_lookups)
+        points = uniform_pages(out.rng, grid.npages - self.lookup_width, n_lookups)
         pages = (points[:, None] + np.arange(self.lookup_width)).ravel()
-        grid_batch = batch_on_vma(
-            grid, pages, pid=proc.pid, cpu=proc.cpu, is_store=False,
-            ip=_IP_GRID, rng=rng,
-        )
+        out.add(grid, pages, pid=proc.pid, cpu=proc.cpu, ip=_IP_GRID)
 
         idx_vma = proc.vma("index")
-        idx_pages = self._index_zipf.sample(rng, n_index)
-        index_batch = batch_on_vma(
-            idx_vma, idx_pages, pid=proc.pid, cpu=proc.cpu, is_store=False,
-            ip=_IP_INDEX, rng=rng,
-        )
-        # Lookups and index probes interleave in reality; concatenation
-        # inside one process is fine — cross-process interleaving is
-        # handled by the base class.
-        return AccessBatch.concat([grid_batch, index_batch])
+        idx_pages = self._index_zipf.sample(out.rng, n_index)
+        # Lookups and index probes interleave in reality; one after the
+        # other inside one process is fine — cross-process interleaving
+        # is the builder's.
+        out.add(idx_vma, idx_pages, pid=proc.pid, cpu=proc.cpu, ip=_IP_INDEX)

@@ -121,7 +121,7 @@ class ReplayWorkload(Workload):
             cpu=[cpu for *_, cpu in accesses],
         )
 
-    def _process_epoch(self, proc, epoch_idx, n_accesses, rng):
+    def _process_epoch(self, proc, epoch_idx, n_accesses, out):
         raise NotImplementedError("epoch() replays the trace whole")
 
     def label(self, pfn):

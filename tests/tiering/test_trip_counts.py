@@ -9,8 +9,13 @@ to be made once per process: ``PageTable.translate_ex`` from
 ``PageMover._shootdown_moved`` (each fails before the machine-wide VMA
 index); the walker's ``fill_walks`` / ``dirty_updates`` from
 ``run_batch``, and ``PageTable.flags`` / ``slot_to_pfn`` from the scan
-(each fails with per-process PTE flags, before ``Machine.pte``).
+(each fails with per-process PTE flags, before ``Machine.pte``); and
+the generator's RNG calls (one line-offset draw per run of segments and
+one interleave draw, not one of each per process, before the stream
+builder).
 """
+
+from collections import Counter
 
 import pytest
 
@@ -138,3 +143,44 @@ def test_shootdown_reads_the_machines_index(sim, monkeypatch):
     # A mapping retires it.
     sim.machine.mmap(sim.workload.pids[0], 4)
     assert sim.machine.vma_index is not seen[0]
+
+
+class CountingGenerator:
+    """A ``numpy.random.Generator`` that counts its method calls."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_one_epoch_draws_per_role_not_per_process(sim, monkeypatch):
+    rng = CountingGenerator(sim.profiled.rng)
+    monkeypatch.setattr(sim.profiled, "rng", rng)
+    batches = []
+    epoch = sim.workload.epoch
+
+    def kept(epoch_idx, rng):
+        batches.append(epoch(epoch_idx, rng))
+        return batches[-1]
+
+    monkeypatch.setattr(sim.workload, "epoch", kept)
+    sim.step(1)
+    # Three servers' Zipf draws, each of which first draws the line
+    # offsets pending before it; the last offsets (the third server's
+    # and all twelve clients') in one call; one interleave draw.
+    assert rng.calls["random"] <= 3
+    assert 1 <= rng.calls["integers"] <= 4
+    assert rng.calls["uniform"] == 1
+    assert set(rng.calls) <= {"random", "integers", "uniform"}
+    # ... and the epoch did interleave all fifteen processes.
+    assert len(batches) == 1
+    assert len(set(batches[0].pid.tolist())) == 15

@@ -5,7 +5,7 @@ import pytest
 
 from repro.memsim import AccessBatch, Machine, MachineConfig
 from repro.workloads.base import Workload, interleave
-from repro.workloads.synth import batch_on_vma, sequential_sweep
+from repro.workloads.synth import sequential_sweep
 
 
 class _Toy(Workload):
@@ -13,11 +13,9 @@ class _Toy(Workload):
 
     name = "toy"
 
-    def _process_epoch(self, proc, epoch_idx, n_accesses, rng):
+    def _process_epoch(self, proc, epoch_idx, n_accesses, out):
         vma = proc.vma("data")
-        return batch_on_vma(
-            vma, sequential_sweep(vma.npages, n_accesses), pid=proc.pid, cpu=proc.cpu
-        )
+        out.add(vma, sequential_sweep(vma.npages, n_accesses), pid=proc.pid, cpu=proc.cpu)
 
 
 def _machine():

@@ -149,6 +149,12 @@ class TestWebServingCharacter:
         after = m.frame_stats.touched_mask().sum()
         assert after > before  # new session pages every epoch
 
+    def test_session_touches_must_be_positive(self):
+        # Zero touches once constructed and then divided by zero in the
+        # first epoch.
+        with pytest.raises(ValueError, match="session_touches"):
+            WebServing(session_touches=0)
+
 
 class TestGraph500Character:
     def test_bfs_wave_intensity(self):
