@@ -153,7 +153,3 @@ class ABitDriver:
         self.store.record_abit(pfns)
         self.stats.bits_found_set += int(pfns.size)
         return int(pfns.size)
-
-    def reset_cursors(self) -> None:
-        """Restart all scan cursors from slot 0."""
-        self._cursors.clear()

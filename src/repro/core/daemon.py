@@ -5,8 +5,8 @@ supplies PIDs to the kernel driver (every process forked by a
 registered program is tracked), pushes configuration parameters down,
 and surfaces statistics back to operators.  In the simulation, the
 daemon is the convenience front-end over :class:`TMProfiler`: programs
-map to PID groups, epochs are polled, and summary statistics /
-numa_maps text come out.
+map to PID groups, configuration changes go down, and summary
+statistics / numa_maps text come out.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .config import TMPConfig
 from .numa_maps import format_all_numa_maps
-from .profiler import TMPEpochReport, TMProfiler
+from .profiler import TMProfiler
 
 __all__ = ["TMPDaemon", "ProgramEntry"]
 
@@ -29,7 +29,7 @@ class ProgramEntry:
 
 
 class TMPDaemon:
-    """User-space front-end: program registry, polling, reporting."""
+    """User-space front-end: program registry, configuration, reporting."""
 
     def __init__(self, profiler: TMProfiler):
         self.profiler = profiler
@@ -49,28 +49,7 @@ class TMPDaemon:
         """Register an attached workload under its own name."""
         return self.add_program(workload.name, workload.pids)
 
-    def remove_program(self, name: str) -> None:
-        """Forget a program and stop profiling its PIDs.
-
-        The program's PIDs are unregistered from the profiler and
-        dropped from the process filter's tracked set — unless another
-        registered program still owns them — so a removed program is
-        neither walked nor charged overhead any more.  Its pages'
-        history is retained.
-        """
-        entry = self.programs.pop(name, None)
-        if entry is None:
-            return
-        still_owned = {p for e in self.programs.values() for p in e.pids}
-        self.profiler.unregister_pids(
-            [p for p in entry.pids if p not in still_owned]
-        )
-
-    # --------------------------------------------------------------- polling
-
-    def poll_epoch(self) -> TMPEpochReport:
-        """Close the current profiling epoch and collect its report."""
-        return self.profiler.end_epoch()
+    # --------------------------------------------------------- configuration
 
     def reconfigure(self, **changes) -> TMPConfig:
         """Apply config changes (e.g. sampling period) at run time.

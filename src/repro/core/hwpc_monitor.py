@@ -78,7 +78,3 @@ class HWPCMonitor:
         )
         self.decisions.append(decision)
         return decision
-
-    def maxima(self) -> dict[str, float]:
-        """Running per-event maxima (for diagnostics)."""
-        return {e: t.maximum for e, t in self._tracks.items()}

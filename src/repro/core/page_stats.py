@@ -34,10 +34,6 @@ class EpochProfile:
         """Fused hotness rank for the epoch (§IV step 1)."""
         return abit_weight * self.abit + trace_weight * self.trace
 
-    def detected_mask(self) -> np.ndarray:
-        """Pages seen by at least one mechanism this epoch."""
-        return (self.abit > 0) | (self.trace > 0)
-
 
 class PageStatsStore:
     """PFN-indexed accumulation of profiling observations."""
@@ -98,16 +94,6 @@ class PageStatsStore:
     def trace_total(self) -> np.ndarray:
         """Cumulative trace samples per PFN."""
         return self._trace_total.data()
-
-    @property
-    def abit_epoch(self) -> np.ndarray:
-        """Current-epoch A-bit detections per PFN."""
-        return self._abit_epoch.data()
-
-    @property
-    def trace_epoch(self) -> np.ndarray:
-        """Current-epoch trace samples per PFN."""
-        return self._trace_epoch.data()
 
     @property
     def epoch(self) -> int:

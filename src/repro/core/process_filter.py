@@ -41,15 +41,6 @@ class ProcessFilter:
         """PIDs selected by the most recent evaluation."""
         return list(self._tracked)
 
-    def discard(self, pids) -> None:
-        """Drop PIDs from the tracked set without a full re-evaluation.
-
-        Used when the daemon unregisters a program: its PIDs must stop
-        being walked immediately, not at the next filter interval.
-        """
-        drop = {int(p) for p in pids}
-        self._tracked = [p for p in self._tracked if p not in drop]
-
     def evaluate(self, usage: list[ProcessUsage]) -> list[int]:
         """Re-evaluate the tracked set from fresh usage numbers."""
         self.evaluations += 1

@@ -115,21 +115,6 @@ class TMProfiler:
         """Register every process of an attached workload."""
         self.register_pids(workload.pids)
 
-    def unregister_pids(self, pids) -> None:
-        """Drop PIDs from the tracking universe (daemon removal path).
-
-        The PIDs leave the registered set, their accumulated epoch ops
-        (pending filter input), and the filter's currently tracked set,
-        so neither the A-bit walker nor overhead accounting touches
-        them again.  Their pages' history is retained in the store.
-        """
-        drop = {int(p) for p in pids}
-        self._registered = tuple(p for p in self._registered if p not in drop)
-        keep = ~np.isin(self._epoch_pids, np.fromiter(drop, dtype=np.int64))
-        self._epoch_pids = self._epoch_pids[keep]
-        self._epoch_ops = self._epoch_ops[keep]
-        self.filter.discard(drop)
-
     @property
     def registered_pids(self) -> list[int]:
         """All PIDs the daemon has registered (pre-filter)."""

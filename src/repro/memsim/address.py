@@ -2,7 +2,7 @@
 
 The simulator models a conventional 64-bit machine with 4 KiB pages and
 64-byte cache lines.  All bulk paths operate on ``numpy`` arrays of
-``uint64`` addresses; scalar helpers are provided for tests and examples.
+``uint64`` addresses; the helpers below accept scalars too.
 
 Terminology
 -----------
@@ -52,28 +52,11 @@ def line_of(addr):
     return np.asarray(addr, dtype=ADDR_DTYPE) >> ADDR_DTYPE(LINE_SHIFT)
 
 
-def page_base(vpn):
-    """Return the first byte address of page(s) ``vpn``."""
-    return np.asarray(vpn, dtype=ADDR_DTYPE) << ADDR_DTYPE(PAGE_SHIFT)
-
-
-def page_offset(addr):
-    """Return the offset of ``addr`` within its page."""
-    return np.asarray(addr, dtype=ADDR_DTYPE) & ADDR_DTYPE(PAGE_OFFSET_MASK)
-
-
 def compose(vpn, offset):
     """Build byte address(es) from page number(s) and in-page offset(s)."""
     vpn = np.asarray(vpn, dtype=ADDR_DTYPE)
     offset = np.asarray(offset, dtype=ADDR_DTYPE)
     return (vpn << ADDR_DTYPE(PAGE_SHIFT)) | (offset & ADDR_DTYPE(PAGE_OFFSET_MASK))
-
-
-def pages_spanned(nbytes: int) -> int:
-    """Number of whole pages needed to hold ``nbytes`` bytes."""
-    if nbytes < 0:
-        raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-    return (nbytes + PAGE_SIZE - 1) >> PAGE_SHIFT
 
 
 def is_pow2(n: int) -> bool:

@@ -73,17 +73,6 @@ class BadgerTrap:
         vpns = pt.slot_to_vpn(slots)
         tlb.shootdown_pages(np.full(vpns.size, pt.pid, dtype=np.int32), vpns)
 
-    def uninstrument(self, pt: PageTable, slots: np.ndarray) -> None:
-        """Remove the poison from the PTEs at ``slots``."""
-        slots = np.asarray(slots, dtype=np.int64)
-        if slots.size == 0:
-            return
-        pt.flags[slots] &= ~PTE_POISON
-
-    def instrumented_slots(self, pt: PageTable) -> np.ndarray:
-        """Slots currently poisoned in ``pt``."""
-        return np.flatnonzero((pt.flags & PTE_POISON) != 0)
-
     # ----------------------------------------------------------------- fault
 
     def handle_faults(self, pfns: np.ndarray) -> None:
@@ -108,8 +97,3 @@ class BadgerTrap:
     def fault_counts(self) -> np.ndarray:
         """Per-PFN fault counts (the TLB-miss estimate)."""
         return self._fault_counts.data()
-
-    def reset_counts(self) -> None:
-        """Zero the per-page estimates (start of a profiling interval)."""
-        self._fault_counts.fill(0)
-        self.stats.faults = 0

@@ -7,10 +7,11 @@ descriptor store (``repro.core.page_stats``), the tier placement map
 (``repro.tiering.placement``) and the heatmap/CDF analyses all index by
 PFN.
 
-``FrameStats`` holds the *ground-truth* per-frame access counters the
-machine maintains regardless of which profilers are armed.  Ground
-truth feeds the Oracle policy and the accuracy metrics; the profilers
-under evaluation only ever see their own (partial) sampled views.
+``FrameStats`` counts the *ground truth* of each batch per frame,
+regardless of which profilers are armed, and stamps every frame's first
+touch.  Ground truth feeds the Oracle policy and the accuracy metrics;
+the profilers under evaluation only ever see their own (partial)
+sampled views.
 """
 
 from __future__ import annotations
@@ -119,54 +120,26 @@ class FrameAllocator:
 
 
 class FrameStats:
-    """Ground-truth per-frame counters maintained by the machine.
+    """The machine's ground truth: per-batch frame counts and first touches.
 
-    Attributes (all PFN-indexed, grown lazily as frames are allocated):
-
-    ``access_count``   total loads+stores that touched the frame.
-    ``store_count``    total stores.
-    ``mem_access_count`` accesses serviced from memory (LLC misses) —
-                       the paper's notion of an access that a tier
-                       actually observes; tier-1 hitrate is computed
-                       over these.
-    ``tlb_miss_count`` accesses that missed the TLB (page walks).
-    ``first_touch_op`` global op index of the frame's first access
-                       (``UINT64_MAX`` until touched) — drives the
-                       first-come-first-allocate baseline.
+    ``first_touch_op`` is PFN-indexed, grown as frames are allocated:
+    the global op index of the frame's first access (``UINT64_MAX``
+    until touched).  It drives the first-come-first-allocate baseline.
+    Counts are per batch only (:meth:`record` returns them); whoever
+    needs them over a span sums them, as ``ProfiledRun`` does per epoch.
     """
 
     _NEVER = np.uint64(np.iinfo(np.uint64).max)
 
     def __init__(self):
-        self._access = GrowableArray(np.int64)
-        self._store = GrowableArray(np.int64)
-        self._mem = GrowableArray(np.int64)
-        self._tlbmiss = GrowableArray(np.int64)
         self._first = GrowableArray(ADDR_DTYPE, fill=self._NEVER)
 
     def resize(self, n_frames: int) -> None:
-        """Ensure counters exist for PFNs ``[0, n_frames)``."""
-        for arr in (self._access, self._store, self._mem, self._tlbmiss, self._first):
-            arr.resize(n_frames)
+        """Ensure stamps exist for PFNs ``[0, n_frames)``."""
+        self._first.resize(n_frames)
 
     def __len__(self) -> int:
-        return len(self._access)
-
-    @property
-    def access_count(self) -> np.ndarray:
-        return self._access.data()
-
-    @property
-    def store_count(self) -> np.ndarray:
-        return self._store.data()
-
-    @property
-    def mem_access_count(self) -> np.ndarray:
-        return self._mem.data()
-
-    @property
-    def tlb_miss_count(self) -> np.ndarray:
-        return self._tlbmiss.data()
+        return len(self._first)
 
     @property
     def first_touch_op(self) -> np.ndarray:
@@ -179,12 +152,11 @@ class FrameStats:
     def record(
         self,
         pfns: np.ndarray,
-        is_store: np.ndarray,
         mem_mask: np.ndarray,
         tlb_miss_mask: np.ndarray,
         op_base: int,
     ) -> BatchFrameCounts:
-        """Accumulate one executed batch into the counters.
+        """Count one executed batch per frame and stamp its first touches.
 
         ``pfns`` are per-access frame numbers; the masks are per-access
         booleans aligned with ``pfns``; ``op_base`` is the global op
@@ -192,7 +164,7 @@ class FrameStats:
         stamps).  Returns the batch's own per-frame counts, so nobody
         downstream has to count the batch again.
         """
-        n = len(self._access)
+        n = len(self._first)
         pf = pfns.astype(np.intp, copy=False)
         counts = BatchFrameCounts(
             access=_count_frames(pf, n),
@@ -201,11 +173,6 @@ class FrameStats:
         )
         if pfns.size == 0:
             return counts
-        self._access.data()[:] += counts.access
-        self._mem.data()[:] += counts.mem
-        self._tlbmiss.data()[:] += counts.tlb_miss
-        if is_store.any():
-            self._store.data()[:] += np.bincount(pf[is_store], minlength=n)
 
         # First touches: a frame the batch counted that has no stamp
         # yet.  Asked per frame first, so a batch over known frames

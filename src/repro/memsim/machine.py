@@ -46,13 +46,6 @@ from .vecsim import fold_shards
 __all__ = ["MachineConfig", "Machine", "BatchResult"]
 
 
-def _at_least(counts: np.ndarray, n_frames: int) -> np.ndarray:
-    """``counts`` itself, zero-padded (a copy) if shorter than ``n_frames``."""
-    if counts.size >= n_frames:
-        return counts
-    return np.pad(counts, (0, n_frames - counts.size))
-
-
 @dataclass
 class MachineConfig:
     """Tunable parameters of the simulated machine."""
@@ -171,18 +164,6 @@ class BatchResult:
         """Average memory-access time in cycles for this batch."""
         return self.cycles / self.n if self.n else 0.0
 
-    def page_access_counts(self, n_frames: int) -> np.ndarray:
-        """Per-PFN total access counts for this batch (read-only)."""
-        return _at_least(self.frame_counts.access, n_frames)
-
-    def page_mem_access_counts(self, n_frames: int) -> np.ndarray:
-        """Per-PFN memory-access (LLC-miss) counts for this batch (read-only)."""
-        return _at_least(self.frame_counts.mem, n_frames)
-
-    def page_tlb_miss_counts(self, n_frames: int) -> np.ndarray:
-        """Per-PFN TLB-miss counts for this batch (read-only)."""
-        return _at_least(self.frame_counts.tlb_miss, n_frames)
-
 
 class Machine:
     """The simulated machine executing access streams."""
@@ -269,7 +250,7 @@ class Machine:
         frames are never handed back, so the allocation count is the
         mapping version: the index is rebuilt when the count has moved
         — also after an ``mmap`` made straight on ``process(pid)``,
-        whose frames get their ground-truth counters here — and is the
+        whose frames get their first-touch stamps here — and is the
         same object for as long as nothing is mapped.
         """
         self._reindex_if_mapped()
@@ -432,7 +413,7 @@ class Machine:
         # 8. Ground truth; its per-frame counts of the batch go out
         #    with the result instead of being counted again.
         frame_counts = self.frame_stats.record(
-            pfn.view(np.int64), batch.is_store, mem_mask, miss, op_base
+            pfn.view(np.int64), mem_mask, miss, op_base
         )
         self.op_counter += n
 

@@ -53,16 +53,6 @@ def is_poisoned(flags) -> np.ndarray:
     return (np.asarray(flags) & PTE_POISON) != 0
 
 
-def set_flags(flags: np.ndarray, idx, bits: np.uint64) -> None:
-    """Set ``bits`` on ``flags[idx]`` in place."""
-    flags[idx] |= bits
-
-
-def clear_flags(flags: np.ndarray, idx, bits: np.uint64) -> None:
-    """Clear ``bits`` on ``flags[idx]`` in place."""
-    flags[idx] &= ~bits
-
-
 def test_and_clear(flags: np.ndarray, bits: np.uint64) -> np.ndarray:
     """Atomically (from the simulation's view) read-and-clear ``bits``.
 

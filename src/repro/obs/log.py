@@ -29,7 +29,7 @@ import time
 
 from ..ioutil import json_default
 
-__all__ = ["JsonLogger", "configure", "get_logger", "is_enabled"]
+__all__ = ["JsonLogger", "configure", "get_logger"]
 
 _LEVELS = ("debug", "info", "warning", "error")
 
@@ -44,10 +44,6 @@ def configure(enabled: bool = True, stream=None) -> None:
     """Turn structured logging on/off and choose the output stream."""
     _state["enabled"] = bool(enabled)
     _state["stream"] = stream
-
-
-def is_enabled() -> bool:
-    return _state["enabled"]
 
 
 def _lenient_default(obj):
@@ -94,9 +90,6 @@ class JsonLogger:
                     flush()
                 except (OSError, ValueError):
                     pass
-
-    def debug(self, event: str, **fields) -> None:
-        self.log("debug", event, **fields)
 
     def info(self, event: str, **fields) -> None:
         self.log("info", event, **fields)

@@ -140,9 +140,6 @@ class Gauge(_Metric):
         with self._lock:
             self._series[key] = self._series.get(key, 0) + amount
 
-    def dec(self, amount: float = 1, **labels) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels) -> float:
         with self._lock:
             return self._series.get(_label_key(labels), 0)

@@ -120,9 +120,6 @@ class ServiceClient:
         for _ in range(n):
             yield self.next_event(timeout_s)
 
-    def pending_events(self) -> int:
-        return len(self._events)
-
     # ------------------------------------------------------------ convenience
 
     def ping(self) -> dict:

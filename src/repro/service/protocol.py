@@ -75,9 +75,6 @@ class ServiceError(Exception):
         self.code = code
         self.message = message
 
-    def to_error(self) -> dict:
-        return {"code": self.code, "message": self.message}
-
 
 def encode_frame(frame: dict, max_bytes: int | None = None) -> bytes:
     """One frame → one newline-terminated UTF-8 JSON line.

@@ -12,7 +12,7 @@ With ``workers > 0`` the executor threads are merely RPC couriers:
 simulation lives in a sticky :class:`~repro.service.workers.WorkerPool`
 of worker *processes*, so concurrent sessions step on separate cores
 instead of contending for the GIL.  ``workers=0`` (the default for
-embedded servers) keeps the historical in-process path.
+embedded servers) steps in-process.
 
 This module is transport and dispatch only.  Every session lifecycle
 transition — create, evict/checkpoint, resume, crash recovery, close —
@@ -28,8 +28,9 @@ queues, closes every session, and joins the worker pool before waking
 ``serve_forever``.
 
 :class:`ServerThread` hosts a server in a daemon thread with its own
-event loop — the embedding used by the blocking client's tests and
-``examples/service_quickstart.py``.
+event loop — the embedding used by the blocking client's tests and by
+``examples/service_quickstart.py``, whose output ``tests/test_examples.py``
+pins.
 """
 
 from __future__ import annotations
@@ -62,6 +63,30 @@ from .workers import WorkerPool, resolve_workers
 __all__ = ["ServiceServer", "ServerThread"]
 
 _log = obs_log.get_logger("service.server")
+
+
+def _number_param(params: dict, name: str, default=None, *, real=False, minimum=None):
+    """``params[name]``, or ``default`` when absent, checked to be an
+    integer (any number if ``real``) of at least ``minimum``.
+
+    A ``None`` default makes the param optional: ``null`` reads as
+    absent.  A JSON boolean is no number, although Python's ``bool``
+    is an ``int``.
+    """
+    value = params.get(name, default)
+    if value is None and default is None:
+        return None
+    kinds = (int, float) if real else int
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kinds)
+        or (minimum is not None and value < minimum)
+    ):
+        what = "a number" if real else "an integer"
+        if minimum is not None:
+            what += f" >= {minimum}"
+        raise ServiceError(ErrorCode.BAD_PARAMS, f"{name} must be {what}")
+    return value
 
 
 class _Connection:
@@ -485,9 +510,7 @@ class ServiceServer:
         if self._draining:
             raise ServiceError(ErrorCode.SHUTTING_DOWN, "server is draining")
         session = self.manager.get(self._session_id(params))
-        epochs = params.get("epochs", 1)
-        if not isinstance(epochs, int):
-            raise ServiceError(ErrorCode.BAD_PARAMS, "epochs must be an integer")
+        epochs = _number_param(params, "epochs", 1)
         limit = self.max_inflight_steps
         registry = obs_metrics.default_registry()
         if limit is not None and self._steps_inflight >= limit:
@@ -537,23 +560,14 @@ class ServiceServer:
 
     async def _op_subscribe(self, conn, params) -> dict:
         session = self.manager.get(self._session_id(params))
-        max_queue = params.get("max_queue", 64)
-        if not isinstance(max_queue, int):
-            raise ServiceError(ErrorCode.BAD_PARAMS, "max_queue must be an integer")
-        max_rate_hz = params.get("max_rate_hz")
-        if max_rate_hz is not None and not isinstance(max_rate_hz, (int, float)):
-            raise ServiceError(ErrorCode.BAD_PARAMS, "max_rate_hz must be a number")
-        from_seq = params.get("from_seq")
-        if from_seq is not None:
-            if not isinstance(from_seq, int) or from_seq < 0:
-                raise ServiceError(
-                    ErrorCode.BAD_PARAMS, "from_seq must be an integer >= 0"
-                )
-            if session.ledger is None:
-                raise ServiceError(
-                    ErrorCode.BAD_PARAMS,
-                    "from_seq needs a ledger; start the server with --ledger-dir",
-                )
+        max_queue = _number_param(params, "max_queue", 64)
+        max_rate_hz = _number_param(params, "max_rate_hz", real=True)
+        from_seq = _number_param(params, "from_seq", minimum=0)
+        if from_seq is not None and session.ledger is None:
+            raise ServiceError(
+                ErrorCode.BAD_PARAMS,
+                "from_seq needs a ledger; start the server with --ledger-dir",
+            )
         initial_dropped = 0
         if from_seq is not None:
             # Retention may have compacted the oldest records away;
@@ -682,16 +696,8 @@ class ServiceServer:
             raise ServiceError(
                 ErrorCode.BAD_PARAMS, "include_epochs must be a boolean"
             )
-        epochs_from = params.get("epochs_from", 0)
-        if not isinstance(epochs_from, int) or epochs_from < 0:
-            raise ServiceError(
-                ErrorCode.BAD_PARAMS, "epochs_from must be an integer >= 0"
-            )
-        epochs_to = params.get("epochs_to")
-        if epochs_to is not None and not isinstance(epochs_to, int):
-            raise ServiceError(
-                ErrorCode.BAD_PARAMS, "epochs_to must be an integer"
-            )
+        epochs_from = _number_param(params, "epochs_from", 0, minimum=0)
+        epochs_to = _number_param(params, "epochs_to")
         summary = await self._run_blocking(
             self.manager.close,
             session_id,

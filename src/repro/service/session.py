@@ -26,7 +26,6 @@ semantics of the in-process path.
 from __future__ import annotations
 
 import functools
-import json
 import pickle
 import threading
 import time
@@ -93,8 +92,7 @@ class QueuedFrame:
     ``payload`` is the fan-out's single JSON encode of the frame's
     ``data``; every subscriber queue holds the *same* bytes object and
     :meth:`encode` only splices the tiny per-subscriber envelope around
-    it.  :meth:`to_dict` is the one decode edge, for consumers that
-    want the payload back as a dict.
+    it.  No subscriber path decodes it.
     """
 
     __slots__ = (
@@ -132,16 +130,6 @@ class QueuedFrame:
             self.dropped,
             self.payload,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "event": self.event,
-            "session": self.session_id,
-            "subscription": self.subscription_id,
-            "seq": self.seq,
-            "dropped": self.dropped,
-            "data": json.loads(self.payload),
-        }
 
 
 class SubscriberQueue:

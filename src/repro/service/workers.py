@@ -751,10 +751,6 @@ class WorkerPool:
             "respawns": self.respawns,
         }
 
-    def ping_all(self, timeout_s: float = DEFAULT_JOIN_TIMEOUT_S) -> list[dict]:
-        """Round-trip every worker (startup/liveness check)."""
-        return [w.request("ping", timeout_s=timeout_s) for w in self.workers]
-
     def collect_metrics(self, timeout_s: float = DEFAULT_JOIN_TIMEOUT_S) -> list[dict]:
         """Every live worker's metrics snapshot (piggybacked RPC).
 

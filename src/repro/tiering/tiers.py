@@ -73,10 +73,6 @@ class TieredMemory:
         """PFNs currently in the fast tier."""
         return np.flatnonzero(self._tier_of == TIER1)
 
-    def tier2_pages(self) -> np.ndarray:
-        """PFNs currently in the slow tier."""
-        return np.flatnonzero(self._tier_of == TIER2)
-
     def occupancy(self, tier: int) -> int:
         """Pages currently placed in ``tier``."""
         return int(np.count_nonzero(self._tier_of == tier))
@@ -100,10 +96,6 @@ class TieredMemory:
                 f"free {self.free_pages(tier)}"
             )
         self._tier_of[pfns] = tier
-
-    def is_tier1(self, pfns: np.ndarray) -> np.ndarray:
-        """Boolean mask: which of ``pfns`` are in the fast tier."""
-        return self._tier_of[np.asarray(pfns, dtype=np.int64)] == TIER1
 
     def summary(self) -> dict:
         """Occupancy snapshot."""

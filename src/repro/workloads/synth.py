@@ -71,10 +71,6 @@ class BoundedZipf:
             return ranks
         return self._perm[ranks]
 
-    def hot_fraction_pages(self, mass: float = 0.5) -> int:
-        """How many hottest ranks carry ``mass`` of the probability."""
-        return int(np.searchsorted(self._cdf, mass, side="left")) + 1
-
 
 def uniform_pages(rng: np.random.Generator, n_pages: int, size: int) -> np.ndarray:
     """Uniform random page indices in ``[0, n_pages)`` (GUPS-style)."""

@@ -131,14 +131,6 @@ class TestBudget:
         drv.scan([1])
         assert store.detected_pages("abit") == 64
 
-    def test_reset_cursors(self):
-        cfg = TMPConfig(abit_scan_budget_pages=8, abit_scan_resumable=True)
-        m, vma, store, drv = _setup(npages=64, config=cfg)
-        drv.scan([1])
-        drv.reset_cursors()
-        m.run_batch(AccessBatch.from_pages(vma.vpns[:8], pid=1))
-        assert drv.scan([1]) == 8  # back at the head
-
 
 class TestMultiProcess:
     def test_scans_each_tracked_pid(self):

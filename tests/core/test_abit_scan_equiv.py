@@ -118,7 +118,6 @@ def state(m, store, drv):
     return dict(
         flags={pid: pt.flags.tolist() for pid, pt in m.page_tables.items()},
         abit_total=store.abit_total.tolist(),
-        abit_epoch=store.abit_epoch.tolist(),
         cursors=dict(drv._cursors),
         stats=dataclasses.asdict(drv.stats),
         tlb=(

@@ -43,61 +43,8 @@ class TestRegistration:
         assert entry.name == "gups"
         assert prof.registered_pids == w.pids
 
-    def test_remove_program(self):
-        m, prof, d = _setup()
-        d.add_program("svc", [1])
-        d.remove_program("svc")
-        assert "svc" not in d.programs
-        d.remove_program("ghost")  # idempotent
-
-    def test_remove_program_unregisters_pids(self):
-        m, prof, d = _setup()
-        d.add_program("svc", [1, 2])
-        d.remove_program("svc")
-        assert prof.registered_pids == []
-
-    def test_remove_program_stops_profiling_and_overhead(self):
-        m, prof, d = _setup()
-        vma = m.mmap(1, 32)
-        d.add_program("svc", [1])
-        b = AccessBatch.from_pages(vma.vpns, pid=1)
-        prof.observe_batch(b, m.run_batch(b))
-        d.poll_epoch()
-        assert prof.filter.tracked == [1]
-        scans_before = prof.abit.stats.scans
-
-        d.remove_program("svc")
-        # The filter forgets the PID immediately, not at the next
-        # evaluation interval.
-        assert prof.filter.tracked == []
-        b = AccessBatch.from_pages(vma.vpns, pid=1)
-        prof.observe_batch(b, m.run_batch(b))
-        rep = d.poll_epoch()
-        # With no tracked or registered PIDs the A-bit walk covers no
-        # process: the removed program is no longer profiled.
-        assert rep.abit_pages_found == 0
-        assert rep.tracked_pids == []
-        assert prof.abit.stats.scans == scans_before + 1
-
-    def test_remove_program_keeps_shared_pids(self):
-        m, prof, d = _setup()
-        d.add_program("a", [1, 2])
-        d.add_program("b", [2, 3])
-        d.remove_program("a")
-        # PID 2 is still owned by program b and must stay registered.
-        assert prof.registered_pids == [2, 3]
-
 
 class TestPollingAndConfig:
-    def test_poll_epoch(self):
-        m, prof, d = _setup()
-        vma = m.mmap(1, 32)
-        d.add_program("p", [1])
-        b = AccessBatch.from_pages(vma.vpns, pid=1)
-        prof.observe_batch(b, m.run_batch(b))
-        rep = d.poll_epoch()
-        assert rep.abit_pages_found == 32
-
     def test_reconfigure(self):
         m, prof, d = _setup()
         d.reconfigure(min_cpu_share=0.2)
@@ -166,7 +113,7 @@ class TestStatistics:
         d.add_program("p", [1])
         b = AccessBatch.from_pages(vma.vpns, pid=1)
         prof.observe_batch(b, m.run_batch(b))
-        d.poll_epoch()
+        prof.end_epoch()
         s = d.statistics()
         assert s["epochs"] == 1
         assert s["programs"] == ["p"]
@@ -182,7 +129,7 @@ class TestNumaMaps:
         d.add_program("p", [1])
         b = AccessBatch.from_pages(vma.vpns, pid=1, is_store=True)
         prof.observe_batch(b, m.run_batch(b))
-        d.poll_epoch()
+        prof.end_epoch()
         text = format_numa_maps(m, prof.store, 1)
         assert "heap" in text
         assert "anon=32" in text
@@ -214,7 +161,7 @@ class TestNumaMaps:
         )
         b = AccessBatch.from_pages(np.concatenate([vma.vpns, hot]), pid=1, offset=offsets)
         prof.observe_batch(b, m.run_batch(b))
-        d.poll_epoch()
+        prof.end_epoch()
         text = format_numa_maps(m, prof.store, 1)
         expected = hex((vma.start_vpn + 3) << 12)
         assert f"hottest={expected}" in text

@@ -76,14 +76,16 @@ class TestBookkeeping:
         assert d.dtlb_miss_rate == 45
 
     def test_maxima_tracked(self):
+        # Each gate keeps its own running maximum, 100 and 80 here: 20
+        # and 16 are exactly 20 % of them, 21 and 17 just above.
         m, mon = _setup()
-        _feed(m, 100, 5)
-        mon.observe_interval()
-        _feed(m, 50, 80)
-        mon.observe_interval()
-        maxima = mon.maxima()
-        assert maxima["llc_miss"] == 100
-        assert maxima["dtlb_miss"] == 80
+        for llc, dtlb in ((100, 5), (50, 80), (20, 16)):
+            _feed(m, llc, dtlb)
+            d = mon.observe_interval()
+        assert not d.trace_active and not d.abit_active
+        _feed(m, 21, 17)
+        d = mon.observe_interval()
+        assert d.trace_active and d.abit_active
 
     def test_decision_history(self):
         m, mon = _setup()

@@ -12,7 +12,7 @@ class TestRecording:
         s.resize(4)
         s.record_abit(np.array([0, 2, 2]))
         np.testing.assert_array_equal(s.abit_total, [1, 0, 2, 0])
-        np.testing.assert_array_equal(s.abit_epoch, [1, 0, 2, 0])
+        np.testing.assert_array_equal(s.end_epoch().abit, [1, 0, 2, 0])
 
     def test_trace_counts(self):
         s = PageStatsStore()
@@ -50,9 +50,9 @@ class TestEpochs:
         np.testing.assert_array_equal(p.abit, [1, 0])
         np.testing.assert_array_equal(p.trace, [0, 1])
         # Epoch accumulators reset; totals persist.
-        assert s.abit_epoch.sum() == 0
         assert s.abit_total.sum() == 1
         assert s.epoch == 1
+        assert s.end_epoch().abit.sum() == 0
 
     def test_profile_is_a_copy(self):
         s = PageStatsStore()
@@ -70,14 +70,6 @@ class TestEpochs:
         p = s.end_epoch()
         assert p.rank()[0] == 3
         assert p.rank(abit_weight=2.0, trace_weight=0.5)[0] == 3.0
-
-    def test_detected_mask(self):
-        s = PageStatsStore()
-        s.resize(3)
-        s.record_abit(np.array([0]))
-        s.record_trace(np.array([2]))
-        p = s.end_epoch()
-        np.testing.assert_array_equal(p.detected_mask(), [True, False, True])
 
 
 class TestDetectedPages:

@@ -39,16 +39,10 @@ class TestInstrument:
         bt.instrument(pt, np.array([2], dtype=np.int64), tlb)
         assert bt.stats.instrumented == 2
 
-    def test_uninstrument(self, setup):
-        pt, tlb, bt = setup
-        bt.instrument(pt, np.array([2], dtype=np.int64), tlb)
-        bt.uninstrument(pt, np.array([2], dtype=np.int64))
-        assert not is_poisoned(pt.flags).any()
-
     def test_instrumented_slots(self, setup):
         pt, tlb, bt = setup
         bt.instrument(pt, np.array([1, 5], dtype=np.int64), tlb)
-        np.testing.assert_array_equal(bt.instrumented_slots(pt), [1, 5])
+        np.testing.assert_array_equal(np.flatnonzero(is_poisoned(pt.flags)), [1, 5])
 
     def test_empty_instrument(self, setup):
         pt, tlb, bt = setup
@@ -69,13 +63,6 @@ class TestFaults:
         bt.stats.fault_cost_s = 2e-6
         bt.handle_faults(np.array([1, 2], dtype=np.uint64))
         assert bt.stats.handler_time_s == pytest.approx(4e-6)
-
-    def test_reset_counts(self, setup):
-        _, _, bt = setup
-        bt.handle_faults(np.array([1], dtype=np.uint64))
-        bt.reset_counts()
-        assert bt.stats.faults == 0
-        assert bt.fault_counts[1] == 0
 
     def test_empty_faults(self, setup):
         _, _, bt = setup

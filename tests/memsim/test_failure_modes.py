@@ -73,7 +73,6 @@ class TestTranslationFaults:
                 m.caches.miss_counts(),
                 vars(m.ptw.stats).copy(),
                 m.pml.stats.logged,
-                m.frame_stats.access_count.tolist(),
                 m.frame_stats.first_touch_op.tolist(),
                 m.ibs.stats.population,
             )

@@ -62,13 +62,11 @@ class TestFrameAllocator:
 
 
 class TestFrameStats:
-    def _record(self, fs, pfns, stores=None, mem=None, tlbmiss=None, op_base=0):
+    def _record(self, fs, pfns, mem=None, tlbmiss=None, op_base=0):
         pfns = np.asarray(pfns, dtype=np.uint64)
-        n = pfns.size
-        z = np.zeros(n, dtype=bool)
-        fs.record(
+        z = np.zeros(pfns.size, dtype=bool)
+        return fs.record(
             pfns,
-            z if stores is None else np.asarray(stores, dtype=bool),
             z if mem is None else np.asarray(mem, dtype=bool),
             z if tlbmiss is None else np.asarray(tlbmiss, dtype=bool),
             op_base,
@@ -77,21 +75,26 @@ class TestFrameStats:
     def test_access_counts(self):
         fs = FrameStats()
         fs.resize(4)
-        self._record(fs, [0, 1, 1, 3])
-        np.testing.assert_array_equal(fs.access_count, [1, 2, 0, 1])
+        counts = self._record(fs, [0, 1, 1, 3])
+        np.testing.assert_array_equal(counts.access, [1, 2, 0, 1])
 
-    def test_store_and_mem_counts(self):
+    def test_mem_counts(self):
         fs = FrameStats()
         fs.resize(2)
-        self._record(fs, [0, 0, 1], stores=[True, False, True], mem=[False, True, True])
-        np.testing.assert_array_equal(fs.store_count, [1, 1])
-        np.testing.assert_array_equal(fs.mem_access_count, [1, 1])
+        counts = self._record(fs, [0, 0, 1], mem=[False, True, True])
+        np.testing.assert_array_equal(counts.mem, [1, 1])
 
     def test_tlb_miss_counts(self):
         fs = FrameStats()
         fs.resize(2)
-        self._record(fs, [0, 1, 1], tlbmiss=[True, True, False])
-        np.testing.assert_array_equal(fs.tlb_miss_count, [1, 1])
+        counts = self._record(fs, [0, 1, 1], tlbmiss=[True, True, False])
+        np.testing.assert_array_equal(counts.tlb_miss, [1, 1])
+
+    def test_counts_are_per_batch(self):
+        fs = FrameStats()
+        fs.resize(1)
+        self._record(fs, [0])
+        assert self._record(fs, [0]).access[0] == 1
 
     def test_first_touch_stamps_once(self):
         fs = FrameStats()
@@ -115,12 +118,6 @@ class TestFrameStats:
     def test_empty_record_noop(self):
         fs = FrameStats()
         fs.resize(2)
-        self._record(fs, [])
-        assert fs.access_count.sum() == 0
-
-    def test_accumulates_across_batches(self):
-        fs = FrameStats()
-        fs.resize(1)
-        self._record(fs, [0])
-        self._record(fs, [0])
-        assert fs.access_count[0] == 2
+        counts = self._record(fs, [])
+        np.testing.assert_array_equal(counts.access, [0, 0])
+        assert not fs.touched_mask().any()

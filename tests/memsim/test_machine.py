@@ -68,8 +68,7 @@ class TestRunBatch:
         assert r.n == 0
         assert m.op_counter == 0
         assert r.pids.size == r.pid_ops.size == r.mem_mask.size == 0
-        assert r.page_access_counts(5).tolist() == [0] * 5
-        assert r.page_tlb_miss_counts(0).size == 0
+        assert [c.size for c in r.frame_counts] == [0, 0, 0]
 
     def test_op_counter_and_time(self):
         m = small_machine(ops_per_second=1000.0)
@@ -156,15 +155,16 @@ class TestGroundTruth:
         m = small_machine()
         v = m.mmap(1, 4)
         vpns = np.array([v.start_vpn, v.start_vpn, v.start_vpn + 2], dtype=np.uint64)
-        m.run_batch(AccessBatch.from_pages(vpns, pid=1))
-        np.testing.assert_array_equal(m.frame_stats.access_count, [2, 0, 1, 0])
+        r = m.run_batch(AccessBatch.from_pages(vpns, pid=1))
+        np.testing.assert_array_equal(r.frame_counts.access, [2, 0, 1, 0])
 
     def test_batch_page_counts(self):
         m = small_machine()
         v = m.mmap(1, 4)
         vpns = np.array([v.start_vpn + 1] * 3, dtype=np.uint64)
         r = m.run_batch(AccessBatch.from_pages(vpns, pid=1))
-        counts = r.page_access_counts(m.n_frames)
+        counts = r.frame_counts.access
+        assert counts.size == m.n_frames
         assert counts[v.pfn_base + 1] == 3
         assert counts.sum() == 3
 
@@ -174,14 +174,13 @@ class TestGroundTruth:
         rng = np.random.default_rng(2)
         b = AccessBatch.from_pages(rng.choice(v.vpns, 2000), pid=1)
         r = m.run_batch(b)
-        mem = r.page_mem_access_counts(m.n_frames)
-        tot = r.page_access_counts(m.n_frames)
-        assert (mem <= tot).all()
+        assert (r.frame_counts.mem <= r.frame_counts.access).all()
 
     def test_batch_page_counts_are_the_machines_own_and_read_only(self):
         m = small_machine(n_cpus=2)
         va, vb = m.mmap(1, 48), m.mmap(2, 16)
         rng = np.random.default_rng(5)
+        counted = 0
         for _ in range(3):
             b = AccessBatch.concat(
                 [
@@ -198,12 +197,7 @@ class TestGroundTruth:
                 ),
                 "tlb_miss": np.bincount(pf[~r.tlb_hit], minlength=n),
             }
-            got = {
-                "access": r.page_access_counts(n),
-                "mem": r.page_mem_access_counts(n),
-                "tlb_miss": r.page_tlb_miss_counts(n),
-            }
-            for name, counts in got.items():
+            for name, counts in r.frame_counts._asdict().items():
                 np.testing.assert_array_equal(counts, fresh[name], err_msg=name)
                 assert counts.dtype == fresh[name].dtype
                 assert not counts.flags.writeable, name
@@ -215,12 +209,8 @@ class TestGroundTruth:
             assert not r.mem_mask.flags.writeable
             np.testing.assert_array_equal(r.pids, [1, 2])
             np.testing.assert_array_equal(r.pid_ops, [900, 300])
-            # A longer frame space than the batch saw: zero-padded.
-            assert r.page_access_counts(n + 7).size == n + 7
-            assert r.page_access_counts(n + 7)[n:].sum() == 0
-        np.testing.assert_array_equal(
-            m.frame_stats.access_count.sum(), m.op_counter
-        )
+            counted += int(r.frame_counts.access.sum())
+        assert counted == m.op_counter
 
     def test_first_touch_order(self):
         m = small_machine()

@@ -66,11 +66,12 @@ class TestMachineInvariants:
         n_pids, region_pages, batches = plan
         m = _machine()
         vmas = {pid: m.mmap(pid, region_pages) for pid in range(1, n_pids + 1)}
-        total_ops = 0
+        total_ops = counted = 0
         for per_pid in batches:
             batch = _build_batch(m, vmas, per_pid)
             res = m.run_batch(batch)
             total_ops += batch.n
+            counted += int(res.frame_counts.access.sum())
             raw = res.raw_events
             if batch.n == 0:
                 continue
@@ -82,8 +83,8 @@ class TestMachineInvariants:
             assert res.data_source.min() >= np.uint8(DataSource.L1)
             assert res.data_source.max() <= np.uint8(DataSource.MEMORY)
         assert m.op_counter == total_ops
-        # Ground-truth totals match the ops executed.
-        assert m.frame_stats.access_count.sum() == total_ops
+        # Ground-truth counts match the ops executed.
+        assert counted == total_ops
 
     @given(random_run())
     @settings(max_examples=30, deadline=None)
@@ -101,7 +102,7 @@ class TestMachineInvariants:
         for pid, vma in vmas.items():
             pt = m.page_tables[pid]
             accessed = is_accessed(pt.flags)
-            touched = m.frame_stats.access_count[vma.pfn_base : vma.pfn_base + vma.npages] > 0
+            touched = m.frame_stats.touched_mask()[vma.pfn_base : vma.pfn_base + vma.npages]
             assert not (accessed & ~touched).any()
 
     @given(random_run())
@@ -125,12 +126,13 @@ class TestMachineInvariants:
         n_pids, region_pages, batches = plan
         m = _machine()
         vmas = {pid: m.mmap(pid, region_pages) for pid in range(1, n_pids + 1)}
+        stored = {pid: np.zeros(region_pages, dtype=bool) for pid in vmas}
         for per_pid in batches:
             m.run_batch(_build_batch(m, vmas, per_pid))
+            for pid, pages, stores in per_pid:
+                pages = np.asarray(pages, dtype=np.int64)
+                stored[pid][pages[np.asarray(stores, dtype=bool)]] = True
         from repro.memsim.pte import is_dirty
 
-        for pid, vma in vmas.items():
-            pt = m.page_tables[pid]
-            dirty = is_dirty(pt.flags)
-            stored = m.frame_stats.store_count[vma.pfn_base : vma.pfn_base + vma.npages] > 0
-            np.testing.assert_array_equal(dirty, stored)
+        for pid in vmas:
+            np.testing.assert_array_equal(is_dirty(m.page_tables[pid].flags), stored[pid])

@@ -34,20 +34,6 @@ class TestPredicates:
         np.testing.assert_array_equal(pte.is_dirty(f), [False, False, False, True])
 
 
-class TestSetClear:
-    def test_set_flags(self):
-        f = np.zeros(4, dtype=np.uint64)
-        pte.set_flags(f, [1, 3], pte.PTE_ACCESSED)
-        np.testing.assert_array_equal(pte.is_accessed(f), [False, True, False, True])
-
-    def test_clear_flags(self):
-        f = np.full(3, pte.PTE_ACCESSED | pte.PTE_DIRTY, dtype=np.uint64)
-        pte.clear_flags(f, [0, 2], pte.PTE_ACCESSED)
-        np.testing.assert_array_equal(pte.is_accessed(f), [False, True, False])
-        # Dirty untouched.
-        assert pte.is_dirty(f).all()
-
-
 class TestTestAndClear:
     def test_returns_previous_and_clears(self):
         f = np.array([pte.PTE_ACCESSED, 0, pte.PTE_ACCESSED], dtype=np.uint64)

@@ -59,7 +59,7 @@ class TestGauge:
         g = registry.gauge("active")
         g.set(7)
         g.inc(2)
-        g.dec()
+        g.inc(-1)
         assert g.value() == 8
 
 

@@ -589,7 +589,7 @@ def test_failed_snapshot_write_degrades_to_the_marker(
         path = manager.ledger.snapshot_path(sid)
         sabotage(session, path)
         assert rig.evict() == [sid]
-        goodbye = sub.drain()[-1].to_dict()["data"]
+        goodbye = json.loads(sub.drain()[-1].payload)
         assert (goodbye["code"], goodbye["resumable"]) == ("evicted", True)
         assert manager.sessions_checkpointed == 1
         warnings = [r for r in log_lines() if r["level"] == "warning"]

@@ -82,9 +82,7 @@ class TestFrames:
     def test_error_response_carries_code(self):
         frame = error_response(4, ErrorCode.UNKNOWN_SESSION, "gone")
         assert frame["ok"] is False
-        assert frame["error"]["code"] == "unknown_session"
-        err = ServiceError(frame["error"]["code"], frame["error"]["message"])
-        assert err.to_error() == frame["error"]
+        assert frame["error"] == {"code": "unknown_session", "message": "gone"}
 
     def test_event_frame_shape(self):
         frame = event_frame("epoch", "s1", "s1.sub1", 5, {"epoch": 5}, dropped=2)

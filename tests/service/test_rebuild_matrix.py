@@ -9,6 +9,7 @@ the final result and the ``from_seq=0`` replay stream equal an
 uninterrupted direct run.
 """
 
+import json
 import os
 import signal
 
@@ -34,7 +35,7 @@ def _direct_run(changes):
     if changes:
         session.reconfigure(dict(changes))
     session.step(BETWEEN + AFTER)
-    frames = [(f.event, f.to_dict()["data"]) for f in sub.drain()]
+    frames = [(f.event, json.loads(f.payload)) for f in sub.drain()]
     return frames, session.close(include_epochs=True)
 
 

@@ -9,6 +9,8 @@ import asyncio
 import json
 from collections import deque
 
+import pytest
+
 from repro.memsim import MachineConfig
 from repro.service import ServiceError, ServiceServer
 from repro.service.protocol import encode_frame
@@ -18,6 +20,15 @@ from repro.workloads import WORKLOAD_NAMES, make_workload
 
 SMALL = {"footprint_pages": 512, "accesses_per_epoch": 2000}
 TEST_TIMEOUT_S = 120
+#: Every numeric request param, and what a wrong type is told.
+NUMBER_PARAMS = {
+    ("step", "epochs"): "epochs must be an integer",
+    ("subscribe", "max_queue"): "max_queue must be an integer",
+    ("subscribe", "max_rate_hz"): "max_rate_hz must be a number",
+    ("subscribe", "from_seq"): "from_seq must be an integer >= 0",
+    ("close_session", "epochs_from"): "epochs_from must be an integer >= 0",
+    ("close_session", "epochs_to"): "epochs_to must be an integer",
+}
 
 
 def run_async(coro):
@@ -413,6 +424,34 @@ class TestAdmissionAndErrors:
                 assert frame["ok"] is False
                 assert frame["id"] is None
                 assert frame["error"]["code"] == "bad_request"
+            finally:
+                await client.close()
+                await server.drain()
+
+        run_async(main())
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("op, name", list(NUMBER_PARAMS))
+    def test_json_boolean_is_not_a_number(self, op, name, value):
+        # Python's bool is an int: `{"epochs": true}` used to step one
+        # epoch and `{"from_seq": false}` to replay the whole ledger.
+        async def main():
+            server = await _start_server()
+            client = await WireClient.open(server.address)
+            try:
+                sid = (
+                    await client.request(
+                        "create_session", workload="gups", workload_kwargs=dict(SMALL)
+                    )
+                )["session"]
+                expected = ("bad_params", NUMBER_PARAMS[op, name])
+                try:
+                    await client.request(op, session=sid, **{name: value})
+                    raise AssertionError(f"{op} {name}={value} should be rejected")
+                except ServiceError as exc:
+                    assert (exc.code, exc.message) == expected
+                (listed,) = (await client.request("list_sessions"))["sessions"]
+                assert (listed["epochs_run"], listed["subscribers"]) == (0, 0)
             finally:
                 await client.close()
                 await server.drain()

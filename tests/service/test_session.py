@@ -1,5 +1,6 @@
 """Unit tests for sessions, subscriber queues, and the manager."""
 
+import json
 import threading
 
 import pytest
@@ -28,7 +29,7 @@ class TestSubscriberQueue:
             q.push("epoch", encode_payload({"epoch": i}))
         assert len(q) == 4
         frames = q.drain()
-        assert [f.to_dict()["data"]["epoch"] for f in frames] == [6, 7, 8, 9]
+        assert [json.loads(f.payload)["epoch"] for f in frames] == [6, 7, 8, 9]
         assert frames[-1].seq == 9
         assert q.dropped == 6
         assert len(q) == 0
@@ -92,7 +93,7 @@ class TestProfilingSession:
         res = sim.run(3)
         assert len(frames) == 3
         for frame, epoch in zip(frames, res.epochs):
-            data = frame.to_dict()["data"]
+            data = json.loads(frame.payload)
             assert data["hitrate"] == epoch.hitrate
             assert data["promoted"] == epoch.promoted
             assert data["demoted"] == epoch.demoted

@@ -101,7 +101,7 @@ class TestResolveWorkers:
 
 class TestWorkerProtocol:
     def test_ping_round_trips(self, pool):
-        (reply,) = pool.ping_all()
+        reply = pool.workers[0].request("ping")
         assert reply["worker"] == 0
         assert reply["pid"] == pool.workers[0].process.pid
         assert reply["sessions"] == 0
@@ -110,21 +110,21 @@ class TestWorkerProtocol:
         with pytest.raises(ServiceError) as err:
             pool.workers[0].request("no_such_op")
         assert err.value.code == ErrorCode.UNKNOWN_OP
-        assert pool.ping_all()[0]["worker"] == 0  # still alive
+        assert pool.workers[0].request("ping")["worker"] == 0  # still alive
 
     def test_unpicklable_reply_degrades_to_internal_error(self, pool):
         with pytest.raises(ServiceError) as err:
             pool.workers[0].request("_debug", {"action": "unpicklable"})
         assert err.value.code == ErrorCode.INTERNAL
         assert "unserializable" in err.value.message
-        assert pool.ping_all()[0]["worker"] == 0  # worker survived
+        assert pool.workers[0].request("ping")["worker"] == 0  # worker survived
 
     def test_worker_exception_maps_to_internal_error(self, pool):
         with pytest.raises(ServiceError) as err:
             pool.workers[0].request("_debug", {"action": "raise"})
         assert err.value.code == ErrorCode.INTERNAL
         assert "injected worker failure" in err.value.message
-        assert pool.ping_all()[0]["worker"] == 0
+        assert pool.workers[0].request("ping")["worker"] == 0
 
 
 class TestCrashRecovery:
@@ -139,7 +139,7 @@ class TestCrashRecovery:
             and worker.process.is_alive()
             and worker.process.pid != old_pid
         )
-        assert pool.ping_all()[0]["pid"] != old_pid
+        assert pool.workers[0].request("ping")["pid"] != old_pid
         assert pool.respawns == 1
 
     def test_crash_marks_sessions_and_fires_callback(self):

@@ -20,7 +20,7 @@ class TestFcfaPlaceNew:
         assert placed == 4
         # Pages 1 (t=10) and 2 (t=20) got the fast tier.
         np.testing.assert_array_equal(tm.tier1_pages(), [1, 2])
-        np.testing.assert_array_equal(tm.tier2_pages(), [0, 3])
+        np.testing.assert_array_equal(np.flatnonzero(tm.tier_of == TIER2), [0, 3])
 
     def test_untouched_stay_unplaced(self):
         tm = make_tiers(3, 2)

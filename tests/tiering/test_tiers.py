@@ -32,7 +32,7 @@ class TestTieredMemory:
         tm = make_tiers(10, 4)
         tm.place(np.array([1, 3]), TIER1)
         np.testing.assert_array_equal(tm.tier1_pages(), [1, 3])
-        np.testing.assert_array_equal(tm.is_tier1(np.array([1, 2, 3])), [True, False, True])
+        np.testing.assert_array_equal(tm.tier_of[[1, 2, 3]], [TIER1, UNPLACED, TIER1])
 
     def test_capacity_enforced(self):
         tm = make_tiers(10, 2)
@@ -51,7 +51,7 @@ class TestTieredMemory:
         tm.place(np.array([5]), TIER1)
         tm.place(np.array([5]), TIER2)
         assert tm.occupancy(TIER1) == 0
-        np.testing.assert_array_equal(tm.tier2_pages(), [5])
+        np.testing.assert_array_equal(np.flatnonzero(tm.tier_of == TIER2), [5])
 
     def test_free_pages(self):
         tm = make_tiers(10, 4)

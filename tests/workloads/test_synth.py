@@ -47,14 +47,6 @@ class TestBoundedZipf:
         hot = np.bincount(s, minlength=1000).argmax()
         assert hot != 0  # overwhelmingly likely after permutation
 
-    def test_hot_fraction_pages(self):
-        z = BoundedZipf(1000, alpha=1.2)
-        k = z.hot_fraction_pages(0.5)
-        assert 1 <= k < 1000
-        # Heavier skew → smaller hot set for the same mass.
-        k2 = BoundedZipf(1000, alpha=2.0).hot_fraction_pages(0.5)
-        assert k2 <= k
-
     def test_bad_params(self):
         with pytest.raises(ValueError):
             BoundedZipf(0)

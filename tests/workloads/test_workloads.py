@@ -29,6 +29,12 @@ def _run_epochs(name, n_epochs=2, seed=0, **kw):
     return m, w, results
 
 
+def _access_counts(results):
+    """Per-frame accesses summed over the batches (the frame space is
+    mapped at attach, so every batch counts the same frames)."""
+    return sum(r.frame_counts.access for r in results)
+
+
 class TestRegistry:
     def test_all_eight_present(self):
         assert len(WORKLOAD_NAMES) == 8
@@ -113,8 +119,8 @@ class TestGUPSCharacter:
 
 class TestXSBenchCharacter:
     def test_thin_huge_footprint(self):
-        m, w, results = _run_epochs("xsbench")
-        counts = m.frame_stats.access_count
+        _, _, results = _run_epochs("xsbench")
+        counts = _access_counts(results)
         touched = counts[counts > 0]
         # Footprint dwarfs per-epoch touches; per-page counts stay tiny.
         assert np.median(touched) <= 8
@@ -166,16 +172,16 @@ class TestGraph500Character:
         assert max(sizes) > 5 * min(sizes)
 
     def test_power_law_edge_popularity(self):
-        m, w, _ = _run_epochs("graph500", n_epochs=3)
-        counts = np.sort(m.frame_stats.access_count)[::-1]
+        _, _, results = _run_epochs("graph500", n_epochs=3)
+        counts = np.sort(_access_counts(results))[::-1]
         top = counts[: max(1, counts.size // 100)].sum()
         assert top > 0.05 * counts.sum()
 
 
 class TestDataCachingCharacter:
     def test_zipf_hot_head(self):
-        m, w, _ = _run_epochs("data-caching", n_epochs=3)
-        counts = m.frame_stats.access_count
+        _, _, results = _run_epochs("data-caching", n_epochs=3)
+        counts = _access_counts(results)
         touched = counts[counts > 0]
         # Zipf: the hottest 10% of touched pages carry most accesses.
         s = np.sort(touched)[::-1]
@@ -204,8 +210,8 @@ class TestLULESHCharacter:
 
 class TestDataAnalyticsCharacter:
     def test_hot_model_reuse(self):
-        m, w, _ = _run_epochs("data-analytics", n_epochs=2)
-        counts = m.frame_stats.access_count
+        _, _, results = _run_epochs("data-analytics", n_epochs=2)
+        counts = _access_counts(results)
         # Model pages are orders hotter than the scan tail.
         s = np.sort(counts[counts > 0])[::-1]
         assert s[0] > 20 * np.median(s)
@@ -218,9 +224,9 @@ class TestGraphAnalyticsCharacter:
         w.attach(m)
         rng = np.random.default_rng(0)
         r1 = m.run_batch(w.epoch(0, rng))
-        c1 = r1.page_access_counts(m.n_frames)
+        c1 = r1.frame_counts.access
         r2 = m.run_batch(w.epoch(1, rng))
-        c2 = r2.page_access_counts(m.n_frames)
+        c2 = r2.frame_counts.access
         # Hot sets overlap heavily between successive epochs.
         k = max(1, m.n_frames // 20)
         hot1 = set(np.argsort(c1)[-k:])
