@@ -3,8 +3,8 @@
 Every front end — the online :class:`~repro.tiering.TieredSimulator`,
 :func:`~repro.tiering.record_run`, the analysis helpers, ``repro
 profile`` — runs the same cycle: generate the epoch's access stream,
-execute it in slices with TMP observing each and scanning between
-them, close the profiling epoch, read the PML write set.
+execute it in one machine pass that stops between slices for TMP's
+scans, close the profiling epoch, read the PML write set.
 :class:`ProfiledRun` is that cycle; each epoch comes back as an
 :class:`EpochRecord`, which is also what :mod:`repro.tiering.serialize`
 persists, so online and offline evaluation consume the same thing.
@@ -43,18 +43,6 @@ class EpochRecord:
     samples: object = None
 
 
-def _add_counts(totals: np.ndarray, parts) -> np.ndarray:
-    """Add one slice's per-frame counts (the machine's own read-only
-    arrays) to the epoch's ``(3, n_frames)`` totals, widened first if
-    the frame space grew under it."""
-    width = max(part.size for part in parts)
-    if width > totals.shape[1]:
-        totals = np.pad(totals, ((0, 0), (0, width - totals.shape[1])))
-    for total, part in zip(totals, parts):
-        total[: part.size] += part
-    return totals
-
-
 class ProfiledRun:
     """A workload attached to a machine, executing under TMP.
 
@@ -86,7 +74,7 @@ class ProfiledRun:
         #: Raw machine event totals so far, population phase included.
         self.event_totals: dict[str, int] = {}
 
-    def _run_slice(self, batch: AccessBatch) -> BatchResult:
+    def _run(self, batch: AccessBatch) -> BatchResult:
         res = self.machine.run_batch(batch)
         for key, value in res.raw_events.items():
             self.event_totals[key] = self.event_totals.get(key, 0) + value
@@ -113,28 +101,32 @@ class ProfiledRun:
         Its profile is closed and discarded (it stays in
         ``profiler.reports``) and the write log is drained.
         """
-        self._run_slice(self.workload.init_stream(self.rng))
+        self._run(self.workload.init_stream(self.rng))
         self.profiler.end_epoch()
         self._read_write_set()
 
     def run_epoch(self) -> EpochRecord:
-        """Execute and profile the next epoch, in ``epoch_slices``
-        sub-batches with a profiler ``tick`` between them (graded A-bit
-        counts, see :meth:`TMProfiler.tick`)."""
+        """Execute and profile the next epoch: one machine pass that
+        stops at ``epoch_slices - 1`` service points for a profiler
+        ``tick`` (graded A-bit counts, see :meth:`TMProfiler.tick`)."""
         # What outlives the epoch is allocated around its garbage, not
         # in it: the per-frame totals now, while the heap is at rest,
         # and the profile and samples (``end_epoch``) only after the
-        # stream and the last slice's arrays have been let go.  A
-        # survivor that lands among an epoch's transients pins
-        # megabytes of freed heap under it (``peak_rss_mb``).
+        # stream and the batch's arrays have been let go.  A survivor
+        # that lands among an epoch's transients pins megabytes of
+        # freed heap under it (``peak_rss_mb``).
         totals = np.zeros((3, self.machine.n_frames), dtype=np.int64)
         batch = self.workload.epoch(self.epochs_run, self.rng)
         bounds = np.linspace(0, batch.n, self.epoch_slices + 1).astype(int)
-        for i in range(self.epoch_slices):
-            res = self._run_slice(batch.take(slice(int(bounds[i]), int(bounds[i + 1]))))
-            totals = _add_counts(totals, res.frame_counts)
-            if i < self.epoch_slices - 1:
-                self.profiler.tick()
+        profiler = self.profiler
+        # ``tick`` is looked up per epoch: whoever wrapped it since
+        # (the e2e tracer) is what the machine calls.
+        with self.machine.service_points(
+            bounds[1:-1].tolist(), profiler.tick, flushes_tlb=profiler.tick_flushes_tlb
+        ):
+            res = self._run(batch)
+        for total, part in zip(totals, res.frame_counts):
+            total[: part.size] = part
         accesses = batch.n
         del batch, res
         counts, mem_counts, tlb_counts = totals

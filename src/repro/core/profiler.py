@@ -178,8 +178,9 @@ class TMProfiler:
     def tick(self) -> bool:
         """Mid-epoch service point: run the A-bit scan if it is due.
 
-        The simulation loop may slice an epoch into several machine
-        batches and call ``tick`` between them; with the default scan
+        The simulation loop may stop an epoch's batch at service points
+        (:meth:`Machine.service_points`) and call ``tick`` at each; the
+        op clock stands where the batch stopped.  With the default scan
         interval of 0 ("scan at every service point") this yields
         graded per-epoch A-bit counts — a page re-walked between scans
         accumulates more than a page touched once — which is the
@@ -195,6 +196,13 @@ class TMProfiler:
         self._tick_found += self.abit.scan(self._scan_set())
         self._last_scan_s = now
         return True
+
+    @property
+    def tick_flushes_tlb(self) -> bool:
+        """Whether a :meth:`tick` may invalidate TLB entries: its scan
+        shoots down the translations it clears in shootdown mode."""
+        cfg = self.config
+        return cfg.abit_shootdown and cfg.abit_enabled and self.abit.enabled
 
     # ------------------------------------------------------------------ epochs
 

@@ -17,7 +17,10 @@ capacity-equivalent direct-mapped lookup structures (see
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,8 +168,40 @@ class BatchResult:
         return self.cycles / self.n if self.n else 0.0
 
 
+class _ServicePoints(NamedTuple):
+    #: Batch positions, ascending, at which the batch stops.
+    cuts: Sequence[int]
+    #: Called at every cut, with the op clock standing at the cut.
+    service: Callable[[], object]
+    #: The service may invalidate TLB entries the next slice looks up.
+    flushes_tlb: bool
+
+
+def _raw_events(
+    is_store: np.ndarray, data_source: np.ndarray, mem_mask: np.ndarray, miss: np.ndarray
+) -> dict[str, int]:
+    """The PMU-visible event counts of one executed slice."""
+    n = int(is_store.size)
+    n_stores = int(np.count_nonzero(is_store))
+    n_miss = int(np.count_nonzero(miss))
+    return {
+        "retired_ops": n,
+        "retired_loads": n - n_stores,
+        "retired_stores": n_stores,
+        "l1_miss": int(np.count_nonzero(data_source != np.uint8(DataSource.L1))),
+        "l2_miss": int(np.count_nonzero(data_source >= np.uint8(DataSource.LLC))),
+        "llc_miss": int(np.count_nonzero(mem_mask)),
+        "dtlb_miss": n_miss,
+        "ptw_walks": n_miss,
+    }
+
+
 class Machine:
     """The simulated machine executing access streams."""
+
+    #: Set only inside a :meth:`service_points` block, so a machine at
+    #: rest (and every pickled one) carries none.
+    _service: _ServicePoints | None = None
 
     def __init__(self, config: MachineConfig | None = None):
         self.config = config or MachineConfig()
@@ -291,12 +326,87 @@ class Machine:
 
     # --------------------------------------------------------------- execute
 
+    @contextmanager
+    def service_points(
+        self,
+        cuts: Sequence[int],
+        service: Callable[[], object],
+        *,
+        flushes_tlb: bool,
+    ) -> Iterator[None]:
+        """Stop every batch run inside the block at ``cuts`` (ascending
+        batch positions) and call ``service`` there.
+
+        The batch still runs as one pass: only its page walks and dirty
+        bits — what a service reading PTE bits can see — run slice by
+        slice, and the op clock (``time_s``) stands at each cut while
+        ``service`` runs.  A service that may invalidate translations
+        (``flushes_tlb``) also cuts the TLB lookups, so the next slice
+        looks up what the service left.  Caches, samplers and ground
+        truth see the whole batch; the PMU still gets one update per
+        slice.
+        """
+        self._service = _ServicePoints(tuple(cuts), service, flushes_tlb)
+        try:
+            yield
+        finally:
+            del self._service
+
+    def _lookups_and_walks(
+        self,
+        batch: AccessBatch,
+        tlb_vpn: np.ndarray,
+        shard: np.ndarray | None,
+        slot: np.ndarray,
+        pfn: np.ndarray,
+        stops: list[int],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stages 2 to 4, in one loop over the batch's slices (which end
+        at ``stops``): the TLB lookups of a span, then each of its
+        slices' walks and dirty bits, each slice but the last followed
+        by the service.  A span is the rest of the batch unless the
+        service flushes translations; then it is one slice.  Returns
+        the TLB hit and miss masks."""
+        plan = self._service
+        span_per_slice = plan is not None and plan.flushes_tlb
+        n = batch.n
+        op_base = self.op_counter
+        hits: list[np.ndarray] = []
+        start = looked_up = 0
+        for i, stop in enumerate(stops):
+            if stop > start:
+                if start == looked_up:
+                    looked_up = stop if span_per_slice else n
+                    span = slice(start, looked_up)
+                    hits.append(
+                        self.tlb.access(
+                            batch.pid[span],
+                            tlb_vpn[span],
+                            shard=None if shard is None else shard[span],
+                        )
+                    )
+                    miss, offset = ~hits[-1], start
+                self._walk_and_dirty(
+                    miss[start - offset : stop - offset],
+                    batch.is_store[start:stop],
+                    slot[start:stop],
+                    pfn[start:stop],
+                )
+            if i < len(stops) - 1:
+                self.op_counter = op_base + stop
+                plan.service()
+            start = stop
+        if len(hits) == 1:
+            return hits[0], miss
+        tlb_hit = np.concatenate(hits)
+        return tlb_hit, ~tlb_hit
+
     def _walk_and_dirty(
         self, miss: np.ndarray, is_store: np.ndarray, slot: np.ndarray, pfn: np.ndarray
     ) -> None:
-        """Stages 3 and 4 of :meth:`run_batch`: one walk over the batch's
-        misses and one dirty-bit update over its stores, both on the
-        machine's PTE column, whatever the number of processes.
+        """Stages 3 and 4 of :meth:`run_batch` for one slice: one walk
+        over its misses and one dirty-bit update over its stores, both
+        on the machine's PTE column, whatever the number of processes.
 
         Newly dirtied slots come back ascending, which in the column's
         PID-major layout is (PID, slot) order: the PML log's order.
@@ -316,11 +426,16 @@ class Machine:
         PID grouping, the CPU→shard fold, the TLB-miss and memory
         masks, the frame numbers as indices — is derived here, once,
         and handed down; what outlives the call is shared read-only
-        through the :class:`BatchResult`.
+        through the :class:`BatchResult`.  Inside a
+        :meth:`service_points` block the batch is cut into slices.
         """
         n = batch.n
         op_base = self.op_counter
+        plan = self._service
+        cuts = plan.cuts if plan else ()
         if n == 0:
+            for _ in cuts:
+                plan.service()
             none = np.zeros(0, dtype=np.int64)
             return BatchResult(
                 op_base=op_base,
@@ -348,15 +463,14 @@ class Machine:
         # 2. Per-CPU TLB lookup (misses install their fill).  The CPU
         #    column is folded onto the cores once, for the TLB and the
         #    private cache levels alike.
+        # 3. Page-table walks on misses (A bits, poison faults) and
+        # 4. dirty bits on stores (TLB-independent; see ptw docstring),
+        #    slice by slice with the service points between them.  The
+        #    translated slots index the machine's one PTE column.
         n_cpus = self.config.n_cpus
         shard = fold_shards(batch.cpu, n_cpus) if n_cpus > 1 else None
-        tlb_hit = self.tlb.access(batch.pid, tlb_vpn, shard=shard)
-        miss = ~tlb_hit
-
-        # 3. Page-table walks on misses (A bits, poison faults) and
-        # 4. dirty bits on stores (TLB-independent; see ptw docstring).
-        #    The translated slots index the machine's one PTE column.
-        self._walk_and_dirty(miss, batch.is_store, slot, pfn)
+        stops = [*cuts, n]
+        tlb_hit, miss = self._lookups_and_walks(batch, tlb_vpn, shard, slot, pfn, stops)
         del rank, tlb_vpn
 
         # 5. Cache hierarchy on physical line addresses.
@@ -368,34 +482,29 @@ class Machine:
         del lines, shard
         mem_mask = data_source == np.uint8(DataSource.MEMORY)
 
-        # 6. Raw PMU events for this batch.
-        n_stores = int(np.count_nonzero(batch.is_store))
-        l1_miss = int(np.count_nonzero(data_source != np.uint8(DataSource.L1)))
-        l2_miss = int(np.count_nonzero(data_source >= np.uint8(DataSource.LLC)))
-        llc_miss = int(np.count_nonzero(mem_mask))
-        n_miss = int(np.count_nonzero(miss))
-        raw = {
-            "retired_ops": n,
-            "retired_loads": n - n_stores,
-            "retired_stores": n_stores,
-            "l1_miss": l1_miss,
-            "l2_miss": l2_miss,
-            "llc_miss": llc_miss,
-            "dtlb_miss": n_miss,
-            "ptw_walks": n_miss,
-        }
+        # 6. Raw PMU events: one time slice per executed slice, since
+        #    the PMU's multiplexing rotor advances per update.
+        per_slice = [
+            _raw_events(
+                batch.is_store[a:b], data_source[a:b], mem_mask[a:b], miss[a:b]
+            )
+            for a, b in zip([0, *cuts], stops)
+            if b > a
+        ]
         if self.pmu.events:
-            self.pmu.update(raw)
+            for raw in per_slice:
+                self.pmu.update(raw)
+        raw = {key: sum(r[key] for r in per_slice) for key in per_slice[0]}
 
         # AMAT accounting: every access pays its servicing level's
         # load-use latency; TLB misses add a page-walk penalty.
         cfg = self.config
         batch_cycles = int(
             n * cfg.cycles_l1
-            + l1_miss * (cfg.cycles_l2 - cfg.cycles_l1)
-            + l2_miss * (cfg.cycles_llc - cfg.cycles_l2)
-            + llc_miss * (cfg.cycles_mem - cfg.cycles_llc)
-            + n_miss * cfg.cycles_walk
+            + raw["l1_miss"] * (cfg.cycles_l2 - cfg.cycles_l1)
+            + raw["l2_miss"] * (cfg.cycles_llc - cfg.cycles_l2)
+            + raw["llc_miss"] * (cfg.cycles_mem - cfg.cycles_llc)
+            + raw["dtlb_miss"] * cfg.cycles_walk
         )
         self.cycles += batch_cycles
 
@@ -415,7 +524,7 @@ class Machine:
         frame_counts = self.frame_stats.record(
             pfn.view(np.int64), mem_mask, miss, op_base
         )
-        self.op_counter += n
+        self.op_counter = op_base + n
 
         for shared in (mem_mask, pids, pid_ops):
             shared.flags.writeable = False

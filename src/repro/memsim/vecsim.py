@@ -115,8 +115,8 @@ class _RoundScratch:
 class _DenseEngine:
     """What the two engines share: ``_tags`` / ``_valid`` arrays over
     ``nsets * shards`` rows (one column or ``ways``), and everything
-    that reads them as a bag of resident tags — the shootdowns and the
-    any-shard probes, which never look at a set index."""
+    that reads them across shards — the shootdowns and the any-shard
+    probes, which look a key up in its own set of every shard."""
 
     def __init__(self, nsets: int, shards: int):
         if not is_pow2(nsets):
@@ -148,24 +148,36 @@ class _DenseEngine:
         self._valid[doomed] = False
         return n
 
-    def flush_keys(self, keys: np.ndarray) -> int:
-        """Invalidate entries matching any of ``keys`` on every shard.
+    def _probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's own set on every shard: the flat entry indices,
+        one row of ``shards * ways`` per key, and where the key is held.
 
-        A key can only reside in its own set, so one membership test
-        over the resident tags is exact.
+        A key can only reside in its own set, so probing those entries
+        finds everything a membership test over every resident tag
+        would, at a cost that follows the keys, not the capacity.
         """
-        keys = np.asarray(keys, dtype=ADDR_DTYPE)
-        if keys.size == 0:
-            return 0
-        doomed = self._valid & np.isin(self._tags, keys)
-        n = int(np.count_nonzero(doomed))
-        self._valid[doomed] = False
-        return n
+        ways = self.ways
+        shard_way = np.arange(0, self.nsets * self.shards * ways, self.nsets * ways)
+        shard_way = (shard_way[:, None] + np.arange(ways)).ravel()
+        entry = ((keys & self._mask).astype(np.intp) * ways)[:, None] + shard_way
+        held = self._valid.reshape(-1)[entry]
+        held &= self._tags.reshape(-1)[entry] == keys[:, None]
+        return entry, held
+
+    def flush_keys(self, keys: np.ndarray) -> int:
+        """Invalidate entries matching any of ``keys`` on every shard."""
+        keys = np.sort(np.asarray(keys, dtype=ADDR_DTYPE))
+        if keys.size > 1:
+            keys = keys[np.append(True, keys[1:] != keys[:-1])]  # each entry once
+        entry, held = self._probe(keys)
+        doomed = entry[held]
+        self._valid.reshape(-1)[doomed] = False
+        return int(doomed.size)
 
     def contains_any(self, keys: np.ndarray) -> np.ndarray:
         """Non-mutating probe: resident on *any* shard?"""
         keys = np.asarray(keys, dtype=ADDR_DTYPE)
-        return np.isin(keys, self._tags[self._valid])
+        return self._probe(keys)[1].any(axis=1)
 
     def occupancy(self) -> int:
         """Number of currently valid entries (all shards)."""

@@ -86,9 +86,9 @@ def record_run(
 ) -> RecordedRun:
     """Execute ``workload`` once and capture everything policies need.
 
-    ``epoch_slices`` splits each epoch into sub-batches with a profiler
-    ``tick`` between them, giving graded per-epoch A-bit counts (see
-    :meth:`TMProfiler.tick`).
+    ``epoch_slices`` stops each epoch's machine pass at that many
+    slices with a profiler ``tick`` between them, giving graded
+    per-epoch A-bit counts (see :meth:`TMProfiler.tick`).
     """
     run = ProfiledRun(
         workload,

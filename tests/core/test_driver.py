@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import EpochRecord, ProfiledRun
+from repro.core import EpochRecord, ProfiledRun, TMPConfig
 from repro.memsim import MachineConfig
 from repro.tiering import record_run
 from repro.workloads import make_workload
@@ -88,22 +88,50 @@ class TestRunEpoch:
 
     @pytest.mark.parametrize("slices", [1, 2, 5])
     def test_k_slices_give_k_minus_one_ticks(self, slices):
-        run = _run(epoch_slices=slices)
+        """One machine pass per epoch: the walks run once per slice with
+        a ``tick`` between slices; the TLB is looked up once."""
+        calls, rec = self._counted_epoch(slices, shootdown=False)
+        names = [name for name, _ in calls]
+        assert names.count("epoch") == names.count("end_epoch") == 1
+        assert names.count("run_batch") == names.count("observe_batch") == 1
+        assert names.count("record") == names.count("access") == 1
+        assert names.count("tick") == slices - 1
+        assert names.count("fill_walks") == names.count("dirty_updates") == slices
+        # Each tick comes after its slice's walks and before the next's.
+        walks_and_ticks = [n for n in names if n in ("fill_walks", "tick")]
+        assert walks_and_ticks == ["fill_walks", "tick"] * (slices - 1) + ["fill_walks"]
+        assert sum(r.n for name, r in calls if name == "run_batch") == rec.accesses
+
+    @pytest.mark.parametrize("slices", [1, 2, 5])
+    def test_a_shootdown_scan_cuts_the_tlb_lookups(self, slices):
+        """A scan that shoots translations down changes what the next
+        slice finds in the TLB, so each slice looks up on its own —
+        still inside the one ``run_batch``."""
+        calls, _ = self._counted_epoch(slices, shootdown=True)
+        names = [name for name, _ in calls]
+        assert names.count("run_batch") == names.count("record") == 1
+        assert names.count("access") == names.count("fill_walks") == slices
+        looked_up = [n for n in names if n in ("access", "tick")]
+        assert looked_up == ["access", "tick"] * (slices - 1) + ["access"]
+
+    @staticmethod
+    def _counted_epoch(slices, *, shootdown):
+        run = _run(epoch_slices=slices, tmp_config=TMPConfig(abit_shootdown=shootdown))
+        m = run.machine
         calls = []
         for owner, attr in (
             (run.workload, "epoch"),
-            (run.machine, "run_batch"),
+            (m, "run_batch"),
+            (m.tlb, "access"),
+            (m.ptw, "fill_walks"),
+            (m.ptw, "dirty_updates"),
+            (m.frame_stats, "record"),
             (run.profiler, "observe_batch"),
             (run.profiler, "tick"),
             (run.profiler, "end_epoch"),
         ):
             _count_calls(owner, attr, calls)
-        rec = run.run_epoch()
-        names = [name for name, _ in calls]
-        assert names.count("epoch") == names.count("end_epoch") == 1
-        assert names.count("run_batch") == names.count("observe_batch") == slices
-        assert names.count("tick") == slices - 1
-        assert sum(r.n for name, r in calls if name == "run_batch") == rec.accesses
+        return calls, run.run_epoch()
 
     def test_machine_methods_are_looked_up_on_the_instance_at_every_call(self):
         """The e2e tracer replaces these after construction; a cached
@@ -121,14 +149,39 @@ class TestRunEpoch:
             (m.lwp, "observe"),
             (m.frame_stats, "record"),
             (run.profiler, "observe_batch"),
+            (run.profiler, "tick"),
         ):
             _count_calls(owner, attr, calls)
         run.run_epoch()
         names = [name for name, _ in calls]
-        assert names.count("access") == 2 * 2  # TLB and caches, per slice
-        assert names.count("observe") == 3 * 2
-        assert names.count("record") == names.count("observe_batch") == 2
-        assert names.count("fill_walks") >= 2 and names.count("dirty_updates") >= 2
+        assert names.count("access") == 2  # the TLB and the caches, once
+        assert names.count("observe") == 3
+        assert names.count("record") == names.count("observe_batch") == 1
+        assert names.count("fill_walks") == names.count("dirty_updates") == 2
+        assert names.count("tick") == 1
+
+    def test_steps_under_a_one_argument_run_batch(self):
+        """``benchmarks/e2e/sim_child.py`` replaces ``run_batch`` with a
+        wrapper that takes the batch and nothing else; the service
+        points reach the machine some other way."""
+        run = _run(epoch_slices=4)
+        inner, seen = run.machine.run_batch, []
+
+        def counting_run_batch(batch):
+            result = inner(batch)
+            seen.append(result.raw_events["retired_ops"])
+            return result
+
+        run.machine.run_batch = counting_run_batch
+        ticks = []
+        _count_calls(run.profiler, "tick", ticks)
+        run.populate()
+        records = [run.run_epoch() for _ in range(2)]
+        assert seen[1:] == [rec.accesses for rec in records]
+        assert len(ticks) == 2 * 3
+        # Outside the epoch the machine holds no service points: a
+        # pickled machine keeps its shape (and snapshots their stamp).
+        assert "_service" not in vars(run.machine)
 
     @pytest.mark.parametrize("slices", [1, 4])
     def test_report_counts_every_scan_of_the_epoch(self, slices):

@@ -238,6 +238,67 @@ class TestDirectMappedEquivalence:
         assert a.occupancy() == b.occupancy()
 
 
+def _isin_flush_keys(engine, keys) -> int:
+    """``flush_keys`` as one membership test over every resident tag."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.size == 0:
+        return 0
+    doomed = engine._valid & np.isin(engine._tags, keys)
+    n = int(np.count_nonzero(doomed))
+    engine._valid[doomed] = False
+    return n
+
+
+def _isin_contains_any(engine, keys) -> np.ndarray:
+    return np.isin(np.asarray(keys, dtype=np.uint64), engine._tags[engine._valid])
+
+
+class TestSetProbesEqualMembership:
+    """``flush_keys`` / ``contains_any`` probe each key's own set on
+    every shard; a membership test over every resident tag is the
+    definition they must equal — counts, masks and the state left."""
+
+    ENGINES = [
+        lambda shards: VectorDirectMapped(16, shards),
+        lambda shards: VectorDirectMapped(32768, shards),  # intp rows past 1 shard
+        lambda shards: VectorSetAssoc(8, 4, shards),
+        lambda shards: VectorSetAssoc(1, 2, shards),
+    ]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("shards", [1, 3, 6])
+    @pytest.mark.parametrize("engine", range(len(ENGINES)))
+    def test_probe_equals_isin(self, engine, shards, seed):
+        rng = np.random.default_rng(seed * 100 + shards * 10 + engine)
+        probed, member = (self.ENGINES[engine](shards) for _ in range(2))
+        # TLB-shaped keys (pid << 48 | vpn), both small and high tags.
+        pids = np.array([1, 7, 1 << 15], dtype=np.uint64) << np.uint64(48)
+        for step in range(10):
+            n = int(rng.integers(1, 200))
+            keys = pids[rng.integers(0, pids.size, n)] | rng.integers(
+                0, 96, n
+            ).astype(np.uint64)
+            shard = rng.integers(0, shards, n) if shards > 1 else None
+            np.testing.assert_array_equal(
+                probed.access(keys, shard), member.access(keys, shard)
+            )
+            # Resident keys (repeated), absent ones and an empty list.
+            absent = pids[0] | np.arange(1000, 1005, dtype=np.uint64)
+            k = int(rng.integers(0, 40))
+            probe = np.concatenate((keys[rng.integers(0, n, k)], absent[: k % 6]))
+            rng.shuffle(probe)
+            np.testing.assert_array_equal(
+                probed.contains_any(probe), _isin_contains_any(member, probe)
+            )
+            got = probed.flush_keys(probe)
+            assert got == _isin_flush_keys(member, probe), f"step {step}"
+            np.testing.assert_array_equal(probed._valid, member._valid)
+            assert probed.occupancy() == member.occupancy()
+        probed.access(keys, shard), member.access(keys, shard)
+        assert probed.flush_keys(keys) == _isin_flush_keys(member, keys) > 0
+        assert probed.occupancy() == member.occupancy()
+
+
 class TestMachineLevelEquivalence:
     """The whole pipeline, vectorized vs golden-reference engines."""
 

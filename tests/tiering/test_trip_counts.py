@@ -12,7 +12,9 @@ index); the walker's ``fill_walks`` / ``dirty_updates`` from
 (each fails with per-process PTE flags, before ``Machine.pte``); and
 the generator's RNG calls (one line-offset draw per run of segments and
 one interleave draw, not one of each per process, before the stream
-builder).
+builder).  And the epoch is one machine pass: one ``run_batch``, one TLB
+lookup and one call per cache level, with only the walks cut per slice
+(each fails with a machine pass per slice).
 """
 
 from collections import Counter
@@ -60,18 +62,35 @@ def test_run_batch_never_translates_per_process(sim, monkeypatch):
     translations = count_calls(monkeypatch, PageTable, "translate_ex")
     batches = count_calls(monkeypatch, sim.machine, "run_batch")
     sim.step(1)
-    assert len(batches) == 4
+    assert len(batches) == 1
     assert translations == []
 
 
+def test_one_machine_pass_per_epoch(sim, monkeypatch):
+    """Four slices, one pass: the TLB and each cache level are called
+    once per epoch (a scan without shootdown changes nothing they
+    compute), not once per slice."""
+    lookups = count_calls(monkeypatch, sim.machine.tlb, "access")
+    levels = [
+        count_calls(monkeypatch, level, "access") for level in sim.machine.caches.levels
+    ]
+    ticks = count_calls(monkeypatch, sim.profiler, "tick")
+    sim.step(1)
+    assert len(ticks) == 3
+    assert len(lookups) == 1
+    assert 1 <= sum(map(len, levels)) <= 3
+
+
 def test_one_walk_and_one_dirty_update_per_batch(sim, monkeypatch):
+    """One walk and one dirty-bit update per slice of the one batch,
+    never per process."""
     walks = count_calls(monkeypatch, sim.machine.ptw, "fill_walks")
     dirties = count_calls(monkeypatch, sim.machine.ptw, "dirty_updates")
     batches = count_calls(monkeypatch, sim.machine, "run_batch")
     walks_before = sim.machine.ptw.stats.walks
     sim.step(1)
-    assert len(batches) == 4
-    assert 1 <= len(walks) <= 4 and 1 <= len(dirties) <= 4
+    assert len(batches) == 1
+    assert len(walks) == len(dirties) == sim.profiled.epoch_slices
     # ... and the batches did walk and dirty pages of many processes.
     assert sim.machine.ptw.stats.walks - walks_before > 15
     assert len(sim.machine.vma_index.tables) == 15
