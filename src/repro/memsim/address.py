@@ -62,3 +62,11 @@ def compose(vpn, offset):
 def is_pow2(n: int) -> bool:
     """True if ``n`` is a positive power of two."""
     return n > 0 and (n & (n - 1)) == 0
+
+
+def pow2_floor(entries: int) -> int:
+    """``entries`` rounded down to a power of two, so capacities can be
+    asked for loosely (the Ryzen 3600X's 64 + 2048-entry L1/L2 dTLBs)."""
+    if entries < 1:
+        raise ValueError(f"{entries} entries: need at least one")
+    return 1 << (int(entries).bit_length() - 1)

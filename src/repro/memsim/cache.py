@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .address import ADDR_DTYPE, LINE_SIZE
+from .address import ADDR_DTYPE, LINE_SIZE, pow2_floor
 from .events import DataSource
 from .vecsim import fold_shards, make_engine
 
@@ -65,8 +65,7 @@ class CacheLevel:
         exact_assoc: bool = False,
         shards: int = 1,
     ):
-        lines = size_bytes // LINE_SIZE
-        cap = 1 << (int(lines).bit_length() - 1)  # round down to pow2
+        cap = pow2_floor(size_bytes // LINE_SIZE)
         self._engine = make_engine(cap, ways, exact_assoc=exact_assoc, shards=shards)
         self.name = name
         self.capacity_lines = cap

@@ -27,9 +27,11 @@ import numpy as np
 from .address import (
     ADDR_DTYPE,
     LINE_SHIFT,
+    LINE_SIZE,
     PAGE_OFFSET_MASK,
     PAGE_SHIFT,
     page_of,
+    pow2_floor,
 )
 from .badgertrap import BadgerTrap
 from .cache import CacheHierarchy
@@ -44,7 +46,7 @@ from .pmu import PMU
 from .ptw import PageTableWalker
 from .sampling import DEFAULT_IBS_PERIOD
 from .tlb import TLBArray
-from .vecsim import fold_shards
+from .vecsim import engine_sets, fold_shards
 
 __all__ = ["MachineConfig", "Machine", "BatchResult"]
 
@@ -97,6 +99,26 @@ class MachineConfig:
     cycles_llc: int = 40
     cycles_mem: int = 200
     cycles_walk: int = 20
+
+    def __post_init__(self) -> None:
+        # A TLB or cache geometry no engine can hold is refused here,
+        # naming the fields that set it.
+        for size, entries, ways in (
+            ("tlb_entries", self.tlb_entries, "tlb_ways"),
+            ("l1_bytes", self.l1_bytes // LINE_SIZE, "cache_ways"),
+            ("l2_bytes", self.l2_bytes // LINE_SIZE, "cache_ways"),
+            ("llc_bytes", self.llc_bytes // LINE_SIZE, "cache_ways"),
+        ):
+            try:
+                engine_sets(
+                    pow2_floor(entries),
+                    getattr(self, ways),
+                    exact_assoc=self.exact_assoc,
+                )
+            except ValueError as err:
+                raise ValueError(
+                    f"{size}={getattr(self, size)}, {ways}={getattr(self, ways)}: {err}"
+                ) from None
 
     @classmethod
     def scaled(cls, **overrides) -> "MachineConfig":

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .address import ADDR_DTYPE
+from .address import ADDR_DTYPE, pow2_floor
 from .vecsim import fold_shards, make_engine
 
 __all__ = ["TLBArray", "TLBStats"]
@@ -40,15 +40,6 @@ def _keys(pids: np.ndarray, vpns: np.ndarray) -> np.ndarray:
     return (pids.astype(ADDR_DTYPE) << _PID_SHIFT) | (
         vpns.astype(ADDR_DTYPE) & _VPN_MASK
     )
-
-
-def _pow2_floor(entries: int) -> int:
-    """Round ``entries`` down to a power of two.
-
-    Lets capacity-equivalent configs (e.g. the Ryzen 3600X's 64 +
-    2048-entry L1/L2 dTLBs) be requested loosely.
-    """
-    return 1 << (int(entries).bit_length() - 1)
 
 
 @dataclass
@@ -94,7 +85,7 @@ class TLBArray:
         if n_cpus < 1:
             raise ValueError(f"n_cpus must be >= 1, got {n_cpus}")
         self.n_cpus = n_cpus
-        self.entries = _pow2_floor(entries)
+        self.entries = pow2_floor(entries)
         self._engine = make_engine(
             self.entries, ways, exact_assoc=exact_assoc, shards=n_cpus
         )

@@ -5,6 +5,7 @@ The key invariant: ``VectorDirectMapped`` is bit-for-bit equivalent to
 batch boundaries, flushes and fills.
 """
 
+import re
 from collections import OrderedDict
 
 import numpy as np
@@ -170,6 +171,33 @@ class TestMakeEngine:
             with pytest.raises(ValueError, match="exact_assoc"):
                 Machine(MachineConfig.scaled(**{field: 4}))
         Machine(MachineConfig.scaled(exact_assoc=True, tlb_ways=4, cache_ways=4))
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"l1_bytes": 32}, "l1_bytes=32, cache_ways=1: 0 entries"),
+            ({"l2_bytes": 0}, "l2_bytes=0, cache_ways=1: 0 entries"),
+            ({"llc_bytes": -64}, "llc_bytes=-64, cache_ways=1: -1 entries"),
+            ({"tlb_entries": 0}, "tlb_entries=0, tlb_ways=1: 0 entries"),
+            (
+                {"exact_assoc": True, "cache_ways": 256},
+                "l1_bytes=8192, cache_ways=256: capacity 128 is not divisible",
+            ),
+            (
+                {"exact_assoc": True, "tlb_ways": 3},
+                "tlb_entries=256, tlb_ways=3: capacity 256 is not divisible",
+            ),
+            ({"exact_assoc": True, "cache_ways": 0}, "cache_ways=0: ways must be >= 1"),
+            ({"tlb_ways": 2}, "tlb_ways=2: ways=2 needs exact_assoc"),
+        ],
+    )
+    def test_geometry_errors_name_their_field(self, fields, named):
+        # They used to be "negative shift count", or a capacity error
+        # that named no level.
+        from repro.memsim import Machine, MachineConfig
+
+        with pytest.raises(ValueError, match=re.escape(named)):
+            Machine(MachineConfig.scaled(**fields))
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,11 @@ masks, flush counts, ``contains``/``contains_any`` masks, occupancy.
 Coverage axes:
 
 * geometry — ``nsets`` x ``ways`` x ``shards``, down to the degenerate
-  one-set engine (pure LRU) where the rounds loop's scalar tail does
-  all the work;
+  one-set engine (pure LRU), with ``ways`` from 1 to 16;
+* the set-associative look-back — rows deep enough for the scalar tail
+  beside rows the vector passes decide, rows cut by block boundaries,
+  holes left by shootdowns, the extreme keys, one-access batches and a
+  pickled engine;
 * operation mix — interleaved ``access``/``fill``/``flush_keys``/
   ``flush_where``/``contains``/``flush``, including eviction-heavy
   traces (universe >> capacity) and shootdown-heavy mixes;
@@ -21,11 +24,14 @@ Coverage axes:
 """
 
 import pickle
+import sys
+import threading
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from repro.memsim import vecsim
 from repro.memsim.vecsim import VectorDirectMapped, VectorSetAssoc
 
 from .reference import SequentialSetAssoc
@@ -104,8 +110,8 @@ class TestSetAssocEquivalence:
 
     @pytest.mark.parametrize("ways", [1, 2, 4, 8])
     def test_single_set_alternation(self, ways):
-        # One set, keys cycling just past capacity: worst-case LRU churn
-        # resolved almost entirely by the scalar-tail path.
+        # One set, keys cycling just past capacity: worst-case LRU churn,
+        # every touch a miss found ``ways`` keys back.
         rng = np.random.default_rng(ways)
         vec = VectorSetAssoc(1, ways)
         seq = SequentialSetAssoc(1, ways)
@@ -116,9 +122,8 @@ class TestSetAssocEquivalence:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_uneven_segments_over_many_rows(self, seed):
-        # Skewed touch counts over hundreds of rows: vector rounds over
-        # the longest-first prefix still live, then the scalar tail;
-        # halfway the engine is pickled, which drops the round scratch.
+        # Skewed touch counts over hundreds of rows, one hot row holding
+        # most of a batch; halfway the engine is pickled.
         rng = np.random.default_rng(seed)
         vec = VectorSetAssoc(128, 4, shards=2)
         seq = SequentialSetAssoc(128, 4, shards=2)
@@ -147,6 +152,157 @@ class TestSetAssocEquivalence:
         for _ in range(10):
             keys = rng.integers(0, 32, int(rng.integers(0, 50))).astype(np.uint64)
             np.testing.assert_array_equal(vec.access(keys), seq.access(keys))
+
+
+class TestLookBack:
+    """Cases the set-associative engine's look-back treats specially,
+    each held to the reference."""
+
+    @staticmethod
+    def _tail_rows(monkeypatch):
+        """Rows handed to the scalar tail, call by call."""
+        calls = []
+        replay = VectorSetAssoc._replay_segments
+
+        def counted(self, rows, *args):
+            calls.append(rows.tolist())
+            return replay(self, rows, *args)
+
+        monkeypatch.setattr(VectorSetAssoc, "_replay_segments", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_deep_rows_beside_decided_rows(self, seed, monkeypatch):
+        # Set 0: a hot pair alternating for longer than the look-back's
+        # depth, a cold key recurring behind it — a hit only a deep look
+        # finds.  Sets 1-3: random keys the vector passes decide.
+        tail = self._tail_rows(monkeypatch)
+        rng = np.random.default_rng(seed)
+        vec, seq = VectorSetAssoc(4, 4), SequentialSetAssoc(4, 4)
+        hot = np.array([4, 8], dtype=np.uint64)  # set 0
+        for _ in range(3):
+            deep = np.concatenate(
+                [np.concatenate(([12], np.tile(hot, 60))) for _ in range(4)]
+            ).astype(np.uint64)
+            other = rng.integers(0, 64, 400).astype(np.uint64) * 4 + np.uint64(1)
+            other += rng.integers(0, 3, 400).astype(np.uint64)
+            keys = np.concatenate((deep, other))
+            keys = keys[np.argsort(rng.random(keys.size), kind="stable")]
+            keys[np.flatnonzero(keys % 4 == 0)] = deep  # set 0 keeps its order
+            np.testing.assert_array_equal(vec.access(keys), seq.access(keys))
+        assert vec.occupancy() == seq.occupancy()
+        assert tail and all(rows == [0] for rows in tail)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_cut_by_block_boundaries(self, seed, monkeypatch):
+        # Tiny blocks: rows are cut mid-run by the touch count and by
+        # the row cap, and each part goes on from the state before it.
+        monkeypatch.setattr(vecsim, "_BLOCK", 37)
+        monkeypatch.setattr(vecsim, "_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(seed)
+        vec = VectorSetAssoc(8, 4, shards=2)
+        seq = SequentialSetAssoc(8, 4, shards=2)
+        _drive(vec, seq, rng, universe=96, steps=10)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_holes_from_a_shootdown(self, position):
+        # Four keys fill one set; shooting one down leaves a hole at its
+        # recency position; the rest keep their order around it.
+        vec, seq = VectorSetAssoc(2, 4), SequentialSetAssoc(2, 4)
+        filled = np.array([2, 4, 6, 8], dtype=np.uint64)
+        np.testing.assert_array_equal(vec.access(filled), seq.access(filled))
+        assert vec.flush_keys(filled[position : position + 1]) == 1
+        seq.flush_keys(filled[position : position + 1])
+        for trace in ([10, 2, 12, 4, 6, 8], [8, 6, 4, 2], [2, 14, 16, 18, 6]):
+            trace = np.array(trace, dtype=np.uint64)
+            np.testing.assert_array_equal(vec.access(trace), seq.access(trace))
+            assert vec.occupancy() == seq.occupancy()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_holes_anywhere(self, seed):
+        rng = np.random.default_rng(seed)
+        vec, seq = VectorSetAssoc(4, 8, shards=3), SequentialSetAssoc(4, 8, shards=3)
+        for step in range(12):
+            keys = rng.integers(0, 80, 200).astype(np.uint64)
+            shard = rng.integers(0, 3, 200)
+            np.testing.assert_array_equal(
+                vec.access(keys, shard), seq.access(keys, shard), err_msg=f"{step}"
+            )
+            doomed = keys[rng.integers(0, keys.size, 6)]
+            assert vec.flush_keys(doomed) == seq.flush_keys(doomed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("ways", [1, 2, 4, 8, 16])
+    def test_ways(self, ways, seed):
+        rng = np.random.default_rng(seed * 100 + ways)
+        vec = VectorSetAssoc(4, ways, shards=2)
+        seq = SequentialSetAssoc(4, ways, shards=2)
+        _drive(vec, seq, rng, universe=8 * ways, steps=10)
+
+    def test_extreme_keys(self):
+        # 0 and 2**64 - 1, beside keys sharing their sets: no key is
+        # special, whatever the engine places between rows.
+        top = 2**64 - 1
+        pool = np.array(
+            [0, top, 2, top - 2, 4, top - 4, 6, top - 6], dtype=np.uint64
+        )
+        vec, seq = VectorSetAssoc(2, 2), SequentialSetAssoc(2, 2)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            keys = pool[rng.integers(0, pool.size, int(rng.integers(1, 40)))]
+            np.testing.assert_array_equal(vec.access(keys), seq.access(keys))
+        assert vec.flush_keys(pool[:2]) == seq.flush_keys(pool[:2])
+        np.testing.assert_array_equal(vec.contains(pool), seq.contains(pool))
+
+    @pytest.mark.parametrize("ways", [1, 4])
+    def test_one_access_batches(self, ways):
+        rng = np.random.default_rng(ways)
+        vec, seq = VectorSetAssoc(2, ways), SequentialSetAssoc(2, ways)
+        for key in rng.integers(0, 4 * ways + 2, 300).astype(np.uint64):
+            keys = np.array([key], dtype=np.uint64)
+            np.testing.assert_array_equal(vec.access(keys), seq.access(keys))
+
+    def test_pickled_mid_stream(self):
+        rng = np.random.default_rng(7)
+        vec, seq = VectorSetAssoc(16, 4, shards=2), SequentialSetAssoc(16, 4, shards=2)
+        for step in range(6):
+            if step in (2, 4):
+                vec = pickle.loads(pickle.dumps(vec))
+            keys = (rng.zipf(1.2, 3000) % 512).astype(np.uint64)
+            shard = rng.integers(0, 2, keys.size)
+            np.testing.assert_array_equal(
+                vec.access(keys, shard), seq.access(keys, shard), err_msg=f"{step}"
+            )
+        assert vec.occupancy() == seq.occupancy()
+
+
+    def test_threads_keep_their_own_arrays(self):
+        # The look-back's working arrays are per thread: engines stepping
+        # on several threads at once (the service's step executor) must
+        # not write into each other's.
+        errors = []
+
+        def run(seed):
+            rng = np.random.default_rng(seed)
+            vec, seq = VectorSetAssoc(8, 4, shards=2), SequentialSetAssoc(8, 4, 2)
+            for step in range(20):
+                keys = rng.integers(0, 96, 500).astype(np.uint64)
+                shard = rng.integers(0, 2, 500)
+                if not np.array_equal(vec.access(keys, shard), seq.access(keys, shard)):
+                    errors.append((seed, step))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(s,)) for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestDirectMappedEquivalence:

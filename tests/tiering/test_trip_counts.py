@@ -14,7 +14,10 @@ the generator's RNG calls (one line-offset draw per run of segments and
 one interleave draw, not one of each per process, before the stream
 builder).  And the epoch is one machine pass: one ``run_batch``, one TLB
 lookup and one call per cache level, with only the walks cut per slice
-(each fails with a machine pass per slice).
+(each fails with a machine pass per slice).  And the exact
+set-associative engine decides a ``gups`` epoch in vector passes, with
+no row replayed one touch at a time (fails with one vector round per
+touch of the busiest set, whose stragglers went to the scalar tail).
 """
 
 from collections import Counter
@@ -24,6 +27,7 @@ import pytest
 from repro.core import TMPConfig
 from repro.memsim import MachineConfig
 from repro.memsim.page_table import PageTable
+from repro.memsim.vecsim import VectorSetAssoc
 from repro.tiering import TieredSimulator
 from repro.tiering.policies import POLICIES
 from repro.workloads import make_workload
@@ -162,6 +166,22 @@ def test_shootdown_reads_the_machines_index(sim, monkeypatch):
     # A mapping retires it.
     sim.machine.mmap(sim.workload.pids[0], 4)
     assert sim.machine.vma_index is not seen[0]
+
+
+def test_exact_engine_replays_no_row_of_a_gups_epoch(monkeypatch):
+    sim = TieredSimulator(
+        make_workload("gups"),
+        POLICIES["history"](),
+        machine_config=MachineConfig.scaled(exact_assoc=True, tlb_ways=4, cache_ways=4),
+        seed=0,
+    )
+    sim.start(init=True)
+    sim.step(1)
+    lookups = count_calls(monkeypatch, VectorSetAssoc, "access")
+    replays = count_calls(monkeypatch, VectorSetAssoc, "_replay_segments")
+    sim.step(1)
+    assert len(lookups) == 4  # the TLB and three cache levels, exact
+    assert replays == []
 
 
 class CountingGenerator:
