@@ -71,7 +71,7 @@ from .tiering import (
 )
 from .workloads import WORKLOAD_NAMES, make_workload, paper_suite
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 __all__ = [
     "AccessBatch",

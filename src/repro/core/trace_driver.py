@@ -1,4 +1,4 @@
-"""TMP's trace driver: IBS/PEBS sample collection and aggregation.
+"""TMP's trace driver: IBS/PEBS/LWP sample collection and aggregation.
 
 Mirrors §III-B.1: the kernel module periodically drains the hardware
 sample buffer, records each sample's addresses and cache status, and
@@ -9,10 +9,13 @@ in the caches gains nothing from migrating to fast memory — while all
 drained samples remain available to callers (e.g. heatmaps of raw
 activity).
 
-The driver is vendor-agnostic: it consumes whichever
-:class:`~repro.memsim.sampling.TraceSampler` the config selects (IBS op
-sampling or PEBS event sampling), which is the interface-stability
-point the paper argues for.
+The driver is vendor-agnostic: it consumes whichever sampler the
+config's ``trace_source`` names (IBS op sampling, PEBS event sampling
+or LWP's per-process rings), which is the interface-stability point the
+paper argues for.  It is also the one place a sampler is armed: the
+machine builds all three disarmed and the driver arms its own (HWPC
+gating toggles it through :attr:`TraceDriver.enabled`), so no buffer
+fills that nothing drains.
 """
 
 from __future__ import annotations
@@ -49,8 +52,7 @@ class TraceDriver:
         self.store = store
         self.stats = TraceDriverStats()
         self._interrupts_seen = self.sampler.stats.interrupts
-        self._enabled = config.trace_enabled
-        self.sampler.enabled = self._enabled
+        self.enabled = config.trace_enabled
 
     @property
     def sampler(self):

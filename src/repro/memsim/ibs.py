@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .events import AccessBatch
-from .sampling import DEFAULT_IBS_PERIOD, TraceSampler
+from .sampling import DEFAULT_IBS_PERIOD, TraceSampler, records_at
 
 __all__ = ["IBSSampler", "DEFAULT_IBS_PERIOD"]
 
@@ -27,14 +27,6 @@ class IBSSampler(TraceSampler):
 
     vendor = "amd"
     name = "ibs"
-
-    def __init__(
-        self,
-        period: int = DEFAULT_IBS_PERIOD,
-        buffer_records: int = 4096,
-        jitter: float = 0.0,
-    ):
-        super().__init__(period=period, buffer_records=buffer_records, jitter=jitter)
 
     def observe(
         self,
@@ -46,11 +38,13 @@ class IBSSampler(TraceSampler):
         data_source: np.ndarray,
     ) -> None:
         """Tag every ``period``-th access of the executed batch."""
+        if not self.enabled:
+            return
         picks = self._select(batch.n)
         if picks.size == 0:
             return
         self._deposit(
-            self._records_at(
+            records_at(
                 batch,
                 picks,
                 op_base=op_base,

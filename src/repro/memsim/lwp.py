@@ -22,26 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import AccessBatch, SampleBatch, concat_samples
+from .sampling import SamplerStats, periodic_picks, positive, records_at
 
-__all__ = ["LWPSampler", "LWPStats"]
-
-
-@dataclass
-class LWPStats:
-    """Cumulative LWP counters (aggregated over processes)."""
-
-    population: int = 0
-    samples: int = 0
-    threshold_interrupts: int = 0
-    #: Records discarded because a ring filled completely before the
-    #: process drained it (the cost of batched collection).
-    dropped: int = 0
-
-    @property
-    def interrupts(self) -> int:
-        """Alias so the vendor-agnostic trace driver reads all samplers
-        uniformly (LWP's interrupts are the threshold signals)."""
-        return self.threshold_interrupts
+__all__ = ["LWPSampler"]
 
 
 @dataclass
@@ -55,6 +38,11 @@ class _Ring:
 class LWPSampler:
     """Per-process op sampling into per-process ring buffers.
 
+    Its :class:`~repro.memsim.sampling.SamplerStats` are aggregated over
+    processes; ``interrupts`` counts threshold signals, ``dropped`` the
+    records discarded because a ring filled completely before its
+    process drained it (the cost of batched collection).
+
     Parameters
     ----------
     period:
@@ -64,6 +52,9 @@ class LWPSampler:
         the ring is drained.
     threshold:
         Fill fraction at which the one-shot interrupt fires.
+    enabled:
+        Armed at construction; :mod:`repro.memsim.sampling` has the
+        arming rule every sampler follows.
     """
 
     vendor = "amd"
@@ -74,25 +65,21 @@ class LWPSampler:
         period: int = 64,
         buffer_records: int = 2048,
         threshold: float = 0.75,
+        *,
+        enabled: bool = True,
     ):
-        if period < 1:
-            raise ValueError(f"period must be >= 1, got {period}")
-        if buffer_records < 1:
-            raise ValueError(f"buffer_records must be >= 1, got {buffer_records}")
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-        self.period = int(period)
-        self.buffer_records = int(buffer_records)
+        self.period = positive("period", period)
+        self.buffer_records = positive("buffer_records", buffer_records)
         self.threshold = float(threshold)
-        self.enabled = True
-        self.stats = LWPStats()
+        self.enabled = enabled
+        self.stats = SamplerStats()
         self._rings: dict[int, _Ring] = {}
 
     def set_period(self, period: int) -> None:
         """Reprogram the sampling period for all processes."""
-        if period < 1:
-            raise ValueError(f"period must be >= 1, got {period}")
-        self.period = int(period)
+        self.period = positive("period", period)
         for ring in self._rings.values():
             ring.countdown = min(ring.countdown, self.period)
 
@@ -113,20 +100,16 @@ class LWPSampler:
         data_source: np.ndarray,
     ) -> None:
         """Feed one executed batch; sampling counts per process."""
-        self.stats.population += batch.n
-        if not self.enabled or batch.n == 0:
+        if not self.enabled:
             return
+        self.stats.population += batch.n
         for pid in np.unique(batch.pid):
             idx = np.flatnonzero(batch.pid == pid)
             ring = self._ring(int(pid))
-            n = idx.size
-            first = ring.countdown - 1
-            if first >= n:
-                ring.countdown -= n
-                continue
-            picks_local = np.arange(first, n, self.period, dtype=np.intp)
-            ring.countdown = self.period - (n - 1 - int(picks_local[-1]))
-            picks = idx[picks_local]
+            local, ring.countdown = periodic_picks(
+                ring.countdown, idx.size, self.period
+            )
+            picks = idx[local]
 
             room = self.buffer_records - ring.pending_n
             if picks.size > room:
@@ -135,16 +118,13 @@ class LWPSampler:
             if picks.size == 0:
                 continue
             ring.pending.append(
-                SampleBatch(
-                    op_idx=np.uint64(op_base) + picks.astype(np.uint64),
-                    cpu=batch.cpu[picks],
-                    pid=batch.pid[picks],
-                    ip=batch.ip[picks],
-                    vaddr=batch.vaddr[picks],
-                    paddr=paddr[picks],
-                    is_store=batch.is_store[picks],
-                    tlb_hit=tlb_hit[picks],
-                    data_source=data_source[picks],
+                records_at(
+                    batch,
+                    picks,
+                    op_base=op_base,
+                    paddr=paddr,
+                    tlb_hit=tlb_hit,
+                    data_source=data_source,
                 )
             )
             ring.pending_n += picks.size
@@ -154,7 +134,7 @@ class LWPSampler:
                 and ring.pending_n >= self.threshold * self.buffer_records
             ):
                 ring.interrupt_raised = True
-                self.stats.threshold_interrupts += 1
+                self.stats.interrupts += 1
 
     def pending(self, pid: int | None = None) -> int:
         """Records awaiting drain (one process, or all)."""

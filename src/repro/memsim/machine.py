@@ -1,7 +1,7 @@
 """Whole-machine assembly: the simulated testbed.
 
 A :class:`Machine` wires together the page tables, TLB + walker, cache
-hierarchy, PMU, trace samplers (IBS and PEBS), PML and BadgerTrap, and
+hierarchy, PMU, trace samplers (IBS, PEBS and LWP), PML and BadgerTrap, and
 executes workload :class:`~repro.memsim.events.AccessBatch` streams
 through them in program order.  Each executed batch yields a
 :class:`BatchResult` carrying the per-access microarchitectural outcome
@@ -82,9 +82,6 @@ class MachineConfig:
     pmu_counters: int = 6
     #: LWP op-sampling period (per-process ring buffers, §II-B).
     lwp_period: int = 64
-    enable_ibs: bool = True
-    enable_pebs: bool = False
-    enable_lwp: bool = False
     enable_pml: bool = False
     #: First VPN handed to auto-placed VMAs, and guard gap between them.
     vma_base_vpn: int = 0x1000
@@ -251,12 +248,10 @@ class Machine:
         )
         self.ptw = PageTableWalker()
         self.pmu = PMU(n_counters=c.pmu_counters)
-        self.ibs = IBSSampler(period=c.ibs_period, jitter=c.ibs_jitter)
-        self.ibs.enabled = c.enable_ibs
-        self.pebs = PEBSSampler(period=c.pebs_period)
-        self.pebs.enabled = c.enable_pebs
-        self.lwp = LWPSampler(period=c.lwp_period)
-        self.lwp.enabled = c.enable_lwp
+        # Built disarmed: TMP's trace driver arms the one it drains.
+        self.ibs = IBSSampler(period=c.ibs_period, jitter=c.ibs_jitter, enabled=False)
+        self.pebs = PEBSSampler(period=c.pebs_period, enabled=False)
+        self.lwp = LWPSampler(period=c.lwp_period, enabled=False)
         self.pml = PMLogger()
         self.pml.enabled = c.enable_pml
         self.badgertrap = BadgerTrap()
@@ -530,7 +525,8 @@ class Machine:
         )
         self.cycles += batch_cycles
 
-        # 7. Trace samplers.
+        # 7. Trace samplers: all three are called (the e2e tracer wraps
+        #    each ``observe``); only an armed one looks at the batch.
         self.ibs.observe(
             batch, op_base=op_base, paddr=paddr, tlb_hit=tlb_hit, data_source=data_source
         )

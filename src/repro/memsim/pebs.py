@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .events import AccessBatch, DataSource
-from .sampling import TraceSampler
+from .sampling import TraceSampler, records_at
 
 __all__ = ["PEBSSampler"]
 
@@ -42,8 +42,10 @@ class PEBSSampler(TraceSampler):
         period: int = DEFAULT_PEBS_PERIOD,
         buffer_records: int = 4096,
         event_source: DataSource = DataSource.MEMORY,
+        *,
+        enabled: bool = True,
     ):
-        super().__init__(period=period, buffer_records=buffer_records)
+        super().__init__(period=period, buffer_records=buffer_records, enabled=enabled)
         self.event_source = DataSource(event_source)
 
     def observe(
@@ -56,13 +58,15 @@ class PEBSSampler(TraceSampler):
         data_source: np.ndarray,
     ) -> None:
         """Count armed-event occurrences; tag every ``period``-th one."""
+        if not self.enabled:
+            return
         event_pos = np.flatnonzero(data_source >= np.uint8(self.event_source))
         picks_in_events = self._select(event_pos.size)
         if picks_in_events.size == 0:
             return
         picks = event_pos[picks_in_events]
         self._deposit(
-            self._records_at(
+            records_at(
                 batch,
                 picks,
                 op_base=op_base,

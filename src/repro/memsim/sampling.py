@@ -1,10 +1,10 @@
-"""Shared machinery for hardware trace samplers (IBS and PEBS).
+"""Shared machinery for hardware trace samplers (IBS, PEBS and LWP).
 
-Both vendors' mechanisms share a shape: a hardware counter ticks on some
-population (retired micro-ops for IBS, a precise event such as LLC
-misses for PEBS); every time it reaches the programmed period the
+The vendors' mechanisms share a shape: a hardware counter ticks on some
+population (retired micro-ops for IBS and LWP, a precise event such as
+LLC misses for PEBS); every time it reaches the programmed period the
 current instruction is *tagged*, a record with addresses and
-cache/TLB status is deposited into a kernel buffer, and a buffer-full
+cache/TLB status is deposited into a buffer, and a buffer-full
 condition interrupts the OS so the driver can drain it (§II-B,
 §III-B.1).
 
@@ -12,6 +12,13 @@ The samplers are fed per-batch by the machine with the already-computed
 per-access metadata, select sample positions vectorized, and maintain
 the inter-batch counter phase so sampling is exact across batch
 boundaries.
+
+One rule holds for every sampler: it records only while armed
+(``enabled``).  A disarmed sampler's ``observe`` returns before it
+looks at the batch, so its counter does not tick and its statistics
+and buffer do not move.  A :class:`~repro.memsim.machine.Machine`
+builds its samplers disarmed; TMP's trace driver arms the one it
+drains.
 """
 
 from __future__ import annotations
@@ -32,10 +39,52 @@ DEFAULT_IBS_PERIOD = 262_144
 class SamplerStats:
     """Cumulative sampler event counters."""
 
-    population: int = 0  # ops (IBS) or events (PEBS) seen
+    population: int = 0  # ops (IBS, LWP) or events (PEBS) seen while armed
     samples: int = 0
-    interrupts: int = 0
+    interrupts: int = 0  # buffer fills (IBS, PEBS), threshold signals (LWP)
     dropped: int = 0  # samples lost to buffer overrun while unserviced
+
+
+def positive(name: str, value: int) -> int:
+    """``value`` as an int: a sampling period or buffer size below 1 is
+    refused."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
+def periodic_picks(countdown: int, n: int, period: int) -> tuple[np.ndarray, int]:
+    """Strict periodic tagging of ``n`` counted items, ``countdown``
+    items before the next tag: the positions tagged (0-based, within
+    the ``n``) and the countdown the next batch starts from."""
+    first = countdown - 1
+    if first >= n:
+        return np.zeros(0, dtype=np.intp), countdown - n
+    picks = np.arange(first, n, period, dtype=np.intp)
+    return picks, period - (n - 1 - int(picks[-1]))
+
+
+def records_at(
+    batch: AccessBatch,
+    picks: np.ndarray,
+    *,
+    op_base: int,
+    paddr: np.ndarray,
+    tlb_hit: np.ndarray,
+    data_source: np.ndarray,
+) -> SampleBatch:
+    """Sample records for batch positions ``picks``."""
+    return SampleBatch(
+        op_idx=np.uint64(op_base) + picks.astype(np.uint64),
+        cpu=batch.cpu[picks],
+        pid=batch.pid[picks],
+        ip=batch.ip[picks],
+        vaddr=batch.vaddr[picks],
+        paddr=paddr[picks],
+        is_store=batch.is_store[picks],
+        tlb_hit=tlb_hit[picks],
+        data_source=data_source[picks],
+    )
 
 
 class TraceSampler:
@@ -50,7 +99,8 @@ class TraceSampler:
         Kernel ring-buffer capacity; each fill costs one interrupt and
         (in the cost model) one drain by the TMP driver.
     enabled:
-        Samplers can be toggled by TMP's HWPC gating at run time.
+        Armed at construction.  The attribute of that name is what TMP's
+        trace driver (and, through it, HWPC gating) toggles at run time.
     """
 
     def __init__(
@@ -59,15 +109,13 @@ class TraceSampler:
         buffer_records: int = 4096,
         jitter: float = 0.0,
         jitter_seed: int = 0x1B5,
+        *,
+        enabled: bool = True,
     ):
-        if period < 1:
-            raise ValueError(f"period must be >= 1, got {period}")
-        if buffer_records < 1:
-            raise ValueError(f"buffer_records must be >= 1, got {buffer_records}")
         if not 0.0 <= jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {jitter}")
-        self.period = int(period)
-        self.buffer_records = int(buffer_records)
+        self.period = positive("period", period)
+        self.buffer_records = positive("buffer_records", buffer_records)
         #: Period randomization: each inter-sample gap is drawn uniformly
         #: from ``[period*(1-jitter), period*(1+jitter)]``.  Real IBS
         #: randomizes the low bits of its current-count register for
@@ -76,7 +124,7 @@ class TraceSampler:
         #: phase-locked accesses.  0 disables (deterministic lockstep).
         self.jitter = float(jitter)
         self._rng = np.random.default_rng(jitter_seed)
-        self.enabled = True
+        self.enabled = enabled
         self.stats = SamplerStats()
         self._countdown = self._next_gap()  # population items until next tag
         self._pending: list[SampleBatch] = []
@@ -91,25 +139,16 @@ class TraceSampler:
 
     def set_period(self, period: int) -> None:
         """Reprogram the sampling period (takes effect immediately)."""
-        if period < 1:
-            raise ValueError(f"period must be >= 1, got {period}")
-        self.period = int(period)
+        self.period = positive("period", period)
         self._countdown = min(self._countdown, self._next_gap())
 
     def _select(self, n_population: int) -> np.ndarray:
         """Positions (0-based, within the population) that get tagged."""
         self.stats.population += n_population
-        if not self.enabled or n_population == 0:
-            # Hardware disabled: counter does not tick.
-            return np.zeros(0, dtype=np.intp)
         if self.jitter <= 0.0:
-            first = self._countdown - 1
-            if first >= n_population:
-                self._countdown -= n_population
-                return np.zeros(0, dtype=np.intp)
-            picks = np.arange(first, n_population, self.period, dtype=np.intp)
-            consumed_after_last = n_population - 1 - int(picks[-1])
-            self._countdown = self.period - consumed_after_last
+            picks, self._countdown = periodic_picks(
+                self._countdown, n_population, self.period
+            )
             return picks
         # Jittered mode: walk gap by gap (cheap — gaps are large).
         picks_list: list[int] = []
@@ -157,26 +196,3 @@ class TraceSampler:
     ) -> None:
         """Feed one executed batch with its per-access metadata."""
         raise NotImplementedError
-
-    def _records_at(
-        self,
-        batch: AccessBatch,
-        picks: np.ndarray,
-        *,
-        op_base: int,
-        paddr: np.ndarray,
-        tlb_hit: np.ndarray,
-        data_source: np.ndarray,
-    ) -> SampleBatch:
-        """Build sample records for batch positions ``picks``."""
-        return SampleBatch(
-            op_idx=np.uint64(op_base) + picks.astype(np.uint64),
-            cpu=batch.cpu[picks],
-            pid=batch.pid[picks],
-            ip=batch.ip[picks],
-            vaddr=batch.vaddr[picks],
-            paddr=paddr[picks],
-            is_store=batch.is_store[picks],
-            tlb_hit=tlb_hit[picks],
-            data_source=data_source[picks],
-        )

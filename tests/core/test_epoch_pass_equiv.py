@@ -81,8 +81,6 @@ def random_config(seed: int) -> dict:
     exact = coin(0.3)
     machine = dict(
         enable_pml=coin(),
-        enable_pebs=coin(),
-        enable_lwp=coin(),
         ibs_jitter=0.3 if coin() else 0.0,
         # One counter for the two gating events: the PMU multiplexes.
         pmu_counters=int(rng.choice([1, 6])),
@@ -210,7 +208,7 @@ def test_the_random_configs_cover_every_axis():
     seen = lambda f: {f(c) for c in CASES}  # noqa: E731
     assert seen(lambda c: c["slices"]) == set(range(1, 8))
     assert seen(lambda c: c["workload"]) == set(WORKLOADS)
-    for key in ("enable_pml", "enable_pebs", "enable_lwp", "exact_assoc"):
+    for key in ("enable_pml", "exact_assoc"):
         assert seen(lambda c: c["machine"].get(key, False)) == {False, True}, key
     assert seen(lambda c: c["machine"]["ibs_jitter"] > 0) == {False, True}
     for key in ("hwpc_gating", "process_filter", "abit_shootdown"):

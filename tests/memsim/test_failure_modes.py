@@ -61,6 +61,7 @@ class TestTranslationFaults:
         a batch whose *second* process faults leaves no A/D bit, TLB
         entry, counter or statistic behind from the first."""
         m = Machine(MachineConfig(total_frames=1 << 10, enable_pml=True))
+        m.ibs.enabled = True  # a bare machine's samplers start disarmed
         v1, v2 = m.mmap(1, 8), m.mmap(2, 8)
         m.run_batch(AccessBatch.from_pages(v1.vpns[:2], pid=1, is_store=True))
 
@@ -122,6 +123,7 @@ class TestDegenerateConfigs:
 class TestSamplerEdgeCases:
     def test_huge_period_never_samples(self):
         m = Machine(MachineConfig(total_frames=1 << 10, ibs_period=1 << 30))
+        m.ibs.enabled = True
         v = m.mmap(1, 8)
         m.run_batch(AccessBatch.from_pages(v.vpns, pid=1))
         assert m.ibs.drain().n == 0
@@ -134,6 +136,7 @@ class TestSamplerEdgeCases:
 
     def test_sampling_across_many_tiny_batches(self):
         m = Machine(MachineConfig(total_frames=1 << 10, ibs_period=3))
+        m.ibs.enabled = True
         v = m.mmap(1, 2)
         for _ in range(10):
             m.run_batch(AccessBatch.from_pages(v.vpns[:1], pid=1))

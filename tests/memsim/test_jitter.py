@@ -104,6 +104,7 @@ class TestJitter:
                     n_cpus=1,
                 )
             )
+            m.ibs.enabled = True  # a bare machine's samplers start disarmed
             vma = m.mmap(1, period)  # one loop iteration = one period
             pages = np.tile(vma.vpns, 2000)  # phase-locked loop
             m.run_batch(AccessBatch.from_pages(pages, pid=1))

@@ -78,19 +78,19 @@ class TestRingSemantics:
         lwp = LWPSampler(period=1, buffer_records=10, threshold=0.5)
         b = _batch(4)
         lwp.observe(b, op_base=0, **_meta(b))
-        assert lwp.stats.threshold_interrupts == 0
+        assert lwp.stats.interrupts == 0
         lwp.observe(b, op_base=4, **_meta(b))  # 8 >= 5: fires once
         lwp.observe(b, op_base=8, **_meta(b))  # still armed: no re-fire
-        assert lwp.stats.threshold_interrupts == 1
+        assert lwp.stats.interrupts == 1
 
     def test_drain_rearms_interrupt(self):
         lwp = LWPSampler(period=1, buffer_records=4, threshold=0.5)
         b = _batch(3)
         lwp.observe(b, op_base=0, **_meta(b))
-        assert lwp.stats.threshold_interrupts == 1
+        assert lwp.stats.interrupts == 1
         lwp.drain_pid(1)
         lwp.observe(b, op_base=3, **_meta(b))
-        assert lwp.stats.threshold_interrupts == 2
+        assert lwp.stats.interrupts == 2
 
     def test_overflow_drops(self):
         lwp = LWPSampler(period=1, buffer_records=5)
@@ -133,7 +133,6 @@ class TestTMPIntegration:
                 l2_bytes=8192,
                 llc_bytes=16384,
                 lwp_period=10,
-                enable_lwp=True,
                 n_cpus=1,
             )
         )

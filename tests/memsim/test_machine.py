@@ -241,6 +241,7 @@ class TestBadgerTrapIntegration:
 class TestSamplerIntegration:
     def test_ibs_samples_flow(self):
         m = small_machine(ibs_period=100)
+        m.ibs.enabled = True  # a bare machine's samplers start disarmed
         v = m.mmap(1, 64)
         rng = np.random.default_rng(3)
         b = AccessBatch.from_pages(rng.choice(v.vpns, 1000), pid=1)

@@ -8,7 +8,7 @@ from repro.memsim import AccessBatch, DataSource, Machine, MachineConfig
 
 
 def _machine(n_cpus=2):
-    return Machine(
+    m = Machine(
         MachineConfig(
             total_frames=1 << 14,
             tlb_entries=16,
@@ -19,6 +19,8 @@ def _machine(n_cpus=2):
             n_cpus=n_cpus,
         )
     )
+    m.ibs.enabled = True  # a bare machine's samplers start disarmed
+    return m
 
 
 @st.composite

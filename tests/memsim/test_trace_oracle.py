@@ -40,7 +40,6 @@ MACHINE = dict(
     l2_bytes=32 << LINE_SHIFT,
     llc_bytes=128 << LINE_SHIFT,
     ibs_period=5,
-    enable_pebs=True,
     pebs_period=3,
 )
 GEOMETRIES = {
@@ -157,6 +156,9 @@ def render(name, geometry, engines=nullcontext):
             tmp_config=TMPConfig(process_filter=False),
         )
     machine = run.machine
+    # The profiler drains IBS; PEBS is armed alongside it by hand and
+    # drained here.
+    machine.pebs.enabled = True
     out = [f"# {name}.trace on the {geometry} geometry; cumulative counts"]
     for _ in workload.epochs:
         record = run.run_epoch()

@@ -121,6 +121,25 @@ class TestProfilingSession:
         s.reconfigure({"trace_sample_period": 8})
         assert s.sim.machine.ibs.period == 8
 
+    def test_only_the_trace_source_fills_a_buffer(self):
+        """A sampler other than ``trace_source`` records nothing, so no
+        buffer fills that nothing drains and the snapshot does not grow
+        with the session's age by the source chosen."""
+        epochs = 100
+        ibs = _session(tmp={"trace_source": "ibs"})
+        ibs.step(epochs)
+        ibs_bytes = len(ibs.snapshot()[1])
+        for source in ("pebs", "lwp"):
+            s = _session(tmp={"trace_source": source})
+            s.step(epochs)
+            m = s.sim.machine
+            pending = {
+                "ibs": m.ibs.pending, "pebs": m.pebs.pending, "lwp": m.lwp.pending()
+            }
+            del pending[source]
+            assert pending == dict.fromkeys(pending, 0), source
+            assert len(s.snapshot()[1]) == pytest.approx(ibs_bytes, rel=0.02), source
+
     def test_reconfigure_rejects_unknown_key(self):
         s = _session()
         with pytest.raises(ServiceError):

@@ -63,11 +63,12 @@ class TestOneCanonicalFormOneCoercion:
     now.  The cache key covers every ``MachineConfig`` field, so it was
     taken again when 0.17.0 removed ``assoc_reference`` (a new key by
     the cache's own rule; until then it was 66a27d31…, also from
-    58f467a)."""
+    58f467a) and when 0.21.0 removed ``enable_ibs`` / ``enable_pebs`` /
+    ``enable_lwp`` (086a26ab… until then)."""
 
     def test_cache_key_is_pinned(self):
         assert cache_key(RecordSpec("gups", epochs=3, seed=0)) == (
-            "086a26ab707992eaace5436b97aea5985d5b376d868dbd71dc784c7276642785"
+            "15b5a5c450aa6687446f0e5692561cf2fc54302b54fc683a2b7c1bdd87e9550e"
         )
 
     def test_config_key_is_pinned(self):

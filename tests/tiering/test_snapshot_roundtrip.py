@@ -16,6 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import TMPConfig
 from repro.core.daemon import TMPDaemon
 from repro.memsim import AccessBatch, MachineConfig
 from repro.memsim.pte import PTE_POISON
@@ -38,12 +39,15 @@ CASES = {
     "exact-assoc-4way": dict(
         workload="gups", machine=dict(exact_assoc=True, tlb_ways=4, cache_ways=4)
     ),
-    "all-samplers-pml-jitter": dict(
-        workload="gups",
-        machine=dict(
-            enable_pebs=True, enable_lwp=True, enable_pml=True, ibs_jitter=0.2
-        ),
-    ),
+    # Each trace source armed in turn (the profiler arms only its own).
+    **{
+        f"trace-{source}-pml-jitter": dict(
+            workload="gups",
+            machine=dict(enable_pml=True, ibs_jitter=0.2),
+            tmp=dict(trace_source=source),
+        )
+        for source in ("ibs", "pebs", "lwp")
+    },
     "gups-thp": dict(workload="gups", workload_kwargs=dict(thp=True)),
 }
 
@@ -56,6 +60,7 @@ def _build(spec):
         workload,
         POLICIES[spec.get("policy", "history")](),
         machine_config=MachineConfig.scaled(ibs_period=16, **spec.get("machine", {})),
+        tmp_config=TMPConfig(**spec.get("tmp", {})),
         seed=3,
         epoch_slices=spec.get("epoch_slices", 1),
     )
