@@ -48,56 +48,36 @@ Quickstart::
         print(record.epoch, report.rank().max())
 """
 
-from .core import (
-    ProfiledRun,
-    RankSource,
-    TMPConfig,
-    TMPDaemon,
-    TMPEpochReport,
-    TMProfiler,
-)
-from .memsim import AccessBatch, DataSource, Machine, MachineConfig
-from .runner import RecordSpec, RunCache, record_suite
-from .tiering import (
-    FCFAPolicy,
-    HistoryPolicy,
-    LatencyModel,
-    OraclePolicy,
-    SimulationResult,
-    TieredSimulator,
-    TrueOraclePolicy,
-    evaluate_recorded,
-    record_run,
-)
-from .workloads import WORKLOAD_NAMES, make_workload, paper_suite
+from ._lazy import lazy_exports
 
 __version__ = "0.21.0"
 
-__all__ = [
-    "AccessBatch",
-    "DataSource",
-    "FCFAPolicy",
-    "HistoryPolicy",
-    "LatencyModel",
-    "Machine",
-    "MachineConfig",
-    "OraclePolicy",
-    "ProfiledRun",
-    "RankSource",
-    "RecordSpec",
-    "RunCache",
-    "record_suite",
-    "SimulationResult",
-    "TMPConfig",
-    "TMPDaemon",
-    "TMPEpochReport",
-    "TMProfiler",
-    "TieredSimulator",
-    "TrueOraclePolicy",
-    "WORKLOAD_NAMES",
-    "__version__",
-    "evaluate_recorded",
-    "make_workload",
-    "paper_suite",
-    "record_run",
-]
+#: Every top-level name, by the subpackage that defines it.  Nothing is
+#: imported until a name is first used.
+_EXPORTS = {
+    "core": (
+        "ProfiledRun",
+        "RankSource",
+        "TMPConfig",
+        "TMPDaemon",
+        "TMPEpochReport",
+        "TMProfiler",
+    ),
+    "memsim": ("AccessBatch", "DataSource", "Machine", "MachineConfig"),
+    "runner": ("RecordSpec", "RunCache", "record_suite"),
+    "tiering": (
+        "FCFAPolicy",
+        "HistoryPolicy",
+        "LatencyModel",
+        "OraclePolicy",
+        "SimulationResult",
+        "TieredSimulator",
+        "TrueOraclePolicy",
+        "evaluate_recorded",
+        "record_run",
+    ),
+    "workloads": ("WORKLOAD_NAMES", "make_workload", "paper_suite"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__.append("__version__")

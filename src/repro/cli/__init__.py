@@ -16,7 +16,6 @@ import argparse
 from typing import Callable, NamedTuple
 
 from . import experiments, ledger, loadtest, serve, simulate
-from .loadtest import _spawn_command  # noqa: F401  (tests import it from here)
 
 __all__ = ["COMMANDS", "build_parser", "main"]
 

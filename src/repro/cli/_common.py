@@ -2,21 +2,15 @@
 several commands take, and the helpers that turn parsed arguments into
 library objects.
 
-``import repro`` has loaded ``core``, ``memsim``, ``runner``, ``tiering``
-and ``workloads`` before any of this runs, so the command modules import
-them at the top; ``analysis``, ``service``, ``ledger`` and ``loadgen`` it
-has not, and those stay inside the handlers that need them.
+Building the parser imports no library package, and so no numpy: the
+command modules import the simulator, the runner, the service and the
+load generator inside the handlers and helpers that use them.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-
-from ..memsim import MachineConfig
-from ..runner import RecordSpec, RunCache
-from ..tiering.policies import resolve_policy
-from ..workloads import WORKLOAD_NAMES, resolve_workload
 
 
 def _int_at_least(minimum: int):
@@ -58,21 +52,29 @@ def workload_flags(p: argparse.ArgumentParser) -> None:
 
 
 def machine_config(args):
+    from ..memsim import MachineConfig
+
     return MachineConfig.scaled(ibs_period=args.ibs_period)
 
 
 def record_spec(args, name: str):
+    from ..runner import RecordSpec
+
     return RecordSpec(
         name, machine_config=machine_config(args), epochs=args.epochs, seed=args.seed
     )
 
 
 def workload(args):
+    from ..workloads import resolve_workload
+
     return resolve_workload(args.workload, error=SystemExit)()
 
 
 def workload_names(args) -> list[str]:
     """Resolve the workload positional, allowing ``all`` for the suite."""
+    from ..workloads import WORKLOAD_NAMES, resolve_workload
+
     if args.workload == "all":
         return list(WORKLOAD_NAMES)
     resolve_workload(args.workload, error=SystemExit, also=("all",))
@@ -80,9 +82,13 @@ def workload_names(args) -> list[str]:
 
 
 def policy_class(name: str):
+    from ..tiering.policies import resolve_policy
+
     return resolve_policy(name, error=SystemExit)
 
 
 def run_cache(args):
+    from ..runner import RunCache
+
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
     return RunCache(cache_dir) if cache_dir else None

@@ -4,9 +4,6 @@ fan-out (``--jobs``) over a content-addressed recording cache
 
 from pathlib import Path
 
-from ..runner import GridCell, evaluate_grid, get_or_record, record_suite
-from ..tiering import load_recorded, save_recorded
-from ..workloads import WORKLOAD_NAMES
 from ._common import (
     nonnegative_int,
     policy_class,
@@ -71,6 +68,9 @@ def record_flags(p) -> None:
 
 
 def record(args) -> int:
+    from ..runner import record_suite
+    from ..tiering import save_recorded
+
     names = workload_names(args)
     runs = record_suite(
         [record_spec(args, name) for name in names],
@@ -122,6 +122,10 @@ def evaluate_flags(p) -> None:
 
 
 def evaluate(args) -> int:
+    from ..runner import GridCell, evaluate_grid, get_or_record
+    from ..tiering import load_recorded
+    from ..workloads import WORKLOAD_NAMES
+
     policies = args.policy.split(",")
     sources = args.source.split(",")
     try:

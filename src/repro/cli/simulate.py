@@ -3,14 +3,13 @@ process, printed as it runs."""
 
 import math
 
-from ..core import ProfiledRun, TMPConfig, TMPDaemon
-from ..tiering import TieredSimulator, record_run
-from ..tiering.policies import POLICIES, FCFAPolicy
-from ..workloads import WORKLOADS, make_workload
 from ._common import machine_config, policy_class, workload, workload_flags
 
 
 def list_(args) -> int:
+    from ..tiering.policies import POLICIES
+    from ..workloads import WORKLOADS, make_workload
+
     print("workloads (Table III):")
     for name in WORKLOADS:
         w = make_workload(name)
@@ -39,6 +38,8 @@ def profile_flags(p) -> None:
 
 
 def profile(args) -> int:
+    from ..core import ProfiledRun, TMPConfig, TMPDaemon
+
     wl = workload(args)
     cfg = TMPConfig(
         abit_enabled=not args.no_abit,
@@ -85,6 +86,9 @@ def tier_flags(p) -> None:
 
 
 def tier(args) -> int:
+    from ..tiering import TieredSimulator
+    from ..tiering.policies import FCFAPolicy
+
     def run(policy, **kw):
         return TieredSimulator(
             workload(args),
@@ -125,6 +129,7 @@ def heatmap_flags(p) -> None:
 def heatmap(args) -> int:
     from ..analysis import heatmap_from_profiles, render_heatmap
     from ..analysis.heatmap import heatmap_from_epoch_samples
+    from ..tiering import record_run
 
     rec = record_run(
         workload(args),

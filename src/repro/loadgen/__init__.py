@@ -36,16 +36,12 @@ See ``docs/performance.md`` ("Load testing") for the report format and
 (per-tenant quotas, the in-flight step limit, idle eviction goodbyes).
 """
 
-from .aioclient import AsyncServiceClient
-from .generator import LoadTestConfig, run_load_test, run_load_test_async
-from .report import LatencyRecorder, evaluate_slo, write_report
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AsyncServiceClient",
-    "LatencyRecorder",
-    "LoadTestConfig",
-    "evaluate_slo",
-    "run_load_test",
-    "run_load_test_async",
-    "write_report",
-]
+_EXPORTS = {
+    "aioclient": ("AsyncServiceClient",),
+    "generator": ("LoadTestConfig", "run_load_test", "run_load_test_async"),
+    "report": ("LatencyRecorder", "evaluate_slo", "write_report"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

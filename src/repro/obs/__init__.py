@@ -30,35 +30,23 @@ the benchmark suite uses it to prove instrumentation overhead stays
 under 3 %.
 """
 
-from .http import MetricsHTTPServer, PROMETHEUS_CONTENT_TYPE
-from .log import JsonLogger, configure as configure_logging, get_logger
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    configure as configure_metrics,
-    default_registry,
-    merge_snapshots,
-    render_prometheus,
-    set_default_registry,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "JsonLogger",
-    "MetricsHTTPServer",
-    "MetricsRegistry",
-    "PROMETHEUS_CONTENT_TYPE",
-    "configure_logging",
-    "configure_metrics",
-    "default_registry",
-    "get_logger",
-    "merge_snapshots",
-    "render_prometheus",
-    "set_default_registry",
-]
+_EXPORTS = {
+    "http": ("MetricsHTTPServer", "PROMETHEUS_CONTENT_TYPE"),
+    "log": ("JsonLogger", "configure_logging=configure", "get_logger"),
+    "metrics": (
+        "DEFAULT_BUCKETS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "configure_metrics=configure",
+        "default_registry",
+        "merge_snapshots",
+        "render_prometheus",
+        "set_default_registry",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

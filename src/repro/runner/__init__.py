@@ -18,28 +18,20 @@ See ``docs/performance.md`` for cache-key composition, invalidation
 rules, and the ``REPRO_CACHE_DIR`` / ``REPRO_JOBS`` knobs.
 """
 
-from .cache import RunCache, cache_key
-from .executor import (
-    GridCell,
-    RecordSpec,
-    evaluate_grid,
-    evaluate_grids,
-    get_or_record,
-    record_suite,
-    resolve_jobs,
-)
-from .metrics import RunnerMetrics, StageEvent
+from .._lazy import lazy_exports
 
-__all__ = [
-    "GridCell",
-    "RecordSpec",
-    "RunCache",
-    "RunnerMetrics",
-    "StageEvent",
-    "cache_key",
-    "evaluate_grid",
-    "evaluate_grids",
-    "get_or_record",
-    "record_suite",
-    "resolve_jobs",
-]
+_EXPORTS = {
+    "cache": ("RunCache", "cache_key"),
+    "executor": (
+        "GridCell",
+        "RecordSpec",
+        "evaluate_grid",
+        "evaluate_grids",
+        "get_or_record",
+        "record_suite",
+        "resolve_jobs",
+    ),
+    "metrics": ("RunnerMetrics", "StageEvent"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

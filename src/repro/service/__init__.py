@@ -51,24 +51,15 @@ snapshot merged across the parent and every worker process, and
 Prometheus text format.  See ``docs/observability.md``.
 """
 
-from .client import ServiceClient
-from .manager import SessionManager
-from .protocol import ErrorCode, ServiceError
-from .server import ServerThread, ServiceServer
-from .session import ProfilingSession, SessionBase, SubscriberQueue
-from .workers import RemoteSession, WorkerPool, resolve_workers
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ErrorCode",
-    "ProfilingSession",
-    "RemoteSession",
-    "ServerThread",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "SessionBase",
-    "SessionManager",
-    "SubscriberQueue",
-    "WorkerPool",
-    "resolve_workers",
-]
+_EXPORTS = {
+    "client": ("ServiceClient",),
+    "manager": ("SessionManager",),
+    "protocol": ("ErrorCode", "ServiceError"),
+    "server": ("ServerThread", "ServiceServer"),
+    "session": ("ProfilingSession", "SessionBase", "SubscriberQueue"),
+    "workers": ("RemoteSession", "WorkerPool", "resolve_workers"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

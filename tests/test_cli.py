@@ -1,8 +1,25 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import _spawn_command, build_parser, main
+import repro
+from repro.cli import build_parser, main
+from repro.cli.loadtest import _spawn_command
+
+
+def test_importing_main_module_runs_nothing():
+    # Tools that import every submodule import ``repro.__main__`` too; it
+    # must not parse their argv and exit.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import repro.__main__"],
+        cwd=Path(repro.__file__).parents[1],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestParser:

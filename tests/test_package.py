@@ -1,10 +1,14 @@
-"""Public API surface tests."""
+"""Public API surface tests, and what importing a process's stack loads."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro._lazy import exported_names
 
 SUBPACKAGES = [
     "repro.memsim",
@@ -16,6 +20,11 @@ SUBPACKAGES = [
     "repro.cli",
 ]
 
+#: Packages whose public names resolve on first access (``repro._lazy``).
+LAZY_PACKAGES = ["repro", "repro.obs", "repro.service", "repro.loadgen", "repro.runner"]
+
+PACKAGES = SUBPACKAGES + LAZY_PACKAGES + ["repro.ledger"]
+
 
 class TestSurface:
     def test_version(self):
@@ -25,11 +34,33 @@ class TestSurface:
     def test_subpackages_importable(self, module):
         importlib.import_module(module)
 
-    @pytest.mark.parametrize("module", SUBPACKAGES[:-1] + ["repro"])
+    @pytest.mark.parametrize("module", PACKAGES)
     def test_all_names_resolve(self, module):
         mod = importlib.import_module(module)
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{module}.__all__ lists missing {name!r}"
+
+    @pytest.mark.parametrize("module", PACKAGES)
+    def test_dir_lists_all(self, module):
+        mod = importlib.import_module(module)
+        assert set(mod.__all__) <= set(dir(mod))
+
+    @pytest.mark.parametrize("module", PACKAGES)
+    def test_star_import(self, module):
+        namespace = {}
+        exec(f"from {module} import *", namespace)
+        assert set(importlib.import_module(module).__all__) <= namespace.keys()
+
+    @pytest.mark.parametrize("module", LAZY_PACKAGES)
+    def test_lazy_names_are_the_submodules_objects(self, module):
+        mod = importlib.import_module(module)
+        table = list(exported_names(mod._EXPORTS))
+        assert {public for public, _, _ in table} == set(mod.__all__) - {"__version__"}
+        for public, submodule, attr in table:
+            defining = importlib.import_module(f"{module}.{submodule}")
+            assert getattr(mod, public) is getattr(defining, attr), public
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(mod, "no_such_name")
 
     def test_top_level_quickstart_names(self):
         # The README quickstart's imports must keep working.
@@ -76,3 +107,55 @@ class TestSurface:
 
         for cls in POLICIES.values():
             assert cls().name == cls.name
+
+
+def _loaded_by(program: str) -> set[str]:
+    """Module names a fresh interpreter holds after running ``program``."""
+    out = subprocess.run(
+        [sys.executable, "-c", program + "\nimport sys; print(*sys.modules)"],
+        cwd=Path(repro.__file__).parents[1],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return set(out.stdout.split())
+
+
+class TestImportFootprint:
+    """Each process imports what it runs.  Names only, no timings."""
+
+    def test_sim_stack_loads_no_service_runner_or_ledger(self):
+        # What benchmarks/e2e/sim_child.py imports to step one simulator.
+        loaded = _loaded_by(
+            "import repro.memsim, repro.core, repro.tiering, "
+            "repro.tiering.policies, repro.workloads, repro.service.telemetry, "
+            "repro.loadgen.report"
+        )
+        assert "repro.tiering.simulator" in loaded
+        assert not loaded & {
+            "asyncio",
+            "http.server",
+            "socket",
+            "multiprocessing",
+            "concurrent.futures.process",
+            "repro.service.server",
+            "repro.service.workers",
+            "repro.runner.executor",
+            "repro.loadgen.aioclient",
+            "repro.ledger",
+        }
+
+    def test_worker_loads_no_server_runner_or_loadgen(self):
+        # What a spawned pool worker imports before its command loop.
+        loaded = _loaded_by("import repro.service.workers")
+        assert "repro.service.workers" in loaded
+        assert not loaded & {
+            "asyncio",
+            "http.server",
+            "repro.service.server",
+            "repro.runner",
+            "repro.loadgen",
+        }
+
+    def test_cli_parser_loads_no_numpy(self):
+        loaded = _loaded_by("import repro.cli; repro.cli.build_parser()")
+        assert "argparse" in loaded
+        assert "numpy" not in loaded
