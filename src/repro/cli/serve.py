@@ -38,7 +38,8 @@ def flags(p) -> None:
     p.add_argument(
         "--workers", type=nonnegative_int, default=None, metavar="N",
         help="sticky session worker processes (0 = step in-process; "
-        "default: $REPRO_SERVICE_WORKERS or the core count)",
+        "default: $REPRO_SERVICE_WORKERS or the usable CPU count, "
+        "0 when that is 1)",
     )
     p.add_argument(
         "--metrics-port", type=nonnegative_int, default=None, metavar="PORT",

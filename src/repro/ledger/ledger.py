@@ -209,15 +209,24 @@ class Ledger:
             return None
         return meta
 
-    def list_sessions(self) -> list[dict]:
-        """Every session ledger under the root, with summary stats."""
-        out = []
+    def _session_dirs(self):
+        """``(directory, meta)`` of each session directory under the
+        root that holds a readable ``meta.json``, in name order."""
         for directory in sorted(self.root.iterdir()):
             if not directory.is_dir() or not _SESSION_ID.fullmatch(directory.name):
                 continue
             meta = self.load_meta(directory.name)
-            if meta is None:
-                continue
+            if meta is not None:
+                yield directory, meta
+
+    def count_sessions(self) -> int:
+        """How many session ledgers the root holds, opening none."""
+        return sum(1 for _ in self._session_dirs())
+
+    def list_sessions(self) -> list[dict]:
+        """Every session ledger under the root, with summary stats."""
+        out = []
+        for directory, meta in self._session_dirs():
             ledger = self._make(directory)
             try:
                 stats = ledger.stats()

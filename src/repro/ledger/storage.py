@@ -3,35 +3,49 @@
 A :class:`SessionLedger` owns a directory of JSONL segment files::
 
     meta.json                    # recorded config + provenance key
-    seg-0000000000.jsonl         # records seq 0..k-1   (sealed)
-    seg-0000000000.idx           # byte offsets sidecar  (sealed)
+    seg-0000000000.jsonl         # records seq 0..136       (sealed)
+    seg-0000000000.idx           # their byte offsets       (sealed)
     seg-0000000137.jsonl         # the active tail segment
-    carried.json                 # what retention dropped, carried forward
+    carried.json                 # summary of every record below through_seq
 
 Each record is one JSON line ``{"seq": n, "event": "...", "data":
 {...}, "unix": t}``.  Segments are named by the first seq they hold,
 so seek-by-seq is a bisect over the sorted segment list (O(log n))
-followed by an O(1) offset lookup in the sealed segment's ``.idx``
-sidecar; only the bounded active segment is ever scanned linearly.
+followed by an O(1) lookup in the sealed segment's ``.idx``
+(``{"offsets": [...]}``, one byte offset per record and nothing else);
+a segment without a usable ``.idx`` is skipped through line by line.
 
-Durability follows the recorded-run cache's discipline via
-:mod:`repro.ioutil`: sidecars and meta are written atomically, and a
-torn tail (process killed mid-append) is detected on reopen and
-truncated away — corruption is a miss, never an error.  The fsync
-policy is configurable: ``"rotate"`` (default) syncs a segment once
-when it seals, ``"always"`` syncs every append, ``"never"`` leaves
-durability to the OS.
+``carried.json`` is the ledger's one summary, ``{"epochs",
+"reconfigured", "through_seq"}``: how many records below
+``through_seq`` are epochs, and every ``reconfigured`` payload among
+them with its seq — what a rebuild needs.  Sealing a segment fsyncs
+it, writes its ``.idx``, then atomically rewrites the summary to cover
+it, so :attr:`~SessionLedger.epoch_count` and
+:attr:`~SessionLedger.reconfigured` describe the session's whole life
+whatever retention has removed.  Opening a ledger reads the summary,
+takes a covered segment's record count from the next segment's first
+seq and its size from ``stat``, and decodes only the segments at or
+past ``through_seq``: the active one, plus any that a crash sealed
+before the summary was written.
 
-Retention is size/age based: :meth:`compact` (called opportunistically
-on rotation) unlinks the oldest *sealed* segments while the session
-exceeds ``retention_bytes`` or segments are older than
-``retention_age_s``; :attr:`first_seq` then reports the oldest record
-still replayable so readers can account the gap as drops.  What a
-rebuild needs from the dropped records — how many were epochs, and the
-``reconfigured`` payloads with their seqs — is carried forward in
-``carried.json`` before the unlink, so :attr:`epoch_count` and
-:attr:`reconfigured` describe the session's whole life whatever
-retention has removed.
+Opening a ledger only reads.  A torn tail (process killed mid-append)
+just ends the records a reader sees; the writer's first
+:meth:`~SessionLedger.append_many` truncates it before writing — the
+one repair, and only the writer makes it.  Sidecars, the summary and
+meta are written atomically via :mod:`repro.ioutil`.  The fsync policy
+is configurable: ``"rotate"`` (default) syncs a segment once when it
+seals, ``"always"`` syncs every append, ``"never"`` leaves durability
+to the OS.
+
+Retention is size/age based and only unlinks: :meth:`~SessionLedger
+.compact` (called on rotation) drops the oldest sealed segments while
+the sealed ones hold more than ``retention_bytes`` or are older than
+``retention_age_s``.  The summary already covers them, and
+:attr:`~SessionLedger.first_seq` then reports the oldest record still
+replayable so readers can account the gap as drops.  Opening a ledger
+applies the same rule without unlinking, so a crash part-way through
+the unlinks opens to the same ``first_seq`` as a finished compaction;
+the writer unlinks what is left at its next compaction.
 """
 
 from __future__ import annotations
@@ -57,8 +71,9 @@ DEFAULT_SEGMENT_BYTES = 1 << 18
 
 _FSYNC_POLICIES = ("always", "rotate", "never")
 
-#: What retention dropped, carried forward (see the module docstring).
-_CARRIED_NAME = "carried.json"
+#: The summary of every record below its ``through_seq`` (see the
+#: module docstring).
+_SUMMARY_NAME = "carried.json"
 
 
 def _registry():
@@ -106,35 +121,27 @@ def _split_record(line: bytes):
 
 
 class _Segment:
-    """Bookkeeping for one sealed or active segment file.
+    """One segment file: which seqs it holds and how many bytes.
 
-    ``epochs``, ``reconfigured`` and ``offsets`` are tracked
-    incrementally as records append, so sealing a segment writes its
-    sidecar from memory instead of re-reading the whole file to
-    count/locate records.  Sealed segments recovered from a healthy
-    sidecar keep ``offsets`` empty — the on-disk index already holds
-    them.
+    ``offsets`` (each record's byte offset) is kept only while the
+    segment is active, tracked as records append so sealing writes the
+    ``.idx`` without re-reading the file; it is dropped once the
+    ``.idx`` is written, since readers seek through the file on disk.
     """
 
     def __init__(
         self,
         path: Path,
         first_seq: int,
-        count: int,
-        nbytes: int,
-        epochs: int = 0,
+        count: int = 0,
+        nbytes: int = 0,
         offsets: list[int] | None = None,
-        reconfigured: list[dict] | None = None,
     ):
         self.path = path
         self.first_seq = first_seq
         self.count = count
         self.nbytes = nbytes
-        self.epochs = epochs
-        self.offsets: list[int] = [] if offsets is None else offsets
-        #: ``{"seq", "changes", "epochs_run"}`` of each ``reconfigured``
-        #: record held: what a rebuild re-applies (see ``carried.json``).
-        self.reconfigured: list[dict] = [] if reconfigured is None else reconfigured
+        self.offsets = offsets
 
     @property
     def end_seq(self) -> int:
@@ -176,110 +183,113 @@ class SessionLedger:
         self._lock = threading.Lock()
         self._sealed: list[_Segment] = []
         self._active: _Segment | None = None
+        #: Segments retention dropped when the ledger was opened whose
+        #: files are still on disk; the next compaction unlinks them.
+        self._expired: list[_Segment] = []
         #: Opened lazily on first append, so read-only uses (listing,
-        #: replay) never touch the filesystem beyond recovery scans.
+        #: replay) never write to the directory.
         self._fh: io.BufferedWriter | None = None
         self._closed = False
         self.next_seq = 0
         #: Count of ``epoch`` records ever appended (survives reopen and
         #: retention) — the epoch a rebuild of this session must reach.
         self.epoch_count = 0
-        #: What retention has dropped so far: ``epochs`` records that
-        #: were epochs, their ``reconfigured`` payloads, and
-        #: ``through_seq``, one past the last seq dropped.
-        self._carried = {"epochs": 0, "reconfigured": [], "through_seq": 0}
+        #: ``{"seq", "changes", "epochs_run"}`` of every ``reconfigured``
+        #: record ever appended: what a rebuild re-applies.
+        self._reconfigured: list[dict] = []
         self._recover()
 
     # ----------------------------------------------------------- recovery
 
     def _recover(self) -> None:
-        """Rebuild in-memory state from disk, truncating any torn tail."""
-        self._load_carried()
-        self.epoch_count = self._carried["epochs"]
-        paths = []
-        for path in sorted(self.directory.glob("seg-*.jsonl")):
+        """Rebuild in-memory state from disk, writing nothing."""
+        summary = self._load_summary()
+        through_seq = summary["through_seq"]
+        self.epoch_count = summary["epochs"]
+        self._reconfigured = summary["reconfigured"]
+        chain = []
+        for path in self.directory.glob("seg-*.jsonl"):
             try:
-                first_seq = int(path.stem.split("-", 1)[1])
+                chain.append((int(path.stem.split("-", 1)[1]), path))
             except (IndexError, ValueError):
                 continue
-            if first_seq < self._carried["through_seq"]:
-                # Carried forward, then the process died before the
-                # unlink: finish the compaction instead of counting the
-                # segment's records twice.
-                self._unlink_segment(path)
-                continue
-            paths.append((path, first_seq))
-        for i, (path, first_seq) in enumerate(paths):
-            sidecar = self._load_sidecar(path, first_seq)
-            if sidecar is not None and i < len(paths) - 1:
-                # Sealed segment with a healthy index: trust it.
-                seg = _Segment(
-                    path,
-                    first_seq,
-                    sidecar["count"],
-                    sidecar["bytes"],
-                    epochs=sidecar["epochs"],
-                    reconfigured=sidecar["reconfigured"],
+        chain.sort()
+        for i, (first_seq, path) in enumerate(chain):
+            last = i == len(chain) - 1
+            if first_seq < through_seq:
+                # Covered by the summary: nothing in it needs decoding.
+                end_seq = through_seq if last else chain[i + 1][0]
+                try:
+                    nbytes = path.stat().st_size
+                except FileNotFoundError:  # compacted since the glob
+                    continue
+                self._sealed.append(
+                    _Segment(path, first_seq, end_seq - first_seq, nbytes)
                 )
-                self._sealed.append(seg)
-                self.epoch_count += seg.epochs
-                self.next_seq = seg.end_seq
-                continue
-            # Tail segment (or sealed one missing its sidecar): scan it
-            # line by line and truncate at the first torn/misnumbered
-            # record — everything before the tear is still good.
-            good_bytes = 0
-            count = 0
-            epochs = 0
-            offsets: list[int] = []
-            reconfigured: list[dict] = []
-            with open(path, "rb") as fh:
-                for line in fh:
-                    if not line.endswith(b"\n"):
-                        break
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        break
-                    if record.get("seq") != first_seq + count:
-                        break
-                    offsets.append(good_bytes)
-                    good_bytes += len(line)
-                    count += 1
-                    if record.get("event") == "epoch":
-                        epochs += 1
-                    elif record.get("event") == "reconfigured":
-                        reconfigured.append(
-                            {"seq": record["seq"], **record["data"]}
-                        )
-            if good_bytes < path.stat().st_size:
-                with open(path, "rb+") as fh:
-                    fh.truncate(good_bytes)
-            seg = _Segment(
-                path,
-                first_seq,
-                count,
-                good_bytes,
-                epochs=epochs,
-                offsets=offsets,
-                reconfigured=reconfigured,
-            )
-            self.epoch_count += epochs
-            self.next_seq = seg.end_seq
-            if i < len(paths) - 1:
-                # An interior segment without an index: reseal it so
-                # later seeks stay O(1).
-                self._write_sidecar(seg)
-                self._sealed.append(seg)
+            elif last:
+                self._active = self._scan(path, first_seq)
             else:
-                self._active = seg
+                seg = self._scan(path, first_seq)
+                seg.offsets = None
+                self._sealed.append(seg)
         if self._active is None:
             self._active = _Segment(
-                self.directory / _segment_name(self.next_seq),
-                self.next_seq,
-                0,
-                0,
+                self.directory / _segment_name(through_seq), through_seq, offsets=[]
             )
+        self.next_seq = self._active.end_seq
+        self._expired = self._expire()
+
+    def _scan(self, path: Path, first_seq: int) -> _Segment:
+        """Decode a segment the summary does not cover, counting its
+        epochs and reconfigures; the records end at the first torn or
+        misnumbered line."""
+        nbytes = 0
+        offsets: list[int] = []
+        with open(path, "rb") as fh:
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    break
+                if record.get("seq") != first_seq + len(offsets):
+                    break
+                offsets.append(nbytes)
+                nbytes += len(line)
+                if record.get("event") == "epoch":
+                    self.epoch_count += 1
+                elif record.get("event") == "reconfigured":
+                    self._reconfigured.append(
+                        {"seq": record["seq"], **record["data"]}
+                    )
+        return _Segment(path, first_seq, len(offsets), nbytes, offsets)
+
+    def _load_summary(self) -> dict:
+        """Read ``carried.json``; absent means no segment ever sealed."""
+        try:
+            summary = json.loads((self.directory / _SUMMARY_NAME).read_text())
+            return {
+                "epochs": int(summary["epochs"]),
+                "reconfigured": list(summary["reconfigured"]),
+                "through_seq": int(summary["through_seq"]),
+            }
+        except (OSError, ValueError, KeyError, TypeError):
+            return {"epochs": 0, "reconfigured": [], "through_seq": 0}
+
+    def _write_summary(self) -> None:
+        """Cover every record appended so far (lock held, between batches)."""
+        blob = json.dumps(
+            {
+                "epochs": self.epoch_count,
+                "reconfigured": self._reconfigured,
+                "through_seq": self.next_seq,
+            },
+            separators=(",", ":"),
+        ).encode()
+        atomic_write_bytes(
+            self.directory / _SUMMARY_NAME, blob, durable=self.fsync != "never"
+        )
 
     # ------------------------------------------------------------ sidecars
 
@@ -287,50 +297,25 @@ class SessionLedger:
     def _sidecar_path(path: Path) -> Path:
         return path.with_suffix(".idx")
 
-    def _load_sidecar(self, path: Path, first_seq: int) -> dict | None:
-        """The segment's index, or None when absent/corrupt (a miss)."""
-        sidecar = self._sidecar_path(path)
+    def _load_offsets(self, seg: _Segment) -> list[int] | None:
+        """``seg``'s record offsets, or None when the ``.idx`` is
+        absent or does not match the segment (a miss)."""
         try:
-            index = json.loads(sidecar.read_text())
-            if (
-                index["first_seq"] == first_seq
-                and len(index["offsets"]) == index["count"]
-                # Sealed before segments recorded these: rescan it.
-                and isinstance(index["epochs"], int)
-                and isinstance(index["reconfigured"], list)
-            ):
-                return index
+            index = json.loads(self._sidecar_path(seg.path).read_text())
+            offsets = index["offsets"]
+            if isinstance(offsets, list) and len(offsets) == seg.count:
+                return offsets
         except (OSError, ValueError, KeyError, TypeError):
             pass
         return None
 
     def _write_sidecar(self, seg: _Segment) -> None:
-        """Seal ``seg``'s index from its in-memory bookkeeping.
-
-        Counts and offsets are tracked incrementally on every append
-        (and rebuilt by the recovery scan), so sealing never re-reads
-        the segment file.
-        """
-        blob = json.dumps(
-            {
-                "first_seq": seg.first_seq,
-                "count": seg.count,
-                "bytes": seg.nbytes,
-                "epochs": seg.epochs,
-                "reconfigured": seg.reconfigured,
-                "offsets": seg.offsets,
-            },
-            separators=(",", ":"),
-        ).encode()
+        blob = json.dumps({"offsets": seg.offsets}, separators=(",", ":")).encode()
         atomic_write_bytes(
             self._sidecar_path(seg.path), blob, durable=self.fsync != "never"
         )
 
     # ------------------------------------------------------------- writing
-
-    def append(self, event: str, data: dict) -> int:
-        """Durably append one record; returns the seq it was assigned."""
-        return self.append_many(((event, _encode_data(data)),))
 
     def append_many(self, items) -> int:
         """Durably append a batch of ``(event, payload_bytes)`` records.
@@ -350,9 +335,13 @@ class SessionLedger:
                 return self.next_seq
             if self._fh is None:
                 self._fh = open(self._active.path, "ab")
+                if self._fh.tell() > self._active.nbytes:
+                    # A crash tore the tail: drop it before appending.
+                    self._fh.truncate(self._active.nbytes)
             unix = json.dumps(time.time()).encode("ascii")
             first_seq = self.next_seq
             lines = []
+            offsets = self._active.offsets
             offset = self._active.nbytes
             nbytes = 0
             for event, payload in items:
@@ -370,14 +359,13 @@ class SessionLedger:
                     )
                 )
                 lines.append(line)
-                self._active.offsets.append(offset + nbytes)
+                offsets.append(offset + nbytes)
                 nbytes += len(line)
                 self.next_seq += 1
                 if event == "epoch":
                     self.epoch_count += 1
-                    self._active.epochs += 1
                 elif event == "reconfigured":
-                    self._active.reconfigured.append(
+                    self._reconfigured.append(
                         {"seq": self.next_seq - 1, **json.loads(payload)}
                     )
             self._fh.write(b"".join(lines))
@@ -407,18 +395,21 @@ class SessionLedger:
         ).observe(time.perf_counter() - t0)
 
     def _rotate(self) -> None:
-        """Seal the active segment and open a fresh one (lock held)."""
+        """Seal the active segment and open a fresh one (lock held).
+
+        The order is what a reopen relies on: the segment is durable
+        before its ``.idx``, and both before the summary covers it.
+        """
         seg = self._active
         if self.fsync != "never":
             self._fsync_active()
         self._fh.close()
         self._write_sidecar(seg)
+        seg.offsets = None
         self._sealed.append(seg)
+        self._write_summary()
         self._active = _Segment(
-            self.directory / _segment_name(self.next_seq),
-            self.next_seq,
-            0,
-            0,
+            self.directory / _segment_name(self.next_seq), self.next_seq, offsets=[]
         )
         self._fh = open(self._active.path, "ab")
         if self.fsync != "never":
@@ -443,13 +434,21 @@ class SessionLedger:
             return self._compact_locked()
 
     def _compact_locked(self) -> int:
+        dropped = self._expired + self._expire()
+        self._expired = []
+        for seg in dropped:  # oldest first: what is left stays a chain
+            seg.path.unlink(missing_ok=True)
+            self._sidecar_path(seg.path).unlink(missing_ok=True)
+        return len(dropped)
+
+    def _expire(self) -> list[_Segment]:
+        """Pop the oldest sealed segments the retention policy drops."""
         if self.retention_bytes is None and self.retention_age_s is None:
-            return 0
-        removed = 0
+            return []
         now = time.time()
-        total = sum(s.nbytes for s in self._sealed) + self._active.nbytes
-        while self._sealed:
-            seg = self._sealed[0]
+        total = sum(s.nbytes for s in self._sealed)
+        n = 0
+        for seg in self._sealed:
             over_size = (
                 self.retention_bytes is not None
                 and total > self.retention_bytes
@@ -464,38 +463,11 @@ class SessionLedger:
                     too_old = True
             if not over_size and not too_old:
                 break
-            self._sealed.pop(0)
             total -= seg.nbytes
-            # Carried forward durably *before* the unlink: a crash
-            # between the two leaves a segment :meth:`_recover` drops.
-            carried = self._carried
-            carried["epochs"] += seg.epochs
-            carried["reconfigured"] += seg.reconfigured
-            carried["through_seq"] = seg.end_seq
-            atomic_write_bytes(
-                self.directory / _CARRIED_NAME,
-                json.dumps(carried, separators=(",", ":")).encode(),
-                durable=self.fsync != "never",
-            )
-            self._unlink_segment(seg.path)
-            removed += 1
-        return removed
-
-    def _unlink_segment(self, path: Path) -> None:
-        path.unlink(missing_ok=True)
-        self._sidecar_path(path).unlink(missing_ok=True)
-
-    def _load_carried(self) -> None:
-        """Read ``carried.json``; absent means nothing was ever dropped."""
-        try:
-            carried = json.loads((self.directory / _CARRIED_NAME).read_text())
-            self._carried = {
-                "epochs": int(carried["epochs"]),
-                "reconfigured": list(carried["reconfigured"]),
-                "through_seq": int(carried["through_seq"]),
-            }
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
+            n += 1
+        dropped = self._sealed[:n]
+        del self._sealed[:n]
+        return dropped
 
     # ------------------------------------------------------------- reading
 
@@ -505,10 +477,7 @@ class SessionLedger:
         first, as ``{"seq", "changes", "epochs_run"}`` — kept beside the
         records (and past their retention), so reading it scans nothing."""
         with self._lock:
-            out = list(self._carried["reconfigured"])
-            for seg in (*self._sealed, self._active):
-                out += seg.reconfigured
-            return out
+            return list(self._reconfigured)
 
     @property
     def first_seq(self) -> int:
@@ -533,9 +502,9 @@ class SessionLedger:
             return
         offset = 0
         if start:
-            sidecar = self._load_sidecar(seg.path, seg.first_seq)
-            if sidecar is not None:
-                offset = sidecar["offsets"][start]
+            offsets = self._load_offsets(seg)
+            if offsets is not None:
+                offset = offsets[start]
         try:
             with open(seg.path, "rb") as fh:
                 if offset:

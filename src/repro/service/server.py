@@ -491,7 +491,7 @@ class ServiceServer:
             info["ledger"] = {
                 "root": str(self._ledger.root),
                 "fsync": self._ledger.fsync,
-                "sessions": len(self._ledger.list_sessions()),
+                "sessions": self._ledger.count_sessions(),
             }
         else:
             info["ledger"] = None

@@ -95,13 +95,23 @@ class _EventBatcher:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """``None`` → ``$REPRO_SERVICE_WORKERS`` or ``os.cpu_count()``.
+    """``None`` → ``$REPRO_SERVICE_WORKERS``, else one worker per CPU
+    this process may run on, or ``0`` when that is a single CPU (the
+    in-process path wins there, ``docs/service.md``).
 
     ``0`` keeps the in-process stepping path (no pool at all).
     """
     if workers is None:
         env = os.environ.get("REPRO_SERVICE_WORKERS")
-        workers = int(env) if env else (os.cpu_count() or 1)
+        if env:
+            workers = int(env)
+        else:
+            cpus = (
+                len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1
+            )
+            workers = 0 if cpus == 1 else cpus
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     return workers

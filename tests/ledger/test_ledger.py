@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ledger import Ledger, config_key
+from repro.service.protocol import encode_payload
 
 
 class TestConfigKey:
@@ -29,7 +30,7 @@ class TestSessions:
     def test_create_records_meta(self, tmp_path):
         root = Ledger(tmp_path)
         sl = root.create_session("s1", {"workload": "gups", "seed": 1})
-        sl.append("epoch", {"epoch": 0})
+        sl.append_many([("epoch", encode_payload({"epoch": 0}))])
         sl.close()
         meta = root.load_meta("s1")
         assert meta["session"] == "s1"
@@ -39,7 +40,7 @@ class TestSessions:
     def test_leftover_directory_is_archived_not_appended(self, tmp_path):
         root = Ledger(tmp_path)
         sl = root.create_session("s1", {"workload": "gups"})
-        sl.append("epoch", {"epoch": 0})
+        sl.append_many([("epoch", encode_payload({"epoch": 0}))])
         sl.close()
         # A new server life reuses the id; the fresh ledger starts at 0
         # and the stale records live on under an archived name.
@@ -58,7 +59,7 @@ class TestSessions:
     def test_checkpoint_roundtrip_and_clear(self, tmp_path):
         root = Ledger(tmp_path)
         sl = root.create_session("s1", {"workload": "gups", "seed": 1})
-        sl.append("epoch", {"epoch": 0})
+        sl.append_many([("epoch", encode_payload({"epoch": 0}))])
         sl.close()
         marker = root.write_checkpoint(
             "s1", {"config_key": "abc", "epochs": 1, "tenant": "acme"}
@@ -94,7 +95,7 @@ class TestSessions:
         for i, name in enumerate(["gups", "xsbench"]):
             sl = root.create_session(f"s{i + 1}", {"workload": name})
             for e in range(i + 1):
-                sl.append("epoch", {"epoch": e})
+                sl.append_many([("epoch", encode_payload({"epoch": e}))])
             sl.close()
         listed = root.list_sessions()
         assert [s["session"] for s in listed] == ["s1", "s2"]
@@ -168,3 +169,77 @@ class TestSessionIdValidation:
         assert root.snapshot_path("s1").exists()
         assert root.clear_snapshot("s1") is True
         assert root.clear_snapshot("s1") is False
+
+
+def _tree(root):
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    return {
+        str(path.relative_to(root)): None if path.is_dir() else path.read_bytes()
+        for path in sorted(root.rglob("*"))
+    }
+
+
+class TestReadersWriteNothing:
+    def test_listing_reading_and_the_cli_leave_every_byte(self, tmp_path, capsys):
+        """A ledger holding a torn tail, an interior segment without
+        its ``.idx`` and a covered segment whose unlink never happened:
+        no reader repairs any of it."""
+        import shutil
+
+        from repro.cli import main
+        from repro.service.session import ProfilingSession
+
+        params = {
+            "workload": "gups",
+            "seed": 3,
+            "workload_kwargs": {"footprint_pages": 512, "accesses_per_epoch": 2000},
+        }
+        root = Ledger(tmp_path / "root", segment_bytes=1024)
+        session = ProfilingSession("s1", **params)
+        session.attach_ledger(root.create_session("s1", params, info=session.info()))
+        session.sim.step(13)
+        session.close()
+        sdir = tmp_path / "root" / "s1"
+        segments = sorted(sdir.glob("seg-*.jsonl"))
+        assert len(segments) >= 5 and segments[-1].stat().st_size > 0
+        # Retention drops the two oldest segments; restore the second as
+        # if the process died between the two unlinks.
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for path in sdir.glob(segments[1].stem + ".*"):
+            shutil.copy(path, kept)
+        compacting = Ledger(
+            tmp_path / "root",
+            segment_bytes=1024,
+            retention_bytes=sum(p.stat().st_size for p in segments[2:-1]),
+        ).open_session("s1")
+        assert compacting.compact() == 2
+        compacting.close()
+        for path in kept.iterdir():
+            shutil.copy(path, sdir)
+        segments[3].with_suffix(".idx").unlink()
+        with open(segments[-1], "ab") as fh:
+            fh.write(b'{"seq":99,"event":"epo')  # killed mid-append
+        before = _tree(tmp_path / "root")
+
+        assert [s["epochs"] for s in Ledger(tmp_path / "root").list_sessions()] == [13]
+        for reader_root in (
+            Ledger(tmp_path / "root"),
+            Ledger(tmp_path / "root", segment_bytes=1024, retention_bytes=1),
+        ):
+            reader_root.list_sessions()
+            reader = reader_root.open_session("s1")
+            records = list(reader.read())
+            assert [r["seq"] for r in records] == list(
+                range(reader.first_seq, reader.next_seq)
+            )
+            mid = (reader.first_seq + reader.next_seq) // 2
+            assert [seq for seq, _, _ in reader.read_encoded(mid)] == list(
+                range(mid, reader.next_seq)
+            )
+            assert reader.epoch_count == 13
+            reader.close()
+        for argv in (["list"], ["cat", "s1"], ["replay", "s1"]):
+            assert main(["ledger", argv[0], str(tmp_path / "root"), *argv[1:]]) == 0
+        assert "epochs=13" in capsys.readouterr().out
+        assert _tree(tmp_path / "root") == before

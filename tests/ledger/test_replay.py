@@ -1,6 +1,7 @@
 """Replay a session ledger back into a bit-identical SimulationResult."""
 
 from repro.ledger import Ledger, iter_epoch_dicts, replay_result
+from repro.service.protocol import encode_payload
 from repro.service.session import ProfilingSession
 from repro.service.telemetry import epoch_metrics_to_dict
 
@@ -42,9 +43,9 @@ class TestReplay:
     def test_iter_epoch_dicts_skips_non_epoch_records(self, tmp_path):
         root = Ledger(tmp_path)
         sl = root.create_session("s1", {"workload": "gups"})
-        sl.append("epoch", {"epoch": 0})
-        sl.append("error", {"code": "worker_crashed"})
-        sl.append("epoch", {"epoch": 1})
+        sl.append_many([("epoch", encode_payload({"epoch": 0}))])
+        sl.append_many([("error", encode_payload({"code": "worker_crashed"}))])
+        sl.append_many([("epoch", encode_payload({"epoch": 1}))])
         payloads = list(iter_epoch_dicts(sl.read()))
         sl.close()
         assert [p["epoch"] for p in payloads] == [0, 1]

@@ -591,3 +591,40 @@ class TestLifecycle:
                 await server.drain()
 
         run_async(main())
+
+
+class TestServerInfoLedger:
+    def test_counts_session_ledgers_without_opening_one(self, tmp_path, monkeypatch):
+        """``server_info`` runs on the event loop: it counts session
+        directories by their ``meta.json`` and recovers no ledger."""
+        import repro.ledger.ledger as ledger_module
+        from repro.ledger import Ledger
+
+        root = Ledger(tmp_path)
+        for sid in ("s1", "s2", "s3"):
+            root.create_session(sid, {"workload": "gups"}).close()
+        (tmp_path / "s4").mkdir()  # no meta.json: not a session ledger
+        (tmp_path / ".trash").mkdir()  # no id could name it
+        expected = len(root.list_sessions())
+        built = []
+        real = ledger_module.SessionLedger
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        async def main():
+            server = await _start_server(ledger_dir=str(tmp_path))
+            client = await WireClient.open(server.address)
+            try:
+                monkeypatch.setattr(ledger_module, "SessionLedger", counting)
+                info = await client.request("server_info")
+                monkeypatch.setattr(ledger_module, "SessionLedger", real)
+            finally:
+                await client.close()
+                await server.drain()
+            return info
+
+        info = run_async(main())
+        assert info["ledger"]["sessions"] == expected == 3
+        assert built == []

@@ -92,7 +92,23 @@ class TestResolveWorkers:
         monkeypatch.setenv("REPRO_SERVICE_WORKERS", "5")
         assert resolve_workers(None) == 5
         monkeypatch.delenv("REPRO_SERVICE_WORKERS")
-        assert resolve_workers(None) >= 1
+        # One worker per usable CPU; a single CPU keeps the in-process path.
+        cpus = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
+        assert resolve_workers(None) == (0 if cpus == 1 else cpus)
+
+    @pytest.mark.parametrize("cpus, expected", [({0}, 0), ({0, 1, 2}, 3)])
+    def test_none_counts_the_cpus_this_process_may_run_on(
+        self, monkeypatch, cpus, expected
+    ):
+        monkeypatch.delenv("REPRO_SERVICE_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert resolve_workers(None) == expected
+        monkeypatch.setenv("REPRO_SERVICE_WORKERS", "2")  # still wins
+        assert resolve_workers(None) == 2
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -250,13 +250,16 @@ class TestCommands:
 
     def test_ledger_list_and_cat(self, capsys, tmp_path):
         from repro.ledger import Ledger
+        from repro.service.protocol import encode_payload
 
         ledger = Ledger(tmp_path)
         session = ledger.create_session(
             "s1", {"workload": "gups", "epochs": 2}, info={"tier1_capacity": 64}
         )
-        session.append("epoch", {"epoch": 0, "hitrate": 0.5})
-        session.append("epoch", {"epoch": 1, "hitrate": 0.6})
+        for epoch, hitrate in ((0, 0.5), (1, 0.6)):
+            session.append_many(
+                [("epoch", encode_payload({"epoch": epoch, "hitrate": hitrate}))]
+            )
         session.close()
 
         assert main(["ledger", "list", str(tmp_path)]) == 0
