@@ -8,6 +8,8 @@ each age, evicted to disk and rebuilt, with no socket in the way: a
 
 * ``snapshot_bytes`` / ``evict_ms`` — what the eviction wrote, and how
   long the whole eviction (snapshot included) took;
+* ``ledger_open_ms`` — reopening the session's ledger after the
+  eviction closed it, the first step of every rebuild;
 * ``resume_ms`` — ``resume`` restoring that snapshot (0 epochs replayed);
 * ``recover_ms`` (pool) — one more epoch, SIGKILL the worker, crash
   recovery from the same snapshot (1 epoch replayed);
@@ -79,6 +81,7 @@ def measure(backend: str, age: int, directory: str) -> dict:
         row["evict_ms"] = _ms(evict)
         snapshot = manager.ledger.snapshot_path(sid)
         row["snapshot_bytes"] = snapshot.stat().st_size
+        row["ledger_open_ms"] = _ms(lambda: manager.ledger.open_session(sid).close())
         row["resume_ms"] = _ms(lambda: manager.resume(sid))
         if pool is not None:
             session = manager.get(sid)
@@ -108,8 +111,8 @@ def main() -> None:
     parser.add_argument("--backends", default="inproc,pool")
     args = parser.parse_args()
     columns = (
-        "backend", "age", "snapshot_bytes", "evict_ms", "resume_ms",
-        "recover_ms", "replay_ms",
+        "backend", "age", "snapshot_bytes", "evict_ms", "ledger_open_ms",
+        "resume_ms", "recover_ms", "replay_ms",
     )
     print(" ".join(f"{c:>14}" for c in columns))
     for backend in args.backends.split(","):

@@ -50,7 +50,7 @@ Quickstart::
 
 from ._lazy import lazy_exports
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 #: Every top-level name, by the subpackage that defines it.  Nothing is
 #: imported until a name is first used.

@@ -95,7 +95,7 @@ class TMPDaemon:
         prof = self.profiler
         store = prof.store
         return {
-            "epochs": len(prof.reports),
+            "epochs": prof.epochs_closed,
             "programs": sorted(self.programs),
             "registered_pids": prof.registered_pids,
             "tracked_pids": prof.filter.tracked,

@@ -91,6 +91,9 @@ class TMProfiler:
         #: entries keep their scalar fields — a profiler that lives as
         #: long as the machine must not retain every epoch's arrays.
         self.reports: list[TMPEpochReport] = []
+        #: Epochs closed, however many ``reports`` still holds (a
+        #: session snapshot keeps only the newest report).
+        self.epochs_closed = 0
 
         #: The daemon-supplied tracking universe, ascending; replaced,
         #: never edited in place, so a scan may walk it as it is.
@@ -256,6 +259,7 @@ class TMProfiler:
             # (``end_epoch``'s caller) keeps the arrays it was handed.
             self.reports[-1] = replace(self.reports[-1], profile=None, samples=None)
         self.reports.append(report)
+        self.epochs_closed += 1
         self._epoch_pids = np.zeros(0, dtype=np.int64)
         self._epoch_ops = np.zeros(0, dtype=np.int64)
         registry = obs_metrics.default_registry()

@@ -36,8 +36,9 @@ from ..ioutil import atomic_write_bytes
 
 __all__ = ["SNAPSHOT_FORMAT", "SnapshotError", "read_snapshot", "write_snapshot"]
 
-#: Bump when the header or the payload's meaning changes.
-SNAPSHOT_FORMAT = 1
+#: Bump when the header or the payload's meaning changes.  2: the
+#: payload holds no per-epoch history (the ledger does).
+SNAPSHOT_FORMAT = 2
 
 #: A header line longer than this is not one of ours.
 _MAX_HEADER_BYTES = 4096

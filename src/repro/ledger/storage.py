@@ -20,13 +20,24 @@ a segment without a usable ``.idx`` is skipped through line by line.
 ``through_seq`` are epochs, and every ``reconfigured`` payload among
 them with its seq — what a rebuild needs.  Sealing a segment fsyncs
 it, writes its ``.idx``, then atomically rewrites the summary to cover
-it, so :attr:`~SessionLedger.epoch_count` and
+it.  Closing a ledger that appended fsyncs the active segment and
+rewrites the summary to cover it as well, adding ``"through_bytes"``:
+how far into the active segment the summary reaches.  The segment
+stays active — a close starts no new one.  Without ``through_bytes``
+the last covered segment ends at ``through_seq``.  So
+:attr:`~SessionLedger.epoch_count` and
 :attr:`~SessionLedger.reconfigured` describe the session's whole life
-whatever retention has removed.  Opening a ledger reads the summary,
-takes a covered segment's record count from the next segment's first
-seq and its size from ``stat``, and decodes only the segments at or
-past ``through_seq``: the active one, plus any that a crash sealed
-before the summary was written.
+whatever retention has removed.
+
+Opening a ledger reads the summary, takes a covered segment's record
+count from the next segment's first seq (or the summary) and its size
+from ``stat`` (or ``through_bytes``), and reads only what the summary
+does not cover: bytes past ``through_bytes`` and segments at or past
+``through_seq``, which exist only after a crash.  A cleanly closed
+ledger therefore reopens without reading a record.  What is read is
+parsed by envelope (:func:`_split_record`); only ``reconfigured``
+payloads are JSON-decoded.  ``repro_ledger_records_decoded_total``
+counts the records an open had to read.
 
 Opening a ledger only reads.  A torn tail (process killed mid-append)
 just ends the records a reader sees; the writer's first
@@ -34,8 +45,8 @@ just ends the records a reader sees; the writer's first
 one repair, and only the writer makes it.  Sidecars, the summary and
 meta are written atomically via :mod:`repro.ioutil`.  The fsync policy
 is configurable: ``"rotate"`` (default) syncs a segment once when it
-seals, ``"always"`` syncs every append, ``"never"`` leaves durability
-to the OS.
+seals or the ledger closes, ``"always"`` syncs every append,
+``"never"`` leaves durability to the OS.
 
 Retention is size/age based and only unlinks: :meth:`~SessionLedger
 .compact` (called on rotation) drops the oldest sealed segments while
@@ -120,6 +131,22 @@ def _split_record(line: bytes):
         return None
 
 
+def _line_offsets(path: Path, nbytes: int) -> list[int]:
+    """The byte offset of each line in the first ``nbytes`` bytes of
+    ``path``, found by splitting lines, not by decoding them."""
+    with open(path, "rb") as fh:
+        blob = fh.read(nbytes)
+    offsets = []
+    at = 0
+    while at < len(blob):
+        offsets.append(at)
+        end = blob.find(b"\n", at)
+        if end < 0:
+            break
+        at = end + 1
+    return offsets
+
+
 class _Segment:
     """One segment file: which seqs it holds and how many bytes.
 
@@ -127,6 +154,8 @@ class _Segment:
     segment is active, tracked as records append so sealing writes the
     ``.idx`` without re-reading the file; it is dropped once the
     ``.idx`` is written, since readers seek through the file on disk.
+    An active segment a reopen did not read from its start has none
+    (``None``): sealing it splits its lines to find them.
     """
 
     def __init__(
@@ -205,6 +234,10 @@ class SessionLedger:
         """Rebuild in-memory state from disk, writing nothing."""
         summary = self._load_summary()
         through_seq = summary["through_seq"]
+        through_bytes = summary["through_bytes"]
+        #: The seq the summary on disk covers up to; a close that
+        #: appended nothing past it writes nothing.
+        self._covered_seq = through_seq
         self.epoch_count = summary["epochs"]
         self._reconfigured = summary["reconfigured"]
         chain = []
@@ -214,11 +247,16 @@ class SessionLedger:
             except (IndexError, ValueError):
                 continue
         chain.sort()
+        decoded = 0
         for i, (first_seq, path) in enumerate(chain):
             last = i == len(chain) - 1
-            if first_seq < through_seq:
-                # Covered by the summary: nothing in it needs decoding.
-                end_seq = through_seq if last else chain[i + 1][0]
+            next_first = None if last else chain[i + 1][0]
+            if first_seq < through_seq and (
+                through_bytes is None
+                or (next_first is not None and next_first <= through_seq)
+            ):
+                # Sealed and covered: nothing in it needs reading.
+                end_seq = through_seq if last else next_first
                 try:
                     nbytes = path.stat().st_size
                 except FileNotFoundError:  # compacted since the glob
@@ -226,12 +264,26 @@ class SessionLedger:
                 self._sealed.append(
                     _Segment(path, first_seq, end_seq - first_seq, nbytes)
                 )
-            elif last:
-                self._active = self._scan(path, first_seq)
+                continue
+            if first_seq < through_seq:
+                # The segment a close left active, covered up to
+                # ``through_bytes``: only a later writer's records,
+                # appended before it crashed, lie past that.
+                seg = self._scan(path, first_seq, through_seq, through_bytes)
+                decoded += seg.end_seq - through_seq
             else:
                 seg = self._scan(path, first_seq)
+                decoded += seg.count
+            if last:
+                self._active = seg
+            else:
                 seg.offsets = None
                 self._sealed.append(seg)
+        if decoded:
+            _registry().counter(
+                "repro_ledger_records_decoded_total",
+                "Records a ledger open read past its summary",
+            ).inc(decoded)
         if self._active is None:
             self._active = _Segment(
                 self.directory / _segment_name(through_seq), through_seq, offsets=[]
@@ -239,57 +291,92 @@ class SessionLedger:
         self.next_seq = self._active.end_seq
         self._expired = self._expire()
 
-    def _scan(self, path: Path, first_seq: int) -> _Segment:
-        """Decode a segment the summary does not cover, counting its
-        epochs and reconfigures; the records end at the first torn or
-        misnumbered line."""
-        nbytes = 0
+    def _scan(
+        self, path: Path, first_seq: int, seq: int | None = None, offset: int = 0
+    ) -> _Segment:
+        """Read what the summary does not cover of a segment — from
+        byte ``offset``, where record ``seq`` (default ``first_seq``)
+        starts — counting its epochs and reconfigures.
+
+        Envelopes only: a line is split (:func:`_split_record`), and
+        fully decoded just when it does not split; of the payloads,
+        only ``reconfigured`` ones are decoded.  The records end at the
+        first torn, undecodable or misnumbered line.  Offsets come back
+        only for a segment read from its start.
+        """
+        expected = first_seq if seq is None else seq
+        nbytes = offset
         offsets: list[int] = []
         with open(path, "rb") as fh:
+            if offset:
+                fh.seek(offset)
             for line in fh:
                 if not line.endswith(b"\n"):
                     break
+                record = _split_record(line)
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
+                    if record is None:
+                        full = json.loads(line)
+                        record = full["seq"], full["event"], full["data"]
+                    record_seq, event, data = record
+                    if record_seq != expected:
+                        break
+                    if event == "reconfigured":
+                        if isinstance(data, bytes):
+                            data = json.loads(data)
+                        self._reconfigured.append({"seq": record_seq, **data})
+                except (ValueError, KeyError, TypeError):
                     break
-                if record.get("seq") != first_seq + len(offsets):
-                    break
+                if event == "epoch":
+                    self.epoch_count += 1
                 offsets.append(nbytes)
                 nbytes += len(line)
-                if record.get("event") == "epoch":
-                    self.epoch_count += 1
-                elif record.get("event") == "reconfigured":
-                    self._reconfigured.append(
-                        {"seq": record["seq"], **record["data"]}
-                    )
-        return _Segment(path, first_seq, len(offsets), nbytes, offsets)
+                expected += 1
+        return _Segment(
+            path,
+            first_seq,
+            expected - first_seq,
+            nbytes,
+            offsets if offset == 0 else None,
+        )
 
     def _load_summary(self) -> dict:
-        """Read ``carried.json``; absent means no segment ever sealed."""
+        """Read ``carried.json``; absent means no segment ever sealed
+        and the ledger was never closed after an append."""
         try:
             summary = json.loads((self.directory / _SUMMARY_NAME).read_text())
+            through_bytes = summary.get("through_bytes")
             return {
                 "epochs": int(summary["epochs"]),
                 "reconfigured": list(summary["reconfigured"]),
                 "through_seq": int(summary["through_seq"]),
+                "through_bytes": None
+                if through_bytes is None
+                else int(through_bytes),
             }
-        except (OSError, ValueError, KeyError, TypeError):
-            return {"epochs": 0, "reconfigured": [], "through_seq": 0}
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return {
+                "epochs": 0,
+                "reconfigured": [],
+                "through_seq": 0,
+                "through_bytes": None,
+            }
 
     def _write_summary(self) -> None:
-        """Cover every record appended so far (lock held, between batches)."""
-        blob = json.dumps(
-            {
-                "epochs": self.epoch_count,
-                "reconfigured": self._reconfigured,
-                "through_seq": self.next_seq,
-            },
-            separators=(",", ":"),
-        ).encode()
+        """Cover every record appended so far (lock held, between
+        batches); into the active segment, when it holds any."""
+        summary = {
+            "epochs": self.epoch_count,
+            "reconfigured": self._reconfigured,
+            "through_seq": self.next_seq,
+        }
+        if self._active.count:
+            summary["through_bytes"] = self._active.nbytes
+        blob = json.dumps(summary, separators=(",", ":")).encode()
         atomic_write_bytes(
             self.directory / _SUMMARY_NAME, blob, durable=self.fsync != "never"
         )
+        self._covered_seq = self.next_seq
 
     # ------------------------------------------------------------ sidecars
 
@@ -359,7 +446,8 @@ class SessionLedger:
                     )
                 )
                 lines.append(line)
-                offsets.append(offset + nbytes)
+                if offsets is not None:
+                    offsets.append(offset + nbytes)
                 nbytes += len(line)
                 self.next_seq += 1
                 if event == "epoch":
@@ -398,25 +486,31 @@ class SessionLedger:
         """Seal the active segment and open a fresh one (lock held).
 
         The order is what a reopen relies on: the segment is durable
-        before its ``.idx``, and both before the summary covers it.
+        before its ``.idx``, both before the summary covers it, and the
+        summary before the next segment's file exists.
         """
         seg = self._active
         if self.fsync != "never":
             self._fsync_active()
         self._fh.close()
+        if seg.offsets is None:
+            seg.offsets = _line_offsets(seg.path, seg.nbytes)
         self._write_sidecar(seg)
         seg.offsets = None
         self._sealed.append(seg)
-        self._write_summary()
         self._active = _Segment(
             self.directory / _segment_name(self.next_seq), self.next_seq, offsets=[]
         )
+        self._write_summary()
         self._fh = open(self._active.path, "ab")
         if self.fsync != "never":
             fsync_dir(self.directory)
         self._compact_locked()
 
     def close(self) -> None:
+        """Stop appending.  A ledger that appended since its summary was
+        last written makes the active segment durable and has the
+        summary cover it, so the next open reads no record."""
         with self._lock:
             self._closed = True
             if self._fh is None:
@@ -425,6 +519,8 @@ class SessionLedger:
                 self._fsync_active()
             self._fh.close()
             self._fh = None
+            if self.next_seq != self._covered_seq:
+                self._write_summary()
 
     # ----------------------------------------------------------- retention
 

@@ -71,8 +71,10 @@ def _rebuild_params(meta: dict, session_ledger, epochs: int, snapshot_path) -> d
     The one rebuild recipe (:meth:`SessionManager.resume` and
     :meth:`SessionManager.recover`): the creation config recorded in
     ``meta`` plus a ``catchup`` — where the session's last snapshot
-    would be and whose it must be, the epoch to reach, and every
-    ``reconfigured`` record of the session's life with its seq.  The
+    would be and whose it must be, the epoch to reach, every
+    ``reconfigured`` record of the session's life with its seq, and
+    the ledger directory that epoch windows from before a snapshot
+    restore are read from.  The
     process that builds the session restores the snapshot if it checks
     out and replays only what came after it; otherwise it replays
     everything (:class:`~repro.service.session.ProfilingSession`).
@@ -83,6 +85,7 @@ def _rebuild_params(meta: dict, session_ledger, epochs: int, snapshot_path) -> d
         "catchup": {
             "epochs": int(epochs),
             "reconfigured": session_ledger.reconfigured,
+            "ledger": str(session_ledger.directory),
             "snapshot": {
                 "path": str(snapshot_path),
                 "config_key": meta.get("config_key"),

@@ -34,6 +34,7 @@ from collections import deque
 from ..core.config import TMPConfig
 from ..core.daemon import TMPDaemon
 from ..ledger.snapshot import SnapshotError, read_snapshot, write_snapshot
+from ..ledger.storage import SessionLedger
 from ..memsim.machine import MachineConfig
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
@@ -41,7 +42,11 @@ from ..tiering.policies import resolve_policy
 from ..tiering.simulator import TieredSimulator
 from ..workloads import make_workload, resolve_workload
 from .protocol import ErrorCode, ServiceError, encode_payload, splice_event_frame
-from .telemetry import epoch_metrics_to_dict, simulation_result_to_dict
+from .telemetry import (
+    epoch_metrics_to_dict,
+    ledger_epoch_window,
+    simulation_result_to_dict,
+)
 
 __all__ = [
     "ProfilingSession",
@@ -518,6 +523,10 @@ class ProfilingSession(SessionBase):
         #: snapshot, ``epochs_replayed`` after it, ``snapshot_bytes``,
         #: and the ``fallback_reason`` when a snapshot was not used.
         self.rebuild: dict | None = None
+        #: The session's ledger directory (rebuilds only): a restored
+        #: snapshot holds no per-epoch history, so epoch windows from
+        #: before the restore are read from there.
+        self._ledger_dir = catchup.get("ledger") if catchup else None
         # A rebuild starts from the newest usable snapshot at or before
         # the epoch it must reach; with none it starts, like ``create``,
         # from a fresh build at epoch 0.
@@ -650,6 +659,7 @@ class ProfilingSession(SessionBase):
                 include_epochs=include_epochs,
                 epochs_from=epochs_from,
                 epochs_to=epochs_to,
+                earlier=self._earlier_epochs,
             )
             self.sim.close()
         with self._sub_lock:
@@ -657,6 +667,17 @@ class ProfilingSession(SessionBase):
         if self.ledger is not None:
             self.ledger.close()
         return summary
+
+    def _earlier_epochs(self, start: int, stop: int) -> list[dict]:
+        """Epochs ``[start, stop)`` scored before a snapshot restore,
+        read from the session's ledger (opening one only reads)."""
+        if self._ledger_dir is None:
+            return []
+        session_ledger = SessionLedger(self._ledger_dir)
+        try:
+            return ledger_epoch_window(session_ledger, start, stop)
+        finally:
+            session_ledger.close()
 
     # -------------------------------------------------------------- stepping
 
@@ -708,8 +729,13 @@ class ProfilingSession(SessionBase):
 
     def snapshot(self) -> tuple[int, bytes]:
         """``(epochs_run, state)`` at one instant: simulator and daemon
-        in a single pickle, so the objects they share stay shared."""
-        with self._sim_lock:
+        in a single pickle, so the objects they share stay shared.
+
+        The state holds no per-epoch history
+        (:meth:`~repro.tiering.simulator.TieredSimulator
+        .history_left_out`), so its size follows the session's state,
+        not its age; the history is in the ledger."""
+        with self._sim_lock, self.sim.history_left_out():
             return self.sim.epochs_run, pickle.dumps(
                 (self.sim, self.daemon), protocol=pickle.HIGHEST_PROTOCOL
             )

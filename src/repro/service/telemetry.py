@@ -19,6 +19,8 @@ construction rather than by parallel encoders.
 
 from __future__ import annotations
 
+import json
+
 from ..tiering.latency_model import EpochLatency
 from ..tiering.simulator import EpochMetrics, SimulationResult
 
@@ -27,6 +29,7 @@ __all__ = [
     "crash_event_data",
     "epoch_metrics_from_dict",
     "epoch_metrics_to_dict",
+    "ledger_epoch_window",
     "recovered_event_data",
     "resumed_event_data",
     "simulation_result_to_dict",
@@ -162,12 +165,36 @@ def epoch_metrics_from_dict(data: dict) -> EpochMetrics:
     )
 
 
+def ledger_epoch_window(session_ledger, start: int, stop: int) -> list[dict]:
+    """The dicts of the epochs ``start <= epoch < stop`` that
+    ``session_ledger`` still holds, oldest first.
+
+    Every epoch takes a seq of its own, so epoch ``k``'s record lies at
+    seq ``k`` or later and the read starts there; retention may have
+    dropped the oldest records (:attr:`~repro.ledger.storage
+    .SessionLedger.first_seq`), and their epochs are then missing.
+    Each record goes through :func:`epoch_metrics_from_dict`, which is
+    bit-exact.
+    """
+    out = []
+    for _, event, payload in session_ledger.read_encoded(from_seq=start):
+        if event != "epoch":
+            continue
+        metrics = epoch_metrics_from_dict(json.loads(payload))
+        if metrics.epoch >= stop:
+            break
+        if metrics.epoch >= start:
+            out.append(epoch_metrics_to_dict(metrics))
+    return out
+
+
 def simulation_result_to_dict(
     res: SimulationResult,
     *,
     include_epochs: bool = False,
     epochs_from: int = 0,
     epochs_to: int | None = None,
+    earlier=None,
 ) -> dict:
     """Summarize a (possibly still-running) simulation result.
 
@@ -176,6 +203,14 @@ def simulation_result_to_dict(
     :data:`MAX_EPOCHS_PER_RESPONSE` entries — the response reports the
     window actually served (``epochs_from``/``epochs_to``) so callers
     can page through a long run with repeated bounded requests.
+
+    A result restored from a snapshot holds only the epochs scored
+    since (:meth:`~repro.tiering.simulator.SimulationResult
+    .without_history`); ``earlier(start, stop)`` supplies the dicts of
+    the window's part before them (a session reads them from its
+    ledger, :func:`ledger_epoch_window`).  Retention may have dropped
+    the oldest of those; ``epochs_from`` then says where the epochs
+    served begin.
     """
     out = {
         "workload": res.workload,
@@ -183,18 +218,28 @@ def simulation_result_to_dict(
         "rank_source": res.rank_source,
         "tier1_ratio": float(res.tier1_ratio),
         "tier1_capacity": int(res.tier1_capacity),
-        "epochs_run": len(res.epochs),
+        "epochs_run": res.epochs_run,
         "mean_hitrate": float(res.mean_hitrate),
         "total_runtime_s": float(res.total_runtime_s),
         "total_migrations": int(res.total_migrations),
     }
     if include_epochs:
+        total = res.epochs_run
         start = max(int(epochs_from), 0)
-        stop = len(res.epochs) if epochs_to is None else int(epochs_to)
-        stop = min(max(stop, start), len(res.epochs), start + MAX_EPOCHS_PER_RESPONSE)
+        stop = total if epochs_to is None else int(epochs_to)
+        stop = min(max(stop, start), total, start + MAX_EPOCHS_PER_RESPONSE)
+        held = res.epochs_before
+        epochs = []
+        if start < held:
+            before = min(stop, held)
+            epochs = earlier(start, before) if earlier is not None else []
+            # What retention dropped is missing from the front.
+            start = before - len(epochs)
+        epochs += [
+            epoch_metrics_to_dict(e)
+            for e in res.epochs[max(start - held, 0) : max(stop - held, 0)]
+        ]
         out["epochs_from"] = start
         out["epochs_to"] = stop
-        out["epochs"] = [
-            epoch_metrics_to_dict(e) for e in res.epochs[start:stop]
-        ]
+        out["epochs"] = epochs
     return out

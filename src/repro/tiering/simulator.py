@@ -23,7 +23,8 @@ Per epoch (≈ one simulated second, the paper's horizon):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,7 +65,13 @@ class EpochMetrics:
 
 @dataclass
 class SimulationResult:
-    """Whole-run outcome."""
+    """Whole-run outcome.
+
+    ``epochs`` holds every epoch's metrics, or — in a copy made by
+    :meth:`without_history` — the ones scored since: the
+    ``epochs_before`` epochs ahead of them live on only as the running
+    sums in ``carried``, which the totals continue from.
+    """
 
     workload: str
     policy: str
@@ -72,21 +79,55 @@ class SimulationResult:
     tier1_ratio: float
     tier1_capacity: int
     epochs: list[EpochMetrics] = field(default_factory=list)
+    #: Epochs scored before ``epochs[0]`` and no longer held.
+    epochs_before: int = 0
+    #: Their running sums, ``(hitrate x mem_accesses, mem_accesses,
+    #: runtime_s, promoted + demoted)``, each as one left-to-right pass
+    #: of additions over them left it.
+    carried: tuple = (0, 0, 0, 0)
+
+    def _totals(self) -> tuple:
+        """The running sums over every epoch: ``carried``, continued
+        left to right through ``epochs``.  Never two partial sums
+        added together, so a copy without history totals to the same
+        floats as the whole series (and as ``sum()`` over it, which
+        adds left to right before Python 3.12)."""
+        num, den, runtime, migrations = self.carried
+        for e in self.epochs:
+            num += e.hitrate * e.mem_accesses
+            den += e.mem_accesses
+            runtime += e.runtime_s
+            migrations += e.promoted + e.demoted
+        return num, den, runtime, migrations
+
+    def without_history(self) -> "SimulationResult":
+        """A copy that holds no per-epoch metrics, only the counters and
+        running sums its totals need."""
+        return replace(
+            self,
+            epochs=[],
+            epochs_before=self.epochs_run,
+            carried=self._totals(),
+        )
+
+    @property
+    def epochs_run(self) -> int:
+        """Epochs scored, whether held or not."""
+        return self.epochs_before + len(self.epochs)
 
     @property
     def mean_hitrate(self) -> float:
         """Access-weighted mean tier-1 hitrate over all epochs."""
-        num = sum(e.hitrate * e.mem_accesses for e in self.epochs)
-        den = sum(e.mem_accesses for e in self.epochs)
+        num, den, _, _ = self._totals()
         return num / den if den else 0.0
 
     @property
     def total_runtime_s(self) -> float:
-        return sum(e.runtime_s for e in self.epochs)
+        return self._totals()[2]
 
     @property
     def total_migrations(self) -> int:
-        return sum(e.promoted + e.demoted for e in self.epochs)
+        return self._totals()[3]
 
     def speedup_over(self, other: "SimulationResult") -> float:
         """other.runtime / self.runtime (how much faster self is).
@@ -283,6 +324,30 @@ class TieredSimulator:
     def epochs_run(self) -> int:
         """How many scored epochs have executed since :meth:`start`."""
         return self.profiled.epochs_run
+
+    @contextmanager
+    def history_left_out(self):
+        """Hold no per-epoch history for the duration of the block.
+
+        ``result`` is swapped for its :meth:`SimulationResult
+        .without_history` copy, and the profiler keeps only its newest
+        report and gating decision, so what is pickled inside the block
+        (the session snapshot) costs the state, not the age.  All three
+        are put back on exit.  Whoever calls it owns the simulator
+        meanwhile.
+        """
+        profiler = self.profiler
+        result, reports = self._result, profiler.reports
+        decisions = profiler.hwpc.decisions
+        if result is not None:
+            self._result = result.without_history()
+        profiler.reports = reports[-1:]
+        profiler.hwpc.decisions = decisions[-1:]
+        try:
+            yield
+        finally:
+            self._result, profiler.reports = result, reports
+            profiler.hwpc.decisions = decisions
 
     def add_epoch_hook(self, hook) -> None:
         """Register ``hook(metrics)`` to fire after every scored epoch.

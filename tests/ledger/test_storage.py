@@ -601,3 +601,140 @@ class TestOldLayout:
         ] == records[through_seq:]
         assert [r["seq"] for r in reopened.read(30, 33)] == [30, 31, 32]
         reopened.close()
+
+
+def _decoded(registry):
+    return registry.counter("repro_ledger_records_decoded_total").value()
+
+
+@pytest.fixture
+def registry():
+    from repro.obs import metrics as obs_metrics
+
+    fresh = obs_metrics.MetricsRegistry()
+    previous = obs_metrics.set_default_registry(fresh)
+    try:
+        yield fresh
+    finally:
+        obs_metrics.set_default_registry(previous)
+
+
+class TestCloseWritesTheSummary:
+    """A close covers the active segment, so a clean reopen reads no
+    record; only a writer that crashed after a reopen leaves any to read."""
+
+    def _filled(self, directory):
+        ledger = SessionLedger(directory)
+        _fill(ledger, 5)
+        ledger.append_many([("reconfigured", encode_payload(
+            {"changes": {"trace_sample_period": 8}, "epochs_run": 5}
+        ))])
+        _fill(ledger, 6, start=5)
+        return ledger
+
+    def test_clean_reopen_decodes_nothing(self, tmp_path, registry):
+        ledger = self._filled(tmp_path)
+        before = (ledger.next_seq, ledger.epoch_count, ledger.reconfigured)
+        ledger.close()
+        summary = json.loads((tmp_path / "carried.json").read_text())
+        assert summary["through_seq"] == 12
+        assert summary["through_bytes"] == sum(
+            p.stat().st_size for p in tmp_path.glob("seg-*.jsonl")
+        )
+        segments = sorted(p.name for p in tmp_path.glob("seg-*"))
+        reopened = SessionLedger(tmp_path)
+        assert (
+            reopened.next_seq, reopened.epoch_count, reopened.reconfigured
+        ) == before
+        assert _decoded(registry) == 0
+        assert [r["seq"] for r in reopened.read()] == list(range(12))
+        # The segment stays active: appends continue in it.
+        assert reopened.append_many([("epoch", encode_payload({"epoch": 11}))]) == 12
+        reopened.close()
+        assert sorted(p.name for p in tmp_path.glob("seg-*")) == segments
+
+    def test_reading_open_and_close_write_nothing(self, tmp_path):
+        self._filled(tmp_path).close()
+        stamps = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+        SessionLedger(tmp_path).close()
+        assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == stamps
+
+    def test_crash_after_a_reopen_loses_no_record(self, tmp_path, registry):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        self._filled(tmp_path).close()
+        # Another process reopens the closed ledger, appends, and dies
+        # without closing: its records lie past ``through_bytes``.
+        program = (
+            "import os\n"
+            "from repro.ledger.storage import SessionLedger\n"
+            "from repro.service.protocol import encode_payload\n"
+            f"ledger = SessionLedger({str(tmp_path)!r})\n"
+            "for i in range(11, 14):\n"
+            "    ledger.append_many([('epoch', encode_payload({'epoch': i}))])\n"
+            "ledger.append_many([('reconfigured', encode_payload("
+            "{'changes': {'n': 1}, 'epochs_run': 14}))])\n"
+            "os._exit(0)\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", program],
+            cwd=Path(repro.__file__).parents[1],
+            check=True, timeout=60,
+        )
+        seg = next(iter(sorted(tmp_path.glob("seg-*.jsonl"))))
+        with open(seg, "ab") as fh:
+            fh.write(b'{"seq":16,"event":"epo')  # and a torn tail
+        reopened = SessionLedger(tmp_path)
+        assert reopened.next_seq == 16
+        assert reopened.epoch_count == 14
+        assert [r["seq"] for r in reopened.reconfigured] == [5, 15]
+        assert _decoded(registry) == 4
+        assert [r["seq"] for r in reopened.read()] == list(range(16))
+        # The writer's truncation drops the torn bytes and nothing else.
+        assert reopened.append_many([("epoch", encode_payload({"epoch": 14}))]) == 16
+        reopened.close()
+        lines = seg.read_bytes().splitlines()
+        assert [json.loads(line)["seq"] for line in lines] == list(range(17))
+        again = SessionLedger(tmp_path)
+        assert (again.next_seq, again.epoch_count) == (17, 15)
+        again.close()
+        assert os.path.getsize(seg) == json.loads(
+            (tmp_path / "carried.json").read_text()
+        )["through_bytes"]
+
+    def test_sealing_a_reopened_segment_splits_its_lines(self, tmp_path):
+        ledger = SessionLedger(tmp_path, segment_bytes=4096)
+        _fill(ledger, 10)
+        ledger.close()
+        reopened = SessionLedger(tmp_path, segment_bytes=4096)
+        _fill(reopened, 200, start=10)  # seals the segment it reopened
+        reopened.close()
+        first = sorted(tmp_path.glob("seg-*.idx"))[0]
+        offsets = json.loads(first.read_text())["offsets"]
+        lines = first.with_suffix(".jsonl").read_bytes().splitlines(keepends=True)
+        assert offsets == [sum(map(len, lines[:i])) for i in range(len(lines))]
+        assert [r["seq"] for r in SessionLedger(tmp_path).read(7, 9)] == [7, 8]
+
+    def test_crash_open_reads_envelopes_not_payloads(self, tmp_path, monkeypatch):
+        ledger = self._filled(tmp_path)  # never closed: nothing is covered
+        decoded = []
+        real_loads = json.loads
+
+        def counting_loads(blob, *args, **kwargs):
+            decoded.append(blob)
+            return real_loads(blob, *args, **kwargs)
+
+        monkeypatch.setattr("repro.ledger.storage.json.loads", counting_loads)
+        reopened = SessionLedger(tmp_path)
+        # The summary read (absent here) aside, only the one
+        # ``reconfigured`` payload, and each event name, are decoded.
+        payloads = [b for b in decoded if isinstance(b, bytes) and b.startswith(b"{")]
+        assert len(payloads) == 1
+        assert reopened.epoch_count == 11 and reopened.next_seq == 12
+        reopened.close()
+        ledger.close()

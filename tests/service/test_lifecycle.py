@@ -547,6 +547,74 @@ def test_a_rebuild_steps_only_the_epochs_since_the_snapshot(tmp_path, monkeypatc
         obs_metrics.set_default_registry(previous)
 
 
+# ------------------------------------ a resume costs the state, not the age
+
+#: What 180 more epochs may add to a snapshot: the newest report's trace
+#: samples vary in number; the history used to add ~320 bytes an epoch.
+SNAPSHOT_SLACK_BYTES = 4096
+
+
+def test_snapshot_size_follows_the_state_not_the_age():
+    session = ProfilingSession("s", **PARAMS)
+    session.step(20)
+    young = len(session.snapshot()[1])
+    session.step(180)
+    old = len(session.snapshot()[1])
+    assert old - young <= SNAPSHOT_SLACK_BYTES
+    # Taking one leaves the live session its whole history.
+    assert len(session.sim.result.epochs) == 200
+    assert len(session.sim.profiler.reports) == session.daemon.statistics()["epochs"]
+
+
+@pytest.mark.parametrize("backend", ["inproc", "pool"])
+def test_a_resumed_session_reports_like_a_never_evicted_one(tmp_path, backend):
+    """Totals continue the running sums the snapshot carried, counts
+    its counters, and an epoch window spanning the restore reads the
+    part before it from the ledger."""
+    twin = ProfilingSession("twin", **PARAMS)
+    twin.step(BEFORE)
+    twin.reconfigure(dict(RECONFIGURE))
+    twin.step(BETWEEN + AFTER)
+    with _rig(tmp_path, backend) as rig:
+        manager = rig.manager
+        session = manager.create(tenant="acme", **PARAMS)
+        sid = session.session_id
+        session.step(BEFORE)
+        session.reconfigure(dict(RECONFIGURE))
+        session.step(BETWEEN)
+        assert rig.evict() == [sid]
+        session = manager.resume(sid)
+        assert session.rebuild["epochs_restored"] == BEFORE + BETWEEN
+        session.step(AFTER)
+        stats, expected = session.stats(), twin.stats()
+        assert stats["daemon"] == expected["daemon"]
+        assert stats["result"] == expected["result"]
+        for key in ("epochs_run", "workload", "tier1_capacity", "seed"):
+            assert stats["session"][key] == expected["session"][key]
+        window = dict(include_epochs=True, epochs_from=1, epochs_to=BEFORE + 2)
+        assert manager.close(sid, **window) == twin.close(**window)
+
+
+def test_evict_resume_cycles_neither_decode_nor_add_segments(tmp_path):
+    registry = obs_metrics.MetricsRegistry()
+    previous = obs_metrics.set_default_registry(registry)
+    try:
+        with _rig(tmp_path, "inproc") as rig:
+            manager = rig.manager
+            sid = manager.create(tenant="acme", **PARAMS).session_id
+            manager.get(sid).step(BEFORE)
+            assert rig.evict() == [sid]
+            segments = sorted(p.name for p in (tmp_path / sid).glob("seg-*"))
+            for _ in range(20):
+                manager.resume(sid).step(1)
+                assert rig.evict() == [sid]
+            assert sorted(p.name for p in (tmp_path / sid).glob("seg-*")) == segments
+            assert manager.resume(sid).info()["epochs_run"] == BEFORE + 20
+        assert registry.counter("repro_ledger_records_decoded_total").value() == 0
+    finally:
+        obs_metrics.set_default_registry(previous)
+
+
 @pytest.fixture
 def log_lines():
     """The JSON log lines this process emits while the test runs."""
@@ -703,6 +771,14 @@ def test_rebuild_after_retention_dropped_the_reconfigure(tmp_path, snapshot):
         report = _last(manager, sid, "resumed")
         assert report["epochs_restored"] + report["epochs_replayed"] == 205
         assert report["epochs_restored"] == (205 if snapshot == "present" else 0)
-        assert manager.close(sid, include_epochs=True) == _direct_summary(
-            changes, before=5, after=220
-        )
+        summary = manager.close(sid, include_epochs=True)
+        expected = _direct_summary(changes, before=5, after=220)
+        if snapshot == "present":
+            # A snapshot holds no per-epoch history: the epochs from
+            # before the restore are read from the ledger, so the ones
+            # retention dropped are missing from the front.
+            kept = summary["epochs_from"]
+            assert 0 < kept < 205
+            expected["epochs_from"] = kept
+            expected["epochs"] = expected["epochs"][kept:]
+        assert summary == expected

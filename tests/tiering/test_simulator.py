@@ -90,6 +90,59 @@ class TestBasics:
         assert a.total_migrations == b.total_migrations
 
 
+class TestHistoryLeftOut:
+    """A result without its per-epoch history still totals like the
+    whole series: the running sums continue, never combine."""
+
+    def test_totals_continue_bit_identically(self):
+        import sys
+        from dataclasses import replace
+
+        full = _sim(HistoryPolicy()).run(6)
+        rng = np.random.default_rng(3)
+        # Scale the floats apart, so a partial-sum shortcut would round
+        # differently from one left-to-right pass.
+        epochs = [
+            replace(e, hitrate=float(e.hitrate * 10.0 ** rng.integers(-8, 8)))
+            for e in full.epochs
+        ]
+        whole = replace(full, epochs=epochs)
+        totals = (whole.mean_hitrate, whole.total_runtime_s, whole.total_migrations)
+        if sys.version_info < (3, 12):  # ``sum()`` adds floats left to right
+            assert totals == (
+                sum(e.hitrate * e.mem_accesses for e in epochs)
+                / sum(e.mem_accesses for e in epochs),
+                sum(e.runtime_s for e in epochs),
+                sum(e.promoted + e.demoted for e in epochs),
+            )
+        head = replace(full, epochs=epochs[:4]).without_history()
+        assert head.epochs == [] and head.epochs_run == 4
+        head.epochs.extend(epochs[4:])
+        again = head.without_history()
+        for res in (head, again):
+            assert res.epochs_run == 6
+            assert (
+                res.mean_hitrate, res.total_runtime_s, res.total_migrations
+            ) == totals
+
+    def test_history_is_back_after_the_block(self):
+        from repro.core.config import TMPConfig
+
+        sim = _sim(HistoryPolicy(), tmp_config=TMPConfig(hwpc_gating=True))
+        sim.run(3)
+        result, reports = sim.result, sim.profiler.reports
+        decisions = sim.profiler.hwpc.decisions
+        assert len(decisions) == len(reports) == 4  # population + 3
+        with sim.history_left_out():
+            assert sim.result.epochs == [] and sim.result.epochs_run == 3
+            assert sim.profiler.reports == reports[-1:]
+            assert sim.profiler.hwpc.decisions == decisions[-1:]
+        assert sim.result is result and len(result.epochs) == 3
+        assert sim.profiler.reports is reports
+        assert sim.profiler.hwpc.decisions is decisions
+        assert sim.profiler.epochs_closed == len(reports)
+
+
 class TestStepping:
     """The incremental start()/step() driving style (service path)."""
 
