@@ -34,7 +34,6 @@ import time
 
 from repro.ledger import Ledger
 from repro.service.manager import SessionManager
-from repro.service.session import ProfilingSession
 from repro.service.workers import WorkerPool
 
 PARAMS = {
@@ -55,14 +54,12 @@ def measure(backend: str, age: int, directory: str) -> dict:
     now = [0.0]
     crashes: queue.Queue = queue.Queue()
     pool = None
-    factory = ProfilingSession
     if backend == "pool":
         pool = WorkerPool(1, on_session_crash=lambda ids, message: crashes.put(ids))
-        factory = pool.session_factory
     manager = SessionManager(
         idle_ttl_s=IDLE_TTL_S,
         clock=lambda: now[0],
-        session_factory=factory,
+        pool=pool,
         ledger=Ledger(directory),
         evict_to_disk=True,
     )
@@ -86,7 +83,7 @@ def measure(backend: str, age: int, directory: str) -> dict:
         if pool is not None:
             session = manager.get(sid)
             session.step(1)
-            worker = session.worker
+            worker = session.host
             os.kill(worker.process.pid, signal.SIGKILL)
             assert crashes.get(timeout=30) == [sid]
             while worker.generation == 0 or not worker.process.is_alive():

@@ -6,7 +6,7 @@ ledger owns the *file* — where it lives, that it appears whole or not
 at all (:func:`~repro.ioutil.atomic_write_bytes`), and that a reader
 gets the payload back only after the header, the length and the SHA-256
 all check out.  What the payload *is* belongs to the writer
-(:meth:`repro.service.session.ProfilingSession.snapshot` pickles its
+(:meth:`repro.service.session.HostedSession.write_snapshot` pickles its
 simulator), which is also the only one to decode it.
 
 The header is self-describing — what wrote it (``repro``, ``python``

@@ -19,11 +19,14 @@ Layering:
 ``telemetry``
     :class:`EpochMetrics`/:class:`SimulationResult` → JSON-safe dicts.
 ``session``
-    One profiling session: simulator + daemon + subscriber queues.
+    One profiling session: a handle (tenancy, subscriber queues,
+    fan-out) over a host (the op table over simulator + daemon),
+    hosted in-thread.
 ``workers``
-    The sticky worker-process pool (`--workers N`): sessions execute
-    on separate cores, with crash recovery and structured error
-    frames; ``workers=0`` keeps the in-process path.
+    The host's process transport (`--workers N`): a sticky
+    worker-process pool, so sessions execute on separate cores, with
+    crash recovery and structured error frames; ``workers=0`` hosts
+    every session in-thread.
 ``manager``
     The session registry and the one owner of the session lifecycle:
     admission, create, idle eviction (optionally checkpointed to
@@ -58,8 +61,8 @@ _EXPORTS = {
     "manager": ("SessionManager",),
     "protocol": ("ErrorCode", "ServiceError"),
     "server": ("ServerThread", "ServiceServer"),
-    "session": ("ProfilingSession", "SessionBase", "SubscriberQueue"),
-    "workers": ("RemoteSession", "WorkerPool", "resolve_workers"),
+    "session": ("ProfilingSession", "SubscriberQueue"),
+    "workers": ("WorkerPool", "resolve_workers"),
 }
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -23,10 +23,10 @@ registry lock at every mutation, so it always equals
 ``len(list_sessions())`` at the instant it was set — concurrent
 creates/closes cannot publish stale counts out of order.
 
-Construction is pluggable: ``session_factory`` defaults to the
-in-process :class:`ProfilingSession`, and the worker-pool server
-passes :meth:`~repro.service.workers.WorkerPool.session_factory` so
-the same lifecycle governs worker-backed sessions.
+Every session is built one way: a :class:`ProfilingSession` on
+``pool`` — its sticky worker processes — or, when there is none, on
+the session's own in-thread host.  The lifecycle is the same on both;
+only crash recovery needs a pool.
 """
 
 from __future__ import annotations
@@ -74,14 +74,16 @@ def _rebuild_params(meta: dict, session_ledger, epochs: int, snapshot_path) -> d
     would be and whose it must be, the epoch to reach, every
     ``reconfigured`` record of the session's life with its seq, and
     the ledger directory that epoch windows from before a snapshot
-    restore are read from.  The
-    process that builds the session restores the snapshot if it checks
-    out and replays only what came after it; otherwise it replays
-    everything (:class:`~repro.service.session.ProfilingSession`).
-    Reads what the ledger keeps beside its records; scans none of them.
+    restore are read from.  The host that builds the session restores
+    the snapshot if it checks out and replays only what came after it;
+    otherwise it replays everything
+    (:class:`~repro.service.session.HostedSession`).  The tenant is the
+    handle's, not the host's, so it is left out.  Reads what the ledger
+    keeps beside its records; scans none of them.
     """
+    config = {k: v for k, v in meta["config"].items() if k != "tenant"}
     return {
-        **meta["config"],
+        **config,
         "catchup": {
             "epochs": int(epochs),
             "reconfigured": session_ledger.reconfigured,
@@ -115,7 +117,7 @@ class SessionManager:
         max_sessions: int = 16,
         idle_ttl_s: float = 600.0,
         clock=time.monotonic,
-        session_factory=ProfilingSession,
+        pool=None,
         tenant_quota: int | None = None,
         ledger=None,
         evict_to_disk: bool = False,
@@ -129,7 +131,9 @@ class SessionManager:
         #: at admission against live + reserved sessions of the tenant.
         self.tenant_quota = None if tenant_quota is None else int(tenant_quota)
         self.idle_ttl_s = float(idle_ttl_s)
-        self.session_factory = session_factory
+        #: The :class:`~repro.service.workers.WorkerPool` sessions are
+        #: placed on; None hosts each in-thread.
+        self.pool = pool
         #: The durable event store (``--ledger-dir``): every session is
         #: given its own ledger before it is published, which is what
         #: makes replay, crash recovery and resume possible.  None
@@ -214,6 +218,12 @@ class SessionManager:
         self._tenant_count[tenant] = self._tenant_count.get(tenant, 0) + 1
         return self._drain_gen
 
+    def _build(self, session_id: str, **params) -> ProfilingSession:
+        """The one way a session is built, on either transport."""
+        return ProfilingSession(
+            session_id, pool=self.pool, clock=self._clock, **params
+        )
+
     def _build_admitted(self, session_id: str, tenant: str, drain_gen: int, builder):
         """Build outside the lock, then install under it (shared by
         :meth:`create` and :meth:`resume`).
@@ -290,9 +300,7 @@ class SessionManager:
             session_id = f"s{self._next_id}"
 
         def build():
-            session = self.session_factory(
-                session_id, clock=self._clock, **params
-            )
+            session = self._build(session_id, **params)
             if self.ledger is not None:
                 try:
                     session.attach_ledger(
@@ -404,9 +412,7 @@ class SessionManager:
                 )
                 params["tenant"] = tenant
                 t0 = time.perf_counter()
-                session = self.session_factory(
-                    session_id, clock=self._clock, **params
-                )
+                session = self._build(session_id, **params)
                 _observe_rebuild(session.rebuild, time.perf_counter() - t0)
                 session.attach_ledger(
                     session_ledger, start_seq=session_ledger.next_seq

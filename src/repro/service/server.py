@@ -5,14 +5,13 @@ per connection, concurrently across connections) plus pushed event
 frames for that connection's subscriptions.  Blocking work — session
 construction, epoch stepping, daemon reads — runs in a worker
 executor so the event loop stays responsive while many tenants step
-at once; per-session locks in :class:`ProfilingSession` keep each
-session single-stepped.
+at once; each session's host steps it one call at a time.
 
 With ``workers > 0`` the executor threads are merely RPC couriers:
 simulation lives in a sticky :class:`~repro.service.workers.WorkerPool`
 of worker *processes*, so concurrent sessions step on separate cores
 instead of contending for the GIL.  ``workers=0`` (the default for
-embedded servers) steps in-process.
+embedded servers) hosts every session in-thread.
 
 This module is transport and dispatch only.  Every session lifecycle
 transition — create, evict/checkpoint, resume, crash recovery, close —
@@ -57,7 +56,6 @@ from .protocol import (
     ok_response,
     splice_event_frame,
 )
-from .session import ProfilingSession
 from .workers import WorkerPool, resolve_workers
 
 __all__ = ["ServiceServer", "ServerThread"]
@@ -87,6 +85,20 @@ def _number_param(params: dict, name: str, default=None, *, real=False, minimum=
             what += f" >= {minimum}"
         raise ServiceError(ErrorCode.BAD_PARAMS, f"{name} must be {what}")
     return value
+
+
+def _pids_param(params: dict):
+    """``params["pids"]``: absent or ``null`` (every process), or a
+    list of integers."""
+    pids = params.get("pids")
+    if pids is not None and (
+        not isinstance(pids, list)
+        or any(isinstance(pid, bool) or not isinstance(pid, int) for pid in pids)
+    ):
+        raise ServiceError(
+            ErrorCode.BAD_PARAMS, "pids must be null or a list of integers"
+        )
+    return pids
 
 
 class _Connection:
@@ -244,12 +256,10 @@ class ServiceServer:
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         step_threads = self.step_workers
-        factory = ProfilingSession
         if self.workers > 0:
             self._pool = WorkerPool(
                 self.workers, on_session_crash=self._on_worker_crash
             )
-            factory = self._pool.session_factory
             if step_threads is None:
                 # Executor threads only courier RPCs to the pool; give
                 # the pool headroom so threads never gate core count.
@@ -260,7 +270,7 @@ class ServiceServer:
             tenant_quota=self.tenant_quota,
             ledger=self._ledger,
             evict_to_disk=self.evict_to_disk,
-            session_factory=factory,
+            pool=self._pool,
         )
         self._executor = ThreadPoolExecutor(
             max_workers=step_threads,
@@ -543,13 +553,11 @@ class ServiceServer:
 
     async def _op_stats(self, conn, params) -> dict:
         session = self.manager.get(self._session_id(params))
-        session.touch()
         return await self._run_blocking(session.stats)
 
     async def _op_numa_maps(self, conn, params) -> dict:
         session = self.manager.get(self._session_id(params))
-        session.touch()
-        text = await self._run_blocking(session.numa_maps, params.get("pids"))
+        text = await self._run_blocking(session.numa_maps, _pids_param(params))
         return {"session": session.session_id, "numa_maps": text}
 
     async def _op_reconfigure(self, conn, params) -> dict:

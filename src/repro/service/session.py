@@ -1,26 +1,25 @@
-"""One profiling session: a live simulator + daemon + subscribers.
+"""One profiling session: a handle over a host.
 
-A session is the service-side unit of tenancy.  It owns a
-:class:`TieredSimulator` driven incrementally through the epoch-step
-hook (``start()`` once, ``step(n)`` on demand), the
-:class:`TMPDaemon` front-end over that simulator's profiler (for
-``stats``/``numa_maps``/``reconfigure``), running step-timing totals,
-and any number of bounded subscriber queues that receive one frame per
-scored epoch.
+The manager holds one :class:`ProfilingSession` per tenant session.
+It is the tenancy — identity, activity tracking, the eviction claim,
+bounded subscriber queues, the session-global frame seq and the ledger
+append — and it forwards every simulation op (``step``, ``stats``,
+``numa_maps``, ``reconfigure``, ``snapshot``, ``close``) to a
+:class:`SessionHost`: the op table over hosted sessions
+(:class:`HostedSession`), each a :class:`TieredSimulator` driven incrementally through the epoch-step
+hook plus the :class:`TMPDaemon` over its profiler.  A host has two
+transports: in-thread (the session's own host, called directly) and a
+pool worker process (:mod:`~repro.service.workers`).  Either way each
+frame's payload is encoded once on the host and fans out through the
+handle's one path.
 
 Thread model: the server executes stepping and daemon reads in a
 worker executor so the event loop stays responsive, while subscriber
-drains happen on the loop.  Two locks keep that safe — ``_sim_lock``
-serializes simulator/daemon access (one step at a time per session),
-``_sub_lock`` guards the subscriber table so frames can be drained
-*while* a step is still producing them.
-
-:class:`SessionBase` holds everything that is *tenancy*, not
-*simulation* — identity, activity tracking, the subscriber table and
-frame fan-out — so the worker-pool's remote sessions
-(:class:`~repro.service.workers.RemoteSession`, which forward
-simulation to a sticky worker process) share the exact subscriber
-semantics of the in-process path.
+drains happen on the loop.  Two locks keep that safe — a hosted
+session's ``_sim_lock`` serializes simulator/daemon access (one step
+at a time per session), the handle's ``_sub_lock`` guards the
+subscriber table so frames can be drained *while* a step is still
+producing them.
 """
 
 from __future__ import annotations
@@ -43,15 +42,18 @@ from ..tiering.simulator import TieredSimulator
 from ..workloads import make_workload, resolve_workload
 from .protocol import ErrorCode, ServiceError, encode_payload, splice_event_frame
 from .telemetry import (
+    crash_event_data,
     epoch_metrics_to_dict,
     ledger_epoch_window,
+    recovered_event_data,
     simulation_result_to_dict,
 )
 
 __all__ = [
+    "HostedSession",
     "ProfilingSession",
     "QueuedFrame",
-    "SessionBase",
+    "SessionHost",
     "SubscriberQueue",
     "DEFAULT_MAX_QUEUE",
 ]
@@ -60,6 +62,9 @@ _log = obs_log.get_logger("service.session")
 
 #: Default per-subscriber frame buffer (drop-oldest beyond this).
 DEFAULT_MAX_QUEUE = 64
+
+#: How long a close or a snapshot waits for a busy or dead worker.
+HOST_TIMEOUT_S = 10.0
 
 #: Cached (registry, frames_counter, dropped_counter) for the fan-out
 #: hot path: ``SubscriberQueue.push`` runs once per frame per
@@ -228,24 +233,408 @@ class SubscriberQueue:
         return len(self._frames)
 
 
-class SessionBase:
-    """Tenancy bookkeeping shared by local and worker-backed sessions.
+class HostedSession:
+    """One session's simulation: simulator, daemon and step timings.
 
-    Identity, activity tracking (``touch``/``idle_s`` drive the
-    manager's TTL eviction) and the subscriber table with its
-    drop-oldest fan-out.  Subclasses supply the
-    simulation: :class:`ProfilingSession` hosts it in-process,
-    :class:`~repro.service.workers.RemoteSession` forwards to a sticky
-    worker process and feeds frames back through :meth:`_fanout`.
+    A :class:`SessionHost` holds it (an in-thread handle also reads its
+    ``sim`` and ``daemon``).  It emits every frame — ``epoch`` from the
+    simulator's epoch-step hook, ``reconfigured`` from
+    :meth:`reconfigure` — only through the host's ``sink(session_id,
+    event, payload_bytes)``, each payload encoded once, here, where the
+    numpy objects live.  ``_sim_lock`` serializes the simulator and
+    daemon: one op at a time per session.
+    """
+
+    def __init__(
+        self,
+        session_id: str,
+        sink,
+        *,
+        workload: str,
+        policy: str = "history",
+        tier1_ratio: float = 1 / 8,
+        rank_source: str = "combined",
+        seed: int = 0,
+        epoch_slices: int = 1,
+        ibs_period: int = 16,
+        init: bool = True,
+        workload_kwargs: dict | None = None,
+        policy_kwargs: dict | None = None,
+        tmp: dict | None = None,
+        catchup: dict | None = None,
+    ):
+        bad_params = functools.partial(ServiceError, ErrorCode.BAD_PARAMS)
+        resolve_workload(workload, error=bad_params)
+        policy_class = resolve_policy(policy, error=bad_params)
+        self.session_id = session_id
+        self.closed = False
+        self._sink = sink
+        self._sim_lock = threading.Lock()
+        #: Running totals behind ``stats()["timings"]["step"]``: a
+        #: record per step would grow with the session's age.
+        self._step_timing = {
+            "events": 0, "items": 0, "work_seconds": 0.0, "cached": 0
+        }
+
+        #: What the rebuild that made this session did (None when it
+        #: was built by ``create``): ``epochs_restored`` from a
+        #: snapshot, ``epochs_replayed`` after it, ``snapshot_bytes``,
+        #: and the ``fallback_reason`` when a snapshot was not used.
+        self.rebuild: dict | None = None
+        #: The session's ledger directory (rebuilds only): a restored
+        #: snapshot holds no per-epoch history, so epoch windows from
+        #: before the restore are read from there.
+        self._ledger_dir = catchup.get("ledger") if catchup else None
+        # A rebuild starts from the newest usable snapshot at or before
+        # the epoch it must reach; with none it starts, like ``create``,
+        # from a fresh build at epoch 0.
+        snapshot = fallback_reason = None
+        if catchup and catchup.get("snapshot"):
+            snapshot, fallback_reason = self._restore(
+                catchup["snapshot"], catchup["epochs"]
+            )
+        if snapshot is None:
+            try:
+                wl = make_workload(workload, **(workload_kwargs or {}))
+                pol = policy_class(**(policy_kwargs or {}))
+                tmp_config = TMPConfig(**tmp) if tmp else None
+                self.sim = TieredSimulator(
+                    wl,
+                    pol,
+                    tier1_ratio=tier1_ratio,
+                    rank_source=rank_source,
+                    machine_config=MachineConfig.scaled(ibs_period=ibs_period),
+                    tmp_config=tmp_config,
+                    seed=seed,
+                    epoch_slices=epoch_slices,
+                )
+            except ServiceError:
+                raise
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ServiceError(ErrorCode.BAD_PARAMS, str(exc)) from exc
+            self.sim.obs_label = session_id
+            self.daemon = TMPDaemon(self.sim.profiler)
+            self.daemon.add_workload(wl)
+            self.sim.start(init=init)
+        if catchup:
+            # Rebuild catch-up (crash recovery, checkpoint resume):
+            # silently re-run the epochs scored since that starting
+            # point, re-applying each ``reconfigured`` payload recorded
+            # since then at its epoch boundary, *before* attaching the
+            # epoch hook, so subscribers (and the ledger) never see
+            # them twice.  "Since" is by seq, not by epoch: a
+            # reconfigure made right after a resume shares its
+            # ``epochs_run`` with the snapshot.  The simulator is
+            # deterministic, so the caught-up state is bit-identical to
+            # the state before the interruption.
+            since_seq = snapshot["frame_seq"] if snapshot else 0
+            restored = self.sim.epochs_run
+            for record in catchup["reconfigured"]:
+                if record["seq"] >= since_seq:
+                    self._catch_up_to(record["epochs_run"])
+                    self.daemon.reconfigure(**record["changes"])
+            self._catch_up_to(catchup["epochs"])
+            self.rebuild = {
+                "epochs_restored": restored,
+                "epochs_replayed": self.sim.epochs_run - restored,
+                "snapshot_bytes": snapshot["payload_bytes"] if snapshot else 0,
+            }
+            if fallback_reason:
+                self.rebuild["fallback_reason"] = fallback_reason
+        self.sim.add_epoch_hook(self._emit_epoch)
+
+    def _restore(self, snapshot: dict, target: int) -> tuple[dict | None, str | None]:
+        """Adopt the simulator and daemon of the snapshot file that
+        ``snapshot`` (``{"path", "config_key"}``, from the session
+        manager) describes; returns ``(its header, None)``.
+
+        Returns ``(None, reason)`` — after logging why — when the file
+        is missing, fails any check
+        (:func:`~repro.ledger.snapshot.read_snapshot`) or does not
+        load: a bad snapshot can cost time, never a session.
+        """
+        try:
+            header, payload = read_snapshot(
+                snapshot["path"],
+                config_key=snapshot["config_key"],
+                max_epochs=target,
+            )
+            # Bytes this server wrote, verified against their digest, on
+            # a path the ledger derived (docs/service.md, trust boundary).
+            self.sim, self.daemon = pickle.loads(payload)
+        except Exception as exc:  # noqa: BLE001 — fall back to replay from 0
+            reason = exc.reason if isinstance(exc, SnapshotError) else "load_failed"
+            _log.log(
+                "info" if reason == "missing" else "warning",
+                "snapshot_not_used",
+                session=self.session_id,
+                reason=reason,
+                error=str(exc),
+            )
+            return None, reason
+        return header, None
+
+    def _catch_up_to(self, epoch: int) -> None:
+        behind = int(epoch) - self.sim.epochs_run
+        if behind > 0:
+            self.sim.step(behind)
+
+    def _emit_epoch(self, metrics) -> None:
+        """Epoch-step hook: one ``epoch`` frame into the sink."""
+        self._sink(
+            self.session_id, "epoch", encode_payload(epoch_metrics_to_dict(metrics))
+        )
+
+    def info(self) -> dict:
+        """Configuration, progress, and what the rebuild did."""
+        return {
+            "workload": self.sim.workload.name,
+            "policy": self.sim.policy.name,
+            "rank_source": self.sim.rank_source.value,
+            "tier1_ratio": float(self.sim.tier1_ratio),
+            "tier1_capacity": int(self.sim.tier1_capacity),
+            "seed": self.sim.seed,
+            "epochs_run": self.sim.epochs_run,
+            "rebuild": self.rebuild,
+        }
+
+    def close(
+        self,
+        include_epochs: bool = False,
+        epochs_from: int = 0,
+        epochs_to: int | None = None,
+    ) -> dict:
+        """Finalize and return the run summary.
+
+        ``include_epochs`` attaches the per-epoch telemetry series,
+        bounded to the requested window (and never more than
+        ``MAX_EPOCHS_PER_RESPONSE`` entries) so closing a 100k-epoch
+        session cannot serialize an unbounded list into one response.
+        """
+        with self._sim_lock:
+            self.closed = True
+            summary = simulation_result_to_dict(
+                self.sim.result,
+                include_epochs=include_epochs,
+                epochs_from=epochs_from,
+                epochs_to=epochs_to,
+                earlier=self._earlier_epochs,
+            )
+            self.sim.close()
+        return summary
+
+    def _earlier_epochs(self, start: int, stop: int) -> list[dict]:
+        """Epochs ``[start, stop)`` scored before a snapshot restore,
+        read from the session's ledger (opening one only reads)."""
+        if self._ledger_dir is None:
+            return []
+        session_ledger = SessionLedger(self._ledger_dir)
+        try:
+            return ledger_epoch_window(session_ledger, start, stop)
+        finally:
+            session_ledger.close()
+
+    def step(self, epochs: int) -> dict:
+        """Advance ``epochs`` scored epochs; returns their telemetry.
+
+        Runs under the simulator lock and adds the call to the ``step``
+        timing totals.  Each epoch's frame goes into the sink as the
+        epoch completes, so a subscriber sees epoch ``k`` while ``k+1``
+        is still executing.
+        """
+        if epochs < 1:
+            raise ServiceError(ErrorCode.BAD_PARAMS, "epochs must be >= 1")
+        with self._sim_lock:
+            if self.closed:
+                raise ServiceError(
+                    ErrorCode.UNKNOWN_SESSION,
+                    f"session {self.session_id} is closed",
+                )
+            t0 = time.perf_counter()
+            stepped = self.sim.step(epochs)
+            seconds = time.perf_counter() - t0
+            timing = self._step_timing
+            timing["events"] += 1
+            timing["items"] += len(stepped)
+            timing["work_seconds"] += seconds
+            registry = obs_metrics.default_registry()
+            registry.histogram(
+                "repro_session_step_seconds",
+                "Wall-clock latency of one step request",
+            ).observe(seconds)
+            registry.counter(
+                "repro_session_epochs_total", "Scored epochs stepped"
+            ).inc(len(stepped))
+            return {
+                "session": self.session_id,
+                "epochs": [epoch_metrics_to_dict(m) for m in stepped],
+                "epochs_run": self.sim.epochs_run,
+                "step_seconds": seconds,
+            }
+
+    def write_snapshot(
+        self, path: str, *, config_key: str, frame_seq: int, durable: bool
+    ) -> dict:
+        """Write the state to ``path`` (the session manager's checkpoint
+        step names it); returns the header written.
+
+        Simulator and daemon go into a single pickle, so the objects
+        they share stay shared.  The state holds no per-epoch history
+        (:meth:`~repro.tiering.simulator.TieredSimulator
+        .history_left_out`), so its size follows the session's state,
+        not its age; the history is in the ledger."""
+        with self._sim_lock, self.sim.history_left_out():
+            epochs = self.sim.epochs_run
+            payload = pickle.dumps(
+                (self.sim, self.daemon), protocol=pickle.HIGHEST_PROTOCOL
+            )
+        return write_snapshot(
+            path,
+            payload,
+            config_key=config_key,
+            epochs=epochs,
+            frame_seq=frame_seq,
+            durable=durable,
+        )
+
+    def stats(self) -> dict:
+        """Daemon summary, run totals and step timings."""
+        with self._sim_lock:
+            return {
+                "daemon": self.daemon.statistics(),
+                "result": simulation_result_to_dict(self.sim.result),
+                "timings": (
+                    {"step": dict(self._step_timing)}
+                    if self._step_timing["events"]
+                    else {}
+                ),
+            }
+
+    def numa_maps(self, pids=None) -> str:
+        with self._sim_lock:
+            try:
+                return self.daemon.numa_maps(pids)
+            except KeyError as exc:
+                raise ServiceError(ErrorCode.BAD_PARAMS, exc.args[0]) from exc
+
+    def reconfigure(self, changes: dict) -> dict:
+        """Apply live TMP config changes through the daemon.
+
+        A successful change emits one ``reconfigured`` frame, so it
+        takes a seq and a ledger record like any other frame — a
+        rebuild replays it at the same epoch boundary (``catchup``).
+        """
+        if not isinstance(changes, dict) or not changes:
+            raise ServiceError(
+                ErrorCode.BAD_PARAMS, "reconfigure needs a non-empty changes object"
+            )
+        with self._sim_lock:
+            try:
+                self.daemon.reconfigure(**changes)
+            except (AttributeError, ValueError, TypeError) as exc:
+                raise ServiceError(ErrorCode.BAD_PARAMS, str(exc)) from exc
+            self._sink(
+                self.session_id,
+                "reconfigured",
+                encode_payload({"changes": changes, "epochs_run": self.sim.epochs_run}),
+            )
+            return {"session": self.session_id, "applied": sorted(changes)}
+
+
+#: Every op but ``create`` names one hosted session: ``op -> run(session,
+#: argument)``, and what ``run`` returns is the reply.
+_SESSION_OPS = {
+    "step": HostedSession.step,
+    "stats": lambda session, _: session.stats(),
+    "numa_maps": HostedSession.numa_maps,
+    "reconfigure": HostedSession.reconfigure,
+    # Written where the state lives: it never crosses a pipe.
+    "snapshot": lambda session, header: session.write_snapshot(**header),
+    "close": lambda session, options: session.close(**options),
+}
+
+
+class SessionHost:
+    """The op table over hosted sessions, whichever transport runs it.
+
+    A pool worker runs one behind its pipe
+    (:mod:`~repro.service.workers`); an in-thread
+    :class:`ProfilingSession` owns one and calls :meth:`request`
+    directly — no pickle, no extra hop.  Requests are
+    ``(op, payload)``: ``create`` takes ``(session_id, params)``, every
+    other op ``(session_id, argument)``.  Each session built here emits
+    its frames into ``sink(session_id, event, payload_bytes)``.
+    """
+
+    def __init__(self, sink, name: str = "the in-thread host"):
+        self.sessions: dict[str, HostedSession] = {}
+        self._sink = sink
+        self._name = name
+
+    def request(self, op: str, payload=None, timeout_s: float | None = None):
+        """Run ``op`` on the calling thread: the in-thread transport,
+        and what a worker runs for each message it reads (``timeout_s``
+        is the pipe's)."""
+        if op == "create":
+            # A rebuild's ``params`` carry ``catchup``: the snapshot it
+            # names is read here, and the history since re-runs before
+            # the epoch hook attaches, unseen by any subscriber.
+            session_id, params = payload
+            try:
+                session = HostedSession(session_id, self._sink, **params)
+            except TypeError as exc:  # an unknown or repeated param
+                raise ServiceError(ErrorCode.BAD_PARAMS, str(exc)) from exc
+            self.sessions[session_id] = session
+            return session.info()
+        run = _SESSION_OPS.get(op)
+        if run is None:
+            raise ServiceError(ErrorCode.UNKNOWN_OP, f"unknown host op {op!r}")
+        session_id, argument = payload
+        session = self.sessions.get(session_id)
+        if session is None:
+            raise ServiceError(
+                ErrorCode.UNKNOWN_SESSION,
+                f"{self._name} has no session {session_id!r}",
+            )
+        reply = run(session, argument)
+        if op == "close":
+            del self.sessions[session_id]
+        return reply
+
+
+class ProfilingSession:
+    """One tenant's session as the manager holds it: the tenancy here,
+    the simulation on a host.
+
+    Tenancy is identity, activity tracking (``touch``/``idle_s`` drive
+    the manager's TTL eviction), the eviction claim, the subscriber
+    table with its drop-oldest fan-out, the session-global frame seq
+    and the ledger append.  Every simulation op forwards as
+    ``host.request(op, (session_id, argument))``.  The host is the
+    session's own in-thread :class:`SessionHost` when ``pool`` is None,
+    whose sink fans each frame out on the stepping thread, or the
+    sticky worker of ``pool``, whose frames come back over its pipe.
+    Either way a step's frames land before its reply.  ``info``
+    answers from this side, so ``list_sessions`` never waits on a busy
+    host.  Only a pooled session can crash and be recovered.
     """
 
     #: Why the hosting worker died, while the session waits to be
-    #: recovered; only worker-backed sessions ever set it.
+    #: recovered; only a pooled session ever sets it.
     crashed: str | None = None
-    #: Index of the hosting worker process (None: hosted in-process).
-    worker_index: int | None = None
+    #: The in-thread session's simulation (its ``sim`` and ``daemon``);
+    #: a pooled session's lives in its worker.
+    _local: HostedSession | None = None
 
-    def __init__(self, session_id: str, clock=time.monotonic, tenant: str = "default"):
+    def __init__(
+        self,
+        session_id: str,
+        *,
+        pool=None,
+        clock=time.monotonic,
+        tenant: str = "default",
+        **params,
+    ):
         self.session_id = session_id
         #: Admission principal: per-tenant quotas in the manager count
         #: live sessions by this key.
@@ -254,6 +643,13 @@ class SessionBase:
         self.created_s = clock()
         self.last_active_s = self.created_s
         self.closed = False
+        #: Set (never cleared) by :meth:`close`: distinguishes a
+        #: deliberately closed/evicted session from one merely marked
+        #: crashed — both have ``closed=True``, but only a crashed one
+        #: may be resurrected by the ledger-recovery path.  Guards the
+        #: close-races-recovery window: see
+        #: :meth:`~repro.service.workers.WorkerPool.recover_session`.
+        self._discarded = False
         #: In-flight blocking operations (steps in progress or queued on
         #: the simulator lock).  A busy session is never idle, however
         #: long the operation runs — the idle-TTL reaper must not close
@@ -266,16 +662,59 @@ class SessionBase:
         self._sub_lock = threading.Lock()
         self._subscribers: dict[str, SubscriberQueue] = {}
         self._next_sub = 0
-        #: Extra frame consumers fed ``(event, payload_bytes)`` on every
-        #: fan-out (the worker processes use one to stream epochs back
-        #: over their pipe without a decode/re-encode round trip).
-        self._sinks: list = []
         #: Session-global frame counter: every fan-out consumes one
         #: number, shared by all subscribers and the ledger.
         self._frame_seq = 0
         #: The session's durable event store, when the server enables
         #: one (``--ledger-dir``); appended on every fan-out.
         self.ledger = None
+        self.pool = pool
+        if pool is None:
+            self.host = SessionHost(
+                lambda _, event, payload: self._fanout_batch(((event, payload),))
+            )
+        else:
+            pool.place(self)  # sets ``host``: the least-loaded worker
+        try:
+            self._set_info(self.host.request("create", (session_id, params)))
+        except BaseException:
+            if pool is not None:
+                pool.release(self)
+            raise
+        if pool is None:
+            self._local = self.host.sessions[session_id]
+
+    @property
+    def sim(self):
+        """The in-thread session's :class:`TieredSimulator`."""
+        return self._local.sim
+
+    @property
+    def daemon(self):
+        """The in-thread session's :class:`TMPDaemon`."""
+        return self._local.daemon
+
+    @property
+    def worker_index(self) -> int | None:
+        """Index of the hosting worker process (None: in-thread)."""
+        return None if self.pool is None else self.host.index
+
+    def _set_info(self, reply: dict) -> None:
+        """Keep the host's ``create`` reply: config, progress, rebuild."""
+        self._config = dict(reply)
+        self._epochs_run = self._config.pop("epochs_run")
+        #: What the rebuild that made this session did (None when it
+        #: was built by ``create``): see :attr:`HostedSession.rebuild`.
+        self.rebuild = self._config.pop("rebuild")
+
+    def _request(self, op, argument=None, timeout_s=None):
+        if self.crashed is not None:
+            raise ServiceError(ErrorCode.WORKER_CRASHED, self.crashed)
+        if self.closed:
+            raise ServiceError(
+                ErrorCode.UNKNOWN_SESSION, f"session {self.session_id} is closed"
+            )
+        return self.host.request(op, (self.session_id, argument), timeout_s=timeout_s)
 
     # ------------------------------------------------------------- lifecycle
 
@@ -333,17 +772,111 @@ class SessionBase:
             self._evicting = True
             return True
 
-    # ---------------------------------------------------------- subscribers
+    def mark_crashed(self, message: str) -> None:
+        """Fail this session: one structured error frame, then closed."""
+        self.crashed = message
+        self.closed = True
+        self._fanout(
+            "error",
+            crash_event_data(ErrorCode.WORKER_CRASHED, message, self.host.index),
+        )
 
-    def add_sink(self, sink) -> None:
-        """Register ``sink(event, payload_bytes)`` for every fan-out.
+    def recover(self, host, reply: dict) -> None:
+        """Un-crash this session after a ledger re-materialization.
 
-        The payload bytes are the fan-out's single shared encode of the
-        frame's ``data`` (see :func:`~repro.service.protocol
-        .encode_payload`); a forwarding consumer — the worker pipe —
-        ships them verbatim instead of re-serializing the dict.
+        The replacement (same config, caught up to the ledger's epoch
+        count — ``reply`` is the worker's ``create`` reply) now lives on
+        ``host``; subscriber queues and the session-global frame seq
+        were this side's state all along, so the ``recovered`` frame
+        and every live epoch frame after it continue the pre-crash
+        numbering without a gap.
         """
-        self._sinks.append(sink)
+        self.host = host
+        self._set_info(reply)
+        self.crashed = None
+        self.closed = False
+        self._fanout(
+            "recovered",
+            recovered_event_data(
+                self.session_id, host.index, self._epochs_run, self.rebuild
+            ),
+        )
+        self.touch()
+
+    def close(self, **options) -> dict:
+        """Finalize on the host, detach subscribers, return the run
+        summary (``options``: :meth:`HostedSession.close`'s epoch
+        window); never raises on a dead worker."""
+        self._discarded = True
+        if self.crashed is not None:
+            summary = {"session": self.session_id, "crashed": self.crashed}
+        else:
+            try:
+                summary = self._request("close", options, timeout_s=HOST_TIMEOUT_S)
+            except ServiceError as exc:
+                summary = {"session": self.session_id, "crashed": exc.message}
+        self.closed = True
+        if self.pool is not None:
+            self.pool.release(self)
+        with self._sub_lock:
+            self._subscribers.clear()
+        if self.ledger is not None:
+            self.ledger.close()
+        return summary
+
+    # ------------------------------------------------------------------- ops
+
+    def info(self) -> dict:
+        """Configuration plus progress, from this side."""
+        info = {
+            "session": self.session_id,
+            "tenant": self.tenant,
+            **self._config,
+            "epochs_run": self._epochs_run,
+            "subscribers": len(self._subscribers),
+            "idle_s": self.idle_s(),
+        }
+        if self.pool is not None:
+            info["worker"] = self.host.index
+        if self.crashed is not None:
+            info["crashed"] = self.crashed
+        return info
+
+    def step(self, epochs: int = 1) -> dict:
+        """Advance ``epochs`` scored epochs; returns their telemetry.
+
+        The whole call is bracketed by :meth:`begin_op`/:meth:`end_op`
+        so a step running longer than the idle TTL never makes the
+        session look idle — the reaper skips busy sessions.
+        """
+        self.begin_op()
+        try:
+            reply = self._request("step", epochs)
+            self._epochs_run = reply["epochs_run"]
+            return reply
+        finally:
+            self.end_op()
+
+    def stats(self) -> dict:
+        """Operator statistics: session, daemon summary, timings."""
+        self.touch()
+        return {"session": self.info(), **self._request("stats")}
+
+    def numa_maps(self, pids=None) -> str:
+        self.touch()
+        return self._request("numa_maps", pids)
+
+    def reconfigure(self, changes: dict) -> dict:
+        self.touch()
+        return self._request("reconfigure", changes)
+
+    def write_snapshot(self, path: str, **header) -> dict:
+        """:meth:`HostedSession.write_snapshot`, run by the host."""
+        return self._request(
+            "snapshot", {"path": path, **header}, timeout_s=HOST_TIMEOUT_S
+        )
+
+    # ---------------------------------------------------------- subscribers
 
     def attach_ledger(self, session_ledger, start_seq: int | None = None) -> None:
         """Durably record every fan-out frame in ``session_ledger``.
@@ -366,22 +899,17 @@ class SessionBase:
                 self._frame_seq = int(start_seq)
 
     def _fanout(self, event: str, data: dict) -> None:
-        """Encode one frame's ``data`` and fan it out.
-
-        The single dict→bytes edge: the in-process epoch hook and the
-        control frames (``error``/``recovered``/``resumed``/
-        ``reconfigured``) enter here; everything downstream moves the
-        payload bytes.
-        """
+        """Encode one control frame's ``data`` (``error``/``recovered``/
+        ``resumed``) and fan it out; a host's frames arrive encoded."""
         self._fanout_batch(((event, encode_payload(data)),))
 
     def _fanout_batch(self, batch) -> None:
         """Fan out a sequence of pre-encoded ``(event, payload_bytes)``.
 
-        Each payload bytes object is shared by every subscriber queue,
-        the ledger record and the sinks — encoded once (by
-        :meth:`_fanout`, or worker-side for pool sessions) and only
-        ever spliced afterwards.
+        The one fan-out path of every frame.  Each payload bytes object
+        is shared by every subscriber queue and the ledger record —
+        encoded once (by :meth:`_fanout`, or by the host) and only ever
+        spliced afterwards.
         """
         with self._sub_lock:
             subs = list(self._subscribers.values())
@@ -400,9 +928,6 @@ class SessionBase:
         for sub in subs:
             if sub.notify is not None:
                 sub.notify()
-        for event, payload in batch:
-            for sink in self._sinks:
-                sink(event, payload)
 
     def subscribe(
         self,
@@ -483,326 +1008,3 @@ class SessionBase:
         """
         with self._sub_lock:
             return [frame.encode() for frame in sub.drain()]
-
-
-class ProfilingSession(SessionBase):
-    """One tenant: simulator, daemon, timings, and subscribers."""
-
-    def __init__(
-        self,
-        session_id: str,
-        *,
-        workload: str,
-        policy: str = "history",
-        tier1_ratio: float = 1 / 8,
-        rank_source: str = "combined",
-        seed: int = 0,
-        epoch_slices: int = 1,
-        ibs_period: int = 16,
-        init: bool = True,
-        workload_kwargs: dict | None = None,
-        policy_kwargs: dict | None = None,
-        tmp: dict | None = None,
-        tenant: str = "default",
-        clock=time.monotonic,
-        catchup: dict | None = None,
-    ):
-        bad_params = functools.partial(ServiceError, ErrorCode.BAD_PARAMS)
-        resolve_workload(workload, error=bad_params)
-        policy_class = resolve_policy(policy, error=bad_params)
-        super().__init__(session_id, clock=clock, tenant=tenant)
-        self._sim_lock = threading.Lock()
-        #: Running totals behind ``stats()["timings"]["step"]``: a
-        #: record per step would grow with the session's age.
-        self._step_timing = {
-            "events": 0, "items": 0, "work_seconds": 0.0, "cached": 0
-        }
-
-        #: What the rebuild that made this session did (None when it
-        #: was built by ``create``): ``epochs_restored`` from a
-        #: snapshot, ``epochs_replayed`` after it, ``snapshot_bytes``,
-        #: and the ``fallback_reason`` when a snapshot was not used.
-        self.rebuild: dict | None = None
-        #: The session's ledger directory (rebuilds only): a restored
-        #: snapshot holds no per-epoch history, so epoch windows from
-        #: before the restore are read from there.
-        self._ledger_dir = catchup.get("ledger") if catchup else None
-        # A rebuild starts from the newest usable snapshot at or before
-        # the epoch it must reach; with none it starts, like ``create``,
-        # from a fresh build at epoch 0.
-        snapshot = fallback_reason = None
-        if catchup and catchup.get("snapshot"):
-            snapshot, fallback_reason = self._restore(
-                catchup["snapshot"], catchup["epochs"]
-            )
-        if snapshot is None:
-            try:
-                wl = make_workload(workload, **(workload_kwargs or {}))
-                pol = policy_class(**(policy_kwargs or {}))
-                tmp_config = TMPConfig(**tmp) if tmp else None
-                self.sim = TieredSimulator(
-                    wl,
-                    pol,
-                    tier1_ratio=tier1_ratio,
-                    rank_source=rank_source,
-                    machine_config=MachineConfig.scaled(ibs_period=ibs_period),
-                    tmp_config=tmp_config,
-                    seed=seed,
-                    epoch_slices=epoch_slices,
-                )
-            except ServiceError:
-                raise
-            except (TypeError, ValueError, AttributeError) as exc:
-                raise ServiceError(ErrorCode.BAD_PARAMS, str(exc)) from exc
-            self.sim.obs_label = session_id
-            self.daemon = TMPDaemon(self.sim.profiler)
-            self.daemon.add_workload(wl)
-            self.sim.start(init=init)
-        if catchup:
-            # Rebuild catch-up (crash recovery, checkpoint resume):
-            # silently re-run the epochs scored since that starting
-            # point, re-applying each ``reconfigured`` payload recorded
-            # since then at its epoch boundary, *before* attaching the
-            # fan-out hook, so subscribers (and the ledger) never see
-            # them twice.  "Since" is by seq, not by epoch: a
-            # reconfigure made right after a resume shares its
-            # ``epochs_run`` with the snapshot.  The simulator is
-            # deterministic, so the caught-up state is bit-identical to
-            # the state before the interruption.
-            since_seq = snapshot["frame_seq"] if snapshot else 0
-            restored = self.sim.epochs_run
-            for record in catchup["reconfigured"]:
-                if record["seq"] >= since_seq:
-                    self._catch_up_to(record["epochs_run"])
-                    self.daemon.reconfigure(**record["changes"])
-            self._catch_up_to(catchup["epochs"])
-            self.rebuild = {
-                "epochs_restored": restored,
-                "epochs_replayed": self.sim.epochs_run - restored,
-                "snapshot_bytes": snapshot["payload_bytes"] if snapshot else 0,
-            }
-            if fallback_reason:
-                self.rebuild["fallback_reason"] = fallback_reason
-        self.sim.add_epoch_hook(self._on_epoch)
-
-    def _restore(self, snapshot: dict, target: int) -> tuple[dict | None, str | None]:
-        """Adopt the simulator and daemon of the snapshot file that
-        ``snapshot`` (``{"path", "config_key"}``, from the session
-        manager) describes; returns ``(its header, None)``.
-
-        Returns ``(None, reason)`` — after logging why — when the file
-        is missing, fails any check
-        (:func:`~repro.ledger.snapshot.read_snapshot`) or does not
-        load: a bad snapshot can cost time, never a session.
-        """
-        try:
-            header, payload = read_snapshot(
-                snapshot["path"],
-                config_key=snapshot["config_key"],
-                max_epochs=target,
-            )
-            # Bytes this server wrote, verified against their digest, on
-            # a path the ledger derived (docs/service.md, trust boundary).
-            self.sim, self.daemon = pickle.loads(payload)
-        except Exception as exc:  # noqa: BLE001 — fall back to replay from 0
-            reason = exc.reason if isinstance(exc, SnapshotError) else "load_failed"
-            _log.log(
-                "info" if reason == "missing" else "warning",
-                "snapshot_not_used",
-                session=self.session_id,
-                reason=reason,
-                error=str(exc),
-            )
-            return None, reason
-        return header, None
-
-    def _catch_up_to(self, epoch: int) -> None:
-        behind = int(epoch) - self.sim.epochs_run
-        if behind > 0:
-            self.sim.step(behind)
-
-    # ------------------------------------------------------------- lifecycle
-
-    def info(self) -> dict:
-        """Static configuration plus progress counters."""
-        return {
-            "session": self.session_id,
-            "tenant": self.tenant,
-            "workload": self.sim.workload.name,
-            "policy": self.sim.policy.name,
-            "rank_source": self.sim.rank_source.value,
-            "tier1_ratio": float(self.sim.tier1_ratio),
-            "tier1_capacity": int(self.sim.tier1_capacity),
-            "seed": self.sim.seed,
-            "epochs_run": self.sim.epochs_run,
-            "subscribers": len(self._subscribers),
-            "idle_s": self.idle_s(),
-        }
-
-    def close(
-        self,
-        include_epochs: bool = False,
-        epochs_from: int = 0,
-        epochs_to: int | None = None,
-    ) -> dict:
-        """Finalize: detach subscribers, return the run summary.
-
-        ``include_epochs`` attaches the per-epoch telemetry series,
-        bounded to the requested window (and never more than
-        ``MAX_EPOCHS_PER_RESPONSE`` entries) so closing a 100k-epoch
-        session cannot serialize an unbounded list into one response.
-        """
-        with self._sim_lock:
-            self.closed = True
-            summary = simulation_result_to_dict(
-                self.sim.result,
-                include_epochs=include_epochs,
-                epochs_from=epochs_from,
-                epochs_to=epochs_to,
-                earlier=self._earlier_epochs,
-            )
-            self.sim.close()
-        with self._sub_lock:
-            self._subscribers.clear()
-        if self.ledger is not None:
-            self.ledger.close()
-        return summary
-
-    def _earlier_epochs(self, start: int, stop: int) -> list[dict]:
-        """Epochs ``[start, stop)`` scored before a snapshot restore,
-        read from the session's ledger (opening one only reads)."""
-        if self._ledger_dir is None:
-            return []
-        session_ledger = SessionLedger(self._ledger_dir)
-        try:
-            return ledger_epoch_window(session_ledger, start, stop)
-        finally:
-            session_ledger.close()
-
-    # -------------------------------------------------------------- stepping
-
-    def step(self, epochs: int = 1) -> dict:
-        """Advance ``epochs`` scored epochs; returns their telemetry.
-
-        Runs under the simulator lock (one step at a time per session)
-        and adds the call to the ``step`` timing totals.
-        Subscriber frames are pushed as each epoch completes, so a
-        subscriber sees epoch ``k`` while ``k+1`` is still executing.
-
-        The whole call is bracketed by :meth:`begin_op`/:meth:`end_op`
-        so a step running longer than the idle TTL never makes the
-        session look idle — the reaper skips busy sessions.
-        """
-        if epochs < 1:
-            raise ServiceError(ErrorCode.BAD_PARAMS, "epochs must be >= 1")
-        self.begin_op()
-        try:
-            with self._sim_lock:
-                if self.closed:
-                    raise ServiceError(
-                        ErrorCode.UNKNOWN_SESSION,
-                        f"session {self.session_id} is closed",
-                    )
-                t0 = time.perf_counter()
-                stepped = self.sim.step(epochs)
-                seconds = time.perf_counter() - t0
-                timing = self._step_timing
-                timing["events"] += 1
-                timing["items"] += len(stepped)
-                timing["work_seconds"] += seconds
-                registry = obs_metrics.default_registry()
-                registry.histogram(
-                    "repro_session_step_seconds",
-                    "Wall-clock latency of one step request",
-                ).observe(seconds)
-                registry.counter(
-                    "repro_session_epochs_total", "Scored epochs stepped"
-                ).inc(len(stepped))
-                return {
-                    "session": self.session_id,
-                    "epochs": [epoch_metrics_to_dict(m) for m in stepped],
-                    "epochs_run": self.sim.epochs_run,
-                    "step_seconds": seconds,
-                }
-        finally:
-            self.end_op()
-
-    def snapshot(self) -> tuple[int, bytes]:
-        """``(epochs_run, state)`` at one instant: simulator and daemon
-        in a single pickle, so the objects they share stay shared.
-
-        The state holds no per-epoch history
-        (:meth:`~repro.tiering.simulator.TieredSimulator
-        .history_left_out`), so its size follows the session's state,
-        not its age; the history is in the ledger."""
-        with self._sim_lock, self.sim.history_left_out():
-            return self.sim.epochs_run, pickle.dumps(
-                (self.sim, self.daemon), protocol=pickle.HIGHEST_PROTOCOL
-            )
-
-    def write_snapshot(
-        self, path: str, *, config_key: str, frame_seq: int, durable: bool
-    ) -> dict:
-        """Write :meth:`snapshot` to ``path`` (the session manager's
-        checkpoint step names it); returns the header written."""
-        epochs, payload = self.snapshot()
-        return write_snapshot(
-            path,
-            payload,
-            config_key=config_key,
-            epochs=epochs,
-            frame_seq=frame_seq,
-            durable=durable,
-        )
-
-    def _on_epoch(self, metrics) -> None:
-        """Epoch-step hook: fan one frame out to every subscriber."""
-        self._fanout("epoch", epoch_metrics_to_dict(metrics))
-
-    # ------------------------------------------------------------- reporting
-
-    def stats(self) -> dict:
-        """Operator statistics: daemon summary + session + timings."""
-        with self._sim_lock:
-            return {
-                "session": self.info(),
-                "daemon": self.daemon.statistics(),
-                "result": simulation_result_to_dict(self.sim.result),
-                "timings": (
-                    {"step": dict(self._step_timing)}
-                    if self._step_timing["events"]
-                    else {}
-                ),
-            }
-
-    def numa_maps(self, pids=None) -> str:
-        with self._sim_lock:
-            try:
-                return self.daemon.numa_maps(pids)
-            except KeyError as exc:
-                raise ServiceError(
-                    ErrorCode.BAD_PARAMS, f"unknown pid {exc}"
-                ) from exc
-
-    def reconfigure(self, changes: dict) -> dict:
-        """Apply live TMP config changes through the daemon.
-
-        A successful change fans out one ``reconfigured`` frame, so it
-        takes a seq and a ledger record like any other frame — a
-        rebuild replays it at the same epoch boundary (``catchup``).
-        """
-        if not isinstance(changes, dict) or not changes:
-            raise ServiceError(
-                ErrorCode.BAD_PARAMS, "reconfigure needs a non-empty changes object"
-            )
-        with self._sim_lock:
-            try:
-                self.daemon.reconfigure(**changes)
-            except (AttributeError, ValueError, TypeError) as exc:
-                raise ServiceError(ErrorCode.BAD_PARAMS, str(exc)) from exc
-            self.touch()
-            self._fanout(
-                "reconfigured",
-                {"changes": changes, "epochs_run": self.sim.epochs_run},
-            )
-            return {"session": self.session_id, "applied": sorted(changes)}

@@ -1,4 +1,4 @@
-"""The sticky worker-process pool: multi-core session execution.
+"""The sticky worker-process pool: the process transport of a session host.
 
 The asyncio server's step path is CPU-bound Python, so a thread
 executor alone caps a whole multi-session server at roughly one core
@@ -6,11 +6,12 @@ of simulation throughput.  This module moves the simulation out of
 the server process: a :class:`WorkerPool` spawns N worker processes
 (``multiprocessing`` spawn context — safe to respawn from a threaded
 parent), and every session is *pinned* to one worker for its whole
-life.  The worker hosts the real :class:`ProfilingSession` (simulator
-+ daemon), so worker-pool runs are bit-identical to the in-process
-path; the parent holds a :class:`RemoteSession` facade that owns the
-subscriber queues and forwards ``step``/``stats``/``numa_maps``/
-``reconfigure``/``snapshot``/``close`` over the worker's duplex pipe.
+life.  A worker runs the same :class:`~repro.service.session
+.SessionHost` an in-thread session calls directly, so pooled runs are
+bit-identical to in-thread ones; the parent's
+:class:`~repro.service.session.ProfilingSession` handle keeps the
+subscriber queues and sends its ops through the worker's
+:class:`WorkerHandle` instead of its own host.
 
 Wire shape on each pipe (pickled tuples):
 
@@ -18,28 +19,30 @@ parent → worker   ``(request_id, op, payload)``
 worker → parent   ``("reply", request_id, ok, payload)`` or
                   ``("events", session_id, [(event, payload_bytes), ...])``
 
-Epoch telemetry is *pre-encoded worker-side*: the worker's session
-sink receives each frame's payload already serialized to compact JSON
-bytes (numpy coercion applied where the numpy objects live), batches
-up to :data:`EVENT_BATCH_MAX` of them per pipe message, and flushes
-before every reply — so event batches still stream *during* a long
-step and always land before the step's own reply, while the parent
-splices the bytes straight into subscriber frames and ledger records
-without ever touching the payload dict on the hot path.
+Epoch telemetry is *pre-encoded worker-side*: the host's sink receives
+each frame's payload already serialized to compact JSON bytes (numpy
+coercion applied where the numpy objects live), batches up to
+:data:`EVENT_BATCH_MAX` of them per pipe message, and flushes before
+every reply — so event batches still stream *during* a long step and
+always land before the step's own reply, while the parent splices the
+bytes straight into subscriber frames and ledger records without ever
+touching the payload dict on the hot path.
 
 Failure contract: a dead worker (killed pid, broken pipe) fails only
 its own sessions — every pending request on that pipe raises
 ``worker_crashed``, every subscriber of its sessions receives one
 structured ``error`` frame (seq/dropped accounting intact), the
-sessions are discarded from the manager via the crash callback, and
-the slot respawns a fresh worker so subsequent ``create_session``
-calls succeed.  An *unpicklable* reply is not a crash: the worker
-catches the serialization failure and answers with an ``internal``
-error instead.
+sessions are handed to the manager via the crash callback (which
+rebuilds them from the ledger or discards them), and the slot
+respawns a fresh worker so subsequent ``create_session`` calls
+succeed.  An *unpicklable* reply is not a crash: the worker catches
+the serialization failure and answers with an ``internal`` error
+instead.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -51,10 +54,9 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from .protocol import ErrorCode, ServiceError
-from .session import SessionBase
-from .telemetry import crash_event_data, recovered_event_data
+from .session import ProfilingSession, SessionHost
 
-__all__ = ["RemoteSession", "WorkerPool", "resolve_workers"]
+__all__ = ["WorkerPool", "resolve_workers"]
 
 _log = obs_log.get_logger("service.workers")
 
@@ -68,22 +70,25 @@ EVENT_BATCH_MAX = 32
 
 
 class _EventBatcher:
-    """Worker-side session sink: batch pre-encoded events per pipe send.
+    """A worker's host sink: batch pre-encoded events per pipe send.
 
-    Registered via ``session.add_sink`` so it receives each fan-out's
-    single shared payload encode; it owns no serialization of its own.
-    ``flush`` is called by the worker loop before every reply, so all
-    of a step's epoch events reach the parent before the step's reply
-    does.
+    The worker runs one op at a time, so the events between two flushes
+    are one session's; a batch is sent when it is full, when another
+    session's event arrives, and — by the worker loop — before every
+    reply, so all of a step's epoch events reach the parent before the
+    step's reply does.
     """
 
-    def __init__(self, conn, session_id: str, max_batch: int = EVENT_BATCH_MAX):
+    def __init__(self, conn, max_batch: int = EVENT_BATCH_MAX):
         self._conn = conn
-        self._session_id = session_id
         self._max_batch = max_batch
+        self._session_id = None
         self._buffer: list[tuple[str, bytes]] = []
 
-    def __call__(self, event: str, payload: bytes) -> None:
+    def __call__(self, session_id: str, event: str, payload: bytes) -> None:
+        if session_id != self._session_id:
+            self.flush()
+            self._session_id = session_id
         self._buffer.append((event, payload))
         if len(self._buffer) >= self._max_batch:
             self.flush()
@@ -123,74 +128,24 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def _worker_main(conn, worker_id: int) -> None:
-    """One worker: a blocking command loop over real sessions.
+    """One worker: a blocking command loop over a :class:`SessionHost`.
 
     Single-threaded on purpose — commands for this worker's sessions
     execute one at a time, so per-session ordering is trivial and the
-    pipe never sees interleaved sends.  Heavy imports happen here, in
-    the child, keeping pool start cheap in the parent.
+    pipe never sees interleaved sends.  Besides the host's ops it
+    answers ``ping``, ``metrics`` (its registry, which the parent
+    merges: the simulations run here) and the ``_debug`` fault
+    injection.
     """
-    from .session import ProfilingSession
-
-    sessions: dict[str, ProfilingSession] = {}
-    batchers: dict[str, _EventBatcher] = {}
-
-    def get(session_id):
-        session = sessions.get(session_id)
-        if session is None:
-            raise ServiceError(
-                ErrorCode.UNKNOWN_SESSION,
-                f"worker {worker_id} has no session {session_id!r}",
-            )
-        return session
-
-    def dispatch(op, payload):
-        if op == "create":
-            # A rebuild's ``params`` carry ``catchup``: the snapshot it
-            # names is read here, and the history since re-runs before
-            # the sink attaches, unseen by the parent.
-            session_id, params = payload
-            try:
-                session = ProfilingSession(session_id, **params)
-            except TypeError as exc:  # mirror SessionManager.create
-                raise ServiceError(ErrorCode.BAD_PARAMS, str(exc)) from exc
-            # Stream scored epochs back (batched, pre-encoded) while
-            # the step executes.
-            batchers[session_id] = _EventBatcher(conn, session_id)
-            session.add_sink(batchers[session_id])
-            sessions[session_id] = session
-            return {**session.info(), "rebuild": session.rebuild}
-        if op == "step":
-            session_id, epochs = payload
-            return get(session_id).step(epochs)
-        if op == "stats":
-            return get(payload).stats()
-        if op == "numa_maps":
-            session_id, pids = payload
-            return {"numa_maps": get(session_id).numa_maps(pids)}
-        if op == "reconfigure":
-            session_id, changes = payload
-            return get(session_id).reconfigure(changes)
-        if op == "snapshot":
-            # Written from here: the state never crosses the pipe.
-            session_id, path, header = payload
-            return get(session_id).write_snapshot(path, **header)
-        if op == "close":
-            session_id, options = payload
-            summary = get(session_id).close(**options)
-            sessions.pop(session_id, None)
-            batchers.pop(session_id, None)
-            return summary
-        if op == "ping":
-            return {"worker": worker_id, "pid": os.getpid(), "sessions": len(sessions)}
-        if op == "metrics":
-            # Piggybacked observability: the parent merges this
-            # snapshot (step latency, epochs, profiler overhead — the
-            # real sessions live here) into its own registry's view.
-            return obs_metrics.default_registry().snapshot()
-        if op == "_debug":
-            return _debug_action(payload)
-        raise ServiceError(ErrorCode.UNKNOWN_OP, f"unknown worker op {op!r}")
+    batcher = _EventBatcher(conn)
+    host = SessionHost(batcher, name=f"worker {worker_id}")
+    process_ops = {
+        "ping": lambda _: {
+            "worker": worker_id, "pid": os.getpid(), "sessions": len(host.sessions)
+        },
+        "metrics": lambda _: obs_metrics.default_registry().snapshot(),
+        "_debug": _debug_action,
+    }
 
     while True:
         try:
@@ -204,20 +159,20 @@ def _worker_main(conn, worker_id: int) -> None:
             except (OSError, ValueError):
                 pass
             break
+        run = process_ops.get(op) or functools.partial(host.request, op)
         try:
-            reply = ("reply", request_id, True, dispatch(op, payload))
+            reply = ("reply", request_id, True, run(payload))
         except ServiceError as exc:
             reply = ("reply", request_id, False, (exc.code, exc.message))
         except Exception as exc:  # noqa: BLE001 — a bad session must not kill the worker
             reply = ("reply", request_id, False,
                      (ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"))
-        # Ship any buffered epoch batches before the reply, keeping the
-        # old guarantee that a step's events precede its reply.
-        for batcher in batchers.values():
-            try:
-                batcher.flush()
-            except (EOFError, BrokenPipeError, OSError):
-                pass
+        # Ship any buffered epoch batch before the reply: a step's
+        # events precede its reply.
+        try:
+            batcher.flush()
+        except (EOFError, BrokenPipeError, OSError):
+            pass
         try:
             conn.send(reply)
         except (EOFError, BrokenPipeError, OSError):
@@ -403,173 +358,6 @@ class WorkerHandle:
             self.process.join(timeout=timeout_s)
 
 
-class RemoteSession(SessionBase):
-    """The parent-side facade of a session living in a worker process.
-
-    Subscriber queues, activity tracking, and admission/TTL accounting
-    stay here (bit-identical ``subscribe`` semantics to the in-process
-    path); simulation commands forward to the sticky worker.  ``info``
-    answers from parent-side state so ``list_sessions`` never blocks
-    on — or dies with — a busy worker.
-    """
-
-    def __init__(self, session_id: str, pool: "WorkerPool", worker: WorkerHandle,
-                 clock=time.monotonic, tenant: str = "default"):
-        super().__init__(session_id, clock=clock, tenant=tenant)
-        self.pool = pool
-        self.worker = worker
-        self.crashed: str | None = None
-        #: Set (never cleared) by :meth:`close`: distinguishes a
-        #: deliberately closed/evicted session from one merely marked
-        #: crashed — both have ``closed=True``, but only a crashed one
-        #: may be resurrected by the ledger-recovery path.  Guards the
-        #: close-races-recovery window: see
-        #: :meth:`WorkerPool.recover_session`.
-        self._discarded = False
-        self._static_info: dict = {}
-        self._epochs_run = 0
-        #: :attr:`ProfilingSession.rebuild` of the worker-side copy.
-        self.rebuild: dict | None = None
-
-    @property
-    def worker_index(self) -> int:
-        return self.worker.index
-
-    # ------------------------------------------------------------ plumbing
-
-    def _request(self, op, payload=None, timeout_s=None):
-        if self.crashed is not None:
-            raise ServiceError(ErrorCode.WORKER_CRASHED, self.crashed)
-        if self.closed:
-            raise ServiceError(
-                ErrorCode.UNKNOWN_SESSION, f"session {self.session_id} is closed"
-            )
-        return self.worker.request(op, payload, timeout_s=timeout_s)
-
-    def mark_crashed(self, message: str) -> None:
-        """Fail this session: one structured error frame, then closed."""
-        self.crashed = message
-        self.closed = True
-        self._fanout(
-            "error",
-            crash_event_data(ErrorCode.WORKER_CRASHED, message, self.worker.index),
-        )
-
-    def _set_info(self, info: dict) -> None:
-        """Cache the worker-side ``info()`` reply of a (re)build."""
-        self._static_info = {
-            k: v
-            for k, v in info.items()
-            if k not in ("idle_s", "subscribers", "rebuild")
-        }
-        self._epochs_run = info.get("epochs_run", 0)
-        self.rebuild = info.get("rebuild")
-
-    def recover(self, worker: WorkerHandle, info: dict) -> None:
-        """Un-crash this session after a ledger re-materialization.
-
-        The replacement session (same config, caught up to the ledger's
-        epoch count — ``info`` is the worker's ``create`` reply) now lives
-        on ``worker``; subscriber queues and the session-global frame
-        seq were parent-side state all along, so the ``recovered``
-        frame and every live epoch frame after it continue the
-        pre-crash numbering without a gap.
-        """
-        self.worker = worker
-        self._set_info(info)
-        self.crashed = None
-        self.closed = False
-        self._fanout(
-            "recovered",
-            recovered_event_data(
-                self.session_id, worker.index, self._epochs_run, self.rebuild
-            ),
-        )
-        self.touch()
-
-    # ----------------------------------------------------------------- ops
-
-    def info(self) -> dict:
-        info = dict(self._static_info)
-        info.update(
-            session=self.session_id,
-            tenant=self.tenant,
-            epochs_run=self._epochs_run,
-            subscribers=len(self._subscribers),
-            idle_s=self.idle_s(),
-            worker=self.worker_index,
-        )
-        if self.crashed is not None:
-            info["crashed"] = self.crashed
-        return info
-
-    def step(self, epochs: int = 1) -> dict:
-        if epochs < 1:
-            raise ServiceError(ErrorCode.BAD_PARAMS, "epochs must be >= 1")
-        self.begin_op()
-        try:
-            result = self._request("step", (self.session_id, epochs))
-            self._epochs_run = result["epochs_run"]
-            return result
-        finally:
-            self.end_op()
-
-    def stats(self) -> dict:
-        stats = self._request("stats", self.session_id)
-        stats["session"] = self.info()  # parent-side truth (subscribers, idle)
-        self.touch()
-        return stats
-
-    def numa_maps(self, pids=None) -> str:
-        self.touch()
-        return self._request("numa_maps", (self.session_id, pids))["numa_maps"]
-
-    def reconfigure(self, changes: dict) -> dict:
-        result = self._request("reconfigure", (self.session_id, changes))
-        self.touch()
-        return result
-
-    def write_snapshot(self, path: str, **header) -> dict:
-        """:meth:`ProfilingSession.write_snapshot`, run by the worker."""
-        return self._request(
-            "snapshot",
-            (self.session_id, path, header),
-            timeout_s=DEFAULT_JOIN_TIMEOUT_S,
-        )
-
-    def close(
-        self,
-        include_epochs: bool = False,
-        epochs_from: int = 0,
-        epochs_to: int | None = None,
-    ) -> dict:
-        """Finalize in the worker; never raises on a dead worker."""
-        options = {
-            "include_epochs": include_epochs,
-            "epochs_from": epochs_from,
-            "epochs_to": epochs_to,
-        }
-        self._discarded = True
-        if self.crashed is not None:
-            summary = {"session": self.session_id, "crashed": self.crashed}
-        else:
-            try:
-                summary = self._request(
-                    "close",
-                    (self.session_id, options),
-                    timeout_s=DEFAULT_JOIN_TIMEOUT_S,
-                )
-            except ServiceError as exc:
-                summary = {"session": self.session_id, "crashed": exc.message}
-        self.closed = True
-        self.pool.release(self)
-        with self._sub_lock:
-            self._subscribers.clear()
-        if self.ledger is not None:
-            self.ledger.close()
-        return summary
-
-
 class WorkerPool:
     """N sticky worker processes plus the session → worker registry."""
 
@@ -583,7 +371,7 @@ class WorkerPool:
         self.on_session_crash = on_session_crash
         self._ctx = multiprocessing.get_context(mp_context)
         self._lock = threading.Lock()
-        self._sessions: dict[str, RemoteSession] = {}
+        self._sessions: dict[str, ProfilingSession] = {}
         self.respawns = 0
         self.workers = [
             WorkerHandle(i, self._ctx, self._route_events, self._worker_died)
@@ -613,7 +401,7 @@ class WorkerPool:
         _log.warning(
             "worker_respawn", worker=index, lost_sessions=lost, message=message
         )
-        crashed: list[RemoteSession] = []
+        crashed: list[ProfilingSession] = []
         with self._lock:
             for session_id in lost:
                 session = self._sessions.pop(session_id, None)
@@ -627,41 +415,33 @@ class WorkerPool:
     # ------------------------------------------------------------ sessions
 
     def session_factory(self, session_id: str, clock=time.monotonic, **params):
-        """Build one session on the least-loaded worker (sticky).
+        """Build one session on the least-loaded worker (sticky)."""
+        return ProfilingSession(session_id, pool=self, clock=clock, **params)
 
-        Drop-in for :class:`ProfilingSession` as the manager's session
-        factory: same signature, same :class:`ServiceError` surface.
-        """
-        tenant = params.get("tenant", "default")
+    def _pin_locked(self, session, workers) -> WorkerHandle:
+        worker = min(workers, key=lambda w: (len(w.sessions), w.index))
+        worker.sessions.add(session.session_id)
+        self._sessions[session.session_id] = session
+        session.host = worker
+        return worker
+
+    def place(self, session: ProfilingSession) -> WorkerHandle:
+        """Pin ``session`` to the least-loaded worker: its ``host``."""
         with self._lock:
-            worker = min(
-                self.workers, key=lambda w: (len(w.sessions), w.index)
-            )
-            session = RemoteSession(
-                session_id, self, worker, clock=clock, tenant=tenant
-            )
-            worker.sessions.add(session_id)
-            self._sessions[session_id] = session
-        try:
-            info = worker.request("create", (session_id, params))
-        except ServiceError:
-            self.release(session)
-            raise
-        session._set_info(info)
-        return session
+            return self._pin_locked(session, self.workers)
 
-    def release(self, session: RemoteSession) -> None:
+    def release(self, session: ProfilingSession) -> None:
         """Forget a session (closed or failed-to-create)."""
         with self._lock:
             self._sessions.pop(session.session_id, None)
-            session.worker.sessions.discard(session.session_id)
+            session.host.sessions.discard(session.session_id)
 
     def recover_session(
         self,
-        session: RemoteSession,
+        session: ProfilingSession,
         params: dict,
         wait_s: float = 15.0,
-    ) -> RemoteSession:
+    ) -> ProfilingSession:
         """Re-materialize a crashed session from its rebuild params.
 
         Waits for a live worker (the dead slot respawns on its reader
@@ -676,7 +456,7 @@ class WorkerPool:
         session as before.
 
         A close/evict racing the recovery is honored, not resurrected:
-        ``RemoteSession.close`` marks the session discarded, and the
+        ``ProfilingSession.close`` marks the session discarded, and the
         recovery aborts — before the rebuild when it can, and by
         closing the freshly rebuilt worker-side copy when the close
         landed mid-rebuild — so a closed session can never come back
@@ -700,11 +480,7 @@ class WorkerPool:
                     and w.process.is_alive()
                 ]
                 if alive:
-                    worker = min(
-                        alive, key=lambda w: (len(w.sessions), w.index)
-                    )
-                    worker.sessions.add(session.session_id)
-                    self._sessions[session.session_id] = session
+                    worker = self._pin_locked(session, alive)
                     break
             if time.monotonic() >= deadline:
                 raise ServiceError(

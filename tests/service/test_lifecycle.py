@@ -44,6 +44,7 @@ from repro.tiering.policies import POLICIES
 from repro.workloads import make_workload
 
 from .test_server import SMALL
+from .test_session import _snapshot_bytes
 
 PARAMS = {"workload": "gups", "seed": 9, "workload_kwargs": dict(SMALL)}
 RECONFIGURE = {"trace_sample_period": 2}
@@ -89,7 +90,7 @@ class _Rig:
 
     def sigkill(self, session):
         """Kill the session's worker; return once the pool reported it."""
-        worker = session.worker
+        worker = session.host
         os.kill(worker.process.pid, signal.SIGKILL)
         assert self.crashes.get(timeout=30) == [session.session_id]
         assert session.crashed is not None
@@ -105,27 +106,26 @@ def _rig(
     tmp_path,
     backend,
     ledger=True,
-    wrap_factory=lambda factory: factory,
+    wrap_build=lambda build: build,
     ledger_kwargs=None,
 ):
     now = [0.0]
     crashes = queue.Queue()
     pool = None
-    factory = ProfilingSession
     if backend == "pool":
         pool = WorkerPool(
             1, on_session_crash=lambda ids, message: crashes.put(ids)
         )
-        factory = pool.session_factory
     manager = SessionManager(
         max_sessions=4,
         idle_ttl_s=IDLE_TTL_S,
         tenant_quota=1,
         clock=lambda: now[0],
-        session_factory=wrap_factory(factory),
+        pool=pool,
         ledger=Ledger(tmp_path, **(ledger_kwargs or {})) if ledger else None,
         evict_to_disk=True,
     )
+    manager._build = wrap_build(manager._build)
     try:
         yield _Rig(manager, now, crashes)
     finally:
@@ -221,15 +221,15 @@ def test_failed_resume_leaves_nothing_behind(tmp_path, monkeypatch, backend):
     and the checkpoint is still there for the next attempt."""
     failures = [RuntimeError("rebuild blew up")]
 
-    def fail_first_rebuild(factory):
-        def build(session_id, **params):
+    def fail_first_rebuild(build):
+        def failing_build(session_id, **params):
             if "catchup" in params and failures:
                 raise failures.pop()
-            return factory(session_id, **params)
+            return build(session_id, **params)
 
-        return build
+        return failing_build
 
-    with _rig(tmp_path, backend, wrap_factory=fail_first_rebuild) as rig:
+    with _rig(tmp_path, backend, wrap_build=fail_first_rebuild) as rig:
         manager = rig.manager
         opened = []
         real_open = manager.ledger.open_session
@@ -297,7 +297,8 @@ def test_server_module_knows_no_lifecycle():
         "write_checkpoint",
         "clear_checkpoint",
         "catchup",
-        "session_factory =",
+        "session_factory",
+        "ProfilingSession",
         "checkpointer",
     ):
         assert needle not in source, needle
@@ -554,12 +555,12 @@ def test_a_rebuild_steps_only_the_epochs_since_the_snapshot(tmp_path, monkeypatc
 SNAPSHOT_SLACK_BYTES = 4096
 
 
-def test_snapshot_size_follows_the_state_not_the_age():
+def test_snapshot_size_follows_the_state_not_the_age(tmp_path):
     session = ProfilingSession("s", **PARAMS)
     session.step(20)
-    young = len(session.snapshot()[1])
+    young = _snapshot_bytes(session, tmp_path)
     session.step(180)
-    old = len(session.snapshot()[1])
+    old = _snapshot_bytes(session, tmp_path)
     assert old - young <= SNAPSHOT_SLACK_BYTES
     # Taking one leaves the live session its whole history.
     assert len(session.sim.result.epochs) == 200

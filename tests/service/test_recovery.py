@@ -220,7 +220,7 @@ class TestRecoveryTenantAccounting:
     @staticmethod
     def _crash(session, timeout_s=20.0):
         """SIGKILL the session's worker; wait for crash + respawn."""
-        worker = session.worker
+        worker = session.host
         os.kill(worker.process.pid, signal.SIGKILL)
         end = time.monotonic() + timeout_s
         while time.monotonic() < end:

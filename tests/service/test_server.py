@@ -100,9 +100,11 @@ async def _start_server(**kw):
 
 
 class TestConcurrentSessions:
-    """The acceptance scenario: many tenants, streamed, bit-identical."""
+    """The acceptance scenario: many tenants, streamed, bit-identical,
+    on both transports (in-thread hosts and a pool of two workers)."""
 
-    def test_eight_sessions_stream_and_match_direct_runs(self):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_eight_streamed_sessions_match_direct_runs(self, workers):
         epochs = 3
         names = list(WORKLOAD_NAMES)[:8]
         assert len(names) == 8
@@ -118,6 +120,8 @@ class TestConcurrentSessions:
                     workload_kwargs=dict(SMALL),
                 )
                 sid = info["session"]
+                # Pool placement is visible; an in-thread host is not.
+                assert ("worker" in info) == (workers > 0)
                 await client.request("subscribe", session=sid, max_queue=32)
                 stepped = await client.request("step", session=sid, epochs=epochs)
                 assert stepped["epochs_run"] == epochs
@@ -128,7 +132,9 @@ class TestConcurrentSessions:
                 await client.close()
 
         async def main():
-            server = await _start_server(max_sessions=8, step_workers=8)
+            server = await _start_server(
+                max_sessions=8, step_workers=8, workers=workers
+            )
             try:
                 return await asyncio.gather(
                     *(
@@ -512,6 +518,43 @@ class TestAdmissionAndErrors:
                 assert "# pid" in maps["numa_maps"]
                 stats = await client.request("stats", session=sid)
                 assert stats["daemon"]["programs"] == ["gups"]
+            finally:
+                await client.close()
+                await server.drain()
+
+        run_async(main())
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_numa_maps_pids_are_checked_at_the_edge(self, workers):
+        """``pids`` is null or a list of integers; anything else, and
+        a pid the session does not run, is ``bad_params`` on both
+        transports."""
+
+        async def main():
+            server = await _start_server(workers=workers)
+            client = await WireClient.open(server.address)
+            try:
+                sid = (
+                    await client.request(
+                        "create_session", workload="gups",
+                        workload_kwargs=dict(SMALL),
+                    )
+                )["session"]
+                refusals = [
+                    (pids, "pids must be null or a list of integers")
+                    for pids in (5, [[1]], "100", [100.0], [True], {"100": 1})
+                ]
+                refusals.append(([7], "no such pid: 7"))
+                for pids, message in refusals:
+                    try:
+                        await client.request("numa_maps", session=sid, pids=pids)
+                        raise AssertionError(f"pids={pids!r} should be rejected")
+                    except ServiceError as exc:
+                        assert (exc.code, exc.message) == ("bad_params", message)
+                every = await client.request("numa_maps", session=sid, pids=None)
+                assert every["numa_maps"].startswith("# pid 100\n")
+                one = await client.request("numa_maps", session=sid, pids=[100])
+                assert every["numa_maps"].startswith(one["numa_maps"] + "\n# pid ")
             finally:
                 await client.close()
                 await server.drain()

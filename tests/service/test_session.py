@@ -22,6 +22,16 @@ def _session(session_id="s1", **kw):
     return ProfilingSession(session_id, **kw)
 
 
+def _snapshot_bytes(session, directory):
+    """Bytes of the session's pickled state, written by its host."""
+    return session.write_snapshot(
+        str(directory / f"{session.session_id}.snapshot"),
+        config_key="k",
+        frame_seq=0,
+        durable=False,
+    )["payload_bytes"]
+
+
 class TestSubscriberQueue:
     def test_drop_oldest_keeps_tail(self):
         q = SubscriberQueue("sub", "s1", max_queue=4)
@@ -121,14 +131,14 @@ class TestProfilingSession:
         s.reconfigure({"trace_sample_period": 8})
         assert s.sim.machine.ibs.period == 8
 
-    def test_only_the_trace_source_fills_a_buffer(self):
+    def test_only_the_trace_source_fills_a_buffer(self, tmp_path):
         """A sampler other than ``trace_source`` records nothing, so no
         buffer fills that nothing drains and the snapshot does not grow
         with the session's age by the source chosen."""
         epochs = 100
         ibs = _session(tmp={"trace_source": "ibs"})
         ibs.step(epochs)
-        ibs_bytes = len(ibs.snapshot()[1])
+        ibs_bytes = _snapshot_bytes(ibs, tmp_path)
         for source in ("pebs", "lwp"):
             s = _session(tmp={"trace_source": source})
             s.step(epochs)
@@ -138,7 +148,9 @@ class TestProfilingSession:
             }
             del pending[source]
             assert pending == dict.fromkeys(pending, 0), source
-            assert len(s.snapshot()[1]) == pytest.approx(ibs_bytes, rel=0.02), source
+            assert _snapshot_bytes(s, tmp_path) == pytest.approx(
+                ibs_bytes, rel=0.02
+            ), source
 
     def test_reconfigure_rejects_unknown_key(self):
         s = _session()
@@ -275,14 +287,15 @@ class TestSessionManager:
         # and its reserved tenant slot must not leak.
         building, release = threading.Event(), threading.Event()
 
-        def slow_factory(session_id, **params):
+        mgr = SessionManager(max_sessions=4, tenant_quota=1)
+        build = mgr._build
+
+        def slow_build(session_id, **params):
             building.set()
             assert release.wait(timeout=60)
-            return ProfilingSession(session_id, **params)
+            return build(session_id, **params)
 
-        mgr = SessionManager(
-            max_sessions=4, tenant_quota=1, session_factory=slow_factory
-        )
+        mgr._build = slow_build
         errors = []
 
         def run_create():

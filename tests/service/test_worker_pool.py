@@ -73,7 +73,7 @@ class TestStepTimings:
         assert _grown_with_steps(session, self.STEPS) == []
 
     def test_worker_side_of_the_pipe(self):
-        # What a worker hosts is a plain ProfilingSession.
+        # The same host a worker runs, called in-thread.
         session = ProfilingSession("tiny", **self.TINY)
         assert session.stats()["timings"] == {}
         self._step_and_check(session)
@@ -163,17 +163,14 @@ class TestCrashRecovery:
         pool = WorkerPool(1, on_session_crash=lambda s, m: crashes.append((s, m)))
         try:
             session = pool.session_factory("doomed", seed=3, **SESSION_KW)
-            frames = []
-            session.add_sink(
-                lambda event, payload: frames.append((event, json.loads(payload)))
-            )
+            sub = session.subscribe(max_queue=64)
             with pytest.raises(ServiceError) as err:
-                session.worker.request("_debug", {"action": "exit"})
+                session.host.request("_debug", {"action": "exit"})
             assert err.value.code == ErrorCode.WORKER_CRASHED
             assert _wait(lambda: bool(crashes))
             assert crashes[0][0] == ["doomed"]
             assert session.crashed is not None
-            errors = [d for e, d in frames if e == "error"]
+            errors = [json.loads(f.payload) for f in sub.drain() if f.event == "error"]
             assert errors and errors[0]["code"] == ErrorCode.WORKER_CRASHED
             assert errors[0]["worker"] == 0
             with pytest.raises(ServiceError) as err:
@@ -196,9 +193,9 @@ class TestSessionParity:
         session = pool.session_factory(
             "parity", seed=11, tier1_ratio=0.125, **SESSION_KW
         )
-        frames = []
-        session.add_sink(lambda event, payload: frames.append(json.loads(payload)))
+        sub = session.subscribe(max_queue=64)
         stepped = session.step(epochs)
+        frames = [json.loads(f.payload) for f in sub.drain()]
         summary = session.close()
 
         sim = TieredSimulator(

@@ -1,11 +1,12 @@
 """Integration tests for the server's sticky worker-process pool.
 
-The acceptance scenarios for multi-core execution: worker-pool runs
-are bit-identical to direct simulator runs, ``workers=0`` preserves
-the in-process path exactly, sessions stay pinned across workers, a
+The acceptance scenarios for multi-core execution: ``workers=0`` hosts
+every session in-thread, sessions stay pinned across workers, a
 SIGKILLed worker fails only its own sessions with structured error
 frames and the pool respawns, and the server stays responsive to
-pings while every worker is busy stepping.
+pings while every worker is busy stepping.  That pooled runs are
+bit-identical to direct simulator runs is checked on both transports
+by ``test_server.py::TestConcurrentSessions``.
 """
 
 import asyncio
@@ -13,11 +14,7 @@ import os
 import signal
 import time
 
-from repro.memsim import MachineConfig
 from repro.service import ServiceError, ServiceServer
-from repro.tiering import TieredSimulator
-from repro.tiering.policies import POLICIES
-from repro.workloads import WORKLOAD_NAMES, make_workload
 
 from .test_server import SMALL, WireClient, run_async
 
@@ -28,69 +25,6 @@ async def _start_server(**kw):
     server = ServiceServer(**kw)
     await server.start()
     return server
-
-
-class TestBitIdentical:
-    """Worker-pool sessions must match direct simulator runs exactly."""
-
-    def test_eight_pooled_sessions_match_direct_runs(self):
-        epochs = 3
-        names = list(WORKLOAD_NAMES)[:8]
-
-        async def drive(address, name, seed):
-            client = await WireClient.open(address)
-            try:
-                info = await client.request(
-                    "create_session",
-                    workload=name,
-                    seed=seed,
-                    tier1_ratio=0.125,
-                    workload_kwargs=dict(SMALL),
-                )
-                sid = info["session"]
-                assert "worker" in info  # pool placement is visible
-                await client.request("subscribe", session=sid, max_queue=32)
-                stepped = await client.request("step", session=sid, epochs=epochs)
-                assert stepped["epochs_run"] == epochs
-                frames = [await client.next_event() for _ in range(epochs)]
-                closed = await client.request("close_session", session=sid)
-                return name, frames, closed["result"]
-            finally:
-                await client.close()
-
-        async def main():
-            server = await _start_server(max_sessions=8, workers=2)
-            try:
-                return await asyncio.gather(
-                    *(
-                        drive(server.address, name, seed)
-                        for seed, name in enumerate(names)
-                    )
-                )
-            finally:
-                await server.drain()
-
-        results = run_async(main())
-        assert len(results) == 8
-        for seed, (name, frames, summary) in enumerate(results):
-            sim = TieredSimulator(
-                make_workload(name, **SMALL),
-                POLICIES["history"](),
-                tier1_ratio=0.125,
-                machine_config=MachineConfig.scaled(ibs_period=16),
-                seed=seed,
-            )
-            direct = sim.run(epochs)
-            assert [f["seq"] for f in frames] == list(range(epochs))
-            for frame, direct_epoch in zip(frames, direct.epochs):
-                data = frame["data"]
-                assert data["epoch"] == direct_epoch.epoch
-                assert data["hitrate"] == direct_epoch.hitrate
-                assert data["promoted"] == direct_epoch.promoted
-                assert data["demoted"] == direct_epoch.demoted
-                assert data["runtime_s"] == direct_epoch.runtime_s
-            assert summary["mean_hitrate"] == direct.mean_hitrate
-            assert summary["total_migrations"] == direct.total_migrations
 
 
 class TestInProcessPath:

@@ -1,7 +1,7 @@
 """A pickled simulator continues exactly where the original does.
 
 The service snapshots a session as one ``pickle.dumps((sim, daemon))``
-(:meth:`repro.service.session.ProfilingSession.snapshot`).  That is only
+(:meth:`repro.service.session.HostedSession.write_snapshot`).  That is only
 sound while no two objects of the simulator share state through
 something pickle would silently un-share — an array *view* of another
 object's buffer comes back as a private copy, and the restored run
