@@ -19,8 +19,8 @@ Layering:
 
 ``storage``
     :class:`SessionLedger` — one session's append-only segment chain:
-    atomic rotation, fsync policy, index sidecars for O(log n)
-    seek-by-seq, torn-tail recovery, size/age retention.
+    one record shape, rotation, fsync policy, seek-by-seq, torn-tail
+    recovery, size/age retention.
 ``ledger``
     :class:`Ledger` — the root directory of session ledgers plus
     content-addressed config provenance (:func:`config_key`).

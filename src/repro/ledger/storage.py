@@ -4,27 +4,29 @@ A :class:`SessionLedger` owns a directory of JSONL segment files::
 
     meta.json                    # recorded config + provenance key
     seg-0000000000.jsonl         # records seq 0..136       (sealed)
-    seg-0000000000.idx           # their byte offsets       (sealed)
     seg-0000000137.jsonl         # the active tail segment
     carried.json                 # summary of every record below through_seq
 
-Each record is one JSON line ``{"seq": n, "event": "...", "data":
-{...}, "unix": t}``.  Segments are named by the first seq they hold,
-so seek-by-seq is a bisect over the sorted segment list (O(log n))
-followed by an O(1) lookup in the sealed segment's ``.idx``
-(``{"offsets": [...]}``, one byte offset per record and nothing else);
-a segment without a usable ``.idx`` is skipped through line by line.
+Each record is one JSON line ``{"seq":n,"event":"...","data":{...}}``
+and nothing else, so a segment's bytes are a function of its records
+(wall time lives in the lifecycle payloads, ``meta.json`` and
+``checkpoint.json``).  Segments are named by the first seq they hold,
+so seek-by-seq is a bisect over the sorted segment list, then skipping
+lines within one segment.  Lines written when records still carried a
+stamp end ``,"unix":t}``; they read the same, and the ``.idx`` offset
+files that writer left beside sealed segments are ignored, and
+unlinked with their segment by compaction.
 
 ``carried.json`` is the ledger's one summary, ``{"epochs",
 "reconfigured", "through_seq"}``: how many records below
 ``through_seq`` are epochs, and every ``reconfigured`` payload among
 them with its seq — what a rebuild needs.  Sealing a segment fsyncs
-it, writes its ``.idx``, then atomically rewrites the summary to cover
-it.  Closing a ledger that appended fsyncs the active segment and
-rewrites the summary to cover it as well, adding ``"through_bytes"``:
-how far into the active segment the summary reaches.  The segment
-stays active — a close starts no new one.  Without ``through_bytes``
-the last covered segment ends at ``through_seq``.  So
+it, then atomically rewrites the summary to cover it.  Closing a
+ledger that appended fsyncs the active segment and rewrites the
+summary to cover it as well, adding ``"through_bytes"``: how far into
+the active segment the summary reaches.  The segment stays active — a
+close starts no new one.  Without ``through_bytes`` the last covered
+segment ends at ``through_seq``.  So
 :attr:`~SessionLedger.epoch_count` and
 :attr:`~SessionLedger.reconfigured` describe the session's whole life
 whatever retention has removed.
@@ -34,18 +36,18 @@ count from the next segment's first seq (or the summary) and its size
 from ``stat`` (or ``through_bytes``), and reads only what the summary
 does not cover: bytes past ``through_bytes`` and segments at or past
 ``through_seq``, which exist only after a crash.  A cleanly closed
-ledger therefore reopens without reading a record.  What is read is
-parsed by envelope (:func:`_split_record`); only ``reconfigured``
-payloads are JSON-decoded.  ``repro_ledger_records_decoded_total``
-counts the records an open had to read.
+ledger therefore reopens without reading a record.  Every read parses
+lines by envelope (:func:`_split_record`, the one parse path); an open
+decodes only ``reconfigured`` payloads, and
+``repro_ledger_records_decoded_total`` counts the records it read.
 
 Opening a ledger only reads.  A torn tail (process killed mid-append)
-just ends the records a reader sees; the writer's first
-:meth:`~SessionLedger.append_many` truncates it before writing — the
-one repair, and only the writer makes it.  Sidecars, the summary and
-meta are written atomically via :mod:`repro.ioutil`.  The fsync policy
-is configurable: ``"rotate"`` (default) syncs a segment once when it
-seals or the ledger closes, ``"always"`` syncs every append,
+or any unparseable line just ends the records a reader sees; the
+writer's first :meth:`~SessionLedger.append_many` truncates it before
+writing — the one repair, and only the writer makes it.  The summary
+and meta are written atomically via :mod:`repro.ioutil`.  The fsync
+policy is configurable: ``"rotate"`` (default) syncs a segment once
+when it seals or the ledger closes, ``"always"`` syncs every append,
 ``"never"`` leaves durability to the OS.
 
 Retention is size/age based and only unlinks: :meth:`~SessionLedger
@@ -63,13 +65,14 @@ from __future__ import annotations
 
 import bisect
 import io
+import itertools
 import json
 import os
 import threading
 import time
 from pathlib import Path
 
-from ..ioutil import atomic_write_bytes, fsync_dir, json_default
+from ..ioutil import atomic_write_bytes, fsync_dir
 from ..obs import metrics as obs_metrics
 
 __all__ = ["LEDGER_FORMAT_VERSION", "SessionLedger"]
@@ -91,13 +94,6 @@ def _registry():
     return obs_metrics.default_registry()
 
 
-def _encode_data(data) -> bytes:
-    """One record's ``data`` as compact JSON bytes (numpy coerced)."""
-    return json.dumps(data, separators=(",", ":"), default=json_default).encode(
-        "utf-8"
-    )
-
-
 def _segment_name(first_seq: int) -> str:
     return f"seg-{first_seq:010d}.jsonl"
 
@@ -105,72 +101,45 @@ def _segment_name(first_seq: int) -> str:
 def _split_record(line: bytes):
     """Parse one record line's envelope without decoding the payload.
 
-    Record lines are written by :meth:`SessionLedger.append_many` in a
-    fixed shape — ``{"seq":N,"event":E,"data":P,"unix":T}`` — so the
-    payload bytes can be sliced back out between the ``"data":`` marker
-    and the trailing ``,"unix":`` (``rindex``: the real ``unix`` field
-    always follows the payload, so the *last* occurrence is the field
-    boundary even if the payload contains the marker text).  Returns
-    ``(seq, event, payload_bytes)`` or ``None`` when the line doesn't
-    match the shape (foreign writer, corruption) and needs a full JSON
-    decode instead.
+    :meth:`SessionLedger.append_many` writes every record in one shape,
+    ``{"seq":N,"event":E,"data":P}``, so the payload is the bytes from
+    the ``"data":`` marker to the closing brace.  A line written when
+    records still carried a stamp ends ``,"unix":T}``: a number after
+    the last ``,"unix":``, which no payload can end with, so each line
+    says which shape it has (a resumed session appends new lines after
+    old ones).  Returns ``(seq, event, payload_bytes)``, or ``None``
+    for a torn or unparseable line, which ends the records.
     """
     try:
-        if not line.startswith(b'{"seq":'):
+        if not (line.startswith(b'{"seq":') and line.endswith(b"}\n")):
             return None
         event_at = line.index(b',"event":', 7)
         seq = int(line[7:event_at])
         data_at = line.index(b',"data":', event_at)
         event = json.loads(line[event_at + 9 : data_at])
-        end = line.rindex(b',"unix":')
-        payload = line[data_at + 8 : end]
         if not isinstance(event, str):
             return None
-        return seq, event, payload
+        end = len(line) - 2
+        stamp = line.rfind(b',"unix":', data_at, end)
+        if stamp >= 0:
+            try:
+                float(line[stamp + 8 : end])
+                end = stamp
+            except ValueError:  # a payload key, not the stamp
+                pass
+        return seq, event, line[data_at + 8 : end]
     except ValueError:
         return None
 
 
-def _line_offsets(path: Path, nbytes: int) -> list[int]:
-    """The byte offset of each line in the first ``nbytes`` bytes of
-    ``path``, found by splitting lines, not by decoding them."""
-    with open(path, "rb") as fh:
-        blob = fh.read(nbytes)
-    offsets = []
-    at = 0
-    while at < len(blob):
-        offsets.append(at)
-        end = blob.find(b"\n", at)
-        if end < 0:
-            break
-        at = end + 1
-    return offsets
-
-
 class _Segment:
-    """One segment file: which seqs it holds and how many bytes.
+    """One segment file: which seqs it holds and how many bytes."""
 
-    ``offsets`` (each record's byte offset) is kept only while the
-    segment is active, tracked as records append so sealing writes the
-    ``.idx`` without re-reading the file; it is dropped once the
-    ``.idx`` is written, since readers seek through the file on disk.
-    An active segment a reopen did not read from its start has none
-    (``None``): sealing it splits its lines to find them.
-    """
-
-    def __init__(
-        self,
-        path: Path,
-        first_seq: int,
-        count: int = 0,
-        nbytes: int = 0,
-        offsets: list[int] | None = None,
-    ):
+    def __init__(self, path: Path, first_seq: int, count: int = 0, nbytes: int = 0):
         self.path = path
         self.first_seq = first_seq
         self.count = count
         self.nbytes = nbytes
-        self.offsets = offsets
 
     @property
     def end_seq(self) -> int:
@@ -277,7 +246,6 @@ class SessionLedger:
             if last:
                 self._active = seg
             else:
-                seg.offsets = None
                 self._sealed.append(seg)
         if decoded:
             _registry().counter(
@@ -286,7 +254,7 @@ class SessionLedger:
             ).inc(decoded)
         if self._active is None:
             self._active = _Segment(
-                self.directory / _segment_name(through_seq), through_seq, offsets=[]
+                self.directory / _segment_name(through_seq), through_seq
             )
         self.next_seq = self._active.end_seq
         self._expired = self._expire()
@@ -298,47 +266,30 @@ class SessionLedger:
         byte ``offset``, where record ``seq`` (default ``first_seq``)
         starts — counting its epochs and reconfigures.
 
-        Envelopes only: a line is split (:func:`_split_record`), and
-        fully decoded just when it does not split; of the payloads,
-        only ``reconfigured`` ones are decoded.  The records end at the
-        first torn, undecodable or misnumbered line.  Offsets come back
-        only for a segment read from its start.
+        Envelopes only (:func:`_split_record`); of the payloads, only
+        ``reconfigured`` ones are decoded.  The records end at the
+        first torn, unparseable or misnumbered line.
         """
         expected = first_seq if seq is None else seq
         nbytes = offset
-        offsets: list[int] = []
         with open(path, "rb") as fh:
-            if offset:
-                fh.seek(offset)
+            fh.seek(offset)
             for line in fh:
-                if not line.endswith(b"\n"):
-                    break
                 record = _split_record(line)
-                try:
-                    if record is None:
-                        full = json.loads(line)
-                        record = full["seq"], full["event"], full["data"]
-                    record_seq, event, data = record
-                    if record_seq != expected:
-                        break
-                    if event == "reconfigured":
-                        if isinstance(data, bytes):
-                            data = json.loads(data)
-                        self._reconfigured.append({"seq": record_seq, **data})
-                except (ValueError, KeyError, TypeError):
+                if record is None or record[0] != expected:
                     break
+                _, event, payload = record
                 if event == "epoch":
                     self.epoch_count += 1
-                offsets.append(nbytes)
+                elif event == "reconfigured":
+                    try:
+                        data = json.loads(payload)
+                        self._reconfigured.append({"seq": expected, **data})
+                    except (ValueError, TypeError):
+                        break
                 nbytes += len(line)
                 expected += 1
-        return _Segment(
-            path,
-            first_seq,
-            expected - first_seq,
-            nbytes,
-            offsets if offset == 0 else None,
-        )
+        return _Segment(path, first_seq, expected - first_seq, nbytes)
 
     def _load_summary(self) -> dict:
         """Read ``carried.json``; absent means no segment ever sealed
@@ -378,39 +329,15 @@ class SessionLedger:
         )
         self._covered_seq = self.next_seq
 
-    # ------------------------------------------------------------ sidecars
-
-    @staticmethod
-    def _sidecar_path(path: Path) -> Path:
-        return path.with_suffix(".idx")
-
-    def _load_offsets(self, seg: _Segment) -> list[int] | None:
-        """``seg``'s record offsets, or None when the ``.idx`` is
-        absent or does not match the segment (a miss)."""
-        try:
-            index = json.loads(self._sidecar_path(seg.path).read_text())
-            offsets = index["offsets"]
-            if isinstance(offsets, list) and len(offsets) == seg.count:
-                return offsets
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
-        return None
-
-    def _write_sidecar(self, seg: _Segment) -> None:
-        blob = json.dumps({"offsets": seg.offsets}, separators=(",", ":")).encode()
-        atomic_write_bytes(
-            self._sidecar_path(seg.path), blob, durable=self.fsync != "never"
-        )
-
     # ------------------------------------------------------------- writing
 
     def append_many(self, items) -> int:
         """Durably append a batch of ``(event, payload_bytes)`` records.
 
-        The whole batch shares one timestamp, one ``write()``, one
-        flush, and — under the ``always`` policy — one fsync at the
-        batch boundary, amortizing the per-record overheads the
-        telemetry hot path used to pay per subscriber frame.  Returns
+        The whole batch shares one ``write()``, one flush, and — under
+        the ``always`` policy — one fsync at the batch boundary,
+        amortizing the per-record overheads the telemetry hot path used
+        to pay per subscriber frame.  Returns
         the seq assigned to the first record of the batch (``next_seq``
         for an empty batch).
         """
@@ -425,11 +352,8 @@ class SessionLedger:
                 if self._fh.tell() > self._active.nbytes:
                     # A crash tore the tail: drop it before appending.
                     self._fh.truncate(self._active.nbytes)
-            unix = json.dumps(time.time()).encode("ascii")
             first_seq = self.next_seq
             lines = []
-            offsets = self._active.offsets
-            offset = self._active.nbytes
             nbytes = 0
             for event, payload in items:
                 line = b"".join(
@@ -440,14 +364,10 @@ class SessionLedger:
                         json.dumps(event).encode("utf-8"),
                         b',"data":',
                         payload,
-                        b',"unix":',
-                        unix,
                         b"}\n",
                     )
                 )
                 lines.append(line)
-                if offsets is not None:
-                    offsets.append(offset + nbytes)
                 nbytes += len(line)
                 self.next_seq += 1
                 if event == "epoch":
@@ -486,20 +406,15 @@ class SessionLedger:
         """Seal the active segment and open a fresh one (lock held).
 
         The order is what a reopen relies on: the segment is durable
-        before its ``.idx``, both before the summary covers it, and the
-        summary before the next segment's file exists.
+        before the summary covers it, and the summary before the next
+        segment's file exists.
         """
-        seg = self._active
         if self.fsync != "never":
             self._fsync_active()
         self._fh.close()
-        if seg.offsets is None:
-            seg.offsets = _line_offsets(seg.path, seg.nbytes)
-        self._write_sidecar(seg)
-        seg.offsets = None
-        self._sealed.append(seg)
+        self._sealed.append(self._active)
         self._active = _Segment(
-            self.directory / _segment_name(self.next_seq), self.next_seq, offsets=[]
+            self.directory / _segment_name(self.next_seq), self.next_seq
         )
         self._write_summary()
         self._fh = open(self._active.path, "ab")
@@ -534,7 +449,8 @@ class SessionLedger:
         self._expired = []
         for seg in dropped:  # oldest first: what is left stays a chain
             seg.path.unlink(missing_ok=True)
-            self._sidecar_path(seg.path).unlink(missing_ok=True)
+            # An offset file an older writer sealed beside it.
+            seg.path.with_suffix(".idx").unlink(missing_ok=True)
         return len(dropped)
 
     def _expire(self) -> list[_Segment]:
@@ -596,38 +512,11 @@ class SessionLedger:
         start = max(from_seq - seg.first_seq, 0)
         if start >= seg.count:
             return
-        offset = 0
-        if start:
-            offsets = self._load_offsets(seg)
-            if offsets is not None:
-                offset = offsets[start]
         try:
             with open(seg.path, "rb") as fh:
-                if offset:
-                    fh.seek(offset)
-                    skip = 0
-                else:
-                    skip = start
-                for _ in range(skip):
-                    fh.readline()
-                for _ in range(seg.count - start):
-                    line = fh.readline()
-                    if not line.endswith(b"\n"):
-                        return
-                    yield line
+                yield from itertools.islice(fh, start, seg.count)
         except OSError:
             return
-
-    def _iter_segment(self, seg: _Segment, from_seq: int, end_seq=None):
-        """Yield ``seg``'s records with ``from_seq <= seq < end_seq``."""
-        for line in self._iter_segment_lines(seg, from_seq):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                return
-            if end_seq is not None and record["seq"] >= end_seq:
-                return
-            yield record
 
     def _snapshot_segments(self, from_seq: int) -> list[_Segment]:
         """Consistent segment list (active copied) covering ``from_seq``."""
@@ -646,46 +535,36 @@ class SessionLedger:
         return segments[start:]
 
     def read(self, from_seq: int = 0, end_seq: int | None = None):
-        """Yield records with ``from_seq <= seq < end_seq``, in order.
-
-        Safe against a concurrent writer: the segment list and record
-        counts are snapshotted under the lock, so the iteration sees a
-        consistent prefix of the ledger (records appended afterwards
-        are simply not part of this read).
-        """
-        for seg in self._snapshot_segments(from_seq):
-            if end_seq is not None and seg.first_seq >= end_seq:
+        """Yield records ``{"seq", "event", "data"}`` with ``from_seq <=
+        seq < end_seq``, in order: :meth:`read_encoded` with each
+        payload decoded."""
+        for seq, event, payload in self.read_encoded(from_seq, end_seq):
+            try:
+                data = json.loads(payload)
+            except ValueError:
                 return
-            yield from self._iter_segment(seg, from_seq, end_seq)
+            yield {"seq": seq, "event": event, "data": data}
 
     def read_encoded(self, from_seq: int = 0, end_seq: int | None = None):
-        """Yield ``(seq, event, payload_bytes)`` without decoding payloads.
+        """Yield ``(seq, event, payload_bytes)`` with ``from_seq <= seq <
+        end_seq``, in order, without decoding payloads.
 
         The replay hot path: payload bytes are sliced straight out of
         the record line (see :func:`_split_record`) and spliced into
         subscriber frames, so replaying N records costs zero JSON
-        encodes of the payload.  Lines that don't match the canonical
-        record shape fall back to a full decode + re-encode; the same
-        snapshot/consistency guarantees as :meth:`read` apply.
+        encodes of the payload.  Safe against a concurrent writer: the
+        segment list and record counts are snapshotted under the lock,
+        so the iteration sees a consistent prefix of the ledger
+        (records appended afterwards are simply not part of this read).
         """
         for seg in self._snapshot_segments(from_seq):
             if end_seq is not None and seg.first_seq >= end_seq:
                 return
             for line in self._iter_segment_lines(seg, from_seq):
-                parsed = _split_record(line)
-                if parsed is None:
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        return
-                    parsed = (
-                        record["seq"],
-                        record["event"],
-                        _encode_data(record["data"]),
-                    )
-                if end_seq is not None and parsed[0] >= end_seq:
+                record = _split_record(line)
+                if record is None or (end_seq is not None and record[0] >= end_seq):
                     return
-                yield parsed
+                yield record
 
     def stats(self) -> dict:
         with self._lock:

@@ -652,6 +652,9 @@ class SessionManager:
         it can never attach silently to a half-dead session.  And a
         ``resume_session`` racing the eviction (:meth:`await_evicted`)
         cannot rebuild the id while the old copy's close is in flight.
+        From the claim on, :meth:`list_sessions` leaves the session out;
+        the active gauge still counts it until the pop releases its
+        slots.
         """
         if self.idle_ttl_s <= 0:
             return []
@@ -716,6 +719,8 @@ class SessionManager:
         return [sid for sid, _ in evicted]
 
     def list_sessions(self) -> list[dict]:
+        """Every registered session but those claimed for eviction,
+        which ``subscribe`` and new ops already refuse."""
         with self._lock:
             sessions = list(self._sessions.values())
-        return [s.info() for s in sessions]
+        return [s.info() for s in sessions if not s._evicting]

@@ -20,6 +20,7 @@ construction rather than by parallel encoders.
 from __future__ import annotations
 
 import json
+import time
 
 from ..tiering.latency_model import EpochLatency
 from ..tiering.simulator import EpochMetrics, SimulationResult
@@ -61,8 +62,12 @@ def crash_event_data(
     the session state was checkpointed to the ledger before the slots
     were released — ``true`` means a later ``resume_session`` with the
     same session id re-materializes it bit-identically.
+
+    ``unix`` (here and in the ``recovered`` / ``resumed`` payloads) is
+    the wall time of the event: ledger records carry no stamp of their
+    own.
     """
-    data = {"code": code, "message": message}
+    data = {"code": code, "message": message, "unix": time.time()}
     if worker is not None:
         data["worker"] = int(worker)
     if resumable is not None:
@@ -95,6 +100,7 @@ def recovered_event_data(
         "worker": int(worker),
         **rebuild,
         "message": _rebuilt_message(session_id, "recovered", epochs, rebuild),
+        "unix": time.time(),
     }
 
 
@@ -113,6 +119,7 @@ def resumed_event_data(
         "epochs_resumed": int(epochs),
         **rebuild,
         "message": _rebuilt_message(session_id, "resumed", epochs, rebuild),
+        "unix": time.time(),
     }
     if worker is not None:
         data["worker"] = int(worker)
@@ -173,18 +180,18 @@ def ledger_epoch_window(session_ledger, start: int, stop: int) -> list[dict]:
     seq ``k`` or later and the read starts there; retention may have
     dropped the oldest records (:attr:`~repro.ledger.storage
     .SessionLedger.first_seq`), and their epochs are then missing.
-    Each record goes through :func:`epoch_metrics_from_dict`, which is
-    bit-exact.
+    Each record's payload is what :func:`epoch_metrics_to_dict` made,
+    so it is returned as decoded.
     """
     out = []
     for _, event, payload in session_ledger.read_encoded(from_seq=start):
         if event != "epoch":
             continue
-        metrics = epoch_metrics_from_dict(json.loads(payload))
-        if metrics.epoch >= stop:
+        data = json.loads(payload)
+        if data["epoch"] >= stop:
             break
-        if metrics.epoch >= start:
-            out.append(epoch_metrics_to_dict(metrics))
+        if data["epoch"] >= start:
+            out.append(data)
     return out
 
 

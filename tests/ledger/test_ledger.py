@@ -181,9 +181,9 @@ def _tree(root):
 
 class TestReadersWriteNothing:
     def test_listing_reading_and_the_cli_leave_every_byte(self, tmp_path, capsys):
-        """A ledger holding a torn tail, an interior segment without
-        its ``.idx`` and a covered segment whose unlink never happened:
-        no reader repairs any of it."""
+        """A ledger holding a torn tail, an interior segment with a
+        stale ``.idx`` an older writer left and a covered segment whose
+        unlink never happened: no reader repairs any of it."""
         import shutil
 
         from repro.cli import main
@@ -194,7 +194,7 @@ class TestReadersWriteNothing:
             "seed": 3,
             "workload_kwargs": {"footprint_pages": 512, "accesses_per_epoch": 2000},
         }
-        root = Ledger(tmp_path / "root", segment_bytes=1024)
+        root = Ledger(tmp_path / "root", segment_bytes=768)
         session = ProfilingSession("s1", **params)
         session.attach_ledger(root.create_session("s1", params, info=session.info()))
         session.sim.step(13)
@@ -210,14 +210,14 @@ class TestReadersWriteNothing:
             shutil.copy(path, kept)
         compacting = Ledger(
             tmp_path / "root",
-            segment_bytes=1024,
+            segment_bytes=768,
             retention_bytes=sum(p.stat().st_size for p in segments[2:-1]),
         ).open_session("s1")
         assert compacting.compact() == 2
         compacting.close()
         for path in kept.iterdir():
             shutil.copy(path, sdir)
-        segments[3].with_suffix(".idx").unlink()
+        segments[3].with_suffix(".idx").write_text('{"offsets":[0,7]}')
         with open(segments[-1], "ab") as fh:
             fh.write(b'{"seq":99,"event":"epo')  # killed mid-append
         before = _tree(tmp_path / "root")
@@ -225,7 +225,7 @@ class TestReadersWriteNothing:
         assert [s["epochs"] for s in Ledger(tmp_path / "root").list_sessions()] == [13]
         for reader_root in (
             Ledger(tmp_path / "root"),
-            Ledger(tmp_path / "root", segment_bytes=1024, retention_bytes=1),
+            Ledger(tmp_path / "root", segment_bytes=768, retention_bytes=1),
         ):
             reader_root.list_sessions()
             reader = reader_root.open_session("s1")

@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.ledger.storage import SessionLedger
-from repro.service.protocol import encode_payload
+from repro.service.protocol import (
+    encode_frame,
+    encode_payload,
+    event_frame,
+    splice_event_frame,
+)
 
 
 def _fill(ledger, n, start=0):
@@ -81,17 +86,22 @@ class TestBatchedAppend:
         assert ledger.next_seq == 3
         ledger.close()
 
-    def test_batch_shares_one_timestamp(self, tmp_path):
-        ledger = SessionLedger(tmp_path)
-        ledger.append_many(
-            [("epoch", encode_payload({"epoch": i})) for i in range(4)]
+    def test_record_lines_are_a_function_of_the_records(self, tmp_path):
+        items = [("epoch", encode_payload({"epoch": i})) for i in range(4)]
+        items.append(("error", encode_payload({"code": "x"})))
+        for name in ("a", "b"):  # two writers, at two different times
+            ledger = SessionLedger(tmp_path / name)
+            ledger.append_many(items[:3])
+            ledger.append_many(items[3:])
+            ledger.close()
+        written = [
+            (tmp_path / name / "seg-0000000000.jsonl").read_bytes()
+            for name in ("a", "b")
+        ]
+        assert written[0] == written[1] == b"".join(
+            b'{"seq":%d,"event":"%s","data":%s}\n' % (seq, event.encode(), payload)
+            for seq, (event, payload) in enumerate(items)
         )
-        ledger.append_many([("epoch", encode_payload({"epoch": 4}))])
-        records = list(ledger.read())
-        batch_stamps = {r["unix"] for r in records[:4]}
-        assert len(batch_stamps) == 1
-        assert all(isinstance(r["unix"], float) for r in records)
-        ledger.close()
 
     def test_always_fsyncs_once_per_batch(self, tmp_path, monkeypatch):
         ledger = SessionLedger(tmp_path, fsync="always")
@@ -112,15 +122,15 @@ class TestBatchedAppend:
         ledger = SessionLedger(tmp_path)
         ledger.append_many([("epoch", encode_payload(data))])
         ledger.close()
-        # A line in another writer's shape takes the decode + re-encode
-        # path; its payload must come out the same bytes.
+        # A line stamped the way records once were splits to the same
+        # payload bytes as one appended now.
         seg = next(iter(sorted(tmp_path.glob("seg-*.jsonl"))))
-        foreign = {"seq": 1, "event": "epoch", "data": data, "unix": 0.0}
+        stamped = {"seq": 1, "event": "epoch", "data": data, "unix": 1760.25}
         with open(seg, "ab") as fh:
-            fh.write(json.dumps(foreign).encode() + b"\n")
+            fh.write(json.dumps(stamped, separators=(",", ":")).encode() + b"\n")
         reopened = SessionLedger(tmp_path)
         payloads = [p for _, _, p in reopened.read_encoded()]
-        assert payloads[0] == payloads[1] == encode_payload(data)
+        assert payloads == [encode_payload(data)] * 2
         reopened.close()
 
     def test_read_encoded_matches_read_across_segments(self, tmp_path):
@@ -155,22 +165,9 @@ class TestBatchedAppend:
         with monkeypatch.context() as patch:
             patch.setattr(SessionLedger, "_iter_segment_lines", bomb)
             _fill(ledger, 30)  # rotates several times under the bomb
-        # A sealed segment's offsets live in its .idx, not in memory.
         assert ledger._sealed
-        assert all(seg.offsets is None for seg in ledger._sealed)
         ledger.close()
-        sidecars = sorted(tmp_path.glob("seg-*.idx"))
-        assert sidecars
-        for sidecar in sidecars:
-            index = json.loads(sidecar.read_text())
-            seg = sidecar.with_suffix(".jsonl")
-            lines = seg.read_bytes().splitlines(keepends=True)
-            # Sealed offsets must point at the real line starts.
-            expected, offset = [], 0
-            for line in lines:
-                expected.append(offset)
-                offset += len(line)
-            assert index == {"offsets": expected}
+        assert not list(tmp_path.glob("seg-*.idx"))
 
     def test_mixed_batch_counts_only_epochs(self, tmp_path):
         ledger = SessionLedger(tmp_path)
@@ -187,31 +184,37 @@ class TestBatchedAppend:
 
 
 class TestRotation:
-    def test_rotation_seals_segments_with_sidecars(self, tmp_path):
+    def test_rotation_seals_segments(self, tmp_path):
         ledger = SessionLedger(tmp_path, segment_bytes=256)
         _fill(ledger, 20)
         ledger.close()
         segments = sorted(tmp_path.glob("seg-*.jsonl"))
-        sidecars = sorted(tmp_path.glob("seg-*.idx"))
         assert len(segments) > 1
-        # Every sealed segment (all but the active tail) has an index.
-        assert len(sidecars) == len(segments) - 1
-        index = json.loads(sidecars[0].read_text())
-        assert len(index["offsets"]) == int(segments[1].stem.split("-")[1])
-        # The summary covers every sealed record, all of them epochs.
+        assert not list(tmp_path.glob("seg-*.idx"))
+        # Each segment is named by its first seq and holds the records
+        # up to the next one's; each sealed one rotated on the append
+        # that took it to segment_bytes.
+        firsts = [int(path.stem.split("-")[1]) for path in segments]
+        for path, first, end in zip(segments, firsts, firsts[1:] + [20]):
+            lines = path.read_bytes().splitlines(keepends=True)
+            assert [json.loads(line)["seq"] for line in lines] == list(
+                range(first, end)
+            )
+            if path != segments[-1]:
+                assert len(b"".join(lines[:-1])) < 256 <= path.stat().st_size
+        # The close has the summary cover every record, all of them
+        # epochs: into the active segment, when it holds any.
         summary = json.loads((tmp_path / "carried.json").read_text())
-        active_first = int(segments[-1].stem.split("-")[1])
-        assert summary == {
-            "epochs": active_first,
-            "reconfigured": [],
-            "through_seq": active_first,
-        }
+        expected = {"epochs": 20, "reconfigured": [], "through_seq": 20}
+        if segments[-1].stat().st_size:
+            expected["through_bytes"] = segments[-1].stat().st_size
+        assert summary == expected
 
     def test_read_spans_segment_boundaries_in_order(self, tmp_path):
         ledger = SessionLedger(tmp_path, segment_bytes=128)
         _fill(ledger, 30)
         assert [r["seq"] for r in ledger.read()] == list(range(30))
-        # Seek-by-seq lands mid-chain via the sidecar offsets.
+        # Seek-by-seq lands mid-chain: a bisect, then lines skipped.
         assert [r["seq"] for r in ledger.read(17, 20)] == [17, 18, 19]
         ledger.close()
 
@@ -264,13 +267,14 @@ class TestRecovery:
         ledger = SessionLedger(tmp_path, segment_bytes=128)
         _fill(ledger, 20)
         ledger.close()
-        sidecar = sorted(tmp_path.glob("seg-*.idx"))[0]
-        sidecar.unlink()
+        # No segment has an offset sidecar any more.
+        assert not list(tmp_path.glob("seg-*.idx"))
+        names = sorted(p.name for p in tmp_path.iterdir())
         reopened = SessionLedger(tmp_path, segment_bytes=128)
         assert [r["seq"] for r in reopened.read()] == list(range(20))
-        # A seek into it skips lines instead of using offsets.
+        # A seek into a segment skips lines.
         assert [r["seq"] for r in reopened.read(1, 3)] == [1, 2]
-        assert not sidecar.exists()  # a reader writes nothing
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
         reopened.close()
 
 
@@ -401,17 +405,17 @@ class TestRetentionCarriesForward:
         # The oldest layout: sidecars with counts and offsets only, and
         # no summary, so every segment is decoded again.
         (tmp_path / "carried.json").unlink()
-        for sidecar in tmp_path.glob("seg-*.idx"):
-            index = json.loads(sidecar.read_text())
-            first_seq = int(sidecar.stem.split("-")[1])
-            nbytes = sidecar.with_suffix(".jsonl").stat().st_size
-            sidecar.write_text(
+        for path in sorted(tmp_path.glob("seg-*.jsonl"))[:-1]:
+            lines = path.read_bytes().splitlines(keepends=True)
+            path.with_suffix(".idx").write_text(
                 json.dumps(
                     {
-                        "first_seq": first_seq,
-                        "count": len(index["offsets"]),
-                        "bytes": nbytes,
-                        "offsets": index["offsets"],
+                        "first_seq": int(path.stem.split("-")[1]),
+                        "count": len(lines),
+                        "bytes": path.stat().st_size,
+                        "offsets": [
+                            sum(map(len, lines[:i])) for i in range(len(lines))
+                        ],
                     }
                 )
             )
@@ -481,7 +485,7 @@ class TestCrashPoints:
         _abandon(ledger)
         return ledger.next_seq  # every record of the dying batch is on disk
 
-    @pytest.mark.parametrize("after_write", [False, True], ids=["idx", "summary"])
+    @pytest.mark.parametrize("after_write", [False, True], ids=["segment", "summary"])
     def test_crash_while_sealing(self, tmp_path, monkeypatch, after_write):
         crashed, clean = tmp_path / "crashed", tmp_path / "clean"
         reached = self._crash_in_summary_write(crashed, monkeypatch, after_write)
@@ -518,7 +522,7 @@ class TestCrashPoints:
         unlinks = []
 
         def dying(path, missing_ok=False):
-            if len(unlinks) == 2 * k:  # a .jsonl and its .idx per segment
+            if len(unlinks) == 2 * k:  # a .jsonl and any stale .idx per segment
                 raise _Crash
             unlinks.append(path)
             real_unlink(path, missing_ok=missing_ok)
@@ -601,6 +605,66 @@ class TestOldLayout:
         ] == records[through_seq:]
         assert [r["seq"] for r in reopened.read(30, 33)] == [30, 31, 32]
         reopened.close()
+
+    def test_stamped_lines_and_stale_sidecars_replay_byte_identical(self, tmp_path):
+        """Segments from when every record carried a ``"unix"`` stamp and
+        every sealed segment an ``.idx``: they open, replay and splice
+        the stored payload bytes, take new-shape appends in the old
+        active segment, and compaction unlinks a stale ``.idx``."""
+        records = [
+            ("epoch", {"epoch": 0, "note": 'tricky ,"unix": text'}),
+            ("epoch", {"epoch": 1, "s": '","data": 1 ,"unix":'}),
+            ("error", {"code": "evicted", "unix": 1760000000.5}),
+            ("reconfigured", {"changes": {"n": 3}, "epochs_run": 2}),
+            ("epoch", {"epoch": 2}),
+            ("epoch", {"epoch": 3, "unix": 7}),
+        ]
+        lines = [
+            b'{"seq":%d,"event":"%s","data":%s,"unix":%r}\n'
+            % (seq, event.encode(), encode_payload(data), 1760000000.0 + seq / 7)
+            for seq, (event, data) in enumerate(records)
+        ]
+        sealed = tmp_path / "seg-0000000000.jsonl"
+        active = tmp_path / "seg-0000000003.jsonl"
+        sealed.write_bytes(b"".join(lines[:3]))
+        active.write_bytes(b"".join(lines[3:]))
+        sealed.with_suffix(".idx").write_text('{"offsets":[0,1,2]}')  # stale
+        (tmp_path / "carried.json").write_text(
+            '{"epochs":2,"reconfigured":[],"through_seq":3}'
+        )
+
+        def expected(upto):
+            return [
+                (seq, event, encode_payload(data))
+                for seq, (event, data) in enumerate(records[:upto])
+            ]
+
+        reopened = SessionLedger(tmp_path, segment_bytes=256)
+        assert (reopened.next_seq, reopened.epoch_count) == (6, 4)
+        assert reopened.reconfigured == [{"seq": 3, **records[3][1]}]
+        assert list(reopened.read_encoded()) == expected(6)
+        assert list(reopened.read_encoded(1, 4)) == expected(4)[1:]
+        assert [(r["event"], r["data"]) for r in reopened.read()] == records
+        for seq, event, payload in reopened.read_encoded():
+            assert splice_event_frame(event, "s1", "sub1", seq, 0, payload) == (
+                encode_frame(event_frame(event, "s1", "sub1", seq, records[seq][1]))
+            )
+        # New-shape lines follow the stamped ones in the same segment.
+        records += [("epoch", {"epoch": 4}), ("error", {"code": "x", "unix": 2})]
+        assert reopened.append_many(
+            [(event, encode_payload(data)) for event, data in records[6:]]
+        ) == 6
+        assert active.read_bytes().startswith(b"".join(lines[3:]))
+        assert b'{"seq":6,"event":"epoch","data":{"epoch":4}}\n' in active.read_bytes()
+        assert list(reopened.read_encoded()) == expected(8)
+        reopened.close()
+        again = SessionLedger(tmp_path, segment_bytes=256)
+        assert list(again.read_encoded()) == expected(8)
+        assert (again.next_seq, again.epoch_count) == (8, 5)
+        again.retention_bytes = 1
+        assert again.compact() >= 1
+        assert not sealed.exists() and not sealed.with_suffix(".idx").exists()
+        again.close()
 
 
 def _decoded(registry):
@@ -707,17 +771,22 @@ class TestCloseWritesTheSummary:
             (tmp_path / "carried.json").read_text()
         )["through_bytes"]
 
-    def test_sealing_a_reopened_segment_splits_its_lines(self, tmp_path):
+    def test_sealing_a_reopened_segment_reads_nothing(self, tmp_path, monkeypatch):
         ledger = SessionLedger(tmp_path, segment_bytes=4096)
         _fill(ledger, 10)
         ledger.close()
         reopened = SessionLedger(tmp_path, segment_bytes=4096)
-        _fill(reopened, 200, start=10)  # seals the segment it reopened
+        real_open = open
+
+        def writing_only(path, mode="r", *args, **kwargs):
+            assert "a" in mode or "w" in mode, f"the writer read {path}"
+            return real_open(path, mode, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.ledger.storage.open", writing_only, raising=False)
+            _fill(reopened, 200, start=10)  # seals the segment it reopened
         reopened.close()
-        first = sorted(tmp_path.glob("seg-*.idx"))[0]
-        offsets = json.loads(first.read_text())["offsets"]
-        lines = first.with_suffix(".jsonl").read_bytes().splitlines(keepends=True)
-        assert offsets == [sum(map(len, lines[:i])) for i in range(len(lines))]
+        assert len(list(tmp_path.glob("seg-*.jsonl"))) > 1
         assert [r["seq"] for r in SessionLedger(tmp_path).read(7, 9)] == [7, 8]
 
     def test_crash_open_reads_envelopes_not_payloads(self, tmp_path, monkeypatch):

@@ -6,7 +6,9 @@ per-subscriber envelopes is *bit-identical* to the old path that ran
 pin that claim three ways: randomized payloads against the old encoder
 directly, raw wire lines from a live server (in-thread hosts and a
 worker pool, byte-equal to each other), and raw replay lines spliced
-from ledger-stored payload bytes.
+from ledger-stored payload bytes.  The ledger itself is pinned the
+same way: byte-equal files over both transports, and byte-equal
+records across an eviction or a crash.
 
 The canonical-form check used on wire lines — ``line ==
 encode_frame(decode_frame(line))`` — is exactly equivalence with the
@@ -21,7 +23,10 @@ import string
 from collections import deque
 
 import numpy as np
+import pytest
 
+from repro.ledger import Ledger
+from repro.service.manager import SessionManager
 from repro.service.protocol import (
     decode_frame,
     encode_frame,
@@ -29,7 +34,10 @@ from repro.service.protocol import (
     event_frame,
     splice_event_frame,
 )
+from repro.service.workers import WorkerPool
 
+from .test_lifecycle import AFTER, BEFORE, BETWEEN, RECONFIGURE, _rig
+from .test_lifecycle import PARAMS as LIFECYCLE_PARAMS
 from .test_server import WireClient, _start_server, run_async
 
 SMALL = {"footprint_pages": 512, "accesses_per_epoch": 2000}
@@ -181,6 +189,77 @@ class TestLiveWireBitIdentity:
             return [line for _, line in frames]
 
         assert in_order(inthread) == in_order(pooled)
+
+
+def _durable_bytes(directory, pool) -> dict:
+    """One session stepped, reconfigured and closed over ``pool``: its
+    segment files and ``carried.json``, by name."""
+    manager = SessionManager(pool=pool, ledger=Ledger(directory, segment_bytes=1024))
+    try:
+        session = manager.create(**LIFECYCLE_PARAMS)
+        session.step(3)
+        session.reconfigure(dict(RECONFIGURE))
+        session.step(4)
+        manager.close(session.session_id)
+    finally:
+        manager.close_all()
+        if pool is not None:
+            pool.shutdown()
+    return {
+        path.name: path.read_bytes()
+        for path in sorted((directory / session.session_id).iterdir())
+        if path.name.startswith("seg-") or path.name == "carried.json"
+    }
+
+
+def _lived_records(rig, session_id) -> list[tuple[str, bytes]]:
+    """A session's ``epoch`` and ``reconfigured`` records, in seq order;
+    the lifecycle frames between them carry wall time by design."""
+    return [
+        (event, payload)
+        for _, event, payload in rig.manager.get(session_id).ledger.read_encoded()
+        if event in ("epoch", "reconfigured")
+    ]
+
+
+class TestDurableBitIdentity:
+    """The ledger twin of ``test_both_transports_send_equal_bytes``: a
+    record's bytes depend only on the record."""
+
+    def test_both_transports_write_equal_ledgers(self, tmp_path):
+        inthread = _durable_bytes(tmp_path / "inthread", None)
+        pooled = _durable_bytes(tmp_path / "pooled", WorkerPool(2))
+        assert len(inthread) > 2  # rotation sealed segments
+        assert inthread == pooled
+
+    @pytest.mark.parametrize(
+        "backend, interrupt", [("inproc", "evict"), ("pool", "sigkill")]
+    )
+    def test_interrupted_session_writes_the_same_records(
+        self, tmp_path, backend, interrupt
+    ):
+        with _rig(tmp_path / "direct", "inproc") as rig:
+            session = rig.manager.create(tenant="acme", **LIFECYCLE_PARAMS)
+            session.step(BEFORE)
+            session.reconfigure(dict(RECONFIGURE))
+            session.step(BETWEEN + AFTER)
+            expected = _lived_records(rig, session.session_id)
+        with _rig(tmp_path / interrupt, backend) as rig:
+            session = rig.manager.create(tenant="acme", **LIFECYCLE_PARAMS)
+            sid = session.session_id
+            session.step(BEFORE)
+            session.reconfigure(dict(RECONFIGURE))
+            session.step(BETWEEN)
+            if interrupt == "evict":
+                assert rig.evict() == [sid]
+                session = rig.manager.resume(sid)
+            else:
+                rig.sigkill(session)
+                assert rig.manager.recover(sid) is True
+            session.step(AFTER)
+            events = [e for _, e, _ in rig.manager.get(sid).ledger.read_encoded()]
+            assert ("resumed" if interrupt == "evict" else "recovered") in events
+            assert _lived_records(rig, sid) == expected
 
 
 class TestLedgerReplayBitIdentity:

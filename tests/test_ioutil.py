@@ -115,6 +115,8 @@ class TestOneCanonicalFormOneCoercion:
         for module in (repro.ledger.ledger, repro.runner.cache):
             assert module.canonical is canonical
             assert not hasattr(module, "_canonical")
-        for module in (repro.ledger.storage, repro.service.protocol, repro.obs.log):
+        for module in (repro.service.protocol, repro.obs.log):
             assert module.json_default is json_default
+        # The ledger stores the protocol's payload bytes and encodes none.
+        for module in (repro.ledger.storage, repro.service.protocol, repro.obs.log):
             assert not hasattr(module, "_json_default")
