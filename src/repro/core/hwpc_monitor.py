@@ -58,7 +58,6 @@ class HWPCMonitor:
             config.abit_gate_event: _EventTrack(),
         }
         machine.pmu.configure(sorted(self._tracks))
-        self.decisions: list[GatingDecision] = []
 
     def observe_interval(self) -> GatingDecision:
         """Read-and-reset the PMU; update maxima; decide gating."""
@@ -70,11 +69,9 @@ class HWPCMonitor:
 
         threshold = self.config.gating_threshold
         cfg = self.config
-        decision = GatingDecision(
+        return GatingDecision(
             trace_active=self._tracks[cfg.trace_gate_event].active(threshold),
             abit_active=self._tracks[cfg.abit_gate_event].active(threshold),
             llc_miss_rate=self._tracks[cfg.trace_gate_event].current,
             dtlb_miss_rate=self._tracks[cfg.abit_gate_event].current,
         )
-        self.decisions.append(decision)
-        return decision

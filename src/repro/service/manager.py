@@ -452,13 +452,14 @@ class SessionManager:
         ledger it is re-materialized by the same recipe as a resume —
         its last snapshot, if an eviction ever wrote one, plus a replay
         of the epochs persisted since; the whole recorded history
-        otherwise — in a fresh worker, the same session object is
-        un-crashed — so its
-        subscribers and its seq chain survive — and subscribers see a
-        ``recovered`` frame and a gap-free continuation.  Without one,
-        or when the rebuild fails, all that is left is releasing the
-        admission slots (:meth:`discard`).  Returns True when the
-        session is live again.
+        otherwise — on a live worker by the hosting step create uses
+        (:meth:`ProfilingSession.recover`, which waits out the dead
+        worker's respawn).  The same session object is un-crashed, so
+        its subscribers and its seq chain survive, and they see a
+        ``recovered`` frame and a gap-free continuation.  Without a
+        ledger, or when the rebuild fails, all that is left is
+        releasing the admission slots (:meth:`discard`).  Returns True
+        when the session is live again.
         """
         with self._lock:
             session = self._sessions.get(session_id)
@@ -468,15 +469,13 @@ class SessionManager:
         if meta is None or session.ledger is None:
             self.discard(session_id)
             return False
+        epochs = session.ledger.epoch_count
         try:
             params = _rebuild_params(
-                meta,
-                session.ledger,
-                session.ledger.epoch_count,
-                self.ledger.snapshot_path(session_id),
+                meta, session.ledger, epochs, self.ledger.snapshot_path(session_id)
             )
             t0 = time.perf_counter()
-            session.pool.recover_session(session, params)
+            session.recover(params)
             _observe_rebuild(session.rebuild, time.perf_counter() - t0)
         except Exception as exc:  # noqa: BLE001 — recovery is best-effort
             _log.error(
@@ -484,6 +483,17 @@ class SessionManager:
             )
             self.discard(session_id)
             return False
+        _metrics().counter(
+            "repro_service_sessions_recovered_total",
+            "Crashed sessions re-materialized from the telemetry ledger",
+        ).inc()
+        _log.info(
+            "session_recovered",
+            session=session_id,
+            worker=session.worker_index,
+            epochs=epochs,
+            **session.rebuild,
+        )
         return True
 
     def get(self, session_id) -> ProfilingSession:

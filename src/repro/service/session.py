@@ -642,14 +642,10 @@ class ProfilingSession:
         self._clock = clock
         self.created_s = clock()
         self.last_active_s = self.created_s
+        #: Set (never cleared) by :meth:`close`, the first thing it does:
+        #: a crashed session is not closed, and only one that is not
+        #: closed may be rebuilt by :meth:`recover`.
         self.closed = False
-        #: Set (never cleared) by :meth:`close`: distinguishes a
-        #: deliberately closed/evicted session from one merely marked
-        #: crashed — both have ``closed=True``, but only a crashed one
-        #: may be resurrected by the ledger-recovery path.  Guards the
-        #: close-races-recovery window: see
-        #: :meth:`~repro.service.workers.WorkerPool.recover_session`.
-        self._discarded = False
         #: In-flight blocking operations (steps in progress or queued on
         #: the simulator lock).  A busy session is never idle, however
         #: long the operation runs — the idle-TTL reaper must not close
@@ -669,20 +665,7 @@ class ProfilingSession:
         #: one (``--ledger-dir``); appended on every fan-out.
         self.ledger = None
         self.pool = pool
-        if pool is None:
-            self.host = SessionHost(
-                lambda _, event, payload: self._fanout_batch(((event, payload),))
-            )
-        else:
-            pool.place(self)  # sets ``host``: the least-loaded worker
-        try:
-            self._set_info(self.host.request("create", (session_id, params)))
-        except BaseException:
-            if pool is not None:
-                pool.release(self)
-            raise
-        if pool is None:
-            self._local = self.host.sessions[session_id]
+        self._host(params)
 
     @property
     def sim(self):
@@ -698,6 +681,30 @@ class ProfilingSession:
     def worker_index(self) -> int | None:
         """Index of the hosting worker process (None: in-thread)."""
         return None if self.pool is None else self.host.index
+
+    def _host(self, params: dict) -> None:
+        """Build the simulation from ``params`` on a host: the one
+        hosting step of create, resume and crash recovery.
+
+        Places the session — on its own in-thread host, or pinned to
+        the least-loaded live worker of ``pool`` — sends the one
+        ``create`` and keeps its reply; a failed ``create`` releases
+        the placement.
+        """
+        if self.pool is None:
+            self.host = SessionHost(
+                lambda _, event, payload: self._fanout_batch(((event, payload),))
+            )
+        else:
+            self.pool.place(self)  # sets ``host``
+        try:
+            self._set_info(self.host.request("create", (self.session_id, params)))
+        except BaseException:
+            if self.pool is not None:
+                self.pool.release(self)
+            raise
+        if self.pool is None:
+            self._local = self.host.sessions[self.session_id]
 
     def _set_info(self, reply: dict) -> None:
         """Keep the host's ``create`` reply: config, progress, rebuild."""
@@ -773,32 +780,53 @@ class ProfilingSession:
             return True
 
     def mark_crashed(self, message: str) -> None:
-        """Fail this session: one structured error frame, then closed."""
+        """Fail this session: one structured error frame; every host op
+        refuses until :meth:`recover` rebuilds it (:meth:`close` does
+        not ask the host)."""
         self.crashed = message
-        self.closed = True
         self._fanout(
             "error",
             crash_event_data(ErrorCode.WORKER_CRASHED, message, self.host.index),
         )
 
-    def recover(self, host, reply: dict) -> None:
-        """Un-crash this session after a ledger re-materialization.
+    def recover(self, params: dict) -> None:
+        """Rebuild this crashed session in place from ``params`` (the
+        rebuild recipe: config plus ``catchup``) by the hosting step
+        create uses.
 
-        The replacement (same config, caught up to the ledger's epoch
-        count — ``reply`` is the worker's ``create`` reply) now lives on
-        ``host``; subscriber queues and the session-global frame seq
-        were this side's state all along, so the ``recovered`` frame
-        and every live epoch frame after it continue the pre-crash
-        numbering without a gap.
+        Subscriber queues and the session-global frame seq were this
+        side's state all along, so the ``recovered`` frame and every
+        live epoch frame after it continue the pre-crash numbering
+        without a gap.  A :meth:`close` racing the recovery is honored,
+        not resurrected: a closed session is refused before the
+        rebuild, and one closed while its host was rebuilding has the
+        rebuilt copy closed and released — so no closed session comes
+        back as an unmanaged copy still pinned to a worker.  Raises
+        :class:`ServiceError` then, or when the rebuild fails.
         """
-        self.host = host
-        self._set_info(reply)
+        if self.closed:
+            raise ServiceError(
+                ErrorCode.UNKNOWN_SESSION,
+                f"session {self.session_id} was closed before recovery could run",
+            )
+        self._host(params)
+        if self.closed:
+            try:
+                self.host.request(
+                    "close", (self.session_id, {}), timeout_s=HOST_TIMEOUT_S
+                )
+            except ServiceError:
+                pass
+            self.pool.release(self)
+            raise ServiceError(
+                ErrorCode.UNKNOWN_SESSION,
+                f"session {self.session_id} was closed during recovery",
+            )
         self.crashed = None
-        self.closed = False
         self._fanout(
             "recovered",
             recovered_event_data(
-                self.session_id, host.index, self._epochs_run, self.rebuild
+                self.session_id, self.host.index, self._epochs_run, self.rebuild
             ),
         )
         self.touch()
@@ -807,15 +835,16 @@ class ProfilingSession:
         """Finalize on the host, detach subscribers, return the run
         summary (``options``: :meth:`HostedSession.close`'s epoch
         window); never raises on a dead worker."""
-        self._discarded = True
+        self.closed = True
         if self.crashed is not None:
             summary = {"session": self.session_id, "crashed": self.crashed}
         else:
             try:
-                summary = self._request("close", options, timeout_s=HOST_TIMEOUT_S)
+                summary = self.host.request(
+                    "close", (self.session_id, options), timeout_s=HOST_TIMEOUT_S
+                )
             except ServiceError as exc:
                 summary = {"session": self.session_id, "crashed": exc.message}
-        self.closed = True
         if self.pool is not None:
             self.pool.release(self)
         with self._sub_lock:
@@ -953,10 +982,10 @@ class ProfilingSession:
         guaranteed to be in the table when the goodbye frames push.
         """
         with self._sub_lock:
-            # A crashed-awaiting-recovery session (``crashed`` set) is
-            # still subscribable: its subscribers are owed the
+            # A crashed session awaiting recovery is not closed, so it
+            # stays subscribable: its subscribers are owed the
             # ``recovered`` frame when the ledger re-materializes it.
-            if self.closed and self.crashed is None:
+            if self.closed:
                 raise ServiceError(
                     ErrorCode.UNKNOWN_SESSION,
                     f"session {self.session_id} is closed",

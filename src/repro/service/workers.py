@@ -34,10 +34,10 @@ its own sessions — every pending request on that pipe raises
 structured ``error`` frame (seq/dropped accounting intact), the
 sessions are handed to the manager via the crash callback (which
 rebuilds them from the ledger or discards them), and the slot
-respawns a fresh worker so subsequent ``create_session`` calls
-succeed.  An *unpicklable* reply is not a crash: the worker catches
-the serialization failure and answers with an ``internal`` error
-instead.
+respawns a fresh worker; placement waits for it, so a
+``create_session`` racing the respawn lands on a live worker.  An
+*unpicklable* reply is not a crash: the worker catches the
+serialization failure and answers with an ``internal`` error instead.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ _log = obs_log.get_logger("service.workers")
 
 #: How long :meth:`WorkerPool.shutdown` waits for a worker to drain.
 DEFAULT_JOIN_TIMEOUT_S = 10.0
+
+#: How long :meth:`WorkerPool.place` waits for a dead worker's respawn.
+PLACE_WAIT_S = 15.0
 
 #: Epoch events batched per worker → parent pipe message.  Bounded so
 #: a long step still streams telemetry while it runs; small enough
@@ -240,15 +243,18 @@ class WorkerHandle:
 
     def _spawn(self) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        self.process = self._ctx.Process(
+        process = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self.index),
             name=f"repro-service-worker-{self.index}",
             daemon=True,
         )
-        self.process.start()
+        process.start()
         child_conn.close()
-        self.conn = parent_conn
+        # The pipe first: a slot whose process reads as alive must not
+        # still hold the dead one's closed pipe (placement checks
+        # ``process.is_alive()`` and then sends on ``conn``).
+        self.conn, self.process = parent_conn, process
         reader = threading.Thread(
             target=self._read_loop,
             args=(parent_conn, self.generation),
@@ -418,112 +424,40 @@ class WorkerPool:
         """Build one session on the least-loaded worker (sticky)."""
         return ProfilingSession(session_id, pool=self, clock=clock, **params)
 
-    def _pin_locked(self, session, workers) -> WorkerHandle:
-        worker = min(workers, key=lambda w: (len(w.sessions), w.index))
-        worker.sessions.add(session.session_id)
-        self._sessions[session.session_id] = session
-        session.host = worker
-        return worker
-
     def place(self, session: ProfilingSession) -> WorkerHandle:
-        """Pin ``session`` to the least-loaded worker: its ``host``."""
-        with self._lock:
-            return self._pin_locked(session, self.workers)
+        """Pin ``session`` to the least-loaded live worker: its ``host``.
+
+        A dead slot respawns on its reader thread; while no worker is
+        alive this waits up to :data:`PLACE_WAIT_S` for one, so a
+        create or a crash recovery racing a respawn lands on the fresh
+        worker.  Raises ``worker_crashed`` when none comes up or the
+        pool is shutting down.
+        """
+        deadline = time.monotonic() + PLACE_WAIT_S
+        while True:
+            with self._lock:
+                alive = [
+                    w for w in self.workers if not w.closing and w.process.is_alive()
+                ]
+                if alive:
+                    worker = min(alive, key=lambda w: (len(w.sessions), w.index))
+                    worker.sessions.add(session.session_id)
+                    self._sessions[session.session_id] = session
+                    session.host = worker
+                    return worker
+                shut = all(w.closing for w in self.workers)
+            if shut or time.monotonic() >= deadline:
+                raise ServiceError(
+                    ErrorCode.WORKER_CRASHED,
+                    f"no live worker to place session {session.session_id} on",
+                )
+            time.sleep(0.05)
 
     def release(self, session: ProfilingSession) -> None:
         """Forget a session (closed or failed-to-create)."""
         with self._lock:
             self._sessions.pop(session.session_id, None)
             session.host.sessions.discard(session.session_id)
-
-    def recover_session(
-        self,
-        session: ProfilingSession,
-        params: dict,
-        wait_s: float = 15.0,
-    ) -> ProfilingSession:
-        """Re-materialize a crashed session from its rebuild params.
-
-        Waits for a live worker (the dead slot respawns on its reader
-        thread), re-pins the session there, and sends it the ordinary
-        ``create`` with ``params`` — the recorded config plus the
-        ``catchup`` that restores the session's last snapshot and
-        silently re-runs its history since.
-        On success the session object itself is un-crashed in place —
-        its subscribers see one ``recovered`` frame and then gap-free
-        live epochs.  Raises :class:`ServiceError` when no worker
-        comes up or the rebuild fails; the caller then discards the
-        session as before.
-
-        A close/evict racing the recovery is honored, not resurrected:
-        ``ProfilingSession.close`` marks the session discarded, and the
-        recovery aborts — before the rebuild when it can, and by
-        closing the freshly rebuilt worker-side copy when the close
-        landed mid-rebuild — so a closed session can never come back
-        as an unmanaged zombie still pinned to a worker (and its
-        tenant slot, already released by the close, is never held
-        again by a session the manager no longer knows).
-        """
-        deadline = time.monotonic() + wait_s
-        while True:
-            if session._discarded:
-                raise ServiceError(
-                    ErrorCode.UNKNOWN_SESSION,
-                    f"session {session.session_id} was closed before "
-                    "recovery could run",
-                )
-            with self._lock:
-                alive = [
-                    w
-                    for w in self.workers
-                    if not w.closing and w.process is not None
-                    and w.process.is_alive()
-                ]
-                if alive:
-                    worker = self._pin_locked(session, alive)
-                    break
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    ErrorCode.WORKER_CRASHED,
-                    f"no live worker to recover session "
-                    f"{session.session_id} onto",
-                )
-            time.sleep(0.05)
-        try:
-            info = worker.request("create", (session.session_id, params))
-        except ServiceError:
-            self.release(session)
-            raise
-        if session._discarded:
-            # close() landed while the worker was rebuilding: drop the
-            # rebuilt copy instead of resurrecting a session nothing
-            # manages anymore.
-            try:
-                worker.request(
-                    "close",
-                    (session.session_id, {}),
-                    timeout_s=DEFAULT_JOIN_TIMEOUT_S,
-                )
-            except ServiceError:
-                pass
-            self.release(session)
-            raise ServiceError(
-                ErrorCode.UNKNOWN_SESSION,
-                f"session {session.session_id} was closed during recovery",
-            )
-        session.recover(worker, info)
-        obs_metrics.default_registry().counter(
-            "repro_service_sessions_recovered_total",
-            "Crashed sessions re-materialized from the telemetry ledger",
-        ).inc()
-        _log.info(
-            "session_recovered",
-            session=session.session_id,
-            worker=worker.index,
-            epochs=info.get("epochs_run", 0),
-            **session.rebuild,
-        )
-        return session
 
     # ------------------------------------------------------------ lifecycle
 

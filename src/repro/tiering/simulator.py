@@ -331,23 +331,19 @@ class TieredSimulator:
 
         ``result`` is swapped for its :meth:`SimulationResult
         .without_history` copy, and the profiler keeps only its newest
-        report and gating decision, so what is pickled inside the block
-        (the session snapshot) costs the state, not the age.  All three
-        are put back on exit.  Whoever calls it owns the simulator
-        meanwhile.
+        report, so what is pickled inside the block (the session
+        snapshot) costs the state, not the age.  Both are put back on
+        exit.  Whoever calls it owns the simulator meanwhile.
         """
         profiler = self.profiler
         result, reports = self._result, profiler.reports
-        decisions = profiler.hwpc.decisions
         if result is not None:
             self._result = result.without_history()
         profiler.reports = reports[-1:]
-        profiler.hwpc.decisions = decisions[-1:]
         try:
             yield
         finally:
             self._result, profiler.reports = result, reports
-            profiler.hwpc.decisions = decisions
 
     def add_epoch_hook(self, hook) -> None:
         """Register ``hook(metrics)`` to fire after every scored epoch.

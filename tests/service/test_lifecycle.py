@@ -22,6 +22,7 @@ import json
 import os
 import queue
 import signal
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -264,6 +265,71 @@ def test_recover_without_a_ledger_releases_the_slots(tmp_path):
         assert rig.manager.recover(session.session_id) is False
         assert len(rig.manager) == 0 and rig.manager.tenants() == {}
         assert rig.manager.recover(session.session_id) is False  # already gone
+
+
+@contextmanager
+def _respawn_held(worker):
+    """Hold ``worker``'s respawn until the block ends; yields the event
+    set once a death has reached it."""
+    held, release = threading.Event(), threading.Event()
+    spawn = worker._spawn
+
+    def held_spawn():
+        held.set()
+        assert release.wait(30)
+        spawn()
+
+    worker._spawn = held_spawn
+    try:
+        yield held
+    finally:
+        release.set()
+
+
+def test_recover_before_the_respawn_brings_the_session_back(tmp_path, log_lines):
+    """``recover`` running while the dead worker has not respawned yet
+    waits in placement for a live one.  The transition is the manager's:
+    it counts the recovery and logs it."""
+    registry = obs_metrics.MetricsRegistry()
+    previous = obs_metrics.set_default_registry(registry)
+    try:
+        with _rig(tmp_path, "pool") as rig:
+            manager = rig.manager
+            session = manager.create(tenant="acme", **PARAMS)
+            sid = session.session_id
+            sub = session.subscribe(max_queue=64)
+            session.step(BEFORE)
+            worker = session.host
+            recovered = []
+            recovery = threading.Thread(
+                target=lambda: recovered.append(manager.recover(sid)), daemon=True
+            )
+            with _respawn_held(worker) as respawning:
+                os.kill(worker.process.pid, signal.SIGKILL)
+                assert rig.crashes.get(timeout=30) == [sid]
+                assert respawning.wait(30)
+                assert not worker.process.is_alive()
+                recovery.start()
+                recovery.join(0.3)
+                assert recovery.is_alive() and session.crashed is not None
+            recovery.join(30)
+            assert recovered == [True]
+            assert session.crashed is None and worker.generation == 1
+            session.step(BETWEEN + AFTER)
+            assert [f.event for f in sub.drain()] == (
+                ["epoch"] * BEFORE + ["error", "recovered"]
+                + ["epoch"] * (BETWEEN + AFTER)
+            )
+            assert manager.close(sid, include_epochs=True) == _direct_summary(None)
+        assert registry.counter(
+            "repro_service_sessions_recovered_total"
+        ).value() == 1
+    finally:
+        obs_metrics.set_default_registry(previous)
+    (line,) = [r for r in log_lines() if r["event"] == "session_recovered"]
+    assert line["component"] == "service.manager"
+    assert (line["session"], line["worker"], line["epochs"]) == (sid, 0, BEFORE)
+    assert line["epochs_replayed"] == BEFORE
 
 
 def test_recover_leaves_a_healthy_session_alone(tmp_path):

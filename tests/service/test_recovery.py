@@ -245,8 +245,7 @@ class TestRecoveryTenantAccounting:
             self._crash(session)
             session.close()
             with pytest.raises(ServiceError) as exc_info:
-                pool.recover_session(
-                    session,
+                session.recover(
                     {"workload": "gups", "seed": 3,
                      "workload_kwargs": dict(SMALL)},
                 )
@@ -283,8 +282,7 @@ class TestRecoveryTenantAccounting:
 
             def recover():
                 try:
-                    pool.recover_session(
-                        session,
+                    session.recover(
                         {"workload": "gups", "seed": 4,
                          "workload_kwargs": dict(SMALL),
                          "catchup": {"epochs": 2, "reconfigured": []}},

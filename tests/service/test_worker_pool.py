@@ -187,6 +187,71 @@ class TestCrashRecovery:
             pool.shutdown()
 
 
+    @pytest.mark.parametrize("hold", ["before_spawn", "after_start"])
+    def test_create_racing_a_respawn_lands_on_a_live_worker(self, hold):
+        # Placement waits out a respawn in flight — held before it starts
+        # a process, or after, while the slot still holds the dead
+        # pipe — instead of pinning the session to the dead process and
+        # failing it ``worker_crashed``.
+        pool = WorkerPool(1)
+        handle = pool.workers[0]
+        entered, release = threading.Event(), threading.Event()
+
+        def gate():
+            entered.set()
+            assert release.wait(30)
+
+        if hold == "before_spawn":
+            spawn = handle._spawn
+            handle._spawn = lambda: (gate(), spawn())
+        else:
+            ctx = handle._ctx
+
+            class StartedThenHeld:
+                """A ``Process`` that waits at the gate once started."""
+
+                def __init__(self, proc):
+                    self._proc = proc
+
+                def start(self):
+                    self._proc.start()
+                    gate()
+
+                def __getattr__(self, name):
+                    return getattr(self._proc, name)
+
+            handle._ctx = SimpleNamespace(
+                Pipe=ctx.Pipe,
+                Process=lambda *a, **kw: StartedThenHeld(ctx.Process(*a, **kw)),
+            )
+        outcome = []
+
+        def create():
+            try:
+                outcome.append(pool.session_factory("late", seed=5, **SESSION_KW))
+            except ServiceError as exc:
+                outcome.append(exc.code)
+
+        creator = threading.Thread(target=create, daemon=True)
+        try:
+            os.kill(handle.process.pid, signal.SIGKILL)
+            assert entered.wait(30), "reader never reached the respawn"
+            assert not handle.process.is_alive()
+            creator.start()
+            creator.join(0.3)
+            assert creator.is_alive() and pool._sessions == {}  # waiting
+            release.set()
+            creator.join(30)
+            (session,) = outcome
+            assert isinstance(session, ProfilingSession), session
+            assert session.host is handle and handle.generation == 1
+            assert session.step(1)["epochs_run"] == 1
+            session.close()
+        finally:
+            release.set()
+            pool.shutdown()
+
+
 class TestSessionParity:
     def test_worker_session_matches_direct_run(self, pool):
         epochs = 3

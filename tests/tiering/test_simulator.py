@@ -131,15 +131,12 @@ class TestHistoryLeftOut:
         sim = _sim(HistoryPolicy(), tmp_config=TMPConfig(hwpc_gating=True))
         sim.run(3)
         result, reports = sim.result, sim.profiler.reports
-        decisions = sim.profiler.hwpc.decisions
-        assert len(decisions) == len(reports) == 4  # population + 3
+        assert len(reports) == 4  # population + 3
         with sim.history_left_out():
             assert sim.result.epochs == [] and sim.result.epochs_run == 3
             assert sim.profiler.reports == reports[-1:]
-            assert sim.profiler.hwpc.decisions == decisions[-1:]
         assert sim.result is result and len(result.epochs) == 3
         assert sim.profiler.reports is reports
-        assert sim.profiler.hwpc.decisions is decisions
         assert sim.profiler.epochs_closed == len(reports)
 
 
