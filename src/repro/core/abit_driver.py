@@ -92,24 +92,28 @@ class ABitDriver:
         windows: list[tuple[int, PageTable, int]] = []
         run_from: list[int] = []
         run_len: list[int] = []
+        page_tables = self.machine.page_tables
+        resumable = self.config.abit_scan_resumable
         for pid in pids:
-            pt = self.machine.page_tables.get(int(pid))
-            if pt is None or pt.n_pages == 0:
+            pt = page_tables.get(int(pid))
+            n = 0 if pt is None else pt.n_pages
+            if n == 0:
                 continue
-            n = pt.n_pages
-            if self.config.abit_scan_resumable:
+            if resumable:
                 start = self._cursors.get(pid, 0) % n
             else:
                 start = 0  # head-restart: the same bounded window each pass
-            span = n if budget is None else min(budget, n)
+            span = n if budget is None or budget > n else budget
             self._cursors[pid] = (start + span) % n
             windows.append((pid, pt, span))
-            head = min(span, n - start)
+            head = n - start
             run_from.append(pt.base + start)
-            run_len.append(head)
             if head < span:
+                run_len.append(head)
                 run_from.append(pt.base)
                 run_len.append(span - head)
+            else:
+                run_len.append(span)
 
         if not windows:
             return 0

@@ -117,12 +117,15 @@ class ProfiledRun:
         # freed heap under it (``peak_rss_mb``).
         totals = np.zeros((3, self.machine.n_frames), dtype=np.int64)
         batch = self.workload.epoch(self.epochs_run, self.rng)
-        bounds = np.linspace(0, batch.n, self.epoch_slices + 1).astype(int)
+        # The slices' inner bounds, as ``np.linspace(0, n, slices + 1)``
+        # puts them: ``i * (n / slices)``, truncated.
+        step = batch.n / self.epoch_slices
+        cuts = [int(i * step) for i in range(1, self.epoch_slices)]
         profiler = self.profiler
         # ``tick`` is looked up per epoch: whoever wrapped it since
         # (the e2e tracer) is what the machine calls.
         with self.machine.service_points(
-            bounds[1:-1].tolist(), profiler.tick, flushes_tlb=profiler.tick_flushes_tlb
+            cuts, profiler.tick, flushes_tlb=profiler.tick_flushes_tlb
         ):
             res = self._run(batch)
         for total, part in zip(totals, res.frame_counts):

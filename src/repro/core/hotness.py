@@ -70,7 +70,7 @@ def top_k_pages(rank: np.ndarray, k: int, eligible: np.ndarray | None = None) ->
     rank = np.asarray(rank, dtype=np.float64)
     if eligible is not None:
         rank = np.where(eligible, rank, 0.0)
-    nonzero = np.flatnonzero(rank > 0)
+    nonzero = (rank > 0).nonzero()[0]
     if nonzero.size == 0:
         return np.zeros(0, dtype=np.int64)
     # Deterministic order: rank descending, then PFN ascending (lexsort

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..memsim.events import SampleBatch
+from ..memsim.events import DataSource, SampleBatch
 from ..memsim.machine import Machine
 from .config import TMPConfig
 from .page_stats import PageStatsStore
@@ -94,8 +94,11 @@ class TraceDriver:
         self.stats.time_s += max(new_interrupts, 0) * costs.trace_per_interrupt_s
 
         if samples.n:
-            hot = samples.memory_samples() if self.config.trace_memory_only else samples
-            self.stats.memory_samples += hot.n
-            if hot.n:
-                self.store.record_trace(hot.pfn)
+            # Only the frames are credited: no sub-buffer of the rest.
+            pfn = samples.pfn
+            if self.config.trace_memory_only:
+                pfn = pfn[samples.data_source == np.uint8(DataSource.MEMORY)]
+            self.stats.memory_samples += pfn.size
+            if pfn.size:
+                self.store.record_trace(pfn)
         return samples

@@ -163,7 +163,7 @@ class CacheHierarchy:
 
         hits1 = self.l1.access(lines, shard)
         source[hits1] = np.uint8(DataSource.L1)
-        rem = np.flatnonzero(~hits1)  # ascending == program order
+        rem = (~hits1).nonzero()[0]  # ascending == program order
         if rem.size:
             hits2 = self.l2.access(lines[rem], None if shard is None else shard[rem])
             source[rem[hits2]] = np.uint8(DataSource.L2)

@@ -511,7 +511,9 @@ class Machine:
         if self.pmu.events:
             for raw in per_slice:
                 self.pmu.update(raw)
-        raw = {key: sum(r[key] for r in per_slice) for key in per_slice[0]}
+        raw = per_slice[0]
+        if len(per_slice) > 1:
+            raw = {key: sum(r[key] for r in per_slice) for key in raw}
 
         # AMAT accounting: every access pays its servicing level's
         # load-use latency; TLB misses add a page-walk penalty.

@@ -228,7 +228,7 @@ class _DenseEngine:
         """Invalidate entries matching any of ``keys`` on every shard."""
         keys = np.sort(np.asarray(keys, dtype=ADDR_DTYPE))
         if keys.size > 1:
-            keys = keys[np.append(True, keys[1:] != keys[:-1])]  # each entry once
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # each once
         entry, held = self._probe(keys)
         doomed = entry[held]
         self._valid.reshape(-1)[doomed] = False
@@ -286,7 +286,7 @@ class VectorDirectMapped(_DenseEngine):
         rows = self._rows(keys, shard)
         # Stable sort groups accesses by set while preserving program
         # order within each set (a radix sort while rows are 16-bit).
-        order = np.argsort(rows, kind="stable")
+        order = rows.argsort(kind="stable")
         s_rows = rows[order]
         s_keys = keys[order]
 
@@ -303,7 +303,7 @@ class VectorDirectMapped(_DenseEngine):
         # row per run is all that ever indexes the state arrays, so
         # this is the only place narrow rows widen (numpy index-casts
         # non-intp arrays on a slow path).
-        first_idx = np.flatnonzero(run_start)
+        first_idx = run_start.nonzero()[0]
         run_rows = s_rows[first_idx].astype(np.intp, copy=False)
         hit_sorted[first_idx] = self._valid[run_rows] & (
             self._tags[run_rows] == s_keys[first_idx]
@@ -395,7 +395,7 @@ class VectorSetAssoc(_DenseEngine):
             return np.zeros(0, dtype=bool)
         rows = self._rows(keys, shard)
         # Stable: each set's touches stay in program order.
-        order = np.argsort(rows, kind="stable")
+        order = rows.argsort(kind="stable")
         s_rows = rows[order]
         s_keys = keys[order]
         # Adjacent same-key repeats inside a set are hits and change
@@ -404,7 +404,7 @@ class VectorSetAssoc(_DenseEngine):
         first[0] = True
         np.not_equal(s_keys[1:], s_keys[:-1], out=first[1:])
         first[1:] |= s_rows[1:] != s_rows[:-1]
-        kidx = np.flatnonzero(first)
+        kidx = first.nonzero()[0]
         c_rows = s_rows[kidx]
         c_keys = s_keys[kidx]
         del s_rows, s_keys  # not held through the look-back

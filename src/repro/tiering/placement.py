@@ -28,10 +28,10 @@ def fcfa_place_new(
     """
     tm.resize(first_touch_op.size)
     tier_of = tm.tier_of
-    new = np.flatnonzero((tier_of[: touched_mask.size] == UNPLACED) & touched_mask)
+    new = ((tier_of[: touched_mask.size] == UNPLACED) & touched_mask).nonzero()[0]
     if new.size == 0:
         return 0
-    order = new[np.argsort(first_touch_op[new], kind="stable")]
+    order = new[first_touch_op[new].argsort(kind="stable")]
     room = tm.free_pages(TIER1)
     to_fast = order[:room]
     to_slow = order[room:]

@@ -71,7 +71,7 @@ class TieredMemory:
 
     def tier1_pages(self) -> np.ndarray:
         """PFNs currently in the fast tier."""
-        return np.flatnonzero(self._tier_of == TIER1)
+        return (self._tier_of == TIER1).nonzero()[0]
 
     def occupancy(self, tier: int) -> int:
         """Pages currently placed in ``tier``."""

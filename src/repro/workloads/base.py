@@ -16,7 +16,6 @@ is what creates the TLB/cache contention a shared machine would see.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +58,12 @@ def interleave(
     return whole.take(_runs(first[order], size[order]))
 
 
-class Workload(ABC):
+class Workload:
     """Base class for the Table III workload models.
+
+    A subclass generates its epochs one process at a time with
+    :meth:`_process_epoch`, or, when its processes draw alike, all of
+    them at once with :meth:`_add_epoch`: one of the two.
 
     Parameters
     ----------
@@ -129,9 +132,7 @@ class Workload(ABC):
             raise RuntimeError(f"workload {self.name!r} is not attached to a machine")
         per_proc = max(1, self.accesses_per_epoch // self.n_processes)
         out = StreamBuilder(rng)
-        for proc in self.processes:
-            self._process_epoch(proc, epoch_idx, per_proc, out)
-            out.end_stream()
+        self._add_epoch(epoch_idx, per_proc, out)
         return out.build()
 
     def init_stream(self, rng: np.random.Generator, dwell: int = 2) -> AccessBatch:
@@ -153,7 +154,15 @@ class Workload(ABC):
                 out.end_stream()
         return out.build()
 
-    @abstractmethod
+    def _add_epoch(self, epoch_idx: int, n_accesses: int, out: StreamBuilder) -> None:
+        """Add every process's stream for this epoch to ``out``, one
+        stream of ``n_accesses`` per process in process order, drawing
+        through ``out.rng``.  By default each comes from
+        :meth:`_process_epoch`."""
+        for proc in self.processes:
+            self._process_epoch(proc, epoch_idx, n_accesses, out)
+            out.end_stream()
+
     def _process_epoch(
         self,
         proc: ProcessContext,
@@ -163,6 +172,9 @@ class Workload(ABC):
     ) -> None:
         """Add one process's stream for this epoch to ``out``, drawing
         through ``out.rng``."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither _process_epoch nor _add_epoch"
+        )
 
     def __repr__(self) -> str:
         return (

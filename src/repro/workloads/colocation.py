@@ -64,9 +64,6 @@ class MultiWorkload(Workload):
             raise RuntimeError(f"workload {self.name!r} is not attached to a machine")
         return interleave([t.init_stream(rng, dwell=dwell) for t in self.tenants], rng)
 
-    def _process_epoch(self, proc, epoch_idx, n_accesses, out):  # pragma: no cover
-        raise NotImplementedError("MultiWorkload delegates to its tenants")
-
     def tenant_pids(self) -> dict[str, list[int]]:
         """PID ranges per tenant name (for daemon registration)."""
         return {t.name: t.pids for t in self.tenants}

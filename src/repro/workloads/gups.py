@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..memsim.machine import Machine
-from .base import ProcessContext, Workload
-from .synth import StreamBuilder, rmw_expand, uniform_pages
+from .base import Workload
+from .synth import StreamBuilder
 
 __all__ = ["GUPS"]
 
@@ -54,25 +54,35 @@ class GUPS(Workload):
             "stream": machine.mmap(pid, self.stream_pages, name="stream"),
         }
 
-    def _process_epoch(
-        self,
-        proc: ProcessContext,
-        epoch_idx: int,
-        n_accesses: int,
-        out: StreamBuilder,
-    ) -> None:
+    def _add_epoch(self, epoch_idx: int, n_accesses: int, out: StreamBuilder) -> None:
         n_updates = int(n_accesses * self.update_fraction) // 2  # RMW pairs
         n_stream = n_accesses - 2 * n_updates
+        procs = self.processes
+        table_pages = procs[0].vmas["table"].npages
 
-        table = proc.vma("table")
-        targets = uniform_pages(out.rng, table.npages, n_updates)
-        pages, is_store = rmw_expand(targets, out.rng, store_fraction=1.0)
-        out.add(
-            table, pages, pid=proc.pid, cpu=proc.cpu, is_store=is_store,
-            ip=_IP_UPDATE,
-        )
+        # Every process's columns at once, a row each: its update
+        # targets, each twice (a load, then a store), and one sequence
+        # over the substitution stream that every process shares.
+        pairs = np.empty((len(procs), n_updates, 2), dtype=np.int64)
+        stores = np.zeros(pairs.shape, dtype=bool)
+        stores[:, :, 1] = True
+        pages = pairs.reshape(len(procs), -1)
+        is_store = stores.reshape(len(procs), -1)
+        start = (epoch_idx * n_stream) % self.stream_pages
+        seq = (start + np.arange(n_stream, dtype=np.int64) // 8) % self.stream_pages
 
-        stream = proc.vma("stream")
-        start = (epoch_idx * n_stream) % stream.npages
-        seq = (start + np.arange(n_stream, dtype=np.int64) // 8) % stream.npages
-        out.add(stream, seq, pid=proc.pid, cpu=proc.cpu, ip=_IP_STREAM)
+        # The draws stay one process at a time: the previous process's
+        # line offsets (drawn by ``out.rng``), then this one's targets,
+        # then its store coins, which all come up stores at a store
+        # fraction of 1 but are drawn all the same.
+        for proc, pair, row, row_stores in zip(procs, pairs, pages, is_store):
+            rng = out.rng
+            targets = rng.integers(0, table_pages, size=n_updates, dtype=np.int64)
+            pair[:] = targets[:, None]
+            rng.random(n_updates)
+            out.add(
+                proc.vmas["table"], row, pid=proc.pid, cpu=proc.cpu,
+                is_store=row_stores, ip=_IP_UPDATE,
+            )
+            out.add(proc.vmas["stream"], seq, pid=proc.pid, cpu=proc.cpu, ip=_IP_STREAM)
+            out.end_stream()

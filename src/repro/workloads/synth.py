@@ -138,12 +138,12 @@ def rmw_expand(pages: np.ndarray, rng: np.random.Generator, store_fraction: floa
 
 
 def _runs(first: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The runs ``[first, first + length)``, concatenated: one
-    ``arange`` over them all, each run shifted to its first value."""
-    at = np.cumsum(length)
-    at -= length
-    idx = np.arange(int(length.sum()), dtype=np.int64)
-    idx += np.repeat(first - at, length)
+    """The runs ``[first, first + length)``, concatenated (at least one
+    run): one ``arange`` over them all, each run shifted to its first
+    value."""
+    end = length.cumsum()
+    idx = np.arange(end[-1], dtype=np.int64)
+    idx += (first - end + length).repeat(length)
     return idx
 
 
@@ -167,9 +167,14 @@ def interleave_pieces(
     first, lengths = first[live], lengths[live]
     if lengths.size < 2:
         return first, None
+    wide = -(-np.maximum.reduce(lengths) // chunk)
+    if wide == 1:
+        # One piece per stream: its jitter is its position.
+        order = rng.uniform(0.5, 1.5, lengths.size).argsort(kind="stable")
+        return first, order
     # One row per stream, one column per piece: piece k starts at
     # ``k * chunk`` if the stream is that long.
-    skip = np.arange(-(-lengths.max() // chunk)) * chunk
+    skip = np.arange(wide) * chunk
     grid = skip < lengths[:, None]
     # Jittered timeline position of each piece: cumulative within its
     # stream, so each keeps its order, while shuffling across them.  One
@@ -182,40 +187,6 @@ def interleave_pieces(
     return (first[:, None] + skip)[grid], order
 
 
-def _placement(first, order, n, layout, total):
-    """Where each access of the interleaved stream comes from: the
-    gather index into the columns as built (segments in the order
-    added, ``n`` accesses each), and the stream as runs of one segment
-    each (``seg``, ``length``).
-
-    The pieces' ``first`` are "laid" positions: streams end to end, each
-    in its ``layout`` order of segments.  ``shift`` takes a segment's
-    laid positions to its added ones.
-    """
-    layout = np.array(layout)
-    layout = layout[n[layout] > 0]
-    seg_at = n[layout].cumsum()
-    seg_at -= n[layout]
-    shift = n.cumsum()
-    shift -= n
-    shift[layout] -= seg_at
-    # Cut the pieces where segments start: each run then lies in one
-    # piece and one segment.  (A stream's first piece and segment start
-    # together; keeping the last of equal starts drops the end mark.)
-    at = np.concatenate((first, seg_at, [total]))
-    at.sort()
-    at = at[np.flatnonzero(at[1:] != at[:-1])]
-    length = np.append(at[1:], total) - at
-    seg = layout[seg_at.searchsorted(at, side="right") - 1]
-    if order is not None:
-        # Runs in output order: by their piece's turn, in order within it.
-        turn = np.empty_like(order)
-        turn[order] = np.arange(order.size)
-        by_turn = turn[first.searchsorted(at, side="right") - 1].argsort(kind="stable")
-        at, length, seg = at[by_turn], length[by_turn], seg[by_turn]
-    return _runs(at + shift[seg], length), seg, length
-
-
 class StreamBuilder:
     """One access stream — an epoch's, or a population phase's — built
     once.
@@ -224,7 +195,9 @@ class StreamBuilder:
     VMA, with a ``pid``, ``cpu``, ``ip`` tag and store flag or column)
     and closes one interleave stream, a process's epoch or one region
     of the population phase, with :meth:`end_stream`.  :meth:`build`
-    then makes each column once, interleaved.
+    then checks, joins and interleaves the segments' columns once: a
+    segment costs a list entry until then, whatever the workload's
+    process count.
 
     Every access gets a random line offset, and every draw a workload
     makes goes through :attr:`rng`, which first draws the offsets of
@@ -238,33 +211,35 @@ class StreamBuilder:
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        #: Per segment, in the order added: ``(pages, VMA base, pid,
-        #: cpu, ip, store flag or column)``.
+        #: Per segment, in the order added: ``(pages, VMA, pid, cpu, ip,
+        #: store flag or column, at)``.
         self._segments: list[tuple] = []
-        # Line offsets drawn so far, and accesses added since the last draw.
+        #: Per closed stream: segments added by its end, and its length.
+        self._streams: list[tuple[int, int]] = []
+        self._n_segments = 0
+        # Accesses added, and where the open stream and the line
+        # offsets drawn so far end in them.
+        self._added = self._closed = self._drawn = 0
         self._offsets: list[np.ndarray] = []
-        self._pending = 0
-        # Streams as segment numbers in layout order: the closed ones
-        # with their lengths, and the open one.
-        self._streams: list[list[int]] = []
-        self._lengths: list[int] = []
-        self._open: list[int] = []
-        self._open_length = 0
+        # Whether a segment was placed with ``at``.
+        self._moved = False
 
     @property
     def rng(self) -> np.random.Generator:
         """The generator, once the pending line offsets are drawn."""
-        if self._pending:
+        if self._added > self._drawn:
             self._offsets.append(
-                self._rng.integers(0, LINES_PER_PAGE, size=self._pending, dtype=np.int64)
+                self._rng.integers(
+                    0, LINES_PER_PAGE, size=self._added - self._drawn, dtype=np.int64
+                )
             )
-            self._pending = 0
+            self._drawn = self._added
         return self._rng
 
     def add(
         self,
         vma: VMA,
-        pages,
+        pages: np.ndarray,
         *,
         pid: int,
         cpu: int,
@@ -272,81 +247,138 @@ class StreamBuilder:
         ip: int = 0,
         at: int | None = None,
     ) -> None:
-        """Record accesses to ``pages``, offsets into ``vma``
-        (``0..npages-1``).  Nothing is drawn here, and ``pages`` is kept
-        as given until :meth:`build` copies it: do not write to it.
+        """Record accesses to ``pages``, an integer array of offsets into
+        ``vma`` (``0..npages-1``).  Nothing is drawn or checked here:
+        :meth:`build` reads ``pages`` and an ``is_store`` column, so
+        leave them be until then.
 
         The segment goes last in the open stream, or at position ``at``
         of it; its offsets are still drawn in the order segments are
         added.
         """
-        pages = np.asarray(pages, dtype=np.int64)
-        # Unsigned, a negative index is a huge one: a single bound
-        # covers both ends.
-        if pages.size and pages.view(ADDR_DTYPE).max() >= vma.npages:
+        self._segments.append((pages, vma, pid, cpu, ip, is_store, at))
+        self._n_segments += 1
+        self._added += pages.size
+        if at is not None:
+            self._moved = True
+
+    def end_stream(self) -> None:
+        """Close the open stream; what is added next is another one."""
+        self._streams.append((self._n_segments, self._added - self._closed))
+        self._closed = self._added
+
+    def build(self) -> AccessBatch:
+        """The streams, interleaved.  Segments still open form the last
+        stream.
+
+        Every page index is checked against its VMA first, all at once:
+        one out of range, or negative, raises ``ValueError`` naming the
+        VMA, as does an ``is_store`` column of the wrong length, before
+        anything is drawn.
+        """
+        segments = self._segments
+        if not self._streams or self._streams[-1][0] < self._n_segments:
+            self.end_stream()
+        total = self._added
+        if not total:
+            return AccessBatch.empty()
+        pages, vmas, pid, cpu, ip, store, at = zip(*segments)
+        segments.clear()
+        sizes = [p.size for p in pages]
+        n = np.array(sizes)
+        added_at = n.cumsum()
+        added_at -= n
+        region = np.array(
+            [(vma.start_vpn, vma.npages) for vma in vmas], dtype=ADDR_DTYPE
+        )
+
+        # The address column as added, and one range check over it: each
+        # segment's largest index against its VMA.  Unsigned, a negative
+        # index is a huge one, so the one bound covers both ends.
+        vaddr = np.concatenate(pages, dtype=np.int64).view(ADDR_DTYPE)
+        del pages
+        live = (n > 0).nonzero()[0]
+        outside = np.maximum.reduceat(vaddr, added_at[live]) >= region[live, 1]
+        if outside.any():
+            vma = vmas[live[outside.argmax()]]
             raise ValueError(
                 f"page indices out of range for VMA {vma.name!r} "
                 f"({vma.npages} pages)"
             )
-        if not isinstance(is_store, (bool, np.bool_)):
-            is_store = np.asarray(is_store, dtype=bool)
-            if is_store.shape != pages.shape:
-                raise ValueError(
-                    f"column 'is_store' has length {is_store.size}, "
-                    f"expected {pages.size}"
-                )
-        self._open.insert(len(self._open) if at is None else at, len(self._segments))
-        self._segments.append((pages, vma.start_vpn, pid, cpu, ip, is_store))
-        self._open_length += pages.size
-        self._pending += pages.size
-
-    def end_stream(self) -> None:
-        """Close the open stream; what is added next is another one."""
-        self._streams.append(self._open)
-        self._lengths.append(self._open_length)
-        self._open, self._open_length = [], 0
-
-    def build(self) -> AccessBatch:
-        """The streams, interleaved.  Segments still open form the last
-        stream."""
-        if self._open:
-            self.end_stream()
-        rng = self.rng  # the last offsets are drawn before the interleave's
-        total = sum(self._lengths)
-        if not total:
-            return AccessBatch.empty()
-        first, order = interleave_pieces(self._lengths, rng)
-        pages, base, pid, cpu, ip, store = zip(*self._segments)
-        self._segments.clear()
-        n = np.array([p.size for p in pages], dtype=np.int64)
-        layout = [seg for stream in self._streams for seg in stream]
-        idx, seg, length = _placement(first, order, n, layout, total)
-
-        def per_segment(values, dtype) -> np.ndarray:
-            return np.array(values, dtype=dtype)[seg].repeat(length)
-
-        # The address and store columns as added, then one gather each;
-        # the constant columns come straight out in output order.
-        vaddr = np.concatenate(pages).view(ADDR_DTYPE)
-        del pages
-        vaddr += np.array(base, dtype=ADDR_DTYPE).repeat(n)
-        vaddr <<= ADDR_DTYPE(PAGE_SHIFT)
-        lo = 0
-        for offsets in self._offsets:
-            offsets <<= LINE_SHIFT
-            vaddr[lo : lo + offsets.size] |= offsets.view(ADDR_DTYPE)
-            lo += offsets.size
-        self._offsets.clear()
+        vaddr += region[:, 0].repeat(n)
         is_store = np.zeros(total, dtype=bool)
         lo = 0
-        for size, flag in zip(n.tolist(), store):
+        for size, flag in zip(sizes, store):
             if flag is not False:
+                if not isinstance(flag, (bool, np.bool_)) and len(flag) != size:
+                    raise ValueError(
+                        f"column 'is_store' has length {len(flag)}, expected {size}"
+                    )
                 is_store[lo : lo + size] = flag
             lo += size
+
+        rng = self.rng  # the last offsets are drawn before the interleave's
+        offsets = np.concatenate(self._offsets)
+        self._offsets.clear()
+        offsets <<= LINE_SHIFT
+        vaddr <<= ADDR_DTYPE(PAGE_SHIFT)
+        vaddr |= offsets.view(ADDR_DTYPE)
+        del offsets
+
+        # Where each access of the interleaved stream comes from, as
+        # runs that each lie in one piece and one segment.  The pieces
+        # cut the streams laid end to end, each in its own order of
+        # segments: the order added, unless one was placed with ``at``.
+        laid = np.array(self._layout(at)) if self._moved else None
+        if laid is None:
+            seg_at = added_at
+        else:
+            seg_at = n[laid].cumsum()
+            seg_at -= n[laid]
+        first, order = interleave_pieces([length for _, length in self._streams], rng)
+        # Of equal starts (a stream's first piece and segment, empty
+        # segments) the last is kept, and the end mark goes.
+        cut = np.concatenate((first, seg_at, [total]))
+        cut.sort()
+        keep = cut[1:] != cut[:-1]
+        start = cut[:-1][keep]
+        length = cut[1:][keep]
+        length -= start
+        seg = seg_at.searchsorted(start, side="right") - 1
+        if order is not None:
+            # Runs in output order: by their piece's turn, in order
+            # within it.
+            turn = np.empty_like(order)
+            turn[order] = np.arange(order.size)
+            piece = first.searchsorted(start, side="right") - 1
+            by_turn = turn[piece].argsort(kind="stable")
+            start, length, seg = start[by_turn], length[by_turn], seg[by_turn]
+        if laid is not None:
+            start += (added_at[laid] - seg_at)[seg]
+            seg = laid[seg]
+        if order is not None or laid is not None:
+            idx = _runs(start, length)
+            vaddr, is_store = vaddr.take(idx), is_store.take(idx)
+
+        def per_run(values, dtype) -> np.ndarray:
+            return np.array(values, dtype=dtype)[seg].repeat(length)
+
         return AccessBatch.of_columns(
-            vaddr.take(idx),
-            is_store.take(idx),
-            per_segment(pid, np.int32),
-            per_segment(cpu, np.int16),
-            per_segment(ip, ADDR_DTYPE),
+            vaddr,
+            is_store,
+            per_run(pid, np.int32),
+            per_run(cpu, np.int16),
+            per_run(ip, ADDR_DTYPE),
         )
+
+    def _layout(self, at) -> list[int]:
+        """Every stream's segment numbers in the order it runs them."""
+        laid, lo = [], 0
+        for hi, _ in self._streams:
+            stream: list[int] = []
+            for segment in range(lo, hi):
+                where = at[segment]
+                stream.insert(len(stream) if where is None else where, segment)
+            laid += stream
+            lo = hi
+        return laid

@@ -120,9 +120,6 @@ class ReplayWorkload(Workload):
             cpu=[cpu for *_, cpu in accesses],
         )
 
-    def _process_epoch(self, proc, epoch_idx, n_accesses, out):
-        raise NotImplementedError("epoch() replays the trace whole")
-
     def label(self, pfn):
         """``REGION:page`` of a frame number."""
         for name, (_, vma) in self.vmas.items():

@@ -18,8 +18,20 @@ lookup and one call per cache level, with only the walks cut per slice
 set-associative engine decides a ``gups`` epoch in vector passes, with
 no row replayed one touch at a time (fails with one vector round per
 touch of the busiest set, whose stragglers went to the scalar tail).
+
+And a service-sized epoch (the e2e ``svc_*`` session: ``gups``, 256
+pages, 1 000 accesses) makes a bounded number of Python-level calls,
+and few more per process: cProfile's ``total_calls``, which does not
+vary with the box.  The counts include numpy's own Python wrappers
+(``np.prod`` inside ``Generator.integers``, ``_methods._amax`` behind
+``ndarray.max``), so a numpy upgrade that moves them re-pins both
+bounds in the change that upgrades it.  Per-process bookkeeping in the
+generator or the A-bit scan's window loop fails the slope; a new
+wrapper call on the epoch path fails the total.
 """
 
+import cProfile
+import pstats
 from collections import Counter
 
 import pytest
@@ -223,3 +235,35 @@ def test_one_epoch_draws_per_role_not_per_process(sim, monkeypatch):
     # ... and the epoch did interleave all fifteen processes.
     assert len(batches) == 1
     assert len(set(batches[0].pid.tolist())) == 15
+
+
+def svc_session(n_processes: int) -> TieredSimulator:
+    """The simulator an e2e ``svc_*`` session steps, with
+    ``n_processes`` PIDs instead of gups' default eight."""
+    sim = TieredSimulator(
+        make_workload(
+            "gups", n_processes=n_processes, footprint_pages=256, accesses_per_epoch=1000
+        ),
+        POLICIES["history"](),
+        machine_config=MachineConfig.scaled(ibs_period=16),
+        seed=0,
+    )
+    sim.start(init=True)
+    sim.step(2)  # past the first epochs' one-off work
+    return sim
+
+
+def calls_per_epoch(n_processes: int, epochs: int = 20) -> float:
+    profile = cProfile.Profile()
+    profile.runcall(svc_session(n_processes).step, epochs)
+    return pstats.Stats(profile).total_calls / epochs
+
+
+def test_a_service_sized_epoch_costs_few_calls_per_process():
+    one, eight, sixteen = (calls_per_epoch(n) for n in (1, 8, 16))
+    # 1 322 and 67 per process when the generator drew, checked and
+    # recorded each process's segments one at a time; 816 and 30.7 with
+    # NumPy 2.4.  The bounds leave a few calls for another NumPy's
+    # wrappers.
+    assert eight <= 840
+    assert (sixteen - one) / 15 <= 32

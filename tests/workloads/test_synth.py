@@ -190,12 +190,22 @@ class TestStreamBuilder:
         np.testing.assert_array_equal(b.vaddr >> 12, [vma.start_vpn, vma.end_vpn - 1])
 
     def test_out_of_range_rejected(self):
+        """``build`` checks every segment at once: an index past the VMA,
+        or a negative one, names the VMA and its page count, and the
+        failing build draws nothing of its own."""
         vma = self._vma()
-        out = StreamBuilder(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="out of range"):
-            out.add(vma, np.array([16]), pid=1, cpu=0)
-        with pytest.raises(ValueError, match="out of range"):
-            out.add(vma, np.array([-1]), pid=1, cpu=0)
+        for bad in (16, -1):
+            rng = np.random.default_rng(0)
+            out = StreamBuilder(rng)
+            out.add(vma, np.arange(16), pid=1, cpu=0)
+            out.rng.random(2)  # the first segment's offsets are drawn here
+            out.add(vma, np.array([3, bad, 4]), pid=1, cpu=0)
+            out.end_stream()
+            out.add(vma, np.arange(8), pid=2, cpu=0)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match=r"VMA 'anon' \(16 pages\)"):
+                out.build()
+            assert rng.bit_generator.state == state
 
     def test_line_offsets_random_but_aligned(self):
         vma = self._vma()
@@ -221,9 +231,13 @@ class TestStreamBuilder:
         assert dtypes == [np.uint64, np.bool_, np.int32, np.int16, np.uint64]
 
     def test_store_column_length_checked(self):
-        out = StreamBuilder(np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        out = StreamBuilder(rng)
+        out.add(self._vma(), np.array([1, 2]), pid=1, cpu=0, is_store=[True])
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match="is_store"):
-            out.add(self._vma(), np.array([1, 2]), pid=1, cpu=0, is_store=[True])
+            out.build()
+        assert rng.bit_generator.state == state
 
     def test_empty(self):
         out = StreamBuilder(np.random.default_rng(0))
