@@ -34,21 +34,20 @@ Layering:
 Durability reuses :mod:`repro.ioutil` (the same write-temp/fsync/
 rename discipline as the recorded-run cache) and the reader side
 treats anything unparseable as absent, never as an error.
+
+The package surface is lazy (:mod:`repro._lazy`): ``from repro.ledger
+import Ledger`` loads ``ledger`` and ``storage`` only, so a server that
+appends and reads records never imports numpy or the simulator that
+``snapshot`` and ``replay`` need.
 """
 
-from .ledger import Ledger, config_key
-from .replay import iter_epoch_dicts, replay_result
-from .snapshot import SnapshotError, read_snapshot, write_snapshot
-from .storage import LEDGER_FORMAT_VERSION, SessionLedger
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LEDGER_FORMAT_VERSION",
-    "Ledger",
-    "SessionLedger",
-    "SnapshotError",
-    "config_key",
-    "iter_epoch_dicts",
-    "read_snapshot",
-    "replay_result",
-    "write_snapshot",
-]
+_EXPORTS = {
+    "ledger": ("Ledger", "config_key"),
+    "replay": ("iter_epoch_dicts", "replay_result"),
+    "snapshot": ("SnapshotError", "read_snapshot", "write_snapshot"),
+    "storage": ("LEDGER_FORMAT_VERSION", "SessionLedger"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -9,9 +9,35 @@ bit-identity tests both go through here.
 
 from __future__ import annotations
 
-from ..tiering.simulator import SimulationResult
+from ..tiering.latency_model import EpochLatency
+from ..tiering.simulator import EpochMetrics, SimulationResult
 
-__all__ = ["iter_epoch_dicts", "replay_result"]
+__all__ = ["epoch_metrics_from_dict", "iter_epoch_dicts", "replay_result"]
+
+
+def epoch_metrics_from_dict(data: dict) -> EpochMetrics:
+    """Inverse of :func:`~repro.service.telemetry.epoch_metrics_to_dict`.
+
+    Floats survive the JSON round-trip exactly (``repr`` round-trips
+    every finite double), so a replayed epoch is bit-identical to the
+    live one — the property the recovery tests pin.
+    """
+    latency = data["latency"]
+    return EpochMetrics(
+        epoch=int(data["epoch"]),
+        accesses=int(data["accesses"]),
+        mem_accesses=int(data["mem_accesses"]),
+        hitrate=float(data["hitrate"]),
+        promoted=int(data["promoted"]),
+        demoted=int(data["demoted"]),
+        latency=EpochLatency(
+            base_s=float(latency["base_s"]),
+            slow_fault_s=float(latency["slow_fault_s"]),
+            hot_slow_extra_s=float(latency["hot_slow_extra_s"]),
+            migration_s=float(latency["migration_s"]),
+        ),
+        profiler_overhead_s=float(data["profiler_overhead_s"]),
+    )
 
 
 def iter_epoch_dicts(records):
@@ -29,11 +55,6 @@ def replay_result(session_ledger, meta: dict | None = None) -> SimulationResult:
     result's config fields fall back to empty placeholders but the
     epoch series is still exact.
     """
-    # Local import: telemetry sits in repro.service, which imports the
-    # server (which imports this package) — resolving it lazily keeps
-    # the module graph acyclic at import time.
-    from ..service.telemetry import epoch_metrics_from_dict
-
     config = (meta or {}).get("config", {})
     info = (meta or {}).get("info", {})
     result = SimulationResult(

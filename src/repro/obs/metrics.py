@@ -28,8 +28,9 @@ the right semantics for the additive per-process gauges used here).
 :func:`render_prometheus` turns a snapshot into the Prometheus text
 exposition format (0.0.4) served by ``repro serve --metrics-port``.
 
-Registration is get-or-create and cheap, so instrumentation sites
-fetch their handles at call time from :func:`default_registry`; the
+Registration is get-or-create, so most instrumentation sites fetch
+their handles at call time from :func:`default_registry`; a hot path
+binds them once with :func:`per_registry` instead.  The
 whole subsystem can be switched off (every mutation a no-op) with
 ``REPRO_OBS_DISABLED=1`` or :func:`configure`.
 """
@@ -48,6 +49,7 @@ __all__ = [
     "configure",
     "default_registry",
     "merge_snapshots",
+    "per_registry",
     "render_prometheus",
     "set_default_registry",
 ]
@@ -272,6 +274,27 @@ def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
     previous = _default
     _default = registry
     return previous
+
+
+def per_registry(bind):
+    """Return ``handles()``: ``bind(registry)`` for the default registry,
+    called again only when the default registry is swapped.
+
+    For hot paths (one request, one step, one frame per subscriber):
+    every lookup by name takes the registry lock, a bound handle does
+    not.  Keyed by registry identity, so code that swaps the default
+    (:func:`set_default_registry`) still records into the right one.
+    """
+    bound = None
+
+    def handles():
+        nonlocal bound
+        registry = _default
+        if bound is None or bound[0] is not registry:
+            bound = (registry, bind(registry))
+        return bound[1]
+
+    return handles
 
 
 def configure(enabled: bool) -> None:

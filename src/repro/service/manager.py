@@ -77,7 +77,7 @@ def _rebuild_params(meta: dict, session_ledger, epochs: int, snapshot_path) -> d
     restore are read from.  The host that builds the session restores
     the snapshot if it checks out and replays only what came after it;
     otherwise it replays everything
-    (:class:`~repro.service.session.HostedSession`).  The tenant is the
+    (:class:`~repro.service.host.HostedSession`).  The tenant is the
     handle's, not the host's, so it is left out.  Reads what the ledger
     keeps beside its records; scans none of them.
     """
@@ -729,8 +729,11 @@ class SessionManager:
         return [sid for sid, _ in evicted]
 
     def list_sessions(self) -> list[dict]:
-        """Every registered session but those claimed for eviction,
-        which ``subscribe`` and new ops already refuse."""
+        """Every registered session but those no op can run on: one
+        claimed for eviction, and a crashed one until :meth:`recover`
+        brings it back (it is listed again) or discards it."""
         with self._lock:
             sessions = list(self._sessions.values())
-        return [s.info() for s in sessions if not s._evicting]
+        return [
+            s.info() for s in sessions if not s._evicting and s.crashed is None
+        ]

@@ -44,7 +44,6 @@ from concurrent.futures import ThreadPoolExecutor
 from ..ledger import Ledger
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
-from ..obs.http import MetricsHTTPServer
 from .manager import SessionManager
 from .protocol import (
     MAX_LINE_BYTES,
@@ -61,6 +60,23 @@ from .workers import WorkerPool, resolve_workers
 __all__ = ["ServiceServer", "ServerThread"]
 
 _log = obs_log.get_logger("service.server")
+
+#: The ``op`` label of a request whose op is not in the op table: the
+#: label values stay the server's, whatever a client sends.
+UNKNOWN_OP_LABEL = "unknown"
+
+_requests_total = obs_metrics.per_registry(
+    lambda registry: registry.counter(
+        "repro_service_requests_total",
+        "Requests handled by the JSON-lines server",
+        labelnames=("op", "outcome"),
+    )
+)
+_steps_inflight_gauge = obs_metrics.per_registry(
+    lambda registry: registry.gauge(
+        "repro_service_steps_inflight", "Step requests currently executing"
+    )
+)
 
 
 def _number_param(params: dict, name: str, default=None, *, real=False, minimum=None):
@@ -206,7 +222,8 @@ class ServiceServer:
         #: binds an ephemeral port, None disables the endpoint.
         self.metrics_port = metrics_port
         self.metrics_address: tuple[str, int] | None = None
-        self._metrics_http: MetricsHTTPServer | None = None
+        #: The endpoint's :class:`~repro.obs.http.MetricsHTTPServer`.
+        self._metrics_http = None
         #: Durable event-sourced telemetry (``--ledger-dir``): every
         #: session's frames append to an on-disk ledger, enabling
         #: ``subscribe(from_seq=...)`` replay and crashed-session
@@ -252,11 +269,21 @@ class ServiceServer:
     # ------------------------------------------------------------- lifecycle
 
     async def start(self) -> "ServiceServer":
-        """Bind the socket, start the reaper, install signal handlers."""
+        """Bind the socket, start the reaper, install signal handlers.
+
+        Everything a request needs is imported before the bind, so no
+        request pays for an import.  An in-process server (``workers=0``)
+        imports the host here, and with it the simulator stack; a pooled
+        parent never imports either, because its workers simulate.  The
+        metrics endpoint's HTTP server is imported only when one is
+        asked for.
+        """
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         step_threads = self.step_workers
-        if self.workers > 0:
+        if self.workers == 0:
+            from . import host  # noqa: F401
+        else:
             self._pool = WorkerPool(
                 self.workers, on_session_crash=self._on_worker_crash
             )
@@ -287,6 +314,8 @@ class ServiceServer:
             )
             self.address = self._server.sockets[0].getsockname()[:2]
         if self.metrics_port is not None:
+            from ..obs.http import MetricsHTTPServer
+
             self._metrics_http = MetricsHTTPServer(
                 self.collect_metrics, host=self.host, port=self.metrics_port
             )
@@ -446,11 +475,9 @@ class ServiceServer:
             outcome = "internal"
         finally:
             self._inflight -= 1
-        obs_metrics.default_registry().counter(
-            "repro_service_requests_total",
-            "Requests handled by the JSON-lines server",
-            labelnames=("op", "outcome"),
-        ).inc(op=str(op), outcome=outcome)
+        if not isinstance(op, str) or op not in self._ops:
+            op = UNKNOWN_OP_LABEL
+        _requests_total().inc(op=op, outcome=outcome)
         try:
             await conn.send(response)
         except ServiceError as exc:
@@ -522,12 +549,11 @@ class ServiceServer:
         session = self.manager.get(self._session_id(params))
         epochs = _number_param(params, "epochs", 1)
         limit = self.max_inflight_steps
-        registry = obs_metrics.default_registry()
         if limit is not None and self._steps_inflight >= limit:
             # Load-shedding: reject *now* with the same structured
             # {code, message} shape the goodbye frames carry, rather
             # than queueing the step and inflating every tenant's p99.
-            registry.counter(
+            obs_metrics.default_registry().counter(
                 "repro_service_steps_rejected_total",
                 "Step requests shed by the in-flight concurrency limit",
             ).inc()
@@ -539,17 +565,13 @@ class ServiceServer:
         # Counter mutations happen on the event loop only (before/after
         # the await), so no lock is needed.
         self._steps_inflight += 1
-        registry.gauge(
-            "repro_service_steps_inflight", "Step requests currently executing"
-        ).set(self._steps_inflight)
+        inflight = _steps_inflight_gauge()
+        inflight.set(self._steps_inflight)
         try:
             return await self._run_blocking(session.step, epochs)
         finally:
             self._steps_inflight -= 1
-            registry.gauge(
-                "repro_service_steps_inflight",
-                "Step requests currently executing",
-            ).set(self._steps_inflight)
+            inflight.set(self._steps_inflight)
 
     async def _op_stats(self, conn, params) -> dict:
         session = self.manager.get(self._session_id(params))

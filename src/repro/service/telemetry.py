@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import json
 import time
+from typing import TYPE_CHECKING
 
-from ..tiering.latency_model import EpochLatency
-from ..tiering.simulator import EpochMetrics, SimulationResult
+if TYPE_CHECKING:  # annotations only: telemetry loads no simulator
+    from ..tiering.simulator import EpochMetrics, SimulationResult
 
 __all__ = [
     "MAX_EPOCHS_PER_RESPONSE",
     "crash_event_data",
-    "epoch_metrics_from_dict",
     "epoch_metrics_to_dict",
     "ledger_epoch_window",
     "recovered_event_data",
@@ -145,31 +145,6 @@ def epoch_metrics_to_dict(m: EpochMetrics) -> dict:
             "total_s": float(m.latency.total_s),
         },
     }
-
-
-def epoch_metrics_from_dict(data: dict) -> EpochMetrics:
-    """Inverse of :func:`epoch_metrics_to_dict` (ledger replay path).
-
-    Floats survive the JSON round-trip exactly (``repr`` round-trips
-    every finite double), so a replayed epoch is bit-identical to the
-    live one — the property the recovery tests pin.
-    """
-    latency = data["latency"]
-    return EpochMetrics(
-        epoch=int(data["epoch"]),
-        accesses=int(data["accesses"]),
-        mem_accesses=int(data["mem_accesses"]),
-        hitrate=float(data["hitrate"]),
-        promoted=int(data["promoted"]),
-        demoted=int(data["demoted"]),
-        latency=EpochLatency(
-            base_s=float(latency["base_s"]),
-            slow_fault_s=float(latency["slow_fault_s"]),
-            hot_slow_extra_s=float(latency["hot_slow_extra_s"]),
-            migration_s=float(latency["migration_s"]),
-        ),
-        profiler_overhead_s=float(data["profiler_overhead_s"]),
-    )
 
 
 def ledger_epoch_window(session_ledger, start: int, stop: int) -> list[dict]:

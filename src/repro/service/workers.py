@@ -6,12 +6,14 @@ of simulation throughput.  This module moves the simulation out of
 the server process: a :class:`WorkerPool` spawns N worker processes
 (``multiprocessing`` spawn context — safe to respawn from a threaded
 parent), and every session is *pinned* to one worker for its whole
-life.  A worker runs the same :class:`~repro.service.session
-.SessionHost` an in-thread session calls directly, so pooled runs are
-bit-identical to in-thread ones; the parent's
+life.  A worker runs the same :class:`~repro.service.host.SessionHost`
+an in-thread session calls directly, so pooled runs are bit-identical
+to in-thread ones; the parent's
 :class:`~repro.service.session.ProfilingSession` handle keeps the
 subscriber queues and sends its ops through the worker's
-:class:`WorkerHandle` instead of its own host.
+:class:`WorkerHandle` instead of its own host.  Only the worker
+imports the host and the simulator behind it: the parent that imports
+this module holds handles, pipes and reader threads.
 
 Wire shape on each pipe (pickled tuples):
 
@@ -54,7 +56,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from .protocol import ErrorCode, ServiceError
-from .session import ProfilingSession, SessionHost
+from .session import ProfilingSession
 
 __all__ = ["WorkerPool", "resolve_workers"]
 
@@ -131,7 +133,8 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def _worker_main(conn, worker_id: int) -> None:
-    """One worker: a blocking command loop over a :class:`SessionHost`.
+    """One worker: a blocking command loop over a
+    :class:`~repro.service.host.SessionHost`.
 
     Single-threaded on purpose — commands for this worker's sessions
     execute one at a time, so per-session ordering is trivial and the
@@ -140,6 +143,8 @@ def _worker_main(conn, worker_id: int) -> None:
     merges: the simulations run here) and the ``_debug`` fault
     injection.
     """
+    from .host import SessionHost  # the simulator stack: the child's alone
+
     batcher = _EventBatcher(conn)
     host = SessionHost(batcher, name=f"worker {worker_id}")
     process_ops = {

@@ -9,6 +9,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
     merge_snapshots,
+    per_registry,
     render_prometheus,
     set_default_registry,
 )
@@ -120,6 +121,20 @@ class TestRegistry:
             assert default_registry() is mine
         finally:
             set_default_registry(previous)
+
+    def test_bound_handles_follow_a_swapped_default(self):
+        bound = per_registry(lambda r: r.counter("c_total"))
+        first, second = MetricsRegistry(), MetricsRegistry()
+        previous = set_default_registry(first)
+        try:
+            bound().inc()
+            assert bound() is bound()
+            set_default_registry(second)
+            bound().inc(2)
+        finally:
+            set_default_registry(previous)
+        assert first.counter("c_total").value() == 1
+        assert second.counter("c_total").value() == 2
 
     def test_concurrent_increments_are_not_lost(self, registry):
         c = registry.counter("c_total")

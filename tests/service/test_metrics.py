@@ -101,9 +101,28 @@ class TestInProcessMetrics:
                 assert value(
                     snap,
                     "repro_service_requests_total",
-                    op="no_such_op",
+                    op="unknown",
                     outcome="unknown_op",
                 ) == 1
+
+    def test_unknown_ops_add_no_series(self):
+        """A client's op string is no label value: 50 distinct unknown
+        ops leave one ``op="unknown"`` series, not 50."""
+        with ServerThread(workers=0, reap_interval_s=0) as srv:
+            with ServiceClient(address=srv.address) as c:
+                c.ping()
+                for n in range(50):
+                    with pytest.raises(ServiceError):
+                        c.request(f"bogus-{n}")
+                samples = c.metrics()["repro_service_requests_total"]["samples"]
+                ops = {sample["labels"]["op"] for sample in samples}
+                assert ops == {"ping", "unknown"}
+                assert value(
+                    c.metrics(),
+                    "repro_service_requests_total",
+                    op="unknown",
+                    outcome="unknown_op",
+                ) == 50
 
 
 class TestActiveSessionsGauge:

@@ -12,6 +12,7 @@ by ``test_server.py::TestConcurrentSessions``.
 import asyncio
 import os
 import signal
+import threading
 import time
 
 from repro.service import ServiceError, ServiceServer
@@ -127,6 +128,18 @@ class TestWorkerCrash:
                 assert victim.events[0]["event"] == "epoch"
                 handle = server._pool.workers[v_info["worker"]]
                 doomed_pid = handle.process.pid
+                # Hold the crash's hand-off to the manager (a discard:
+                # there is no ledger) until the listing below is
+                # answered, so the listing is checked before the discard
+                # on every run rather than when the scheduler allows.
+                may_discard = threading.Event()
+                recover = server.manager.recover
+
+                def held_recover(session_id):
+                    may_discard.wait(10)
+                    return recover(session_id)
+
+                server.manager.recover = held_recover
                 os.kill(doomed_pid, signal.SIGKILL)
 
                 try:
@@ -149,10 +162,14 @@ class TestWorkerCrash:
                 stepped = await survivor.request("step", session=s_sid, epochs=1)
                 assert stepped["epochs_run"] == 1
 
-                # The crashed session is discarded from the registry.
+                # From its error frame on, a crashed session is out of
+                # the listing, although its discard has not run yet
+                # (docs/service.md, "Crashes").
                 listed = await survivor.request("list_sessions")
                 ids = [s["session"] for s in listed["sessions"]]
                 assert v_sid not in ids and s_sid in ids
+                assert len(server.manager) == 2
+                may_discard.set()
 
                 # The slot respawns and accepts new sessions.
                 deadline = time.monotonic() + 15

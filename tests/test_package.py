@@ -21,9 +21,16 @@ SUBPACKAGES = [
 ]
 
 #: Packages whose public names resolve on first access (``repro._lazy``).
-LAZY_PACKAGES = ["repro", "repro.obs", "repro.service", "repro.loadgen", "repro.runner"]
+LAZY_PACKAGES = [
+    "repro",
+    "repro.obs",
+    "repro.service",
+    "repro.loadgen",
+    "repro.runner",
+    "repro.ledger",
+]
 
-PACKAGES = SUBPACKAGES + LAZY_PACKAGES + ["repro.ledger"]
+PACKAGES = SUBPACKAGES + LAZY_PACKAGES
 
 
 class TestSurface:
@@ -109,6 +116,37 @@ class TestSurface:
             assert cls().name == cls.name
 
 
+#: A pooled server (one worker, a ledger, checkpointing eviction) driven
+#: through every path its parent serves: create, subscribe, step, stats,
+#: numa_maps, reconfigure, evict then resume, a replaying subscribe, a
+#: SIGKILLed worker and the recovery, and a close with the epoch series.
+POOLED_SERVER_RUN = """
+import os, signal, time
+from repro.service import ServerThread, ServiceClient
+
+small = {{"footprint_pages": 512, "accesses_per_epoch": 2000}}
+with ServerThread(
+    workers=1, ledger_dir={ledger!r}, evict_to_disk=True, reap_interval_s=0
+) as srv:
+    with ServiceClient(address=srv.address) as c:
+        sid = c.create_session("gups", workload_kwargs=small)["session"]
+        c.subscribe(sid)
+        c.step(sid, 2)
+        c.stats(sid)
+        c.numa_maps(sid)
+        c.reconfigure(sid, trace_sample_period=8)
+        assert srv.server.manager.evict_idle(now=time.monotonic() + 3600) == [sid]
+        c.resume_session(sid)
+        c.subscribe(sid, from_seq=0)
+        c.step(sid, 1)
+        os.kill(srv.server._pool.workers[0].process.pid, signal.SIGKILL)
+        while c.next_event(timeout_s=30)["event"] != "recovered":
+            pass
+        c.step(sid, 1)
+        assert len(c.close_session(sid, include_epochs=True)["result"]["epochs"]) == 4
+"""
+
+
 def _loaded_by(program: str) -> set[str]:
     """Module names a fresh interpreter holds after running ``program``."""
     out = subprocess.run(
@@ -144,9 +182,10 @@ class TestImportFootprint:
         }
 
     def test_worker_loads_no_server_runner_or_loadgen(self):
-        # What a spawned pool worker imports before its command loop.
-        loaded = _loaded_by("import repro.service.workers")
-        assert "repro.service.workers" in loaded
+        # What a spawned pool worker imports: its module, then the host
+        # ``_worker_main`` imports before its command loop.
+        loaded = _loaded_by("import repro.service.workers, repro.service.host")
+        assert {"repro.service.host", "repro.tiering.simulator"} <= loaded
         assert not loaded & {
             "asyncio",
             "http.server",
@@ -154,6 +193,35 @@ class TestImportFootprint:
             "repro.runner",
             "repro.loadgen",
         }
+
+    def test_pooled_server_parent_loads_no_simulator(self, tmp_path):
+        # Every simulation runs in the worker: the parent holds handles,
+        # pipes and the ledger's records, and no endpoint was asked for.
+        loaded = _loaded_by(POOLED_SERVER_RUN.format(ledger=str(tmp_path)))
+        assert {"repro.service.server", "repro.ledger.storage"} <= loaded
+        assert not loaded & {
+            "numpy",
+            "repro.memsim",
+            "repro.core",
+            "repro.tiering",
+            "repro.workloads",
+            "repro.ledger.snapshot",
+            "repro.ledger.replay",
+            "repro.service.host",
+            "http.server",
+        }
+
+    def test_in_process_server_imports_the_host_before_it_binds(self):
+        loaded = _loaded_by(
+            "import asyncio\n"
+            "from repro.service import ServiceServer\n"
+            "async def main():\n"
+            "    server = await ServiceServer(port=0, workers=0).start()\n"
+            "    await server.drain()\n"
+            "asyncio.run(main())"
+        )
+        assert {"repro.service.host", "repro.tiering.simulator"} <= loaded
+        assert "http.server" not in loaded
 
     def test_cli_parser_loads_no_numpy(self):
         loaded = _loaded_by("import repro.cli; repro.cli.build_parser()")
